@@ -20,7 +20,7 @@ from .errors import (BudgetExceeded, DefinitionError, OrderCapExceeded,
                      TwistspecError)
 from .group import DEFAULT_ORDER_CAP, FiniteGroup
 from .morphism import DEFAULT_PRODUCT_BUDGET
-from .spectra import FLAG_NAMES, classify, theorem_battery
+from .spectra import FLAG_NAMES, classify, structure_flags, theorem_battery
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -42,16 +42,19 @@ def _env_int(name: str) -> int | None:
         raise DefinitionError(f"{name} must be an integer, got {raw!r}")
 
 
-def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    return _env_int(BUDGET_ENV) or DEFAULT_PRODUCT_BUDGET
+def _positive(value: int, name: str) -> int:
+    if value < 1:
+        raise DefinitionError(f"{name} must be a positive integer, got {value}")
+    return value
 
 
-def _resolve_order_cap(args) -> int:
-    if args.order_cap is not None:
-        return args.order_cap
-    return _env_int(ORDER_CAP_ENV) or DEFAULT_ORDER_CAP
+def _resolve_limit(flag_value: int | None, flag: str, env: str,
+                   default: int) -> int:
+    """The flag if given, else the environment variable, else the default."""
+    if flag_value is not None:
+        return _positive(flag_value, flag)
+    env_value = _env_int(env)
+    return default if env_value is None else _positive(env_value, env)
 
 
 def _load_group(path: str, order_cap: int) -> tuple[catalog.GroupDefinition, FiniteGroup]:
@@ -74,15 +77,9 @@ def _format_value_map(values: dict[int, int]) -> str:
 # -- info -----------------------------------------------------------------
 
 def _cmd_info(args) -> int:
-    _, group = _load_group(args.file, _resolve_order_cap(args))
+    _, group = _load_group(args.file, args.order_cap)
     classes = group.conjugacy_classes()
-    flags = {
-        "abelian": group.is_abelian(),
-        "nilpotent": group.is_nilpotent(),
-        "perfect": group.is_perfect(),
-        "simple": group.is_simple(),
-        "quasisimple": group.is_quasisimple(),
-    }
+    flags = structure_flags(group)
     if args.json:
         doc = {
             "name": group.name,
@@ -111,10 +108,10 @@ def _cmd_info(args) -> int:
 # -- spectrum ----------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
-    defn, group = _load_group(args.file, _resolve_order_cap(args))
+    defn, group = _load_group(args.file, args.order_cap)
     report = classify(group, name=defn.name, extended=args.extended,
                       battery=False, method=_METHODS[args.method],
-                      budget=_resolve_budget(args))
+                      budget=args.budget)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return EXIT_OK
@@ -141,8 +138,8 @@ def _cmd_spectrum(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    defn, group = _load_group(args.file, _resolve_order_cap(args))
-    checks = theorem_battery(group, budget=_resolve_budget(args))
+    defn, group = _load_group(args.file, args.order_cap)
+    checks = theorem_battery(group, budget=args.budget)
     failures = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -214,12 +211,13 @@ def _survey_worker(task: tuple) -> dict:
 
 
 def _cmd_survey(args) -> int:
+    _positive(args.jobs, "--jobs")
     directory = Path(args.directory)
     if not directory.is_dir():
         raise DefinitionError(f"{directory} is not a directory")
     rules = _parse_filter(args.filter)
     files = sorted(str(p) for p in directory.glob("*.json"))
-    tasks = [(path, _resolve_budget(args), _resolve_order_cap(args),
+    tasks = [(path, args.budget, args.order_cap,
               args.battery, _METHODS[args.method]) for path in files]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -315,6 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.budget = _resolve_limit(args.budget, "--budget", BUDGET_ENV,
+                                     DEFAULT_PRODUCT_BUDGET)
+        args.order_cap = _resolve_limit(args.order_cap, "--order-cap",
+                                        ORDER_CAP_ENV, DEFAULT_ORDER_CAP)
         return args.func(args)
     except DefinitionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,6 +6,14 @@ Element order is canonical: breadth-first discovery from the identity with
 generators applied in list order, so every downstream numbering (classes,
 reports) is reproducible across runs.  All lazily built tables are write-once
 behind a lock, so a group value may be shared across threads.
+
+The search that materializes a group also records the action of each
+generator on element indices (``x -> index(x * s)``) and the Schreier tree
+(each element's parent and the generator that reached it).  Structural
+computations (Cayley rows, conjugacy classes, centers, normal closures, the
+derived and lower central series) run on that action: O(|G| * |gens|) list
+reads instead of all-pairs products of permutations.  See Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory* (2005), ch. 4.
 """
 
 from __future__ import annotations
@@ -66,23 +74,30 @@ class FiniteGroup:
     """A finite permutation group materialized from its generators.
 
     ``elements[0]`` is the identity and ``elements`` is closed under products
-    and inverses.  Heavy accessors (product table, inverses, element orders,
+    and inverses.  ``right[s][x]`` is the index of ``elements[x] *
+    generators[s]``; ``tree[j - 1] = (p, right[s])`` records that element
+    ``j > 0`` was first reached as ``elements[p] * generators[s]``, with
+    ``p < j``.  Heavy accessors (product table, inverses, element orders,
     conjugacy classes) are built on first use and cached.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: list[Permutation], index: dict[Permutation, int],
-                 *, name: str | None = None, cayley_limit: int = CAYLEY_LIMIT):
+                 *, right: list[list[int]], tree: list[tuple[int, list[int]]],
+                 name: str | None = None, cayley_limit: int = CAYLEY_LIMIT):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = elements
         self.name = name
         self._index = index
+        self._right = right
+        self._tree = tree
         self._cayley_limit = cayley_limit
-        # Reentrant: lazy builders call each other (classes need the table).
+        # Reentrant: lazy builders call each other (classes need inverses).
         self._lock = threading.RLock()
         self._table: list[list[int]] | None = None
         self._inverses: list[int] | None = None
+        self._conjugations: list[list[int]] | None = None
         self._orders: list[int] | None = None
         self._classes: ClassPartition | None = None
         self._center: Subgroup | None = None
@@ -121,11 +136,37 @@ class FiniteGroup:
         if self._table is None:
             with self._lock:
                 if self._table is None:
-                    idx = self._index
-                    self._table = [
-                        [idx[p * q] for q in self.elements] for p in self.elements
-                    ]
+                    self._table = [self._left_row(a) for a in range(self.order)]
         return self._table
+
+    def _left_row(self, a: int) -> list[int]:
+        """``index(a * x)`` for every element index ``x``, read along the
+        Schreier tree: ``a * x = (a * parent(x)) * s``."""
+        row = [a]
+        append = row.append
+        for parent, column in self._tree:
+            append(column[row[parent]])
+        return row
+
+    def _right_column(self, y: int) -> list[int]:
+        """``index(x * y)`` for every element index ``x``, from the left row
+        of ``y^-1``: ``x * y = (y^-1 * x^-1)^-1``."""
+        inv = self.inverses()
+        row = self._left_row(inv[y])
+        return [inv[row[v]] for v in inv]
+
+    def _conjugation_columns(self) -> list[list[int]]:
+        """For each generator ``s``, ``index(s^-1 * x * s)`` for every ``x``."""
+        if self._conjugations is None:
+            with self._lock:
+                if self._conjugations is None:
+                    inv = self.inverses()
+                    self._conjugations = [
+                        [column[v] for v in self._left_row(inv[g])]
+                        for g, column in zip(self.generator_indices(),
+                                             self._right)
+                    ]
+        return self._conjugations
 
     def product(self, i: int, j: int) -> int:
         table = self.cayley_table()
@@ -179,31 +220,27 @@ class FiniteGroup:
         return self._classes
 
     def _compute_classes(self) -> ClassPartition:
+        # Classes are the orbits of conjugation by the generators; scanning
+        # in index order makes each representative its class's smallest member.
         n = self.order
-        inv = self.inverses()
+        conjugations = self._conjugation_columns()
         class_of = [-1] * n
         reps: list[int] = []
         sizes: list[int] = []
-        table = self.cayley_table()
         for g in range(n):
             if class_of[g] >= 0:
                 continue
             cid = len(reps)
             reps.append(g)
-            size = 0
-            if table is not None:
-                for h in range(n):
-                    c = table[table[h][g]][inv[h]]
-                    if class_of[c] < 0:
-                        class_of[c] = cid
-                        size += 1
-            else:
-                for h in range(n):
-                    c = self.product(self.product(h, g), inv[h])
-                    if class_of[c] < 0:
-                        class_of[c] = cid
-                        size += 1
-            sizes.append(size)
+            class_of[g] = cid
+            orbit = [g]
+            for x in orbit:
+                for column in conjugations:
+                    y = column[x]
+                    if class_of[y] < 0:
+                        class_of[y] = cid
+                        orbit.append(y)
+            sizes.append(len(orbit))
         partition = ClassPartition(self, tuple(class_of), tuple(reps), tuple(sizes))
         if sum(sizes) != n or any(n % s for s in sizes):
             raise AssertionError("conjugacy class sizes violate orbit-stabiliser")
@@ -219,8 +256,11 @@ class FiniteGroup:
     def subgroup(self, indices: Iterable[int]) -> Subgroup:
         """Build a verified subgroup from member indices.
 
-        Checks identity membership, closure under products (which forces
-        inverses in a finite group, checked anyway) and Lagrange.
+        Checks identity membership, closure and Lagrange.  Each member not
+        yet reached becomes a generator and the reached set is re-closed
+        under right multiplication; a product outside the set is rejected
+        at once.  A finite set equal to the closure of a subset of itself is
+        a subgroup, at O(|H| log |H|) products.
         """
         members = sorted(set(indices))
         flags = [False] * self.order
@@ -228,13 +268,25 @@ class FiniteGroup:
             flags[i] = True
         if not members or members[0] != 0:
             raise ValueError("subgroup must contain the identity")
-        inv = self.inverses()
-        for a in members:
-            if not flags[inv[a]]:
-                raise ValueError("subgroup not closed under inverses")
-            for b in members:
-                if not flags[self.product(a, b)]:
-                    raise ValueError("subgroup not closed under products")
+        reached = [False] * self.order
+        reached[0] = True
+        found = [0]
+        gens: list[int] = []
+        for y in members:
+            if reached[y]:
+                continue
+            gens.append(y)
+            # The reached set is closed under the earlier generators: old
+            # members take the new one, new members take every generator.
+            old, newest = len(found), (y,)
+            for i, x in enumerate(found):
+                for g in newest if i < old else gens:
+                    z = self.product(x, g)
+                    if not flags[z]:
+                        raise ValueError("subgroup not closed under products")
+                    if not reached[z]:
+                        reached[z] = True
+                        found.append(z)
         if self.order % len(members):
             raise AssertionError("subgroup order violates Lagrange")
         return Subgroup(self, tuple(flags), tuple(members))
@@ -260,69 +312,84 @@ class FiniteGroup:
 
     def is_normal(self, sub: Subgroup) -> bool:
         flags = sub.member_flags
+        return all(flags[column[x]] for column in self._conjugation_columns()
+                   for x in sub.indices)
+
+    def _normal_closure(self, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Members and generators of the smallest normal subgroup containing
+        ``seeds``.
+
+        N starts as the subgroup generated by the seeds and takes in
+        ``s^-1 y s`` for every generator ``s`` of G and generator ``y`` of N
+        until nothing new appears: a finite subgroup that conjugation by
+        each generator of G maps into itself is normal.  Every accepted
+        generator at least doubles N, so there are O(log |G|) of them, each
+        costing O(|G|) list reads.
+        """
+        conjugations = self._conjugation_columns()
+        flags = [False] * self.order
+        flags[0] = True
+        members = [0]
+        gens: list[int] = []
+        columns: list[list[int]] = []
+        pending = list(seeds)
+        while pending:
+            y = pending.pop()
+            if flags[y]:
+                continue
+            gens.append(y)
+            column = self._right_column(y)
+            columns.append(column)
+            # As in subgroup(): old members take the new generator, new
+            # members take every generator.
+            old, newest = len(members), (column,)
+            for i, x in enumerate(members):
+                for col in newest if i < old else columns:
+                    z = col[x]
+                    if not flags[z]:
+                        flags[z] = True
+                        members.append(z)
+            pending.extend(conj[y] for conj in conjugations)
+        return members, gens
+
+    def _generator_commutators(self, ys: Iterable[int]) -> list[int]:
+        """``[y, s] = y^-1 s^-1 y s`` for each ``y`` and each generator ``s``."""
         inv = self.inverses()
-        for g in self.generator_indices():
-            for x in sub.indices:
-                if not flags[self.product(self.product(g, x), inv[g])]:
-                    return False
-        return True
+        conjugations = self._conjugation_columns()
+        return [self.product(inv[y], conj[y]) for y in ys for conj in conjugations]
 
     def normal_closure(self, seeds: Iterable[int]) -> Subgroup:
-        """Smallest normal subgroup containing ``seeds``.
-
-        The union of the conjugacy classes of the seeds is conjugation-closed,
-        and the subgroup generated by a conjugation-closed set is normal.
-        """
-        classes = self.conjugacy_classes()
-        wanted = {classes.class_of[s] for s in seeds}
-        conjugates = [i for i, c in enumerate(classes.class_of) if c in wanted]
-        return self.subgroup(self.subgroup_closure(conjugates))
+        """Smallest normal subgroup containing ``seeds``."""
+        return self.subgroup(self._normal_closure(seeds)[0])
 
     def center(self) -> Subgroup:
         if self._center is None:
             with self._lock:
                 if self._center is None:
-                    gens = self.generator_indices()
+                    conjugations = self._conjugation_columns()
                     members = [
-                        i for i in range(self.order)
-                        if all(self.product(i, g) == self.product(g, i)
-                               for g in gens)
+                        x for x in range(self.order)
+                        if all(conj[x] == x for conj in conjugations)
                     ]
                     self._center = self.subgroup(members)
         return self._center
 
     def derived_subgroup(self) -> Subgroup:
+        """The normal closure of the commutators of the generators."""
         if self._derived is None:
             with self._lock:
                 if self._derived is None:
-                    self._derived = self._compute_derived()
+                    self._derived = self.normal_closure(
+                        self._generator_commutators(self.generator_indices()))
         return self._derived
-
-    def _compute_derived(self) -> Subgroup:
-        n = self.order
-        inv = self.inverses()
-        table = self.cayley_table()
-        commutators = set()
-        if table is not None:
-            for i in range(n):
-                row = table[i]
-                for j in range(n):
-                    commutators.add(table[row[j]][inv[table[j][i]]])
-        else:
-            for i in range(n):
-                for j in range(n):
-                    ij = self.product(i, j)
-                    ji = self.product(j, i)
-                    commutators.add(self.product(ij, inv[ji]))
-        return self.subgroup(self.subgroup_closure(commutators))
 
     # -- structural predicates ---------------------------------------------
 
     def is_abelian(self) -> bool:
         gens = self.generator_indices()
-        return all(
-            self.product(a, b) == self.product(b, a) for a in gens for b in gens
-        )
+        right = self._right
+        return all(right[s][a] == right[t][b]
+                   for t, a in enumerate(gens) for s, b in enumerate(gens))
 
     def is_perfect(self) -> bool:
         return self.derived_subgroup().order == self.order
@@ -334,11 +401,8 @@ class FiniteGroup:
         """
         if self.order == 1:
             return False
-        classes = self.conjugacy_classes()
-        for rep in classes.representatives[1:]:
-            if len(self.subgroup_closure(classes.members(classes.class_of[rep]))) != self.order:
-                return False
-        return True
+        return all(len(self._normal_closure([rep])[0]) == self.order
+                   for rep in self.conjugacy_classes().representatives[1:])
 
     def is_quasisimple(self) -> bool:
         if not self.is_perfect():
@@ -347,22 +411,20 @@ class FiniteGroup:
         return quotient_group.is_simple()
 
     def is_nilpotent(self) -> bool:
-        """Lower central series reaches the trivial subgroup."""
-        current = tuple(range(self.order))
-        inv = self.inverses()
-        while True:
-            commutators = set()
-            for g in range(self.order):
-                for x in current:
-                    gx = self.product(g, x)
-                    xg = self.product(x, g)
-                    commutators.add(self.product(gx, inv[xg]))
-            nxt = self.subgroup_closure(commutators)
-            if len(nxt) == 1:
-                return True
-            if len(nxt) == len(current):
+        """The lower central series reaches the trivial subgroup.
+
+        With G = <X> and gamma_i the normal closure of Y_i, gamma_{i+1} =
+        [gamma_i, G] is the normal closure of the commutators [y, x] for y
+        in Y_i and x in X.
+        """
+        size, gens = self.order, self.generator_indices()
+        while size > 1:
+            members, gens = self._normal_closure(
+                self._generator_commutators(gens))
+            if len(members) == size:
                 return False
-            current = nxt
+            size = len(members)
+        return True
 
     # -- quotients ----------------------------------------------------------
 
@@ -480,8 +542,9 @@ def closure(degree: int, generators: Sequence[Permutation], *,
     """Materialize the group generated by ``generators`` on ``degree`` points.
 
     Breadth-first from the identity, generators applied in list order; the
-    resulting element order is deterministic.  Raises OrderCapExceeded when
-    the group would exceed ``order_cap``.
+    resulting element order is deterministic.  The search keeps each
+    generator's action on element indices and the Schreier tree.  Raises
+    OrderCapExceeded when the group would exceed ``order_cap``.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -491,18 +554,23 @@ def closure(degree: int, generators: Sequence[Permutation], *,
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity: 0}
+    right: list[list[int]] = [[] for _ in generators]
+    tree: list[tuple[int, list[int]]] = []
     head = 0
     while head < len(elements):
         p = elements[head]
-        for g in generators:
+        for g, column in zip(generators, right):
             q = p * g
-            if q not in index:
+            j = index.get(q)
+            if j is None:
                 if len(elements) >= order_cap:
                     raise OrderCapExceeded(
                         f"group exceeds order cap {order_cap}"
                     )
-                index[q] = len(elements)
+                j = index[q] = len(elements)
                 elements.append(q)
+                tree.append((head, column))
+            column.append(j)
         head += 1
-    return FiniteGroup(degree, generators, elements, index,
-                       name=name, cayley_limit=cayley_limit)
+    return FiniteGroup(degree, generators, elements, index, right=right,
+                       tree=tree, name=name, cayley_limit=cayley_limit)

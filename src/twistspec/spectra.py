@@ -99,6 +99,17 @@ class SpectrumReport:
         }
 
 
+def structure_flags(group: FiniteGroup) -> dict[str, bool]:
+    """The structure flags shared by ``classify`` and ``twistspec info``."""
+    return {
+        "abelian": group.is_abelian(),
+        "nilpotent": group.is_nilpotent(),
+        "perfect": group.is_perfect(),
+        "simple": group.is_simple(),
+        "quasisimple": group.is_quasisimple(),
+    }
+
+
 def _witness(phi: Morphism, detail: str) -> dict:
     """Failure payload: the morphism's generator images plus a short note."""
     group = phi.target
@@ -181,11 +192,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
             "trivial spectrum flag disagrees with the class-preserving count"
         )
     flags: dict[str, bool | None] = {
-        "abelian": group.is_abelian(),
-        "nilpotent": group.is_nilpotent(),
-        "perfect": group.is_perfect(),
-        "simple": group.is_simple(),
-        "quasisimple": group.is_quasisimple(),
+        **structure_flags(group),
         "odd_order": group.order % 2 == 1,
         "trivial_spectrum": trivial_spec,
         "trivial_extended_spectrum": (

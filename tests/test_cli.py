@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twistspec
 from twistspec.cli import main
 from twistspec.catalog import (cyclic, m9, quaternion_dicyclic, save,
                                symmetric)
+from twistspec.perm import Permutation
 
 
 @pytest.fixture()
@@ -58,6 +62,29 @@ def test_info_m9(tmp_path, capsys):
     assert doc["order"] == 72 and doc["class_number"] == 6
 
 
+def test_info_s7_work_bound(tmp_path, capsys, monkeypatch):
+    # Structure predicates act with the generators on element indices, so
+    # S7 info composes O(|G| * |gens|) permutations; all-pairs loops would
+    # need more than |G|^2 = 25.4M.
+    path = tmp_path / "s7.json"
+    save(symmetric(7), path)
+    products = 0
+    multiply = Permutation.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Permutation, "__mul__", counted)
+    assert main(["info", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["order"] == 5040 and doc["class_number"] == 15
+    assert doc["center_order"] == 1
+    assert not any(doc["flags"].values())
+    assert 0 < products <= 40 * 5040 * 2
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
@@ -105,6 +132,27 @@ def test_order_cap_flag(tmp_path, capsys):
     path = tmp_path / "s4.json"
     save(symmetric(4), path)
     assert main(["info", str(path), "--order-cap", "10"]) == 2
+
+
+@pytest.mark.parametrize("command,env,named", [
+    (["spectrum", "@s3"], {"TWISTSPEC_BUDGET": "0"}, "TWISTSPEC_BUDGET"),
+    (["info", "@s3"], {"TWISTSPEC_ORDER_CAP": "0"}, "TWISTSPEC_ORDER_CAP"),
+    (["spectrum", "@s3", "--budget", "-5"], {}, "--budget"),
+    (["info", "@s3", "--order-cap", "-1"], {}, "--order-cap"),
+    (["survey", "@dir", "--out", "@out", "--jobs", "0"], {}, "--jobs"),
+    (["survey", "@dir", "--out", "@out", "--jobs", "-3"], {}, "--jobs"),
+], ids=["env-budget-0", "env-order-cap-0", "budget-negative",
+        "order-cap-negative", "jobs-0", "jobs-negative"])
+def test_non_positive_limits_are_input_errors(command, env, named, s3_file,
+                                              small_dir, tmp_path, capsys,
+                                              monkeypatch):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    places = {"@s3": s3_file, "@dir": str(small_dir),
+              "@out": str(tmp_path / "r.json")}
+    assert main([places.get(arg, arg) for arg in command]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_pass(tmp_path, capsys):
@@ -190,9 +238,12 @@ def test_survey_jobs_byte_identical(small_dir, tmp_path):
 
 
 def test_console_entry_point(s3_file):
+    # Run the package under test, wherever it was imported from.
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "twistspec.cli", "info", s3_file],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "order" in proc.stdout

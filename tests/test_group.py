@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from twistspec.errors import OrderCapExceeded
 from twistspec.group import closure
 from twistspec.perm import Permutation
@@ -76,19 +78,9 @@ def test_element_orders():
 
 def brute_classes(group):
     """Oracle: conjugate every element by every element."""
-    n = group.order
-    classes = []
-    seen = set()
-    for g in range(n):
-        if g in seen:
-            continue
-        orbit = {
-            group.product(group.product(h, g), group.inverse(h))
-            for h in range(n)
-        }
-        seen |= orbit
-        classes.append(frozenset(orbit))
-    return set(classes)
+    class_of, reps, _ = oracles.conjugacy_classes(oracles.product_table(group))
+    return {frozenset(x for x in range(group.order) if class_of[x] == c)
+            for c in range(len(reps))}
 
 
 @pytest.mark.parametrize("defn,sizes", [
@@ -134,9 +126,7 @@ def test_odd_order_groups_separate_inverse_classes(catalog_groups):
 # -- subgroups -----------------------------------------------------------------
 
 def brute_center(group):
-    return [i for i in range(group.order)
-            if all(group.product(i, j) == group.product(j, i)
-                   for j in range(group.order))]
+    return oracles.center(oracles.product_table(group))
 
 
 def test_center_examples():
@@ -148,24 +138,7 @@ def test_center_examples():
 
 
 def brute_derived(group):
-    commutators = set()
-    for i in range(group.order):
-        for j in range(group.order):
-            ij = group.product(i, j)
-            ji = group.product(j, i)
-            commutators.add(group.product(ij, group.inverse(ji)))
-    # close under products
-    members = set(commutators) | {0}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                c = group.product(a, b)
-                if c not in members:
-                    members.add(c)
-                    changed = True
-    return members
+    return set(oracles.derived_subgroup(oracles.product_table(group)))
 
 
 def test_derived_subgroup_examples():
