@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .errors import (BudgetExceeded, DefinitionError, MethodDisagreement,
                      NotAHomomorphism, OrderCapExceeded, TwistspecError)
 from .perm import Permutation
-from .group import (CAYLEY_LIMIT, DEFAULT_ORDER_CAP, ClassPartition,
-                    FiniteGroup, Subgroup, closure)
+from .group import (DEFAULT_ORDER_CAP, ClassPartition, FiniteGroup,
+                    Subgroup, closure)
 from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,
                        enumerate_automorphisms, enumerate_endomorphisms,
                        identity_morphism, inner_automorphism,
@@ -24,7 +24,7 @@ __all__ = [
     "NotAHomomorphism", "MethodDisagreement", "DefinitionError",
     "Permutation",
     "FiniteGroup", "Subgroup", "ClassPartition", "closure",
-    "DEFAULT_ORDER_CAP", "CAYLEY_LIMIT", "DEFAULT_PRODUCT_BUDGET",
+    "DEFAULT_ORDER_CAP", "DEFAULT_PRODUCT_BUDGET",
     "Morphism", "morphism_from_images", "identity_morphism",
     "inner_automorphism", "enumerate_endomorphisms",
     "enumerate_automorphisms",

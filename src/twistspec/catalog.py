@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import DefinitionError
-from .group import CAYLEY_LIMIT, DEFAULT_ORDER_CAP, FiniteGroup, closure
+from .group import DEFAULT_ORDER_CAP, FiniteGroup, closure
 from .perm import Permutation
 
 _EXPECTED_KEYS = {"order", "class_number"}
@@ -43,6 +43,11 @@ class GroupDefinition:
     def permutations(self) -> list[Permutation]:
         perms = []
         for position, row in enumerate(self.generators):
+            if not all(map(_is_int, row)):
+                raise DefinitionError(
+                    f"{self.name}: generator {position + 1}: images must be "
+                    "integers"
+                )
             try:
                 perm = Permutation.one_based(row)
             except (ValueError, TypeError) as exc:
@@ -68,11 +73,11 @@ class GroupDefinition:
         return doc
 
 
-def build(defn: GroupDefinition, *, order_cap: int = DEFAULT_ORDER_CAP,
-          cayley_limit: int = CAYLEY_LIMIT) -> FiniteGroup:
+def build(defn: GroupDefinition, *,
+          order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Materialize a definition and assert its ``expected`` block."""
     group = closure(defn.degree, defn.permutations(), name=defn.name,
-                    order_cap=order_cap, cayley_limit=cayley_limit)
+                    order_cap=order_cap)
     expected = defn.expected or {}
     want_order = expected.get("order")
     if want_order is not None and group.order != want_order:
@@ -101,13 +106,19 @@ def load(path: str | Path) -> GroupDefinition:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DefinitionError(f"{path}: {exc}") from exc
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DefinitionError(f"{path}: invalid JSON: {exc}") from exc
     return from_json_dict(doc, source=str(path))
+
+
+def _is_int(value: object) -> bool:
+    """An integer and not a boolean (JSON ``true`` loads as a ``bool``,
+    which Python counts as an ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def from_json_dict(doc: object, *, source: str = "<memory>") -> GroupDefinition:
@@ -121,7 +132,7 @@ def from_json_dict(doc: object, *, source: str = "<memory>") -> GroupDefinition:
     generators = doc["generators"]
     if not isinstance(name, str) or not name:
         raise DefinitionError(f"{source}: 'name' must be a non-empty string")
-    if not isinstance(degree, int) or degree < 1:
+    if not _is_int(degree) or degree < 1:
         raise DefinitionError(f"{source}: 'degree' must be a positive integer")
     if not isinstance(generators, list) or any(
             not isinstance(row, list) for row in generators):
@@ -137,7 +148,7 @@ def from_json_dict(doc: object, *, source: str = "<memory>") -> GroupDefinition:
                 f"{source}: unknown expected keys {sorted(unknown)}"
             )
         for key, value in expected.items():
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise DefinitionError(
                     f"{source}: expected.{key} must be a positive integer"
                 )

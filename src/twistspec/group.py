@@ -9,11 +9,14 @@ behind a lock, so a group value may be shared across threads.
 
 The search that materializes a group also records the action of each
 generator on element indices (``x -> index(x * s)``) and the Schreier tree
-(each element's parent and the generator that reached it).  Structural
-computations (Cayley rows, conjugacy classes, centers, normal closures, the
-derived and lower central series) run on that action: O(|G| * |gens|) list
-reads instead of all-pairs products of permutations.  See Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory* (2005), ch. 4.
+(each element's parent and the generator that reached it).  Every product
+is a read of a right-multiplication column ``x -> index(x * y)``, built from
+the tree in O(|G|) the first time ``y`` is used and cached.  Structural
+computations (conjugacy classes, centers, normal closures, the derived and
+lower central series, cosets, quotients) are orbits under the columns of a
+few generators: O(|G| * |gens|) list reads instead of all-pairs products.
+See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
+ch. 4.
 """
 
 from __future__ import annotations
@@ -26,18 +29,17 @@ from .errors import OrderCapExceeded
 from .perm import Permutation
 
 DEFAULT_ORDER_CAP = 20000
-# Full |G| x |G| product tables pay off in the enumeration loops but grow
-# quadratically; beyond this order products are composed on the fly.
-CAYLEY_LIMIT = 512
 
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of ``parent`` as a membership mask over element indices."""
+    """A subgroup of ``parent`` as a membership mask over element indices,
+    with member indices that generate it."""
 
     parent: "FiniteGroup"
     member_flags: tuple[bool, ...]
     indices: tuple[int, ...]
+    generators: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -77,14 +79,14 @@ class FiniteGroup:
     and inverses.  ``right[s][x]`` is the index of ``elements[x] *
     generators[s]``; ``tree[j - 1] = (p, right[s])`` records that element
     ``j > 0`` was first reached as ``elements[p] * generators[s]``, with
-    ``p < j``.  Heavy accessors (product table, inverses, element orders,
+    ``p < j``.  Heavy accessors (columns, inverses, element orders,
     conjugacy classes) are built on first use and cached.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
                  elements: list[Permutation], index: dict[Permutation, int],
                  *, right: list[list[int]], tree: list[tuple[int, list[int]]],
-                 name: str | None = None, cayley_limit: int = CAYLEY_LIMIT):
+                 name: str | None = None):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = elements
@@ -92,10 +94,11 @@ class FiniteGroup:
         self._index = index
         self._right = right
         self._tree = tree
-        self._cayley_limit = cayley_limit
         # Reentrant: lazy builders call each other (classes need inverses).
         self._lock = threading.RLock()
-        self._table: list[list[int]] | None = None
+        self._columns: list[list[int] | None] = [None] * len(elements)
+        for g, column in zip(self.generator_indices(), right):
+            self._columns[g] = column
         self._inverses: list[int] | None = None
         self._conjugations: list[list[int]] | None = None
         self._orders: list[int] | None = None
@@ -129,31 +132,31 @@ class FiniteGroup:
 
     # -- products ---------------------------------------------------------
 
-    def cayley_table(self) -> list[list[int]] | None:
-        """The full product table, or None when the group is too large."""
-        if self.order > self._cayley_limit:
-            return None
-        if self._table is None:
-            with self._lock:
-                if self._table is None:
-                    self._table = [self._left_row(a) for a in range(self.order)]
-        return self._table
+    def column(self, y: int) -> list[int]:
+        """``index(x * y)`` for every element index ``x``.
 
-    def _left_row(self, a: int) -> list[int]:
+        Built once per element, from the left row of ``y^-1`` through the
+        inverses (``x * y = (y^-1 * x^-1)^-1``), and cached; the declared
+        generators' columns come from ``closure``.
+        """
+        column = self._columns[y]
+        if column is None:
+            with self._lock:
+                column = self._columns[y]
+                if column is None:
+                    inv = self.inverses()
+                    row = self.row(inv[y])
+                    column = self._columns[y] = [inv[row[v]] for v in inv]
+        return column
+
+    def row(self, a: int) -> list[int]:
         """``index(a * x)`` for every element index ``x``, read along the
-        Schreier tree: ``a * x = (a * parent(x)) * s``."""
+        Schreier tree: ``a * x = (a * parent(x)) * s``.  Not cached."""
         row = [a]
         append = row.append
         for parent, column in self._tree:
             append(column[row[parent]])
         return row
-
-    def _right_column(self, y: int) -> list[int]:
-        """``index(x * y)`` for every element index ``x``, from the left row
-        of ``y^-1``: ``x * y = (y^-1 * x^-1)^-1``."""
-        inv = self.inverses()
-        row = self._left_row(inv[y])
-        return [inv[row[v]] for v in inv]
 
     def _conjugation_columns(self) -> list[list[int]]:
         """For each generator ``s``, ``index(s^-1 * x * s)`` for every ``x``."""
@@ -162,17 +165,14 @@ class FiniteGroup:
                 if self._conjugations is None:
                     inv = self.inverses()
                     self._conjugations = [
-                        [column[v] for v in self._left_row(inv[g])]
+                        [column[v] for v in self.row(inv[g])]
                         for g, column in zip(self.generator_indices(),
                                              self._right)
                     ]
         return self._conjugations
 
     def product(self, i: int, j: int) -> int:
-        table = self.cayley_table()
-        if table is not None:
-            return table[i][j]
-        return self._index[self.elements[i] * self.elements[j]]
+        return self.column(j)[i]
 
     def inverses(self) -> list[int]:
         if self._inverses is None:
@@ -188,9 +188,10 @@ class FiniteGroup:
     def power(self, i: int, exponent: int) -> int:
         if exponent < 0:
             return self.power(self.inverse(i), -exponent)
+        row = self.row(i)
         acc = 0
         for _ in range(exponent):
-            acc = self.product(acc, i)
+            acc = row[acc]
         return acc
 
     def element_order(self, i: int) -> int:
@@ -200,14 +201,7 @@ class FiniteGroup:
         if self._orders is None:
             with self._lock:
                 if self._orders is None:
-                    orders = [1] * self.order
-                    for i in range(1, self.order):
-                        n, acc = 1, i
-                        while acc != 0:
-                            acc = self.product(acc, i)
-                            n += 1
-                        orders[i] = n
-                    self._orders = orders
+                    self._orders = [p.order() for p in self.elements]
         return self._orders
 
     # -- conjugacy --------------------------------------------------------
@@ -220,27 +214,9 @@ class FiniteGroup:
         return self._classes
 
     def _compute_classes(self) -> ClassPartition:
-        # Classes are the orbits of conjugation by the generators; scanning
-        # in index order makes each representative its class's smallest member.
+        # Classes are the orbits of conjugation by the generators.
         n = self.order
-        conjugations = self._conjugation_columns()
-        class_of = [-1] * n
-        reps: list[int] = []
-        sizes: list[int] = []
-        for g in range(n):
-            if class_of[g] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(g)
-            class_of[g] = cid
-            orbit = [g]
-            for x in orbit:
-                for column in conjugations:
-                    y = column[x]
-                    if class_of[y] < 0:
-                        class_of[y] = cid
-                        orbit.append(y)
-            sizes.append(len(orbit))
+        class_of, reps, sizes = orbits(n, self._conjugation_columns())
         partition = ClassPartition(self, tuple(class_of), tuple(reps), tuple(sizes))
         if sum(sizes) != n or any(n % s for s in sizes):
             raise AssertionError("conjugacy class sizes violate orbit-stabiliser")
@@ -252,6 +228,27 @@ class FiniteGroup:
         return self.conjugacy_classes().count
 
     # -- subgroups --------------------------------------------------------
+
+    def _adjoin(self, found: list[int], reached: list[bool],
+                columns: list[list[int]], y: int,
+                mask: Sequence[bool] | None = None) -> None:
+        """Grow the subgroup ``found``, closed under ``columns``, by the
+        generator ``y``.
+
+        Old members take the new column, new members take every column.
+        With a ``mask``, a product outside it raises ValueError.
+        """
+        column = self.column(y)
+        columns.append(column)
+        old, newest = len(found), (column,)
+        for i, x in enumerate(found):
+            for col in newest if i < old else columns:
+                z = col[x]
+                if not reached[z]:
+                    if mask is not None and not mask[z]:
+                        raise ValueError("subgroup not closed under products")
+                    reached[z] = True
+                    found.append(z)
 
     def subgroup(self, indices: Iterable[int]) -> Subgroup:
         """Build a verified subgroup from member indices.
@@ -272,48 +269,34 @@ class FiniteGroup:
         reached[0] = True
         found = [0]
         gens: list[int] = []
+        columns: list[list[int]] = []
         for y in members:
-            if reached[y]:
-                continue
-            gens.append(y)
-            # The reached set is closed under the earlier generators: old
-            # members take the new one, new members take every generator.
-            old, newest = len(found), (y,)
-            for i, x in enumerate(found):
-                for g in newest if i < old else gens:
-                    z = self.product(x, g)
-                    if not flags[z]:
-                        raise ValueError("subgroup not closed under products")
-                    if not reached[z]:
-                        reached[z] = True
-                        found.append(z)
+            if not reached[y]:
+                gens.append(y)
+                self._adjoin(found, reached, columns, y, flags)
         if self.order % len(members):
             raise AssertionError("subgroup order violates Lagrange")
-        return Subgroup(self, tuple(flags), tuple(members))
+        return Subgroup(self, tuple(flags), tuple(members), tuple(gens))
 
     def trivial_subgroup(self) -> Subgroup:
         return self.subgroup([0])
 
     def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
         """Indices of the subgroup generated by ``seeds``, sorted."""
-        seeds = [s for s in set(seeds) if s != 0]
-        members = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in seeds:
-                    y = self.product(x, s)
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(members))
+        reached = [False] * self.order
+        reached[0] = True
+        found = [0]
+        columns: list[list[int]] = []
+        for y in seeds:
+            if not reached[y]:
+                self._adjoin(found, reached, columns, y)
+        return tuple(sorted(found))
 
     def is_normal(self, sub: Subgroup) -> bool:
+        # Conjugation by each generator of G maps <gens(H)> into H.
         flags = sub.member_flags
-        return all(flags[column[x]] for column in self._conjugation_columns()
-                   for x in sub.indices)
+        return all(flags[column[y]] for column in self._conjugation_columns()
+                   for y in sub.generators)
 
     def _normal_closure(self, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
         """Members and generators of the smallest normal subgroup containing
@@ -327,28 +310,18 @@ class FiniteGroup:
         costing O(|G|) list reads.
         """
         conjugations = self._conjugation_columns()
-        flags = [False] * self.order
-        flags[0] = True
+        reached = [False] * self.order
+        reached[0] = True
         members = [0]
         gens: list[int] = []
         columns: list[list[int]] = []
         pending = list(seeds)
         while pending:
             y = pending.pop()
-            if flags[y]:
+            if reached[y]:
                 continue
             gens.append(y)
-            column = self._right_column(y)
-            columns.append(column)
-            # As in subgroup(): old members take the new generator, new
-            # members take every generator.
-            old, newest = len(members), (column,)
-            for i, x in enumerate(members):
-                for col in newest if i < old else columns:
-                    z = col[x]
-                    if not flags[z]:
-                        flags[z] = True
-                        members.append(z)
+            self._adjoin(members, reached, columns, y)
             pending.extend(conj[y] for conj in conjugations)
         return members, gens
 
@@ -429,16 +402,13 @@ class FiniteGroup:
     # -- quotients ----------------------------------------------------------
 
     def left_cosets(self, sub: Subgroup) -> tuple[list[int], list[int]]:
-        """(coset_of, representatives); reps are smallest member indices."""
-        coset_of = [-1] * self.order
-        reps: list[int] = []
-        for e in range(self.order):
-            if coset_of[e] >= 0:
-                continue
-            cid = len(reps)
-            reps.append(e)
-            for x in sub.indices:
-                coset_of[self.product(e, x)] = cid
+        """(coset_of, representatives); reps are smallest member indices.
+
+        The left cosets are the orbits of right multiplication by the
+        subgroup's generators.
+        """
+        coset_of, reps, _ = orbits(
+            self.order, [self.column(h) for h in sub.generators])
         return coset_of, reps
 
     def quotient(self, sub: Subgroup):
@@ -454,20 +424,22 @@ class FiniteGroup:
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
         coset_of, reps = self.left_cosets(sub)
-        m = len(reps)
-        gen_perms = [
-            Permutation(coset_of[self.product(g, r)] for r in reps)
-            for g in self.generator_indices()
-        ]
+        gen_perms = []
+        for g in self.generator_indices():
+            row = self.row(g)
+            gen_perms.append(Permutation(coset_of[row[r]] for r in reps))
         label = f"{self.name}/N{sub.order}" if self.name else None
-        quotient_group = closure(m, gen_perms, name=label,
-                                 order_cap=self.order, cayley_limit=self._cayley_limit)
+        quotient_group = closure(len(reps), gen_perms, name=label,
+                                 order_cap=self.order)
         if quotient_group.order * sub.order != self.order:
             raise AssertionError("coset action has the wrong order")
-        proj_table = []
-        for e in range(self.order):
-            perm = Permutation(coset_of[self.product(e, r)] for r in reps)
-            proj_table.append(quotient_group.index_of(perm))
+        # Along the Schreier tree: x = parent(x) * s projects to
+        # proj(parent(x)) * (the coset permutation of s).
+        image_column = {id(column): image for column, image
+                        in zip(self._right, quotient_group._right)}
+        proj_table = [0]
+        for parent, column in self._tree:
+            proj_table.append(image_column[id(column)][proj_table[parent]])
         projection = Morphism(self, quotient_group, proj_table)
         if tuple(i for i, t in enumerate(proj_table) if t == 0) != sub.indices:
             raise AssertionError("projection kernel differs from the subgroup")
@@ -516,16 +488,14 @@ class FiniteGroup:
         if self._ext_plan is None:
             with self._lock:
                 if self._ext_plan is None:
-                    gens = self.small_generating_set()
+                    columns = [self.column(g)
+                               for g in self.small_generating_set()]
                     seen = [False] * self.order
                     seen[0] = True
                     order = [0]
-                    head = 0
-                    while head < len(order):
-                        x = order[head]
-                        head += 1
-                        for g in gens:
-                            y = self.product(x, g)
+                    for x in order:
+                        for column in columns:
+                            y = column[x]
                             if not seen[y]:
                                 seen[y] = True
                                 order.append(y)
@@ -536,9 +506,37 @@ class FiniteGroup:
         return self._ext_plan
 
 
+def orbits(size: int, maps: Sequence[Sequence[int]]
+           ) -> tuple[list[int], list[int], list[int]]:
+    """Orbits on ``range(size)`` of the group generated by the permutations
+    ``maps``, as ``(orbit_of, representatives, sizes)``.
+
+    Scanning points in ascending order numbers the orbits by their smallest
+    members, which are the representatives.
+    """
+    orbit_of = [-1] * size
+    reps: list[int] = []
+    sizes: list[int] = []
+    for g in range(size):
+        if orbit_of[g] >= 0:
+            continue
+        oid = len(reps)
+        reps.append(g)
+        orbit_of[g] = oid
+        orbit = [g]
+        for x in orbit:
+            for image in maps:
+                y = image[x]
+                if orbit_of[y] < 0:
+                    orbit_of[y] = oid
+                    orbit.append(y)
+        sizes.append(len(orbit))
+    return orbit_of, reps, sizes
+
+
 def closure(degree: int, generators: Sequence[Permutation], *,
-            name: str | None = None, order_cap: int = DEFAULT_ORDER_CAP,
-            cayley_limit: int = CAYLEY_LIMIT) -> FiniteGroup:
+            name: str | None = None,
+            order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Materialize the group generated by ``generators`` on ``degree`` points.
 
     Breadth-first from the identity, generators applied in list order; the
@@ -573,4 +571,4 @@ def closure(degree: int, generators: Sequence[Permutation], *,
             column.append(j)
         head += 1
     return FiniteGroup(degree, generators, elements, index, right=right,
-                       tree=tree, name=name, cayley_limit=cayley_limit)
+                       tree=tree, name=name)

@@ -39,45 +39,32 @@ class _Budget:
             raise BudgetExceeded(f"product budget {self.limit} exceeded")
 
 
-def _extend_and_verify(source: FiniteGroup, target: FiniteGroup,
-                       gen_idxs: Sequence[int], images: Sequence[int],
+def _extend_and_verify(target: FiniteGroup, src_columns: Sequence[list[int]],
+                       images: Sequence[int],
                        plan: Sequence[int]) -> list[int] | None:
     """Extend generator images along ``plan`` and verify the homomorphism law.
 
-    ``plan`` must list all source element indices in an order where each
-    element's image is determined before the element is visited (BFS order
-    over ``gen_idxs``).  Visiting every (element, generator) pair both builds
-    the table and completes the verification; returns None on any conflict.
+    ``src_columns`` are the source's columns of the generators that
+    ``images`` assign.  ``plan`` must list all source element indices in an
+    order where each element's image is determined before the element is
+    visited (BFS order over those generators).  Visiting every (element,
+    generator) pair both builds the table and completes the verification;
+    returns None on any conflict.
     """
-    n = source.order
-    phi = [-1] * n
+    phi = [-1] * len(plan)
     phi[0] = 0
-    src_table = source.cayley_table()
-    tgt_table = target.cayley_table()
-    slots = range(len(gen_idxs))
-    if src_table is not None and tgt_table is not None:
-        for x in plan:
-            row_src = src_table[x]
-            row_tgt = tgt_table[phi[x]]
-            for s in slots:
-                y = row_src[gen_idxs[s]]
-                t = row_tgt[images[s]]
-                known = phi[y]
-                if known < 0:
-                    phi[y] = t
-                elif known != t:
-                    return None
-    else:
-        for x in plan:
-            fx = phi[x]
-            for s in slots:
-                y = source.product(x, gen_idxs[s])
-                t = target.product(fx, images[s])
-                known = phi[y]
-                if known < 0:
-                    phi[y] = t
-                elif known != t:
-                    return None
+    pairs = [(column, target.column(t))
+             for column, t in zip(src_columns, images)]
+    for x in plan:
+        fx = phi[x]
+        for src, tgt in pairs:
+            y = src[x]
+            t = tgt[fx]
+            known = phi[y]
+            if known < 0:
+                phi[y] = t
+            elif known != t:
+                return None
     return phi
 
 
@@ -85,12 +72,10 @@ def _verify_table(source: FiniteGroup, target: FiniteGroup,
                   table: Sequence[int]) -> bool:
     if table[0] != 0:
         return False
-    gens = source.generator_indices()
-    for x in range(source.order):
-        tx = table[x]
-        for g in gens:
-            if table[source.product(x, g)] != target.product(tx, table[g]):
-                return False
+    for g in source.generator_indices():
+        src, tgt = source.column(g), target.column(table[g])
+        if any(table[src[x]] != tgt[tx] for x, tx in enumerate(table)):
+            return False
     return True
 
 
@@ -152,7 +137,8 @@ class Morphism:
         if inner.target is not self.source:
             raise ValueError("morphisms are not composable")
         table = tuple(self.table[t] for t in inner.table)
-        return Morphism(inner.source, self.target, table)
+        # A composite of verified homomorphisms is one.
+        return Morphism(inner.source, self.target, table, _verified=True)
 
     def power(self, exponent: int) -> "Morphism":
         self._require_endo()
@@ -265,9 +251,8 @@ def identity_morphism(group: FiniteGroup) -> Morphism:
 
 def inner_automorphism(group: FiniteGroup, conjugator: int) -> Morphism:
     """The automorphism g -> h g h^-1 for the element with index ``conjugator``."""
-    inv = group.inverse(conjugator)
-    table = [group.product(group.product(conjugator, g), inv)
-             for g in range(group.order)]
+    column = group.column(group.inverse(conjugator))
+    table = [column[x] for x in group.row(conjugator)]
     return Morphism(group, group, table)
 
 
@@ -292,8 +277,8 @@ def morphism_from_images(source: FiniteGroup, target: FiniteGroup,
                 raise ValueError(f"image index {img} outside target")
             idxs.append(img)
     # Elements are already in BFS order over the declared generators.
-    table = _extend_and_verify(source, target, source.generator_indices(),
-                               idxs, range(source.order))
+    columns = [source.column(g) for g in source.generator_indices()]
+    table = _extend_and_verify(target, columns, idxs, range(source.order))
     if table is None:
         raise NotAHomomorphism("generator images do not extend")
     return Morphism(source, target, table, _verified=True)
@@ -317,12 +302,13 @@ def enumerate_endomorphisms(group: FiniteGroup, *,
     """
     gens = group.small_generating_set()
     plan = group.extension_plan()
+    columns = [group.column(g) for g in gens]
     pools = _endo_pools(group, gens)
     tracker = _Budget(budget)
     attempt_cost = group.order * max(1, len(gens))
     for combo in itertools.product(*pools):
         tracker.charge(attempt_cost)
-        table = _extend_and_verify(group, group, gens, combo, plan)
+        table = _extend_and_verify(group, columns, combo, plan)
         if table is not None:
             yield Morphism(group, group, table, _verified=True)
 
@@ -339,6 +325,7 @@ def enumerate_automorphisms(group: FiniteGroup, *,
     """
     gens = group.small_generating_set()
     plan = group.extension_plan()
+    columns = [group.column(g) for g in gens]
     orders = group.element_orders()
     classes = group.conjugacy_classes()
 
@@ -359,7 +346,7 @@ def enumerate_automorphisms(group: FiniteGroup, *,
     def search(depth: int, chosen: tuple[int, ...]) -> Iterator[Morphism]:
         if depth == len(gens):
             tracker.charge(attempt_cost)
-            table = _extend_and_verify(group, group, gens, chosen, plan)
+            table = _extend_and_verify(group, columns, chosen, plan)
             if table is not None:
                 if len(set(table)) != group.order:
                     raise AssertionError("generating images gave a non-bijection")

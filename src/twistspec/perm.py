@@ -120,7 +120,7 @@ class Permutation(tuple):
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(1, *map(len, self.cycles()))
 
     def __repr__(self) -> str:
         return f"Perm({self.cycle_string()})"

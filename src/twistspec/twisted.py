@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MethodDisagreement
-from .group import ClassPartition, FiniteGroup
+from .group import ClassPartition, FiniteGroup, orbits
 from .morphism import Morphism
 
 METHODS = ("fixed-classes", "orbits", "checked")
@@ -53,35 +53,20 @@ class ClassMap:
 
 
 def twisted_classes(phi: Morphism) -> TwistedPartition:
-    """Orbits of h . g = h g phi(h)^-1, numbered by smallest member index."""
+    """Orbits of h . g = h g phi(h)^-1, numbered by smallest member index.
+
+    They are the orbits of the generators' inverses, g -> s^-1 g phi(s): a
+    row of s^-1 followed by the column of phi(s).
+    """
     phi._require_endo()
     group = phi.source
     n = group.order
     inv = group.inverses()
-    ft = phi.table
-    table = group.cayley_table()
-    class_of = [-1] * n
-    reps: list[int] = []
-    sizes: list[int] = []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        size = 0
-        if table is not None:
-            for h in range(n):
-                m = table[table[h][g]][inv[ft[h]]]
-                if class_of[m] < 0:
-                    class_of[m] = cid
-                    size += 1
-        else:
-            for h in range(n):
-                m = group.product(group.product(h, g), inv[ft[h]])
-                if class_of[m] < 0:
-                    class_of[m] = cid
-                    size += 1
-        sizes.append(size)
+    maps = []
+    for s in group.generator_indices():
+        column = group.column(phi.table[s])
+        maps.append([column[x] for x in group.row(inv[s])])
+    class_of, reps, sizes = orbits(n, maps)
     partition = TwistedPartition(group, phi, tuple(class_of), tuple(reps),
                                  tuple(sizes))
     if sum(sizes) != n:

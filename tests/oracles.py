@@ -2,8 +2,8 @@
 
 Every answer here is computed from a product table built by composing
 permutations (``idx[p * q]``), so none of it shares code with the
-generator-action algorithms in ``twistspec.group``.  The suites compare the
-fast paths with these on small groups.
+generator-action algorithms in ``twistspec``.  The suites compare the fast
+paths with these on small groups.
 """
 
 from __future__ import annotations
@@ -32,19 +32,7 @@ def closure(table, seeds):
 def conjugacy_classes(table):
     """(class_of, representatives, sizes), conjugating by every element and
     numbering classes by their smallest member."""
-    n = len(table)
-    inv = inverses(table)
-    class_of = [-1] * n
-    reps, sizes = [], []
-    for g in range(n):
-        if class_of[g] >= 0:
-            continue
-        reps.append(g)
-        orbit = {table[table[h][g]][inv[h]] for h in range(n)}
-        for c in orbit:
-            class_of[c] = len(reps) - 1
-        sizes.append(len(orbit))
-    return class_of, reps, sizes
+    return twisted_classes(table, range(len(table)))
 
 
 def center(table):
@@ -93,3 +81,48 @@ def is_subgroup(table, members):
     inv = inverses(table)
     return (0 in flags and all(inv[a] in flags for a in flags)
             and all(table[a][b] in flags for a in flags for b in flags))
+
+
+def twisted_classes(table, phi):
+    """(class_of, representatives, sizes) of ``g ~ h g phi(h)^-1``, sweeping
+    every ``h`` and numbering classes by their smallest member."""
+    n = len(table)
+    inv = inverses(table)
+    class_of = [-1] * n
+    reps, sizes = [], []
+    for g in range(n):
+        if class_of[g] >= 0:
+            continue
+        reps.append(g)
+        orbit = {table[table[h][g]][inv[phi[h]]] for h in range(n)}
+        for c in orbit:
+            class_of[c] = len(reps) - 1
+        sizes.append(len(orbit))
+    return class_of, reps, sizes
+
+
+def left_cosets(table, members):
+    """(coset_of, representatives): ``e`` starts a coset ``{e x : x in H}``
+    unless an earlier one holds it."""
+    n = len(table)
+    coset_of = [-1] * n
+    reps = []
+    for e in range(n):
+        if coset_of[e] < 0:
+            reps.append(e)
+            for x in members:
+                coset_of[table[e][x]] = len(reps) - 1
+    return coset_of, reps
+
+
+def coset_permutations(table, members):
+    """Each element's action on the left cosets of a normal subgroup:
+    ``perm[e][i]`` is the coset of ``e * reps[i]``."""
+    coset_of, reps = left_cosets(table, members)
+    return [tuple(coset_of[row[r]] for r in reps) for row in table]
+
+
+def inner_automorphism(table, c):
+    """``g -> c g c^-1`` as an index table."""
+    inv = inverses(table)
+    return [table[table[c][g]][inv[c]] for g in range(len(table))]

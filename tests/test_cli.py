@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import twistspec
+from twistspec import catalog
 from twistspec.cli import main
 from twistspec.catalog import (cyclic, m9, quaternion_dicyclic, save,
                                symmetric)
@@ -65,9 +66,19 @@ def test_info_m9(tmp_path, capsys):
 def test_info_s7_work_bound(tmp_path, capsys, monkeypatch):
     # Structure predicates act with the generators on element indices, so
     # S7 info composes O(|G| * |gens|) permutations; all-pairs loops would
-    # need more than |G|^2 = 25.4M.
+    # need more than |G|^2 = 25.4M.  Products read right-multiplication
+    # columns of |G| entries each, built on demand: a few dozen suffice,
+    # a full product table would hold |G| of them.
     path = tmp_path / "s7.json"
     save(symmetric(7), path)
+    groups = []
+    build = catalog.build
+
+    def recorded(*args, **kwargs):
+        groups.append(build(*args, **kwargs))
+        return groups[-1]
+
+    monkeypatch.setattr(catalog, "build", recorded)
     products = 0
     multiply = Permutation.__mul__
 
@@ -83,6 +94,8 @@ def test_info_s7_work_bound(tmp_path, capsys, monkeypatch):
     assert doc["center_order"] == 1
     assert not any(doc["flags"].values())
     assert 0 < products <= 40 * 5040 * 2
+    [group] = groups
+    assert sum(column is not None for column in group._columns) <= 64
 
 
 def test_parse_error_exit_code(tmp_path, capsys):
@@ -96,6 +109,26 @@ def test_validation_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(
         {"name": "bad", "degree": 3, "generators": [[1, 1, 2]]}))
     assert main(["info", str(path)]) == 1
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["info", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("field,doc", [
+    ("degree", {"name": "S3", "degree": True, "generators": [[1]]}),
+    ("expected", {"name": "Z2", "degree": 2, "generators": [[2, 1]],
+                  "expected": {"order": True}}),
+    ("generator", {"name": "Z1", "degree": 1, "generators": [[True]]}),
+])
+def test_json_booleans_are_not_integers(field, doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["info", str(path), "--json"]) == 1
+    assert field in capsys.readouterr().err
 
 
 def test_spectrum_command(s3_file, capsys):
@@ -225,6 +258,17 @@ def test_survey_annotates_per_group_failures(small_dir, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["group_count"] == 5
     assert doc["summary"]["errors"][0]["file"] == "broken.json"
+
+
+def test_survey_records_non_utf8_file(small_dir, tmp_path):
+    (small_dir / "latin.json").write_bytes(b"\xff\xfe")
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["group_count"] == 5
+    [error] = doc["summary"]["errors"]
+    assert error["file"] == "latin.json"
+    assert error["error"].startswith("DefinitionError:")
 
 
 def test_survey_jobs_byte_identical(small_dir, tmp_path):

@@ -55,18 +55,6 @@ def test_product_matches_permutation_composition():
             assert group.elements[group.product(i, j)] == p * q
 
 
-def test_products_without_cayley_table():
-    group = closure(3, [Permutation.from_cycles(3, (1, 2)),
-                        Permutation.from_cycles(3, (1, 2, 3))],
-                    cayley_limit=2)
-    assert group.cayley_table() is None
-    reference = S3()
-    for i in range(6):
-        for j in range(6):
-            assert group.product(i, j) == reference.product(i, j)
-    assert group.conjugacy_classes().count == 3
-
-
 def test_element_orders():
     group = S3()
     assert group.element_order(0) == 1

@@ -1,28 +1,43 @@
 """The generator-action algorithms of the group layer against the quadratic
-definitions in ``oracles.py``, on every catalog group (all of them small
-enough for a Cayley table) and on A5 and S5 built without one."""
+definitions in ``oracles.py``, on every catalog group and on A5 and S5 built
+from a redundant generating set."""
 
 import pytest
 
 import oracles
-from twistspec.catalog import (alternating, build, dihedral,
+from twistspec.catalog import (GroupDefinition, alternating, build, dihedral,
                                shipped_catalog, symmetric)
+from twistspec.morphism import inner_automorphism
 from twistspec.perm import Permutation
+from twistspec.twisted import twisted_classes
 
-CASES = [(defn, None) for defn in shipped_catalog()] + [
-    (defn, 2) for defn in (alternating(5), symmetric(5))
+
+def _redundant(defn):
+    """``defn`` with its first generator repeated, the product of the two
+    and the identity added: more than three generators, so the morphism
+    search derives its own."""
+    first, second = defn.permutations()
+    perms = (first, second, first, first * second,
+             Permutation.identity(defn.degree))
+    return GroupDefinition(defn.name, defn.degree,
+                           [p.to_one_based() for p in perms], defn.expected)
+
+
+# A5 and S5 run twice.  The second cases, suffixed "-no-table" since they
+# once ran without a product table, now take a redundant generating set.
+CASES = [(defn, "") for defn in shipped_catalog()] + [
+    (_redundant(defn), "-no-table") for defn in (alternating(5), symmetric(5))
 ]
 
 
 def _case_id(case):
-    defn, limit = case
-    return defn.name + ("-no-table" if limit else "")
+    defn, suffix = case
+    return defn.name + suffix
 
 
 @pytest.fixture(scope="module", params=CASES, ids=_case_id)
 def case(request):
-    defn, limit = request.param
-    group = build(defn) if limit is None else build(defn, cayley_limit=limit)
+    group = build(request.param[0])
     return group, oracles.product_table(group)
 
 
@@ -30,8 +45,7 @@ def test_products_and_table(case):
     group, table = case
     assert [[group.product(i, j) for j in range(group.order)]
             for i in range(group.order)] == table
-    got = group.cayley_table()
-    assert got is None if group.order > group._cayley_limit else got == table
+    assert [group.row(i) for i in range(group.order)] == table
 
 
 def test_conjugacy_classes(case):
@@ -73,6 +87,44 @@ def test_normal_closure_and_subgroup_check(case):
                     group.subgroup(candidate)
 
 
+def test_cosets_and_projection(case):
+    # The left cosets of the center, of the derived subgroup and of the
+    # first generator's cyclic subgroup (often not normal); each element's
+    # permutation of the cosets of the normal ones, read along the tree.
+    group, table = case
+    first = group.generator_indices()[:1]
+    cyclic = group.subgroup(group.subgroup_closure(first))
+    assert group.left_cosets(cyclic) == \
+        oracles.left_cosets(table, list(cyclic.indices))
+    for sub in (group.center(), group.derived_subgroup()):
+        members = list(sub.indices)
+        assert group.left_cosets(sub) == oracles.left_cosets(table, members)
+        quotient_group, projection = group.quotient(sub)
+        assert [quotient_group.elements[t] for t in projection.table] == \
+            oracles.coset_permutations(table, members)
+
+
+def test_inner_automorphisms(case):
+    group, table = case
+    for c in range(group.order):
+        assert list(inner_automorphism(group, c).table) == \
+            oracles.inner_automorphism(table, c)
+
+
+SMALL = [defn.name for defn in shipped_catalog() if build(defn).order <= 24]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_twisted_classes(name, small_groups, endos_of):
+    group = small_groups[name]
+    table = oracles.product_table(group)
+    for phi in endos_of(name):
+        partition = twisted_classes(phi)
+        assert (list(partition.class_of), list(partition.representatives),
+                list(partition.sizes)) == \
+            oracles.twisted_classes(table, phi.table)
+
+
 @pytest.mark.parametrize("defn,cycles", [
     (symmetric(3), [[(1, 2)], [(1, 3)]]),
     (symmetric(3), [[], [(1, 2)], [(1, 3)]]),
@@ -83,10 +135,9 @@ def test_normal_closure_and_subgroup_check(case):
 ], ids=["no-identity", "inverse-closed-not-product-closed",
         "greedy-generators-leave-set", "greedy-new-members-leave-set"])
 def test_subgroup_rejections(defn, cycles):
-    for limit in (None, 2):
-        group = build(defn) if limit is None else build(defn, cayley_limit=limit)
-        candidate = [group.index_of(Permutation.from_cycles(group.degree, *c))
-                     for c in cycles]
-        assert not oracles.is_subgroup(oracles.product_table(group), candidate)
-        with pytest.raises(ValueError):
-            group.subgroup(candidate)
+    group = build(defn)
+    candidate = [group.index_of(Permutation.from_cycles(group.degree, *c))
+                 for c in cycles]
+    assert not oracles.is_subgroup(oracles.product_table(group), candidate)
+    with pytest.raises(ValueError):
+        group.subgroup(candidate)

@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from twistspec.errors import BudgetExceeded, NotAHomomorphism
-from twistspec.morphism import (Morphism, enumerate_automorphisms,
+from twistspec.morphism import (Morphism, _verify_table,
+                                enumerate_automorphisms,
                                 enumerate_endomorphisms, identity_morphism,
                                 inner_automorphism, morphism_from_images)
 from twistspec.perm import Permutation
@@ -78,6 +79,16 @@ def test_compose_with_inverse_is_identity(s3):
         Permutation.from_cycles(3, (1, 2, 3)),
     ])
     assert phi.compose(phi.inverse()) == identity_morphism(s3)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4", "Z2xZ4"])
+def test_composites_obey_the_homomorphism_law(name, small_groups, endos_of):
+    # compose() and power() trust their verified factors; check the law.
+    group = small_groups[name]
+    for phi in endos_of(name):
+        for psi in endos_of(name)[::3]:
+            assert _verify_table(group, group, phi.compose(psi).table)
+        assert _verify_table(group, group, phi.power(3).table)
 
 
 # -- kernel / image / fixed points ----------------------------------------------

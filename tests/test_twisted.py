@@ -1,5 +1,7 @@
 import pytest
 
+import oracles
+
 from twistspec.errors import MethodDisagreement
 from twistspec.morphism import (Morphism, enumerate_endomorphisms,
                                 identity_morphism, inner_automorphism,
@@ -17,11 +19,11 @@ def s3():
 
 def brute_twisted_partition(phi):
     """Oracle straight from the definition: g1 ~ g2 iff g1 = h g2 phi(h)^-1."""
-    group = phi.source
-    n = group.order
+    table = oracles.product_table(phi.source)
+    inv = oracles.inverses(table)
+    n = len(table)
     related = {
-        g: {group.product(group.product(h, g), group.inverse(phi.table[h]))
-            for h in range(n)}
+        g: {table[table[h][g]][inv[phi.table[h]]] for h in range(n)}
         for g in range(n)
     }
     classes = []
