@@ -11,7 +11,7 @@ from .group import (DEFAULT_ORDER_CAP, ClassPartition, FiniteGroup,
 from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,
                        enumerate_automorphisms, enumerate_endomorphisms,
                        identity_morphism, inner_automorphism,
-                       morphism_from_images)
+                       morphism_from_images, weighted_sweep)
 from .twisted import (ClassMap, TwistedPartition, induced_class_map,
                       reduction_check, reidemeister_number, twisted_classes)
 from .spectra import (FLAG_NAMES, BatteryCheck, SpectrumReport, classify,
@@ -27,7 +27,7 @@ __all__ = [
     "DEFAULT_ORDER_CAP", "DEFAULT_PRODUCT_BUDGET",
     "Morphism", "morphism_from_images", "identity_morphism",
     "inner_automorphism", "enumerate_endomorphisms",
-    "enumerate_automorphisms",
+    "enumerate_automorphisms", "weighted_sweep",
     "TwistedPartition", "ClassMap", "twisted_classes", "induced_class_map",
     "reidemeister_number", "reduction_check",
     "SpectrumReport", "BatteryCheck", "FLAG_NAMES", "spectrum",

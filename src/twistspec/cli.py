@@ -1,8 +1,9 @@
 """Command-line surface: info, spectrum, verify, survey.
 
 Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 theorem-battery
-failure.  Survey reports are byte-identical for identical inputs and flags
-regardless of ``--jobs``.
+failure, 4 internal error (a failed internal consistency check; a survey
+still writes its report, with the file's error recorded).  Survey reports
+are byte-identical for identical inputs and flags regardless of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_BATTERY = 3
+EXIT_INTERNAL = 4
 
 _METHODS = {"fixed": "fixed-classes", "orbits": "orbits", "checked": "checked"}
 BUDGET_ENV = "TWISTSPEC_BUDGET"
@@ -208,6 +210,9 @@ def _survey_worker(task: tuple) -> dict:
         return {"file": name, "report": report.to_json_dict()}
     except TwistspecError as exc:
         return {"file": name, "error": f"{type(exc).__name__}: {exc}"}
+    except AssertionError as exc:
+        return {"file": name, "error": f"{type(exc).__name__}: {exc}",
+                "internal": True}
 
 
 def _cmd_survey(args) -> int:
@@ -249,6 +254,8 @@ def _cmd_survey(args) -> int:
     Path(args.out).write_text(payload, encoding="utf-8")
     print(f"surveyed {len(files)} files -> {len(included)} groups "
           f"({len(errors)} errors) -> {args.out}")
+    if any(r.get("internal") for r in results):
+        return EXIT_INTERNAL
     return EXIT_OK
 
 
@@ -324,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

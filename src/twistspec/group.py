@@ -96,8 +96,9 @@ class FiniteGroup:
         self._tree = tree
         # Reentrant: lazy builders call each other (classes need inverses).
         self._lock = threading.RLock()
+        self._generator_indices = tuple(index[g] for g in self.generators)
         self._columns: list[list[int] | None] = [None] * len(elements)
-        for g, column in zip(self.generator_indices(), right):
+        for g, column in zip(self._generator_indices, right):
             self._columns[g] = column
         self._inverses: list[int] | None = None
         self._conjugations: list[list[int]] | None = None
@@ -107,6 +108,7 @@ class FiniteGroup:
         self._derived: Subgroup | None = None
         self._small_gens: tuple[int, ...] | None = None
         self._ext_plan: tuple[int, ...] | None = None
+        self._quotients: dict[tuple[int, ...], tuple] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -128,7 +130,7 @@ class FiniteGroup:
         return perm in self._index
 
     def generator_indices(self) -> tuple[int, ...]:
-        return tuple(self._index[g] for g in self.generators)
+        return self._generator_indices
 
     # -- products ---------------------------------------------------------
 
@@ -144,10 +146,14 @@ class FiniteGroup:
             with self._lock:
                 column = self._columns[y]
                 if column is None:
-                    inv = self.inverses()
-                    row = self.row(inv[y])
-                    column = self._columns[y] = [inv[row[v]] for v in inv]
+                    column = self._columns[y] = self._new_column(y)
         return column
+
+    def _new_column(self, y: int) -> list[int]:
+        """``column(y)`` built afresh and not cached."""
+        inv = self.inverses()
+        row = self.row(inv[y])
+        return [inv[row[v]] for v in inv]
 
     def row(self, a: int) -> list[int]:
         """``index(a * x)`` for every element index ``x``, read along the
@@ -158,17 +164,18 @@ class FiniteGroup:
             append(column[row[parent]])
         return row
 
+    def conjugation(self, t: int) -> list[int]:
+        """``index(t^-1 * x * t)`` for every element index ``x``; not cached."""
+        column = self.column(t)
+        return [column[v] for v in self.row(self.inverse(t))]
+
     def _conjugation_columns(self) -> list[list[int]]:
-        """For each generator ``s``, ``index(s^-1 * x * s)`` for every ``x``."""
+        """``conjugation(s)`` for each declared generator ``s``."""
         if self._conjugations is None:
             with self._lock:
                 if self._conjugations is None:
-                    inv = self.inverses()
-                    self._conjugations = [
-                        [column[v] for v in self.row(inv[g])]
-                        for g, column in zip(self.generator_indices(),
-                                             self._right)
-                    ]
+                    self._conjugations = [self.conjugation(g)
+                                          for g in self.generator_indices()]
         return self._conjugations
 
     def product(self, i: int, j: int) -> int:
@@ -229,16 +236,16 @@ class FiniteGroup:
 
     # -- subgroups --------------------------------------------------------
 
-    def _adjoin(self, found: list[int], reached: list[bool],
-                columns: list[list[int]], y: int,
+    @staticmethod
+    def _adjoin(found: list[int], reached: list[bool],
+                columns: list[list[int]], column: list[int],
                 mask: Sequence[bool] | None = None) -> None:
         """Grow the subgroup ``found``, closed under ``columns``, by the
-        generator ``y``.
+        generator whose column is ``column``.
 
         Old members take the new column, new members take every column.
         With a ``mask``, a product outside it raises ValueError.
         """
-        column = self.column(y)
         columns.append(column)
         old, newest = len(found), (column,)
         for i, x in enumerate(found):
@@ -273,7 +280,7 @@ class FiniteGroup:
         for y in members:
             if not reached[y]:
                 gens.append(y)
-                self._adjoin(found, reached, columns, y, flags)
+                self._adjoin(found, reached, columns, self.column(y), flags)
         if self.order % len(members):
             raise AssertionError("subgroup order violates Lagrange")
         return Subgroup(self, tuple(flags), tuple(members), tuple(gens))
@@ -289,8 +296,15 @@ class FiniteGroup:
         columns: list[list[int]] = []
         for y in seeds:
             if not reached[y]:
-                self._adjoin(found, reached, columns, y)
+                self._adjoin(found, reached, columns, self.column(y))
         return tuple(sorted(found))
+
+    def centralizer(self, y: int, within: Subgroup | None = None) -> Subgroup:
+        """The elements of ``within`` (default: all of G) that commute
+        with ``y``."""
+        column, row = self.column(y), self.row(y)
+        members = range(self.order) if within is None else within.indices
+        return self.subgroup(x for x in members if column[x] == row[x])
 
     def is_normal(self, sub: Subgroup) -> bool:
         # Conjugation by each generator of G maps <gens(H)> into H.
@@ -321,7 +335,7 @@ class FiniteGroup:
             if reached[y]:
                 continue
             gens.append(y)
-            self._adjoin(members, reached, columns, y)
+            self._adjoin(members, reached, columns, self.column(y))
             pending.extend(conj[y] for conj in conjugations)
         return members, gens
 
@@ -415,12 +429,23 @@ class FiniteGroup:
         """Quotient by a normal subgroup, realized on its left cosets.
 
         Returns ``(quotient_group, projection)`` where the projection is a
-        verified surjective Morphism with kernel ``sub``.
+        verified surjective Morphism with kernel ``sub``.  Built once per
+        kernel and cached.
         """
-        from .morphism import Morphism  # deferred: morphism depends on group
-
         if sub.parent is not self:
             raise ValueError("subgroup belongs to a different group")
+        key = sub.indices
+        cached = self._quotients.get(key)
+        if cached is None:
+            with self._lock:
+                cached = self._quotients.get(key)
+                if cached is None:
+                    cached = self._quotients[key] = self._build_quotient(sub)
+        return cached
+
+    def _build_quotient(self, sub: Subgroup):
+        from .morphism import Morphism  # deferred: morphism depends on group
+
         if not self.is_normal(sub):
             raise ValueError("subgroup is not normal")
         coset_of, reps = self.left_cosets(sub)
@@ -467,16 +492,27 @@ class FiniteGroup:
                 declared.append(g)
         if len(declared) <= 3:
             return tuple(declared)
-        chosen: list[int] = []
-        reached = 1
-        while reached < self.order:
-            best, best_size = None, reached
+        # The first pick is the first element of largest order, since
+        # |<x>| = order(x).  Later rounds close each candidate together with
+        # the chosen elements, through a column that is not cached.
+        orders = self.element_orders()
+        first = max(range(1, self.order), key=orders.__getitem__)
+        chosen = [first]
+        found, reached, columns = [0], [False] * self.order, []
+        reached[0] = True
+        self._adjoin(found, reached, columns, self.column(first))
+        while len(found) < self.order:
+            best, best_size = None, len(found)
             for cand in range(1, self.order):
-                size = len(self.subgroup_closure(chosen + [cand]))
-                if size > best_size:
-                    best, best_size = cand, size
+                if reached[cand]:
+                    continue
+                grown = list(found)
+                self._adjoin(grown, list(reached), list(columns),
+                             self._new_column(cand))
+                if len(grown) > best_size:
+                    best, best_size = cand, len(grown)
             chosen.append(best)
-            reached = best_size
+            self._adjoin(found, reached, columns, self.column(best))
         return tuple(chosen)
 
     def extension_plan(self) -> tuple[int, ...]:

@@ -5,11 +5,14 @@ A Morphism stores the full element-to-element index table.  Every public
 constructor verifies the homomorphism law on all (element, generator) pairs,
 which suffices because each element is a positive word in the generators.
 
-The enumeration searches the grid of generator-image candidates, pruned by
-element order (endomorphisms: image order divides generator order;
-automorphisms: equal order and equal conjugacy-class size, plus a
-prefix-subgroup-order check), then extends and verifies each candidate in a
-single pass with early abort.
+One search serves every sweep.  It walks the grid of generator-image
+candidates, pruned by element order (endomorphisms: image order divides
+generator order; automorphisms: equal order and equal conjugacy-class size,
+plus a prefix-subgroup-order check), then extends and verifies each
+candidate in a single pass with early abort.  ``weighted_sweep`` keeps one
+candidate per Inn(G)-orbit, weighted by the orbit's size, for the spectra;
+``enumerate_endomorphisms`` and ``enumerate_automorphisms`` yield every
+morphism, for the theorem battery and as test oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import itertools
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAHomomorphism
-from .group import FiniteGroup, Subgroup
+from .group import FiniteGroup, Subgroup, orbits
 from .perm import Permutation
 
 DEFAULT_PRODUCT_BUDGET = 10 ** 8
@@ -89,7 +92,7 @@ class Morphism:
         table = tuple(table)
         if len(table) != source.order:
             raise ValueError("table length differs from source order")
-        if any(not 0 <= t < target.order for t in table):
+        if min(table) < 0 or max(table) >= len(target.elements):
             raise ValueError("table entry outside target")
         if not _verified and not _verify_table(source, target, table):
             raise NotAHomomorphism("table violates the homomorphism law")
@@ -284,80 +287,134 @@ def morphism_from_images(source: FiniteGroup, target: FiniteGroup,
     return Morphism(source, target, table, _verified=True)
 
 
-def _endo_pools(group: FiniteGroup, gens: Sequence[int]) -> list[list[int]]:
-    orders = group.element_orders()
-    return [
-        [x for x in range(group.order) if orders[g] % orders[x] == 0]
-        for g in gens
-    ]
+def _pools(group: FiniteGroup, gens: Sequence[int],
+           automorphisms: bool) -> list[list[int]]:
+    """Candidate images per search generator.
 
-
-def enumerate_endomorphisms(group: FiniteGroup, *,
-                            budget: int | None = DEFAULT_PRODUCT_BUDGET
-                            ) -> Iterator[Morphism]:
-    """Every endomorphism exactly once, in deterministic order.
-
-    A generator of order n may only map to elements whose order divides n;
-    each surviving candidate is extended and verified in one pass.
+    Endomorphisms: elements whose order divides the generator's order.
+    Automorphisms: elements of the generator's order and class size.
     """
-    gens = group.small_generating_set()
-    plan = group.extension_plan()
-    columns = [group.column(g) for g in gens]
-    pools = _endo_pools(group, gens)
-    tracker = _Budget(budget)
-    attempt_cost = group.order * max(1, len(gens))
-    for combo in itertools.product(*pools):
-        tracker.charge(attempt_cost)
-        table = _extend_and_verify(group, columns, combo, plan)
-        if table is not None:
-            yield Morphism(group, group, table, _verified=True)
-
-
-def enumerate_automorphisms(group: FiniteGroup, *,
-                            budget: int | None = DEFAULT_PRODUCT_BUDGET
-                            ) -> Iterator[Morphism]:
-    """Every automorphism exactly once, in deterministic order.
-
-    Candidates must match the generator's order and conjugacy-class size, and
-    each prefix of chosen images must generate a subgroup of the same order
-    as the corresponding generator prefix (automorphisms are injective on
-    subgroups, so this prune is lossless).
-    """
-    gens = group.small_generating_set()
-    plan = group.extension_plan()
-    columns = [group.column(g) for g in gens]
     orders = group.element_orders()
+    if not automorphisms:
+        return [[x for x in range(group.order) if orders[g] % orders[x] == 0]
+                for g in gens]
     classes = group.conjugacy_classes()
+    size = [classes.sizes[c] for c in classes.class_of]
+    return [[x for x in range(group.order)
+             if orders[x] == orders[g] and size[x] == size[g]]
+            for g in gens]
 
-    def size_of(x: int) -> int:
-        return classes.sizes[classes.class_of[x]]
 
-    pools = [
-        [x for x in range(group.order)
-         if orders[x] == orders[g] and size_of(x) == size_of(g)]
-        for g in gens
-    ]
-    prefix_orders = [
-        len(group.subgroup_closure(gens[:j + 1])) for j in range(len(gens))
-    ]
+def _canonical(group: FiniteGroup, stab: Subgroup, pool: Sequence[int],
+               tracker: _Budget) -> list[tuple[int, int]]:
+    """The smallest member of each orbit of ``stab`` acting on ``pool`` by
+    conjugation, with the orbit's size.  Pools are unions of conjugacy
+    classes, hence of these orbits."""
+    maps = [group.conjugation(t) for t in stab.generators]
+    tracker.charge(group.order * len(maps))
+    orbit_of, reps, sizes = orbits(group.order, maps)
+    return [(x, sizes[orbit_of[x]]) for x in pool if reps[orbit_of[x]] == x]
+
+
+def _search(group: FiniteGroup, automorphisms: bool, canonical: bool,
+            budget: int | None) -> Iterator[tuple[Morphism, int]]:
+    """The one morphism search behind every sweep.
+
+    Chooses an image c_j for each search generator in turn, extends each
+    full choice along the extension plan and verifies it in one pass.  With
+    ``canonical``, c_j is kept only if it is the smallest index in its orbit
+    under S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation (S_0 = G), and
+    the weight is multiplied by that orbit's size.  The kept tuples are the
+    lexicographically smallest of their Inn(G)-orbits, one per orbit, and
+    each weight is |G| / |C_G(phi(G))|, the size of phi's Inn(G)-orbit.
+    Once S_j is central its orbits are single points and the remaining
+    generators range over their whole pools.  Without ``canonical`` every
+    morphism is yielded with weight 1.
+
+    Automorphism candidates must also pass the prefix prune: each prefix of
+    images must generate a subgroup of the same order as the corresponding
+    prefix of generators (automorphisms are injective on subgroups, so the
+    prune is lossless).  Both prunes are invariant under conjugation.
+    """
+    gens = group.small_generating_set()
+    plan = group.extension_plan()
+    columns = [group.column(g) for g in gens]
+    pools = _pools(group, gens, automorphisms)
     tracker = _Budget(budget)
     attempt_cost = group.order * max(1, len(gens))
+    if automorphisms:
+        prefix_orders = [len(group.subgroup_closure(gens[:j + 1]))
+                         for j in range(len(gens))]
+    # S_0 = C_G(1) = G; None stands for a central stabiliser.
+    top = None
+    if canonical and not group.is_abelian():
+        center_order = group.center().order
+        top = group.centralizer(0)
 
-    def search(depth: int, chosen: tuple[int, ...]) -> Iterator[Morphism]:
+    def search(depth: int, chosen: tuple[int, ...], weight: int,
+               stab: Subgroup | None) -> Iterator[tuple[Morphism, int]]:
+        if stab is None and not automorphisms:
+            for tail in itertools.product(*pools[depth:]):
+                tracker.charge(attempt_cost)
+                table = _extend_and_verify(group, columns, chosen + tail, plan)
+                if table is not None:
+                    yield Morphism(group, group, table, _verified=True), weight
+            return
         if depth == len(gens):
             tracker.charge(attempt_cost)
             table = _extend_and_verify(group, columns, chosen, plan)
             if table is not None:
                 if len(set(table)) != group.order:
                     raise AssertionError("generating images gave a non-bijection")
-                yield Morphism(group, group, table, _verified=True)
+                yield Morphism(group, group, table, _verified=True), weight
             return
-        want = prefix_orders[depth]
-        for cand in pools[depth]:
-            tracker.charge(want)
-            reached = len(group.subgroup_closure(chosen + (cand,)))
-            if reached != want:
-                continue
-            yield from search(depth + 1, chosen + (cand,))
+        if stab is None:
+            kept = [(x, 1) for x in pools[depth]]
+        else:
+            kept = _canonical(group, stab, pools[depth], tracker)
+        last = depth + 1 == len(gens)
+        for cand, size in kept:
+            images = chosen + (cand,)
+            if automorphisms:
+                want = prefix_orders[depth]
+                tracker.charge(want)
+                if len(group.subgroup_closure(images)) != want:
+                    continue
+            nxt = None
+            if stab is not None and not last:
+                tracker.charge(group.order)
+                nxt = group.centralizer(cand, stab)
+                if nxt.order == center_order:
+                    nxt = None
+            yield from search(depth + 1, images, weight * size, nxt)
 
-    yield from search(0, ())
+    yield from search(0, (), 1, top)
+
+
+def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,
+                   budget: int | None = DEFAULT_PRODUCT_BUDGET
+                   ) -> Iterator[tuple[Morphism, int]]:
+    """One endomorphism (or automorphism) per Inn(G)-orbit, with the size
+    of its orbit.
+
+    R(tau_h . phi) = R(phi), since right multiplication by h^-1 carries the
+    twisted classes of phi onto those of tau_h . phi; class preservation
+    and bijectivity are invariant too.  So weighted counts over this sweep
+    equal counts over all of End(G) or Aut(G), and the weights sum to |End|
+    or |Aut|.
+    """
+    return _search(group, automorphisms, True, budget)
+
+
+def enumerate_endomorphisms(group: FiniteGroup, *,
+                            budget: int | None = DEFAULT_PRODUCT_BUDGET
+                            ) -> Iterator[Morphism]:
+    """Every endomorphism exactly once, in deterministic order."""
+    return (phi for phi, _ in _search(group, False, False, budget))
+
+
+def enumerate_automorphisms(group: FiniteGroup, *,
+                            budget: int | None = DEFAULT_PRODUCT_BUDGET
+                            ) -> Iterator[Morphism]:
+    """Every automorphism exactly once, in deterministic order."""
+    return (phi for phi, _ in _search(group, True, False, budget))

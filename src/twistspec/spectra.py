@@ -13,8 +13,11 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup
-from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,
-                       enumerate_automorphisms, enumerate_endomorphisms)
+# enumerate_automorphisms stays importable from here: perfbench's tracer
+# wraps the sweeps under this module's names.
+from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,  # noqa: F401
+                       enumerate_automorphisms, enumerate_endomorphisms,
+                       weighted_sweep)
 from .twisted import induced_class_map, reidemeister_number, reduction_check, twisted_classes
 
 FLAG_NAMES = (
@@ -122,27 +125,39 @@ def _witness(phi: Morphism, detail: str) -> dict:
     }
 
 
+def _tally(pairs, classes, method: str) -> tuple[Counter, Counter, int]:
+    """Fold ``(morphism, weight)`` pairs into weighted counters: the
+    Reidemeister numbers of the automorphisms and of all the morphisms,
+    and the class-preserving automorphisms.  No morphism is kept."""
+    spec, ext = Counter(), Counter()
+    class_preserving = 0
+    for phi, weight in pairs:
+        value = reidemeister_number(phi, method, classes)
+        ext[value] += weight
+        if phi.is_automorphism():
+            spec[value] += weight
+            if phi.is_class_preserving(classes):
+                class_preserving += weight
+    return spec, ext, class_preserving
+
+
+def _sorted_map(counter: Counter) -> dict[int, int]:
+    return {v: counter[v] for v in sorted(counter)}
+
+
 def spectrum(group: FiniteGroup, *, method: str = "fixed-classes",
              budget: int | None = DEFAULT_PRODUCT_BUDGET) -> dict[int, int]:
     """Reidemeister numbers over all automorphisms, with multiplicities."""
-    classes = group.conjugacy_classes()
-    counter = Counter(
-        reidemeister_number(phi, method, classes)
-        for phi in enumerate_automorphisms(group, budget=budget)
-    )
-    return {v: counter[v] for v in sorted(counter)}
+    sweep = weighted_sweep(group, automorphisms=True, budget=budget)
+    return _sorted_map(_tally(sweep, group.conjugacy_classes(), method)[0])
 
 
 def extended_spectrum(group: FiniteGroup, *, method: str = "fixed-classes",
                       budget: int | None = DEFAULT_PRODUCT_BUDGET
                       ) -> dict[int, int]:
     """Reidemeister numbers over all endomorphisms, with multiplicities."""
-    classes = group.conjugacy_classes()
-    counter = Counter(
-        reidemeister_number(phi, method, classes)
-        for phi in enumerate_endomorphisms(group, budget=budget)
-    )
-    return {v: counter[v] for v in sorted(counter)}
+    sweep = weighted_sweep(group, budget=budget)
+    return _sorted_map(_tally(sweep, group.conjugacy_classes(), method)[1])
 
 
 def classify(group: FiniteGroup, name: str | None = None, *,
@@ -154,40 +169,40 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     The endomorphism sweep is attempted only when ``extended`` is set; if it
     blows the product budget the extended fields are reported as skipped
     rather than guessed.  The automorphism sweep is mandatory and budget
-    errors there propagate.
+    errors there propagate.  Spectra come from one weighted sweep over
+    Inn(G)-orbits; with ``battery`` the endomorphisms are listed once, one
+    by one, and feed both the spectra and the battery.
     """
     classes = group.conjugacy_classes()
     k = classes.count
     annotations: list[str] = []
 
-    endos: list[Morphism] | None = None
+    tally = endos = extended_map = None
     if extended:
         try:
-            endos = list(enumerate_endomorphisms(group, budget=budget))
+            if battery:
+                endos = list(enumerate_endomorphisms(group, budget=budget))
+                pairs = ((phi, 1) for phi in endos)
+            else:
+                pairs = weighted_sweep(group, budget=budget)
+            tally = _tally(pairs, classes, method)
+            extended_map = _sorted_map(tally[1])
         except BudgetExceeded:
             annotations.append("extended spectrum skipped: budget exceeded")
-    if endos is not None:
-        autos = [phi for phi in endos if phi.is_automorphism()]
-    else:
-        autos = list(enumerate_automorphisms(group, budget=budget))
+    if tally is None:
+        tally = _tally(weighted_sweep(group, automorphisms=True,
+                                      budget=budget), classes, method)
+    spec_counter, ext_counter, cp_count = tally
+    spectrum_map = _sorted_map(spec_counter)
+    aut_count = sum(spec_counter.values())
 
-    spec_counter = Counter(reidemeister_number(phi, method, classes)
-                           for phi in autos)
-    spectrum_map = {v: spec_counter[v] for v in sorted(spec_counter)}
-    extended_map = None
-    if endos is not None:
-        ext_counter = Counter(reidemeister_number(phi, method, classes)
-                              for phi in endos)
-        extended_map = {v: ext_counter[v] for v in sorted(ext_counter)}
-
-    cp_count = sum(1 for phi in autos if phi.is_class_preserving(classes))
     center_order = group.center().order
-    if (len(autos) * center_order) % group.order:
+    if (aut_count * center_order) % group.order:
         raise AssertionError("automorphism count incompatible with Inn(G)")
-    out_order = len(autos) * center_order // group.order
+    out_order = aut_count * center_order // group.order
 
     trivial_spec = set(spectrum_map) == {k}
-    if trivial_spec != (cp_count == len(autos)):
+    if trivial_spec != (cp_count == aut_count):
         raise AssertionError(
             "trivial spectrum flag disagrees with the class-preserving count"
         )
@@ -213,8 +228,8 @@ def classify(group: FiniteGroup, name: str | None = None, *,
         order=group.order,
         degree=group.degree,
         class_number=k,
-        aut_count=len(autos),
-        end_count=None if endos is None else len(endos),
+        aut_count=aut_count,
+        end_count=None if extended_map is None else sum(ext_counter.values()),
         class_preserving_aut_count=cp_count,
         out_order=out_order,
         spectrum=spectrum_map,

@@ -271,6 +271,44 @@ def test_survey_records_non_utf8_file(small_dir, tmp_path):
     assert error["error"].startswith("DefinitionError:")
 
 
+def _classify_failing_on(name):
+    """``classify`` that fails an internal check for the group ``name``."""
+    from twistspec.spectra import classify
+
+    def failing(group, name=None, **kwargs):
+        if name == failing.target:
+            raise AssertionError("synthetic internal failure")
+        return classify(group, name=name, **kwargs)
+    failing.target = name
+    return failing
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_survives_internal_error(small_dir, tmp_path, monkeypatch,
+                                        capsys, jobs):
+    import twistspec.cli as cli_mod
+
+    # Worker processes are forked, so they see the patched function.
+    monkeypatch.setattr(cli_mod, "classify", _classify_failing_on("Z6"))
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out),
+                 "--jobs", jobs]) == cli_mod.EXIT_INTERNAL == 4
+    doc = json.loads(out.read_text())
+    assert [g["name"] for g in doc["groups"]] == ["Z1", "Z2", "S3", "Dic2"]
+    assert doc["summary"]["errors"] == [
+        {"file": "z6.json",
+         "error": "AssertionError: synthetic internal failure"}]
+    assert "(1 errors)" in capsys.readouterr().out
+
+
+def test_internal_error_exit_code(s3_file, monkeypatch, capsys):
+    import twistspec.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "classify", _classify_failing_on("S3"))
+    assert main(["spectrum", s3_file]) == 4
+    assert "internal error: synthetic" in capsys.readouterr().err
+
+
 def test_survey_jobs_byte_identical(small_dir, tmp_path):
     out1 = tmp_path / "jobs1.json"
     out2 = tmp_path / "jobs2.json"

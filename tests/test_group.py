@@ -187,6 +187,43 @@ def test_quotient_examples():
     assert proj.is_automorphism() or len(set(proj.table)) == 6
 
 
+def test_quotient_is_built_once_per_kernel(monkeypatch):
+    s4 = build(symmetric(4))
+    builds = []
+    build_quotient = type(s4)._build_quotient
+
+    def counted(self, sub):
+        builds.append(sub.indices)
+        return build_quotient(self, sub)
+
+    monkeypatch.setattr(type(s4), "_build_quotient", counted)
+    v4 = s4.normal_closure(
+        [s4.index_of(Permutation.from_cycles(4, (1, 2), (3, 4)))])
+    first = s4.quotient(v4)
+    # Another Subgroup value with the same members shares the quotient.
+    again = s4.quotient(s4.subgroup(v4.indices))
+    assert again is first and first[0].order == 6
+    assert builds == [v4.indices]
+    assert s4.quotient(s4.derived_subgroup())[0].order == 2
+    assert len(builds) == 2
+    # The check that a kernel is normal is not skipped by the cache.
+    transposition = s4.index_of(Permutation.from_cycles(4, (1, 2)))
+    with pytest.raises(ValueError):
+        s4.quotient(s4.subgroup([0, transposition]))
+
+
+def test_derived_generating_set_caches_few_columns():
+    # More than three declared generators: the search set is re-derived
+    # greedily.  The first pick is an element of largest order; later
+    # candidates are closed through columns that are not kept.
+    group = closure(6, [Permutation.from_cycles(6, *cycles) for cycles in (
+        [(1, 2)], [(1, 2, 3, 4, 5, 6)], [(1, 3)], [(2, 4, 6)])])
+    gens = group.small_generating_set()
+    assert group.subgroup_closure(gens) == tuple(range(720))
+    assert group.element_order(gens[0]) == max(group.element_orders())
+    assert sum(column is not None for column in group._columns) <= 64
+
+
 def test_quotient_requires_normal():
     s3 = S3()
     transposition = s3.index_of(Permutation.from_cycles(3, (1, 2)))

@@ -63,6 +63,15 @@ def test_bad_table_rejected(s3):
         Morphism(s3, s3, table)
 
 
+def test_table_entries_must_index_the_target(s3):
+    z2 = build(cyclic(2))
+    for bad in ([0, 1, 0, 1, 0, 2], [0, 1, 0, 1, 0, -1]):
+        with pytest.raises(ValueError, match="outside target"):
+            Morphism(s3, z2, bad)
+    with pytest.raises(ValueError, match="length"):
+        Morphism(s3, z2, [0, 1])
+
+
 # -- evaluate / compose / power -------------------------------------------------
 
 def test_power_identity_and_collapse():
