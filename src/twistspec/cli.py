@@ -221,6 +221,11 @@ def _cmd_survey(args) -> int:
     if not directory.is_dir():
         raise DefinitionError(f"{directory} is not a directory")
     rules = _parse_filter(args.filter)
+    out = Path(args.out)
+    if out.is_dir():
+        raise DefinitionError(f"--out {out} is a directory")
+    if not out.parent.is_dir():
+        raise DefinitionError(f"--out {out}: no directory {out.parent}")
     files = sorted(str(p) for p in directory.glob("*.json"))
     tasks = [(path, args.budget, args.order_cap,
               args.battery, _METHODS[args.method]) for path in files]
@@ -251,7 +256,10 @@ def _cmd_survey(args) -> int:
         },
     }
     payload = json.dumps(survey_doc, indent=2) + "\n"
-    Path(args.out).write_text(payload, encoding="utf-8")
+    try:
+        out.write_text(payload, encoding="utf-8")
+    except OSError as exc:
+        raise DefinitionError(f"cannot write --out {out}: {exc.strerror}")
     print(f"surveyed {len(files)} files -> {len(included)} groups "
           f"({len(errors)} errors) -> {args.out}")
     if any(r.get("internal") for r in results):

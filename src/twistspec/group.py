@@ -102,12 +102,12 @@ class FiniteGroup:
             self._columns[g] = column
         self._inverses: list[int] | None = None
         self._conjugations: list[list[int]] | None = None
+        self._inverse_rows: list[list[int]] | None = None
         self._orders: list[int] | None = None
         self._classes: ClassPartition | None = None
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
         self._small_gens: tuple[int, ...] | None = None
-        self._ext_plan: tuple[int, ...] | None = None
         self._quotients: dict[tuple[int, ...], tuple] = {}
 
     # -- basics ---------------------------------------------------------
@@ -177,6 +177,16 @@ class FiniteGroup:
                     self._conjugations = [self.conjugation(g)
                                           for g in self.generator_indices()]
         return self._conjugations
+
+    def _inverse_generator_rows(self) -> list[list[int]]:
+        """``row(s^-1)`` for each declared generator ``s``."""
+        if self._inverse_rows is None:
+            with self._lock:
+                if self._inverse_rows is None:
+                    inv = self.inverses()
+                    self._inverse_rows = [self.row(inv[g])
+                                          for g in self.generator_indices()]
+        return self._inverse_rows
 
     def product(self, i: int, j: int) -> int:
         return self.column(j)[i]
@@ -514,32 +524,6 @@ class FiniteGroup:
             chosen.append(best)
             self._adjoin(found, reached, columns, self.column(best))
         return tuple(chosen)
-
-    def extension_plan(self) -> tuple[int, ...]:
-        """Element indices in BFS order over the small generating set.
-
-        Guarantees that when an index is visited, its image under a partial
-        homomorphism extension is already determined.
-        """
-        if self._ext_plan is None:
-            with self._lock:
-                if self._ext_plan is None:
-                    columns = [self.column(g)
-                               for g in self.small_generating_set()]
-                    seen = [False] * self.order
-                    seen[0] = True
-                    order = [0]
-                    for x in order:
-                        for column in columns:
-                            y = column[x]
-                            if not seen[y]:
-                                seen[y] = True
-                                order.append(y)
-                    if len(order) != self.order:
-                        raise AssertionError(
-                            "small generating set does not generate")
-                    self._ext_plan = tuple(order)
-        return self._ext_plan
 
 
 def orbits(size: int, maps: Sequence[Sequence[int]]

@@ -5,19 +5,21 @@ A Morphism stores the full element-to-element index table.  Every public
 constructor verifies the homomorphism law on all (element, generator) pairs,
 which suffices because each element is a positive word in the generators.
 
-One search serves every sweep.  It walks the grid of generator-image
-candidates, pruned by element order (endomorphisms: image order divides
-generator order; automorphisms: equal order and equal conjugacy-class size,
-plus a prefix-subgroup-order check), then extends and verifies each
-candidate in a single pass with early abort.  ``weighted_sweep`` keeps one
-candidate per Inn(G)-orbit, weighted by the orbit's size, for the spectra;
+One search serves every sweep.  It is depth-first along the chain of
+subgroups H_j generated by the first j search generators.  Depth j picks an
+image for the j-th generator from a pool pruned by element order
+(endomorphisms: image order divides generator order; automorphisms: equal
+order and equal conjugacy-class size) and extends the partial table from
+H_j to H_{j+1}, verifying the homomorphism law there: an image that breaks
+it drops its whole subtree, and an automorphism candidate must keep the
+partial table injective.  ``weighted_sweep`` keeps one candidate per
+Inn(G)-orbit, weighted by the orbit's size, for the spectra;
 ``enumerate_endomorphisms`` and ``enumerate_automorphisms`` yield every
 morphism, for the theorem battery and as test oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, NotAHomomorphism
@@ -28,7 +30,8 @@ DEFAULT_PRODUCT_BUDGET = 10 ** 8
 
 
 class _Budget:
-    """Approximate product counter; charges are upper bounds per attempt."""
+    """Approximate product counter; each charge is an upper bound on the
+    work of one search node or one orbit pass."""
 
     __slots__ = ("limit", "spent")
 
@@ -42,33 +45,62 @@ class _Budget:
             raise BudgetExceeded(f"product budget {self.limit} exceeded")
 
 
-def _extend_and_verify(target: FiniteGroup, src_columns: Sequence[list[int]],
-                       images: Sequence[int],
-                       plan: Sequence[int]) -> list[int] | None:
-    """Extend generator images along ``plan`` and verify the homomorphism law.
+def _levels(source: FiniteGroup, gens: Sequence[int]
+            ) -> list[list[tuple[int, int, int, bool]]]:
+    """The steps that extend a partial table from H_j = <gens[:j]> to
+    H_{j+1}, for each depth j.
 
-    ``src_columns`` are the source's columns of the generators that
-    ``images`` assign.  ``plan`` must list all source element indices in an
-    order where each element's image is determined before the element is
-    visited (BFS order over those generators).  Visiting every (element,
-    generator) pair both builds the table and completes the verification;
-    returns None on any conflict.
+    A step ``(x, i, y, new)`` reads the image of ``x`` and maps
+    ``y = x * gens[i]`` to it times the image of ``gens[i]``: ``y`` takes
+    that value when ``new`` (its first visit outside H_j) and must already
+    have it otherwise.  Steps follow the BFS order of H_{j+1} over
+    ``gens[:j+1]``; members of H_j take the pair of ``gens[j]`` only, new
+    members take every generator so far, so each image is set before it is
+    read, and over all depths each (element, generator) pair is checked
+    exactly once.
     """
-    phi = [-1] * len(plan)
-    phi[0] = 0
-    pairs = [(column, target.column(t))
-             for column, t in zip(src_columns, images)]
-    for x in plan:
-        fx = phi[x]
-        for src, tgt in pairs:
-            y = src[x]
-            t = tgt[fx]
-            known = phi[y]
-            if known < 0:
-                phi[y] = t
-            elif known != t:
-                return None
-    return phi
+    columns = [source.column(g) for g in gens]
+    inside = [False] * source.order  # H_j
+    inside[0] = True
+    levels = []
+    for j in range(len(gens)):
+        reached = [False] * source.order
+        reached[0] = True
+        order = [0]
+        steps = []
+        for x in order:
+            # The BFS takes every generator; the steps skip the pairs of
+            # members of H_j with gens[:j], checked at earlier depths.  A
+            # member of H_{j+1} outside H_j is first reached by a step.
+            first = j if inside[x] else 0
+            for i in range(j + 1):
+                y = columns[i][x]
+                if i >= first:
+                    steps.append((x, i, y, not (inside[y] or reached[y])))
+                if not reached[y]:
+                    reached[y] = True
+                    order.append(y)
+        inside = reached
+        levels.append(steps)
+    if not all(inside):
+        raise AssertionError("generators do not generate the group")
+    return levels
+
+
+def _extend(table: list[int], steps: Sequence[tuple[int, int, int, bool]],
+            images: Sequence[list[int]], injective: bool) -> bool:
+    """Run one depth's steps on ``table``; ``images[i]`` is the target's
+    column of the image of ``gens[i]``.  False on a conflict, or, when
+    ``injective``, as soon as a non-identity element maps to the identity."""
+    for x, i, y, new in steps:
+        t = images[i][table[x]]
+        if new:
+            if injective and t == 0:
+                return False
+            table[y] = t
+        elif table[y] != t:
+            return False
+    return True
 
 
 def _verify_table(source: FiniteGroup, target: FiniteGroup,
@@ -205,21 +237,24 @@ class Morphism:
     def iterated_kernel(self) -> Subgroup:
         """Union of the kernels of all powers of an endomorphism.
 
-        The kernels form an ascending chain, so equal consecutive orders mean
-        the chain has stabilized.  The result is verified phi-invariant and
-        normal; the induced map on the quotient is injective.
+        The kernels form an ascending chain, and ker phi^m = ker phi^(2m)
+        means it has stabilized (ker phi^(m+1) lies between them), so the
+        table is squared until its count of zeros stops growing.  The result
+        is verified phi-invariant and normal; the induced map on the
+        quotient is injective.
         """
         self._require_endo()
         if self.is_automorphism():
             return self.source.trivial_subgroup()
-        current = self
-        members = [i for i, t in enumerate(current.table) if t == 0]
+        table = self.table
+        zeros = table.count(0)
         while True:
-            current = self.compose(current)
-            nxt = [i for i, t in enumerate(current.table) if t == 0]
-            if len(nxt) == len(members):
+            squared = [table[t] for t in table]
+            grown = squared.count(0)
+            if grown == zeros:
                 break
-            members = nxt
+            table, zeros = squared, grown
+        members = [i for i, t in enumerate(table) if t == 0]
         sub = self.source.subgroup(members)
         if not all(sub.member_flags[self.table[x]] for x in sub.indices):
             raise AssertionError("stabilized kernel union is not invariant")
@@ -279,11 +314,11 @@ def morphism_from_images(source: FiniteGroup, target: FiniteGroup,
             if not 0 <= img < target.order:
                 raise ValueError(f"image index {img} outside target")
             idxs.append(img)
-    # Elements are already in BFS order over the declared generators.
-    columns = [source.column(g) for g in source.generator_indices()]
-    table = _extend_and_verify(target, columns, idxs, range(source.order))
-    if table is None:
-        raise NotAHomomorphism("generator images do not extend")
+    table = [0] * source.order
+    images = [target.column(t) for t in idxs]
+    for steps in _levels(source, source.generator_indices()):
+        if not _extend(table, steps, images, False):
+            raise NotAHomomorphism("generator images do not extend")
     return Morphism(source, target, table, _verified=True)
 
 
@@ -320,75 +355,68 @@ def _search(group: FiniteGroup, automorphisms: bool, canonical: bool,
             budget: int | None) -> Iterator[tuple[Morphism, int]]:
     """The one morphism search behind every sweep.
 
-    Chooses an image c_j for each search generator in turn, extends each
-    full choice along the extension plan and verifies it in one pass.  With
-    ``canonical``, c_j is kept only if it is the smallest index in its orbit
-    under S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation (S_0 = G), and
-    the weight is multiplied by that orbit's size.  The kept tuples are the
-    lexicographically smallest of their Inn(G)-orbits, one per orbit, and
-    each weight is |G| / |C_G(phi(G))|, the size of phi's Inn(G)-orbit.
-    Once S_j is central its orbits are single points and the remaining
-    generators range over their whole pools.  Without ``canonical`` every
-    morphism is yielded with weight 1.
+    A depth-first search along the chain H_0 = 1 < H_1 < ... < H_k = G,
+    H_j = <gens[:j]> for the small generating set.  Depth j chooses an
+    image c_j for gens[j] and extends the partial table from H_j to H_{j+1}
+    (``_levels``), verifying the homomorphism law there; a conflict drops
+    the candidate with its whole subtree.  Each node is charged its number
+    of steps.  With ``canonical``, c_j is kept only if it is the smallest
+    index in its orbit under S_j = C_G(c_0, ..., c_{j-1}) acting by
+    conjugation (S_0 = G), and the weight is multiplied by that orbit's
+    size.  The kept tuples are the lexicographically smallest of their
+    Inn(G)-orbits, one per orbit, and each weight is |G| / |C_G(phi(G))|,
+    the size of phi's Inn(G)-orbit.  Once S_j is central its orbits are
+    single points and the remaining generators range over their whole
+    pools.  Without ``canonical`` every morphism is yielded with weight 1.
 
-    Automorphism candidates must also pass the prefix prune: each prefix of
-    images must generate a subgroup of the same order as the corresponding
-    prefix of generators (automorphisms are injective on subgroups, so the
-    prune is lossless).  Both prunes are invariant under conjugation.
+    Automorphism candidates must also keep the partial table injective: no
+    non-identity element of H_{j+1} may map to the identity.  A
+    homomorphism on H_{j+1} with a trivial kernel is what an automorphism
+    restricts to, so the prune is lossless.  The pools and every prune are
+    invariant under conjugation.
     """
     gens = group.small_generating_set()
-    plan = group.extension_plan()
-    columns = [group.column(g) for g in gens]
+    if not gens:
+        yield identity_morphism(group), 1
+        return
+    levels = _levels(group, gens)
     pools = _pools(group, gens, automorphisms)
     tracker = _Budget(budget)
-    attempt_cost = group.order * max(1, len(gens))
-    if automorphisms:
-        prefix_orders = [len(group.subgroup_closure(gens[:j + 1]))
-                         for j in range(len(gens))]
+    table = [0] * group.order
+    images: list = [None] * len(gens)  # columns of c_0, ..., c_depth
+    last = len(gens) - 1
     # S_0 = C_G(1) = G; None stands for a central stabiliser.
     top = None
     if canonical and not group.is_abelian():
         center_order = group.center().order
         top = group.centralizer(0)
 
-    def search(depth: int, chosen: tuple[int, ...], weight: int,
-               stab: Subgroup | None) -> Iterator[tuple[Morphism, int]]:
-        if stab is None and not automorphisms:
-            for tail in itertools.product(*pools[depth:]):
-                tracker.charge(attempt_cost)
-                table = _extend_and_verify(group, columns, chosen + tail, plan)
-                if table is not None:
-                    yield Morphism(group, group, table, _verified=True), weight
-            return
-        if depth == len(gens):
-            tracker.charge(attempt_cost)
-            table = _extend_and_verify(group, columns, chosen, plan)
-            if table is not None:
-                if len(set(table)) != group.order:
-                    raise AssertionError("generating images gave a non-bijection")
-                yield Morphism(group, group, table, _verified=True), weight
-            return
+    def search(depth: int, weight: int, stab: Subgroup | None
+               ) -> Iterator[tuple[Morphism, int]]:
+        steps = levels[depth]
         if stab is None:
             kept = [(x, 1) for x in pools[depth]]
         else:
             kept = _canonical(group, stab, pools[depth], tracker)
-        last = depth + 1 == len(gens)
         for cand, size in kept:
-            images = chosen + (cand,)
-            if automorphisms:
-                want = prefix_orders[depth]
-                tracker.charge(want)
-                if len(group.subgroup_closure(images)) != want:
-                    continue
+            tracker.charge(len(steps))
+            images[depth] = group.column(cand)
+            if not _extend(table, steps, images, automorphisms):
+                continue
+            if depth == last:
+                if automorphisms and len(set(table)) != group.order:
+                    raise AssertionError("generating images gave a non-bijection")
+                yield Morphism(group, group, table, _verified=True), weight * size
+                continue
             nxt = None
-            if stab is not None and not last:
+            if stab is not None:
                 tracker.charge(group.order)
                 nxt = group.centralizer(cand, stab)
                 if nxt.order == center_order:
                     nxt = None
-            yield from search(depth + 1, images, weight * size, nxt)
+            yield from search(depth + 1, weight * size, nxt)
 
-    yield from search(0, (), 1, top)
+    yield from search(0, 1, top)
 
 
 def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,

@@ -56,16 +56,16 @@ def twisted_classes(phi: Morphism) -> TwistedPartition:
     """Orbits of h . g = h g phi(h)^-1, numbered by smallest member index.
 
     They are the orbits of the generators' inverses, g -> s^-1 g phi(s): a
-    row of s^-1 followed by the column of phi(s).
+    row of s^-1 (cached per group) followed by the column of phi(s).
     """
     phi._require_endo()
     group = phi.source
     n = group.order
-    inv = group.inverses()
     maps = []
-    for s in group.generator_indices():
+    for s, row in zip(group.generator_indices(),
+                      group._inverse_generator_rows()):
         column = group.column(phi.table[s])
-        maps.append([column[x] for x in group.row(inv[s])])
+        maps.append([column[x] for x in row])
     class_of, reps, sizes = orbits(n, maps)
     partition = TwistedPartition(group, phi, tuple(class_of), tuple(reps),
                                  tuple(sizes))

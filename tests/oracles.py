@@ -8,6 +8,8 @@ paths with these on small groups.
 
 from __future__ import annotations
 
+import itertools
+
 
 def product_table(group):
     """``table[i][j]`` is the index of ``elements[i] * elements[j]``."""
@@ -126,3 +128,89 @@ def inner_automorphism(table, c):
     """``g -> c g c^-1`` as an index table."""
     inv = inverses(table)
     return [table[table[c][g]][inv[c]] for g in range(len(table))]
+
+
+def element_orders(table):
+    orders = []
+    for x in range(len(table)):
+        k, y = 1, x
+        while y:
+            y = table[y][x]
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def _extend(table, plan, gens, images):
+    """The table of the homomorphism sending ``gens`` to ``images``, or
+    None; ``plan`` lists the elements in BFS order over ``gens``."""
+    phi = [-1] * len(table)
+    phi[0] = 0
+    for x in plan:
+        for g, c in zip(gens, images):
+            y, t = table[x][g], table[phi[x]][c]
+            if phi[y] < 0:
+                phi[y] = t
+            elif phi[y] != t:
+                return None
+    return tuple(phi)
+
+
+def morphism_grid(table, gens, automorphisms):
+    """Every endomorphism (automorphism) table, from the flat grid of
+    generator images.
+
+    The images of ``gens`` range over ``itertools.product`` of their pools
+    (image order divides the generator's order; for automorphisms, equal
+    order and class size); each full tuple is extended along a BFS over
+    ``gens`` with every (element, generator) pair checked.  Automorphism
+    tuples must first pass the prefix prune: each prefix of images
+    generates a subgroup of the same order as that prefix of ``gens``.
+    """
+    n = len(table)
+    orders = element_orders(table)
+    if automorphisms:
+        class_of, _, sizes = conjugacy_classes(table)
+        pools = [[x for x in range(n) if orders[x] == orders[g]
+                  and sizes[class_of[x]] == sizes[class_of[g]]]
+                 for g in gens]
+    else:
+        pools = [[x for x in range(n) if orders[g] % orders[x] == 0]
+                 for g in gens]
+    plan, seen = [0], {0}
+    for x in plan:
+        for g in gens:
+            y = table[x][g]
+            if y not in seen:
+                seen.add(y)
+                plan.append(y)
+    prefix_orders = {}
+
+    def prefix_order(images):
+        if images not in prefix_orders:
+            prefix_orders[images] = len(closure(table, images))
+        return prefix_orders[images]
+
+    want = [prefix_order(tuple(gens[:j + 1])) for j in range(len(gens))]
+    found = []
+    for images in itertools.product(*pools):
+        if automorphisms and any(prefix_order(images[:j + 1]) != want[j]
+                                 for j in range(len(gens))):
+            continue
+        phi = _extend(table, plan, gens, images)
+        if phi is not None:
+            found.append(phi)
+    return found
+
+
+def iterated_kernel(phi):
+    """The union of the kernels of phi, phi^2, ... as sorted indices, taking
+    one power at a time until the kernel stops growing."""
+    power = list(phi)
+    kernel = [x for x, t in enumerate(power) if t == 0]
+    while True:
+        power = [phi[t] for t in power]
+        grown = [x for x, t in enumerate(power) if t == 0]
+        if grown == kernel:
+            return kernel
+        kernel = grown

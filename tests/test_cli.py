@@ -309,6 +309,37 @@ def test_internal_error_exit_code(s3_file, monkeypatch, capsys):
     assert "internal error: synthetic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "is-dir"])
+def test_survey_unwritable_out_fails_before_the_sweep(small_dir, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      where):
+    import twistspec.cli as cli_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli_mod, "classify", never)
+    out = (tmp_path / "missing" / "r.json" if where == "missing-dir"
+           else tmp_path)
+    assert main(["survey", str(small_dir), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_survey_write_failure_is_an_input_error(small_dir, tmp_path,
+                                                monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write --out {out}: Permission denied\n")
+
+
 def test_survey_jobs_byte_identical(small_dir, tmp_path):
     out1 = tmp_path / "jobs1.json"
     out2 = tmp_path / "jobs2.json"

@@ -1,13 +1,15 @@
 """The generator-action algorithms of the group layer against the quadratic
 definitions in ``oracles.py``, on every catalog group and on A5 and S5 built
-from a redundant generating set."""
+from a redundant generating set (also the morphism search's extension
+steps); twisted classes and kernel towers on every endomorphism of the
+catalog groups of order <= 24."""
 
 import pytest
 
 import oracles
 from twistspec.catalog import (GroupDefinition, alternating, build, dihedral,
                                shipped_catalog, symmetric)
-from twistspec.morphism import inner_automorphism
+from twistspec.morphism import _levels, inner_automorphism
 from twistspec.perm import Permutation
 from twistspec.twisted import twisted_classes
 
@@ -111,6 +113,26 @@ def test_inner_automorphisms(case):
             oracles.inner_automorphism(table, c)
 
 
+def test_extension_levels(case):
+    # Over all depths each (element, generator) pair is one step; a step
+    # reads an image already set and sets the image of y exactly when no
+    # earlier step has; after depth j the table covers <gens[:j+1]>.
+    group, table = case
+    for gens in (group.small_generating_set(), group.generator_indices()):
+        assigned = {0}
+        pairs = []
+        for j, steps in enumerate(_levels(group, gens)):
+            for x, i, y, new in steps:
+                assert x in assigned and i <= j
+                assert y == table[x][gens[i]]
+                assert new == (y not in assigned)
+                assigned.add(y)
+                pairs.append((x, i))
+            assert sorted(assigned) == oracles.closure(table, gens[:j + 1])
+        assert sorted(pairs) == [(x, i) for x in range(group.order)
+                                 for i in range(len(gens))]
+
+
 SMALL = [defn.name for defn in shipped_catalog() if build(defn).order <= 24]
 
 
@@ -123,6 +145,13 @@ def test_twisted_classes(name, small_groups, endos_of):
         assert (list(partition.class_of), list(partition.representatives),
                 list(partition.sizes)) == \
             oracles.twisted_classes(table, phi.table)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_iterated_kernel(name, endos_of):
+    for phi in endos_of(name):
+        assert list(phi.iterated_kernel().indices) == \
+            oracles.iterated_kernel(phi.table)
 
 
 @pytest.mark.parametrize("defn,cycles", [

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import oracles
 from twistspec.errors import BudgetExceeded, NotAHomomorphism
 from twistspec.morphism import (Morphism, _verify_table,
                                 enumerate_automorphisms,
@@ -9,7 +10,8 @@ from twistspec.morphism import (Morphism, _verify_table,
                                 inner_automorphism, morphism_from_images)
 from twistspec.perm import Permutation
 from twistspec.catalog import (abelian, alternating, build, cyclic,
-                               quaternion_dicyclic, sl2, symmetric, m9)
+                               holomorph_cyclic, quaternion_dicyclic,
+                               shipped_catalog, sl2, symmetric, m9)
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +359,22 @@ def test_generator_images_follow_declared_generators():
     group = build(sl2(3))
     phi = identity_morphism(group)
     assert phi.generator_images == group.generator_indices()
+
+
+# -- the depth-first search against the flat grid --------------------------------------
+
+# The catalog groups of order <= 24 include Z2xZ2xZ4.
+GRID_CASES = [defn for defn in shipped_catalog()
+              if defn.expected["order"] <= 24] + [holomorph_cyclic(15)]
+
+
+@pytest.mark.parametrize("defn", GRID_CASES, ids=lambda defn: defn.name)
+def test_search_matches_the_flat_grid(defn):
+    group = build(defn)
+    table = oracles.product_table(group)
+    gens = group.small_generating_set()
+    assert ([phi.table for phi in enumerate_endomorphisms(group)]
+            == oracles.morphism_grid(table, gens, False))
+    assert ([phi.table for phi in enumerate_automorphisms(group)]
+            == oracles.morphism_grid(table, gens, True))
+

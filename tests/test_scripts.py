@@ -1,0 +1,24 @@
+"""The scripts under ``scripts/`` run end to end against the package under
+test."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import twistspec
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_reproduce_tables_small_orders():
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"),
+         "--max-order", "24"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "groups with trivial Reidemeister spectrum" in proc.stdout
+    assert "groups with full extended Reidemeister spectrum" in proc.stdout

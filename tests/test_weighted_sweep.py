@@ -143,26 +143,27 @@ def test_chain_goes_three_levels_deep(monkeypatch):
 
 
 @pytest.mark.parametrize("defn, aut, end, bound", [
-    # Measured: 97 and 21431 extension attempts.
+    # Measured: 101 and 1895 search nodes (calls of _extend).  The flat grid
+    # that verified every full tuple of images made 97 and 21431 attempts.
     (symmetric(6), 1440, 1516, 200),
-    (holomorph_cyclic(21), 252, 2160, 45000),
+    (holomorph_cyclic(21), 252, 2160, 4000),
 ])
 def test_extended_spectrum_work_bound(defn, aut, end, bound, tmp_path,
                                       monkeypatch, capsys):
     path = tmp_path / "group.json"
     save(defn, path)
-    attempts = 0
-    extend = morphism_mod._extend_and_verify
+    nodes = 0
+    extend = morphism_mod._extend
 
     def counted(*args):
-        nonlocal attempts
-        attempts += 1
+        nonlocal nodes
+        nodes += 1
         return extend(*args)
 
-    monkeypatch.setattr(morphism_mod, "_extend_and_verify", counted)
+    monkeypatch.setattr(morphism_mod, "_extend", counted)
     # Inside the default product budget.
     assert main(["spectrum", str(path), "--extended", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["aut_count"], doc["end_count"]) == (aut, end)
     assert doc["annotations"] == []
-    assert 0 < attempts <= bound
+    assert 0 < nodes <= bound
