@@ -2,7 +2,7 @@
 classes, and the subgroup/quotient machinery behind the classification
 pipeline.
 
-Element order is canonical: breadth-first discovery from the identity with
+Elements are numbered by breadth-first discovery from the identity with
 generators applied in list order, so every downstream numbering (classes,
 reports) is reproducible across runs.  All lazily built tables are write-once
 behind a lock, so a group value may be shared across threads.
@@ -51,13 +51,11 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
-    def is_whole_group(self) -> bool:
-        return self.order == self.parent.order
-
 
 @dataclass(frozen=True, eq=False)
 class ClassPartition:
-    """Conjugacy-class decomposition with canonical (smallest-member) reps."""
+    """Conjugacy-class decomposition, each class represented by its
+    smallest member index."""
 
     group: "FiniteGroup"
     class_of: tuple[int, ...]
@@ -67,9 +65,6 @@ class ClassPartition:
     @property
     def count(self) -> int:
         return len(self.representatives)
-
-    def members(self, class_index: int) -> list[int]:
-        return [i for i, c in enumerate(self.class_of) if c == class_index]
 
 
 class FiniteGroup:
@@ -402,9 +397,13 @@ class FiniteGroup:
                    for rep in self.conjugacy_classes().representatives[1:])
 
     def is_quasisimple(self) -> bool:
+        """Perfect, with G/Z(G) simple; no quotient when Z(G) = 1."""
         if not self.is_perfect():
             return False
-        quotient_group, _ = self.quotient(self.center())
+        center = self.center()
+        if center.is_trivial():
+            return self.is_simple()
+        quotient_group, _ = self.quotient(center)
         return quotient_group.is_simple()
 
     def is_nilpotent(self) -> bool:

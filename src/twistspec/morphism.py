@@ -1,21 +1,20 @@
-"""Homomorphisms between finite groups and exhaustive endomorphism /
-automorphism enumeration.
+"""Homomorphisms between finite groups and the one morphism search.
 
 A Morphism stores the full element-to-element index table.  Every public
 constructor verifies the homomorphism law on all (element, generator) pairs,
 which suffices because each element is a positive word in the generators.
 
-One search serves every sweep.  It is depth-first along the chain of
-subgroups H_j generated by the first j search generators.  Depth j picks an
-image for the j-th generator from a pool pruned by element order
-(endomorphisms: image order divides generator order; automorphisms: equal
-order and equal conjugacy-class size) and extends the partial table from
-H_j to H_{j+1}, verifying the homomorphism law there: an image that breaks
-it drops its whole subtree, and an automorphism candidate must keep the
-partial table injective.  ``weighted_sweep`` keeps one candidate per
-Inn(G)-orbit, weighted by the orbit's size, for the spectra;
-``enumerate_endomorphisms`` and ``enumerate_automorphisms`` yield every
-morphism, for the theorem battery and as test oracles.
+One search serves every sweep: ``weighted_sweep`` yields one endomorphism
+(or automorphism) per Inn(G)-orbit, weighted by the orbit's size, and the
+spectra, ``classify`` and the theorem battery all fold it.  The search is
+depth-first along the chain of subgroups H_j generated by the first j search
+generators.  Depth j picks an image for the j-th generator from a pool
+pruned by element order (endomorphisms: image order divides generator
+order; automorphisms: equal order and equal conjugacy-class size), keeps it
+only if it is the smallest in its orbit under the current centraliser, and
+extends the partial table from H_j to H_{j+1}, verifying the homomorphism
+law there: an image that breaks it drops its whole subtree, and an
+automorphism candidate must keep the partial table injective.
 """
 
 from __future__ import annotations
@@ -153,19 +152,16 @@ class Morphism:
 
     # -- basic structure ---------------------------------------------------
 
-    def is_endomorphism(self) -> bool:
-        return self.source is self.target
-
     def _require_endo(self) -> None:
-        if not self.is_endomorphism():
+        if self.source is not self.target:
             raise ValueError("operation requires an endomorphism")
 
     def is_trivial(self) -> bool:
         return all(t == 0 for t in self.table)
 
     def is_automorphism(self) -> bool:
-        return (self.source is self.target
-                and len(set(self.table)) == self.source.order)
+        # A homomorphism of a finite group with a trivial kernel is onto.
+        return self.source is self.target and self.table.count(0) == 1
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """``self`` after ``inner``: x -> self(inner(x))."""
@@ -175,53 +171,11 @@ class Morphism:
         # A composite of verified homomorphisms is one.
         return Morphism(inner.source, self.target, table, _verified=True)
 
-    def power(self, exponent: int) -> "Morphism":
-        self._require_endo()
-        if exponent < 0:
-            raise ValueError("negative powers only via inverse()")
-        result = identity_morphism(self.source)
-        for _ in range(exponent):
-            result = self.compose(result)
-        return result
-
-    def inverse(self) -> "Morphism":
-        if not self.is_automorphism():
-            raise ValueError("only automorphisms can be inverted")
-        inv = [0] * len(self.table)
-        for i, t in enumerate(self.table):
-            inv[t] = i
-        return Morphism(self.target, self.source, inv)
-
-    # -- kernels, images, fixed points ---------------------------------------
-
-    def kernel(self) -> Subgroup:
-        members = [i for i, t in enumerate(self.table) if t == 0]
-        image_size = len(set(self.table))
-        if len(members) * image_size != self.source.order:
-            raise AssertionError("first isomorphism theorem violated")
-        return self.source.subgroup(members)
-
-    def image(self) -> Subgroup:
-        members = sorted(set(self.table))
-        kernel_size = sum(1 for t in self.table if t == 0)
-        if len(members) * kernel_size != self.source.order:
-            raise AssertionError("first isomorphism theorem violated")
-        return self.target.subgroup(members)
-
-    def fixed_subgroup(self) -> Subgroup:
-        self._require_endo()
-        return self.source.subgroup(
-            i for i, t in enumerate(self.table) if t == i
-        )
+    # -- fixed points and classes -------------------------------------------
 
     def fixed_point_count(self) -> int:
         self._require_endo()
         return sum(1 for i, t in enumerate(self.table) if t == i)
-
-    def is_fixed_point_free(self) -> bool:
-        """Fixes no element besides the identity."""
-        self._require_endo()
-        return all(t != i for i, t in enumerate(self.table) if i != 0)
 
     def is_class_preserving(self, classes=None) -> bool:
         """Maps every conjugacy class to itself (checked on representatives)."""
@@ -340,8 +294,8 @@ def _pools(group: FiniteGroup, gens: Sequence[int],
             for g in gens]
 
 
-def _canonical(group: FiniteGroup, stab: Subgroup, pool: Sequence[int],
-               tracker: _Budget) -> list[tuple[int, int]]:
+def _orbit_minima(group: FiniteGroup, stab: Subgroup, pool: Sequence[int],
+                  tracker: _Budget) -> list[tuple[int, int]]:
     """The smallest member of each orbit of ``stab`` acting on ``pool`` by
     conjugation, with the orbit's size.  Pools are unions of conjugacy
     classes, hence of these orbits."""
@@ -351,7 +305,7 @@ def _canonical(group: FiniteGroup, stab: Subgroup, pool: Sequence[int],
     return [(x, sizes[orbit_of[x]]) for x in pool if reps[orbit_of[x]] == x]
 
 
-def _search(group: FiniteGroup, automorphisms: bool, canonical: bool,
+def _search(group: FiniteGroup, automorphisms: bool,
             budget: int | None) -> Iterator[tuple[Morphism, int]]:
     """The one morphism search behind every sweep.
 
@@ -360,14 +314,13 @@ def _search(group: FiniteGroup, automorphisms: bool, canonical: bool,
     image c_j for gens[j] and extends the partial table from H_j to H_{j+1}
     (``_levels``), verifying the homomorphism law there; a conflict drops
     the candidate with its whole subtree.  Each node is charged its number
-    of steps.  With ``canonical``, c_j is kept only if it is the smallest
-    index in its orbit under S_j = C_G(c_0, ..., c_{j-1}) acting by
-    conjugation (S_0 = G), and the weight is multiplied by that orbit's
-    size.  The kept tuples are the lexicographically smallest of their
-    Inn(G)-orbits, one per orbit, and each weight is |G| / |C_G(phi(G))|,
-    the size of phi's Inn(G)-orbit.  Once S_j is central its orbits are
-    single points and the remaining generators range over their whole
-    pools.  Without ``canonical`` every morphism is yielded with weight 1.
+    of steps.  c_j is kept only if it is the smallest index in its orbit
+    under S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation (S_0 = G), and
+    the weight is multiplied by that orbit's size.  The kept tuples are the
+    lexicographically smallest of their Inn(G)-orbits, one per orbit, and
+    each weight is |G| / |C_G(phi(G))|, the size of phi's Inn(G)-orbit.
+    Once S_j is central its orbits are single points and the remaining
+    generators range over their whole pools.
 
     Automorphism candidates must also keep the partial table injective: no
     non-identity element of H_{j+1} may map to the identity.  A
@@ -387,7 +340,7 @@ def _search(group: FiniteGroup, automorphisms: bool, canonical: bool,
     last = len(gens) - 1
     # S_0 = C_G(1) = G; None stands for a central stabiliser.
     top = None
-    if canonical and not group.is_abelian():
+    if not group.is_abelian():
         center_order = group.center().order
         top = group.centralizer(0)
 
@@ -397,7 +350,7 @@ def _search(group: FiniteGroup, automorphisms: bool, canonical: bool,
         if stab is None:
             kept = [(x, 1) for x in pools[depth]]
         else:
-            kept = _canonical(group, stab, pools[depth], tracker)
+            kept = _orbit_minima(group, stab, pools[depth], tracker)
         for cand, size in kept:
             tracker.charge(len(steps))
             images[depth] = group.column(cand)
@@ -431,18 +384,5 @@ def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,
     equal counts over all of End(G) or Aut(G), and the weights sum to |End|
     or |Aut|.
     """
-    return _search(group, automorphisms, True, budget)
+    return _search(group, automorphisms, budget)
 
-
-def enumerate_endomorphisms(group: FiniteGroup, *,
-                            budget: int | None = DEFAULT_PRODUCT_BUDGET
-                            ) -> Iterator[Morphism]:
-    """Every endomorphism exactly once, in deterministic order."""
-    return (phi for phi, _ in _search(group, False, False, budget))
-
-
-def enumerate_automorphisms(group: FiniteGroup, *,
-                            budget: int | None = DEFAULT_PRODUCT_BUDGET
-                            ) -> Iterator[Morphism]:
-    """Every automorphism exactly once, in deterministic order."""
-    return (phi for phi, _ in _search(group, True, False, budget))

@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup
-# enumerate_automorphisms stays importable from here: perfbench's tracer
-# wraps the sweeps under this module's names.
-from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,  # noqa: F401
-                       enumerate_automorphisms, enumerate_endomorphisms,
+from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, inner_automorphism,
                        weighted_sweep)
 from .twisted import induced_class_map, reidemeister_number, reduction_check, twisted_classes
 
@@ -170,22 +167,18 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     blows the product budget the extended fields are reported as skipped
     rather than guessed.  The automorphism sweep is mandatory and budget
     errors there propagate.  Spectra come from one weighted sweep over
-    Inn(G)-orbits; with ``battery`` the endomorphisms are listed once, one
-    by one, and feed both the spectra and the battery.
+    Inn(G)-orbits; ``battery`` adds ``theorem_battery``, which makes its
+    own sweep of the endomorphisms' Inn(G)-orbits.
     """
     classes = group.conjugacy_classes()
     k = classes.count
     annotations: list[str] = []
 
-    tally = endos = extended_map = None
+    tally = extended_map = None
     if extended:
         try:
-            if battery:
-                endos = list(enumerate_endomorphisms(group, budget=budget))
-                pairs = ((phi, 1) for phi in endos)
-            else:
-                pairs = weighted_sweep(group, budget=budget)
-            tally = _tally(pairs, classes, method)
+            tally = _tally(weighted_sweep(group, budget=budget), classes,
+                           method)
             extended_map = _sorted_map(tally[1])
         except BudgetExceeded:
             annotations.append("extended spectrum skipped: budget exceeded")
@@ -221,7 +214,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
 
     battery_checks = None
     if battery:
-        battery_checks = theorem_battery(group, budget=budget, _endos=endos)
+        battery_checks = theorem_battery(group, budget=budget)
 
     return SpectrumReport(
         name=name or group.name or f"order{group.order}",
@@ -241,33 +234,49 @@ def classify(group: FiniteGroup, name: str | None = None, *,
 
 
 def theorem_battery(group: FiniteGroup, *,
-                    budget: int | None = DEFAULT_PRODUCT_BUDGET,
-                    _endos: list[Morphism] | None = None
+                    budget: int | None = DEFAULT_PRODUCT_BUDGET
                     ) -> list[BatteryCheck]:
-    """Run every applicable structural check over the full endomorphism sweep.
+    """Run every applicable structural check over the endomorphisms, one
+    per Inn(G)-orbit.
 
-    Counts are computed by both methods throughout; failures carry the
-    witness morphism's generator images.  Failures are data, not errors.
+    Each check holds for all of phi's orbit at once: R(tau_h . phi) = R(phi),
+    the kernel tower of tau_h . phi is phi's and the map it induces on the
+    quotient differs by an inner automorphism, tau_h . phi is trivial or
+    bijective exactly when phi is, and the parity and k - 1 checks read only
+    R values.  The invariance of R is itself checked under
+    ``orbit-vs-fixed-classes``: for each representative of weight > 1 and
+    each declared generator s, tau_s . phi must have phi's count.  Counts
+    are computed by both methods throughout; a failure carries the first
+    failing representative in sweep order as its witness.  Failures are
+    data, not errors.
     """
     classes = group.conjugacy_classes()
     k = classes.count
-    endos = _endos if _endos is not None else list(
-        enumerate_endomorphisms(group, budget=budget)
-    )
+    inners = [inner_automorphism(group, s) for s in group.generator_indices()]
 
     agree_fail = orbstab_fail = reduction_fail = parity_fail = None
     first_by_value: dict[int, Morphism] = {}
     first_auto_by_value: dict[int, Morphism] = {}
     non_dichotomy = None
 
-    for phi in endos:
+    for phi, weight in weighted_sweep(group, budget=budget):
         partition = twisted_classes(phi)
         orbit_count = partition.count
         fixed_count = induced_class_map(phi, classes).fixed_count
-        if orbit_count != fixed_count and agree_fail is None:
-            agree_fail = _witness(
-                phi, f"orbits {orbit_count} != fixed classes {fixed_count}"
-            )
+        if agree_fail is None:
+            if orbit_count != fixed_count:
+                agree_fail = _witness(
+                    phi, f"orbits {orbit_count} != fixed classes {fixed_count}"
+                )
+            elif weight > 1:
+                for tau in inners:
+                    moved = twisted_classes(tau.compose(phi)).count
+                    if moved != fixed_count:
+                        agree_fail = _witness(
+                            phi, f"orbits {moved} of an inner twist != fixed "
+                                 f"classes {fixed_count}"
+                        )
+                        break
         value = orbit_count
         first_by_value.setdefault(value, phi)
         if phi.is_automorphism():

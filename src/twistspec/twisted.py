@@ -48,9 +48,6 @@ class ClassMap:
     def fixed_count(self) -> int:
         return sum(1 for c, image in enumerate(self.mapping) if image == c)
 
-    def fixed_classes(self) -> list[int]:
-        return [c for c, image in enumerate(self.mapping) if image == c]
-
 
 def twisted_classes(phi: Morphism) -> TwistedPartition:
     """Orbits of h . g = h g phi(h)^-1, numbered by smallest member index.

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from twistspec import enumerate_endomorphisms
+import oracles
 from twistspec.catalog import build, shipped_catalog
 
 
@@ -27,7 +27,7 @@ class EndoCache:
 
     def __call__(self, name):
         if name not in self._cache:
-            self._cache[name] = list(enumerate_endomorphisms(self._groups[name]))
+            self._cache[name] = oracles.morphisms(self._groups[name])
         return self._cache[name]
 
 

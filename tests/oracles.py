@@ -1,14 +1,22 @@
-"""Slow reference definitions for the group layer, all quadratic in |G|.
+"""Slow reference definitions for the group and morphism layers.
 
-Every answer here is computed from a product table built by composing
-permutations (``idx[p * q]``), so none of it shares code with the
-generator-action algorithms in ``twistspec``.  The suites compare the fast
-paths with these on small groups.
+The group answers, all quadratic in |G|, are computed from a product table
+built by composing permutations (``idx[p * q]``), so none of it shares code
+with the generator-action algorithms in ``twistspec``.  ``every_morphism``
+lists every endomorphism by expanding the weighted sweep's representatives
+into their Inn(G)-orbits, and ``battery_over`` runs the theorem battery over
+such a list one morphism at a time.  The suites compare the fast paths with
+these on small groups.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from twistspec.morphism import Morphism, weighted_sweep
+from twistspec.spectra import BatteryCheck, _witness
+from twistspec.twisted import (induced_class_map, reduction_check,
+                               twisted_classes as twisted_partition)
 
 
 def product_table(group):
@@ -214,3 +222,90 @@ def iterated_kernel(phi):
         if grown == kernel:
             return kernel
         kernel = grown
+
+
+def every_morphism(group, automorphisms=False):
+    """Every endomorphism (automorphism) table of ``group``, sorted.
+
+    Each representative of ``weighted_sweep`` is expanded into its
+    Inn(G)-orbit, the tables ``[conj_h[t] for t in phi.table]``: the
+    closure of ``phi`` under conjugation by the declared generators,
+    computed from permutation products.  Asserts that each orbit's size is
+    the representative's weight and that no two orbits meet.
+    """
+    idx = group.index_of
+    conj = [[idx(s * x * s.inverse()) for x in group.elements]
+            for s in group.generators]
+    found = set()
+    for phi, weight in weighted_sweep(group, automorphisms=automorphisms):
+        orbit = [phi.table]
+        seen = {phi.table}
+        for table in orbit:
+            for c in conj:
+                image = tuple(c[t] for t in table)
+                if image not in seen:
+                    seen.add(image)
+                    orbit.append(image)
+        assert len(orbit) == weight, (phi, weight, len(orbit))
+        assert found.isdisjoint(seen), "two representatives share an orbit"
+        found |= seen
+    return sorted(found)
+
+
+def morphisms(group, automorphisms=False):
+    """``every_morphism`` as Morphism objects, each verified on construction."""
+    return [Morphism(group, group, table)
+            for table in every_morphism(group, automorphisms)]
+
+
+def battery_over(group, endos):
+    """The theorem battery run over ``endos`` one morphism at a time, with
+    the first failing morphism in list order as each witness."""
+    classes = group.conjugacy_classes()
+    k = classes.count
+    agree_fail = orbstab_fail = reduction_fail = parity_fail = None
+    first_by_value = {}
+    first_auto_by_value = {}
+    non_dichotomy = None
+    for phi in endos:
+        partition = twisted_partition(phi)
+        value = partition.count
+        fixed_count = induced_class_map(phi, classes).fixed_count
+        if value != fixed_count and agree_fail is None:
+            agree_fail = _witness(
+                phi, f"orbits {value} != fixed classes {fixed_count}")
+        first_by_value.setdefault(value, phi)
+        if phi.is_automorphism():
+            first_auto_by_value.setdefault(value, phi)
+        if (partition.identity_class_size() * phi.fixed_point_count()
+                != group.order) and orbstab_fail is None:
+            orbstab_fail = _witness(phi, "orbit-stabiliser")
+        if not reduction_check(phi) and reduction_fail is None:
+            reduction_fail = _witness(phi, "reduction")
+        if group.order % 2 == 1 and value % 2 == 0 and parity_fail is None:
+            parity_fail = _witness(phi, f"even count {value}")
+        if not (phi.is_trivial() or phi.is_automorphism()):
+            non_dichotomy = non_dichotomy or phi
+
+    def check(name, witness):
+        return BatteryCheck(name, witness is None, witness)
+
+    def hit(first, note):
+        return _witness(first[k - 1], note) if k - 1 in first else None
+
+    checks = [check("orbit-vs-fixed-classes", agree_fail),
+              check("orbit-stabiliser-identity", orbstab_fail),
+              check("reduction-to-injective", reduction_fail)]
+    if group.order % 2 == 1:
+        checks.append(check("odd-order-parity", parity_fail))
+    checks.append(check("spectrum-excludes-k-minus-1",
+                        hit(first_auto_by_value, "automorphism")))
+    if group.order > 2 and (group.is_nilpotent() or group.is_quasisimple()):
+        checks.append(check("extended-excludes-k-minus-1",
+                            hit(first_by_value, "endomorphism")))
+    if group.is_quasisimple():
+        checks.append(check(
+            "quasisimple-dichotomy",
+            None if non_dichotomy is None
+            else _witness(non_dichotomy, "neither trivial nor bijective")))
+    return checks

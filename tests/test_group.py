@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 import oracles
 
 from twistspec.errors import OrderCapExceeded
-from twistspec.group import closure
+from twistspec.group import FiniteGroup, closure
 from twistspec.perm import Permutation
 from twistspec.catalog import (abelian, alternating, build, cyclic,
-                               metacyclic, quaternion_dicyclic, symmetric)
+                               metacyclic, quaternion_dicyclic, sl2,
+                               symmetric)
 
 
 def S3():
@@ -86,7 +87,8 @@ def test_classes_match_brute_force():
         group = build(defn)
         partition = group.conjugacy_classes()
         mine = {
-            frozenset(partition.members(c)) for c in range(partition.count)
+            frozenset(i for i, c in enumerate(partition.class_of) if c == k)
+            for k in range(partition.count)
         }
         assert mine == brute_classes(group)
 
@@ -99,7 +101,7 @@ def test_class_invariants_across_catalog(catalog_groups):
         assert partition.class_of[0] == 0 and partition.sizes[0] == 1
         # canonical numbering: representative is the smallest member
         for c, rep in enumerate(partition.representatives):
-            assert min(partition.members(c)) == rep
+            assert partition.class_of.index(c) == rep
 
 
 def test_odd_order_groups_separate_inverse_classes(catalog_groups):
@@ -172,12 +174,33 @@ def test_structural_predicates():
     assert build(abelian(2, 6)).is_abelian()
 
 
+def test_quasisimple_with_trivial_center_builds_no_quotient(monkeypatch):
+    quotients = []
+    quotient = FiniteGroup.quotient
+
+    def spied(self, sub):
+        quotients.append(sub.order)
+        return quotient(self, sub)
+
+    monkeypatch.setattr(FiniteGroup, "quotient", spied)
+    a7 = build(alternating(7))
+    assert a7.center().order == 1
+    assert a7.is_quasisimple()
+    assert quotients == []
+    # SL(2,5) has a centre of order 2: it is quasisimple through
+    # SL(2,5)/Z = A5.
+    sl25 = build(sl2(5))
+    assert sl25.is_quasisimple()
+    assert quotients == [2]
+
+
 def test_quotient_examples():
     s3 = S3()
     a3 = s3.derived_subgroup()
     quotient, projection = s3.quotient(a3)
     assert quotient.order == 2
-    assert projection.kernel().indices == a3.indices
+    kernel = tuple(x for x, t in enumerate(projection.table) if t == 0)
+    assert kernel == a3.indices
     z4 = build(cyclic(4))
     two = z4.subgroup([0, z4.power(1, 2)])
     assert z4.quotient(two)[0].order == 2

@@ -1,12 +1,17 @@
+from types import SimpleNamespace
+
 import pytest
 
+import oracles
+import twistspec.spectra as spectra_mod
+from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
-from twistspec.morphism import enumerate_automorphisms
-from twistspec.spectra import (classify, extended_spectrum, spectrum,
-                               theorem_battery)
+from twistspec.morphism import weighted_sweep
+from twistspec.spectra import (_witness, classify, extended_spectrum,
+                               spectrum, theorem_battery)
 from twistspec.twisted import reidemeister_number
 from twistspec.catalog import (abelian, alternating, build, cyclic,
-                               holomorph_cyclic, m9, sl2, symmetric)
+                               holomorph_cyclic, m9, save, sl2, symmetric)
 
 
 def test_spectrum_examples():
@@ -92,7 +97,8 @@ def test_multiplicity_of_k_is_class_preserving_count(small_groups, endos_of):
 def test_multiplicity_of_one_counts_fixed_point_free(small_groups, endos_of):
     for name, group in small_groups.items():
         report = classify(group, name=name)
-        fpf = sum(1 for phi in endos_of(name) if phi.is_fixed_point_free())
+        fpf = sum(1 for phi in endos_of(name)
+                  if phi.fixed_point_count() == 1)
         assert report.extended_spectrum.get(1, 0) == fpf, name
 
 
@@ -164,12 +170,12 @@ def test_report_json_shape():
 
 # -- theorem battery ---------------------------------------------------------------
 
-def battery_map(group, endos=None):
-    return {chk.name: chk for chk in theorem_battery(group, _endos=endos)}
+def battery_map(group):
+    return {chk.name: chk for chk in theorem_battery(group)}
 
 
-def test_battery_q8_excludes_k_minus_1(endos_of, catalog_groups):
-    checks = battery_map(catalog_groups["Q8"], endos_of("Q8"))
+def test_battery_q8_excludes_k_minus_1(catalog_groups):
+    checks = battery_map(catalog_groups["Q8"])
     assert checks["extended-excludes-k-minus-1"].passed
     report = classify(catalog_groups["Q8"])
     assert report.class_number == 5
@@ -177,14 +183,14 @@ def test_battery_q8_excludes_k_minus_1(endos_of, catalog_groups):
 
 
 def test_battery_odd_parity(endos_of, catalog_groups):
-    checks = battery_map(catalog_groups["F21"], endos_of("F21"))
+    checks = battery_map(catalog_groups["F21"])
     assert checks["odd-order-parity"].passed
     values = {reidemeister_number(phi) for phi in endos_of("F21")}
     assert all(v % 2 == 1 for v in values)
 
 
-def test_battery_quasisimple_dichotomy(endos_of, catalog_groups):
-    checks = battery_map(catalog_groups["SL(2,5)"], endos_of("SL(2,5)"))
+def test_battery_quasisimple_dichotomy(catalog_groups):
+    checks = battery_map(catalog_groups["SL(2,5)"])
     assert checks["quasisimple-dichotomy"].passed
 
 
@@ -193,28 +199,62 @@ def test_battery_trivial_group_vacuous(catalog_groups):
     assert all(chk.passed for chk in checks.values())
 
 
-def test_battery_applicability(catalog_groups, endos_of):
-    checks = battery_map(catalog_groups["S3"], endos_of("S3"))
+def test_battery_applicability(catalog_groups):
+    checks = battery_map(catalog_groups["S3"])
     assert "odd-order-parity" not in checks        # even order
     assert "extended-excludes-k-minus-1" not in checks
     assert "quasisimple-dichotomy" not in checks
-    checks = battery_map(catalog_groups["Z27"], endos_of("Z27"))
+    checks = battery_map(catalog_groups["Z27"])
     assert "odd-order-parity" in checks
     assert "extended-excludes-k-minus-1" in checks  # nilpotent
 
 
-def test_battery_all_pass_across_catalog(catalog_groups, endos_of):
+def test_battery_all_pass_across_catalog(catalog_groups):
     for name, group in catalog_groups.items():
         if group.order > 24:
             continue
-        for chk in theorem_battery(group, _endos=endos_of(name)):
+        for chk in theorem_battery(group):
             assert chk.passed, (name, chk.name, chk.witness)
+
+
+def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
+                                                 capsys):
+    """A count that is wrong only off the representatives, on some
+    tau_s . phi, fails ``orbit-vs-fixed-classes`` with phi as witness."""
+    group = build(symmetric(3))
+    sweep = list(weighted_sweep(group))
+    representatives = {phi.table for phi, _ in sweep}
+    honest = spectra_mod.twisted_classes
+
+    def corrupted(phi):
+        partition = honest(phi)
+        if phi.table in representatives:
+            return partition
+        return SimpleNamespace(count=partition.count + 1)
+
+    monkeypatch.setattr(spectra_mod, "twisted_classes", corrupted)
+    # The first representative of weight > 1 in sweep order; its orbit is
+    # not a point, so some declared generator moves it.
+    first = next(phi for phi, weight in sweep if weight > 1)
+    checks = battery_map(group)
+    failed = [name for name, chk in checks.items() if not chk.passed]
+    assert failed == ["orbit-vs-fixed-classes"]
+    witness = checks["orbit-vs-fixed-classes"].witness
+    expected = _witness(first, "")
+    assert (witness["generator_images"], witness["generator_cycles"]) == (
+        expected["generator_images"], expected["generator_cycles"])
+    path = tmp_path / "s3.json"
+    save(symmetric(3), path)
+    assert main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  S3  orbit-vs-fixed-classes  witness=" in out
 
 
 def test_spectrum_multiset_stable_under_enumeration_order(catalog_groups):
     group = catalog_groups["D4"]
     values = sorted(
-        reidemeister_number(phi) for phi in enumerate_automorphisms(group)
+        reidemeister_number(phi)
+        for phi in oracles.morphisms(group, automorphisms=True)
     )
     report = classify(group)
     flattened = sorted(

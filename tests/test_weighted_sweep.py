@@ -1,10 +1,12 @@
 """The weighted sweep over Inn(G)-orbits against the full enumerations.
 
 R(tau_h . phi) = R(phi), so one morphism per Inn(G)-orbit, weighted by the
-orbit's size, gives the same multisets as sweeping every morphism.  Checked
-on every catalog group, on A6 and S6, and on A5 given by a redundant
-generating set of three search generators, where the centraliser chain
-goes three levels deep.
+orbit's size, gives the same multisets as sweeping every morphism, and the
+theorem battery gives the same verdicts.  The full enumerations expand each
+representative into its orbit (``oracles.every_morphism``).  Checked on
+every catalog group (Hol(Z15) among them), on A6 and S6, and on A5 given by
+a redundant generating set of three search generators, where the
+centraliser chain goes three levels deep.
 """
 
 import json
@@ -12,17 +14,17 @@ from collections import Counter
 
 import pytest
 
+import oracles
 import twistspec.morphism as morphism_mod
 from twistspec.catalog import (GroupDefinition, alternating, build,
                                holomorph_cyclic, save, shipped_catalog,
                                symmetric)
 from twistspec.cli import main
 from twistspec.group import FiniteGroup
-from twistspec.morphism import (enumerate_automorphisms,
-                                enumerate_endomorphisms, inner_automorphism,
-                                weighted_sweep)
+from twistspec.morphism import inner_automorphism, weighted_sweep
 from twistspec.perm import Permutation
-from twistspec.spectra import classify, extended_spectrum, spectrum
+from twistspec.spectra import (classify, extended_spectrum, spectrum,
+                               theorem_battery)
 from twistspec.twisted import reidemeister_number
 
 
@@ -36,7 +38,11 @@ def _redundant_a5():
                            defn.expected)
 
 
+# Hol(Z15) is in the catalog.
 CASES = [*shipped_catalog(), alternating(6), symmetric(6), _redundant_a5()]
+
+# (|Aut|, |End|), known independently of the search.
+KNOWN_COUNTS = {"A6": (1440, 1441), "S6": (1440, 1516)}
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda defn: defn.name)
@@ -47,8 +53,8 @@ def case(request):
     return {
         "group": group,
         "classes": classes,
-        "endos": list(enumerate_endomorphisms(group)),
-        "autos": list(enumerate_automorphisms(group)),
+        "endos": oracles.morphisms(group),
+        "autos": oracles.morphisms(group, automorphisms=True),
         "end_sweep": list(weighted_sweep(group)),
         "aut_sweep": list(weighted_sweep(group, automorphisms=True)),
     }
@@ -78,6 +84,9 @@ def test_extended_spectrum_and_end_count(case):
     assert (_weighted(case["end_sweep"], classes)
             == _oracle(case["endos"], classes))
     assert sum(w for _, w in case["end_sweep"]) == len(case["endos"])
+    if case["group"].name in KNOWN_COUNTS:
+        assert ((len(case["autos"]), len(case["endos"]))
+                == KNOWN_COUNTS[case["group"].name])
 
 
 def test_spectrum_aut_count_and_class_preserving(case):
@@ -109,6 +118,17 @@ def test_classify_and_spectra_are_views_of_the_sweep(case):
     assert skipped.class_preserving_aut_count == preserving
 
 
+def test_battery_over_representatives_matches_every_morphism(case):
+    """Same checks, same verdicts, and a witness exactly where the battery
+    over every endomorphism has one."""
+    group = case["group"]
+    want = [(chk.name, chk.passed, chk.witness is None)
+            for chk in oracles.battery_over(group, case["endos"])]
+    got = [(chk.name, chk.passed, chk.witness is None)
+           for chk in theorem_battery(group)]
+    assert got == want
+
+
 SMALL = [defn for defn in shipped_catalog() if defn.expected["order"] <= 24]
 
 
@@ -122,7 +142,7 @@ def test_weights_are_inner_orbit_sizes(defn):
         assert weight == len(orbit)
         assert seen.isdisjoint(orbit), "two representatives share an orbit"
         seen |= orbit
-    assert len(seen) == sum(1 for _ in enumerate_endomorphisms(group))
+    assert len(seen) == len(oracles.every_morphism(group))
 
 
 def test_chain_goes_three_levels_deep(monkeypatch):
