@@ -1,6 +1,5 @@
 """Finite permutation groups: breadth-first materialization, conjugacy
-classes, and the subgroup/quotient machinery behind the classification
-pipeline.
+classes, and the subgroup machinery behind the classification pipeline.
 
 Elements are numbered by breadth-first discovery from the identity with
 generators applied in list order, so every downstream numbering (classes,
@@ -13,8 +12,10 @@ generator on element indices (``x -> index(x * s)``) and the Schreier tree
 is a read of a right-multiplication column ``x -> index(x * y)``, built from
 the tree in O(|G|) the first time ``y`` is used and cached.  Structural
 computations (conjugacy classes, centers, normal closures, the derived and
-lower central series, cosets, quotients) are orbits under the columns of a
-few generators: O(|G| * |gens|) list reads instead of all-pairs products.
+lower central series) are orbits under the columns of a few generators:
+O(|G| * |gens|) list reads instead of all-pairs products.  No quotient group
+is built: a question about G/N (is it simple?) is answered by orbits in G
+that take in N's generators.
 See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
 ch. 4.
 """
@@ -103,7 +104,6 @@ class FiniteGroup:
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
         self._small_gens: tuple[int, ...] | None = None
-        self._quotients: dict[tuple[int, ...], tuple] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -386,25 +386,28 @@ class FiniteGroup:
     def is_perfect(self) -> bool:
         return self.derived_subgroup().order == self.order
 
+    def _is_simple_modulo(self, sub: Subgroup) -> bool:
+        """G/N is simple, for a normal subgroup N, decided inside G.
+
+        The normal subgroups of G/N are the images of the normal subgroups
+        of G that contain N, so G/N is simple iff N != G and every class
+        representative x outside N has N and x normally generating G.
+        """
+        flags = sub.member_flags
+        return sub.order < self.order and all(
+            len(self._normal_closure([x, *sub.generators])[0]) == self.order
+            for x in self.conjugacy_classes().representatives if not flags[x])
+
     def is_simple(self) -> bool:
         """True iff |G| > 1 and every nontrivial element normally generates G.
 
         The trivial group is not simple; prime-order groups are.
         """
-        if self.order == 1:
-            return False
-        return all(len(self._normal_closure([rep])[0]) == self.order
-                   for rep in self.conjugacy_classes().representatives[1:])
+        return self._is_simple_modulo(self.trivial_subgroup())
 
     def is_quasisimple(self) -> bool:
-        """Perfect, with G/Z(G) simple; no quotient when Z(G) = 1."""
-        if not self.is_perfect():
-            return False
-        center = self.center()
-        if center.is_trivial():
-            return self.is_simple()
-        quotient_group, _ = self.quotient(center)
-        return quotient_group.is_simple()
+        """Perfect, with G/Z(G) simple."""
+        return self.is_perfect() and self._is_simple_modulo(self.center())
 
     def is_nilpotent(self) -> bool:
         """The lower central series reaches the trivial subgroup.
@@ -421,63 +424,6 @@ class FiniteGroup:
                 return False
             size = len(members)
         return True
-
-    # -- quotients ----------------------------------------------------------
-
-    def left_cosets(self, sub: Subgroup) -> tuple[list[int], list[int]]:
-        """(coset_of, representatives); reps are smallest member indices.
-
-        The left cosets are the orbits of right multiplication by the
-        subgroup's generators.
-        """
-        coset_of, reps, _ = orbits(
-            self.order, [self.column(h) for h in sub.generators])
-        return coset_of, reps
-
-    def quotient(self, sub: Subgroup):
-        """Quotient by a normal subgroup, realized on its left cosets.
-
-        Returns ``(quotient_group, projection)`` where the projection is a
-        verified surjective Morphism with kernel ``sub``.  Built once per
-        kernel and cached.
-        """
-        if sub.parent is not self:
-            raise ValueError("subgroup belongs to a different group")
-        key = sub.indices
-        cached = self._quotients.get(key)
-        if cached is None:
-            with self._lock:
-                cached = self._quotients.get(key)
-                if cached is None:
-                    cached = self._quotients[key] = self._build_quotient(sub)
-        return cached
-
-    def _build_quotient(self, sub: Subgroup):
-        from .morphism import Morphism  # deferred: morphism depends on group
-
-        if not self.is_normal(sub):
-            raise ValueError("subgroup is not normal")
-        coset_of, reps = self.left_cosets(sub)
-        gen_perms = []
-        for g in self.generator_indices():
-            row = self.row(g)
-            gen_perms.append(Permutation(coset_of[row[r]] for r in reps))
-        label = f"{self.name}/N{sub.order}" if self.name else None
-        quotient_group = closure(len(reps), gen_perms, name=label,
-                                 order_cap=self.order)
-        if quotient_group.order * sub.order != self.order:
-            raise AssertionError("coset action has the wrong order")
-        # Along the Schreier tree: x = parent(x) * s projects to
-        # proj(parent(x)) * (the coset permutation of s).
-        image_column = {id(column): image for column, image
-                        in zip(self._right, quotient_group._right)}
-        proj_table = [0]
-        for parent, column in self._tree:
-            proj_table.append(image_column[id(column)][proj_table[parent]])
-        projection = Morphism(self, quotient_group, proj_table)
-        if tuple(i for i, t in enumerate(proj_table) if t == 0) != sub.indices:
-            raise AssertionError("projection kernel differs from the subgroup")
-        return quotient_group, projection
 
     # -- generating sets for morphism search ---------------------------------
 

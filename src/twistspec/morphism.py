@@ -194,8 +194,9 @@ class Morphism:
         The kernels form an ascending chain, and ker phi^m = ker phi^(2m)
         means it has stabilized (ker phi^(m+1) lies between them), so the
         table is squared until its count of zeros stops growing.  The result
-        is verified phi-invariant and normal; the induced map on the
-        quotient is injective.
+        N is verified phi-invariant and normal.  The map phi induces on G/N
+        is injective (``twisted.reduction_check`` asserts it), since
+        phi(x) in N puts x in the kernel of a power of phi.
         """
         self._require_endo()
         if self.is_automorphism():
@@ -215,26 +216,6 @@ class Morphism:
         if not self.source.is_normal(sub):
             raise AssertionError("stabilized kernel union is not normal")
         return sub
-
-    def induced_on_quotient(self, sub: Subgroup) -> "Morphism":
-        """The induced endomorphism on source/sub.
-
-        ``sub`` must be normal and invariant under the endomorphism.
-        """
-        self._require_endo()
-        if not all(sub.member_flags[self.table[x]] for x in sub.indices):
-            raise ValueError("subgroup is not invariant under the morphism")
-        quotient_group, projection = self.source.quotient(sub)
-        reps = [-1] * quotient_group.order
-        for e in range(self.source.order):
-            c = projection.table[e]
-            if reps[c] < 0:
-                reps[c] = e
-        induced = [projection.table[self.table[r]] for r in reps]
-        for e in range(self.source.order):
-            if induced[projection.table[e]] != projection.table[self.table[e]]:
-                raise AssertionError("induced map is not well defined")
-        return Morphism(quotient_group, quotient_group, induced, _verified=True)
 
 
 def identity_morphism(group: FiniteGroup) -> Morphism:

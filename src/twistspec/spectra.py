@@ -240,15 +240,18 @@ def theorem_battery(group: FiniteGroup, *,
     per Inn(G)-orbit.
 
     Each check holds for all of phi's orbit at once: R(tau_h . phi) = R(phi),
-    the kernel tower of tau_h . phi is phi's and the map it induces on the
-    quotient differs by an inner automorphism, tau_h . phi is trivial or
+    the kernel tower N of tau_h . phi is phi's and the map it induces on
+    G/N differs by an inner automorphism, tau_h . phi is trivial or
     bijective exactly when phi is, and the parity and k - 1 checks read only
     R values.  The invariance of R is itself checked under
     ``orbit-vs-fixed-classes``: for each representative of weight > 1 and
     each declared generator s, tau_s . phi must have phi's count.  Counts
-    are computed by both methods throughout; a failure carries the first
-    failing representative in sweep order as its witness.  Failures are
-    data, not errors.
+    are computed by both methods throughout.  ``reduction-to-injective``
+    compares the fixed-class count with the orbits on G of the twisted maps
+    and N's generators, which number R of the induced map on G/N
+    (``reduction_check``); no quotient group is built.  A failure carries
+    the first failing representative in sweep order as its witness.
+    Failures are data, not errors.
     """
     classes = group.conjugacy_classes()
     k = classes.count
@@ -285,7 +288,7 @@ def theorem_battery(group: FiniteGroup, *,
                 != group.order) and orbstab_fail is None:
             orbstab_fail = _witness(phi, "identity class size times fixed "
                                          "subgroup order misses the order")
-        if not reduction_check(phi) and reduction_fail is None:
+        if not reduction_check(phi, fixed_count) and reduction_fail is None:
             reduction_fail = _witness(phi, "count changed on the injective "
                                            "quotient")
         if group.order % 2 == 1 and value % 2 == 0 and parity_fail is None:

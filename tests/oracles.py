@@ -1,21 +1,27 @@
 """Slow reference definitions for the group and morphism layers.
 
 The group answers, all quadratic in |G|, are computed from a product table
-built by composing permutations (``idx[p * q]``), so none of it shares code
-with the generator-action algorithms in ``twistspec``.  ``every_morphism``
+built by composing permutations (``idx[p * q]``), and the cosets from such
+products taken one at a time, so none of it shares code with the
+generator-action algorithms in ``twistspec``.  ``every_morphism``
 lists every endomorphism by expanding the weighted sweep's representatives
 into their Inn(G)-orbits, and ``battery_over`` runs the theorem battery over
-such a list one morphism at a time.  The suites compare the fast paths with
-these on small groups.
+such a list one morphism at a time.  ``quotient`` builds G/N as a
+permutation group on the left cosets of N, which ``twistspec`` itself never
+does, and ``induced_on_quotient`` the map an endomorphism induces there.
+The suites compare the fast paths with these on small groups.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
+from twistspec.group import closure as materialize
 from twistspec.morphism import Morphism, weighted_sweep
+from twistspec.perm import Permutation
 from twistspec.spectra import BatteryCheck, _witness
-from twistspec.twisted import (induced_class_map, reduction_check,
+from twistspec.twisted import (induced_class_map, reidemeister_number,
                                twisted_classes as twisted_partition)
 
 
@@ -111,25 +117,84 @@ def twisted_classes(table, phi):
     return class_of, reps, sizes
 
 
-def left_cosets(table, members):
+def left_cosets(group, members):
     """(coset_of, representatives): ``e`` starts a coset ``{e x : x in H}``
-    unless an earlier one holds it."""
-    n = len(table)
-    coset_of = [-1] * n
+    unless an earlier one holds it.  Products are composed permutations."""
+    elements, idx = group.elements, group.index_of
+    coset_of = [-1] * group.order
     reps = []
-    for e in range(n):
+    for e, p in enumerate(elements):
         if coset_of[e] < 0:
             reps.append(e)
             for x in members:
-                coset_of[table[e][x]] = len(reps) - 1
+                coset_of[idx(p * elements[x])] = len(reps) - 1
     return coset_of, reps
 
 
-def coset_permutations(table, members):
+def coset_permutations(group, members):
     """Each element's action on the left cosets of a normal subgroup:
     ``perm[e][i]`` is the coset of ``e * reps[i]``."""
-    coset_of, reps = left_cosets(table, members)
-    return [tuple(coset_of[row[r]] for r in reps) for row in table]
+    elements, idx = group.elements, group.index_of
+    coset_of, reps = left_cosets(group, members)
+    return [Permutation(coset_of[idx(p * elements[r])] for r in reps)
+            for p in elements]
+
+
+@functools.cache
+def _quotient(group, members):
+    elements, idx = group.elements, group.index_of
+    inside = set(members)
+    # Closed under conjugation by each generator of G, hence by G.
+    if any(idx(g * elements[h] * g.inverse()) not in inside
+           for g in group.generators for h in members):
+        raise ValueError("subgroup is not normal")
+    perms = coset_permutations(group, members)
+    quotient_group = materialize(
+        perms[0].degree, [perms[g] for g in group.generator_indices()],
+        order_cap=group.order)
+    projection = tuple(quotient_group.index_of(p) for p in perms)
+    assert quotient_group.order * len(members) == group.order
+    assert [x for x, t in enumerate(projection) if t == 0] == list(members)
+    return quotient_group, projection
+
+
+def quotient(group, sub):
+    """``(quotient_group, projection)`` for a normal subgroup ``sub``: G/N
+    as the permutation group of G acting on the left cosets of N, and
+    ``projection[e]`` the index there of ``e``'s coset permutation.  Raises
+    ValueError when ``sub`` is not normal.  Built once per kernel, from
+    O(|G| * [G:N]) permutation products."""
+    return _quotient(group, tuple(sub.indices))
+
+
+def induced_on_quotient(phi, sub):
+    """The endomorphism ``phi`` induces on G/N, for a normal ``sub`` with
+    phi(N) in N, verified as a homomorphism on construction.  Raises
+    ValueError when ``sub`` is not invariant under ``phi``."""
+    if any(phi.table[x] not in sub for x in sub.indices):
+        raise ValueError("subgroup is not invariant under the morphism")
+    quotient_group, projection = quotient(phi.source, sub)
+    induced = [-1] * quotient_group.order
+    for e, c in enumerate(projection):
+        t = projection[phi.table[e]]
+        if induced[c] < 0:
+            induced[c] = t
+        assert induced[c] == t, "induced map is not well defined"
+    return Morphism(quotient_group, quotient_group, induced)
+
+
+def quotient_is_simple(group, sub):
+    """G/N is simple, read from the product table of ``quotient``."""
+    table = product_table(quotient(group, sub)[0])
+    return is_simple(table, conjugacy_classes(table))
+
+
+def reduced_count(phi, method="fixed-classes"):
+    """R of the map ``phi`` induces on G/N, N the union of the kernels of
+    the powers of ``phi`` (found one power at a time)."""
+    group = phi.source
+    sub = group.subgroup(iterated_kernel(phi.table))
+    return reidemeister_number(induced_on_quotient(phi, sub), method)
 
 
 def inner_automorphism(table, c):
@@ -280,7 +345,9 @@ def battery_over(group, endos):
         if (partition.identity_class_size() * phi.fixed_point_count()
                 != group.order) and orbstab_fail is None:
             orbstab_fail = _witness(phi, "orbit-stabiliser")
-        if not reduction_check(phi) and reduction_fail is None:
+        # An injective phi is its own reduction.
+        if (not phi.is_automorphism() and reduced_count(phi) != value
+                and reduction_fail is None):
             reduction_fail = _witness(phi, "reduction")
         if group.order % 2 == 1 and value % 2 == 0 and parity_fail is None:
             parity_fail = _witness(phi, f"even count {value}")

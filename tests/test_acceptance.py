@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import oracles
 from twistspec.catalog import write_catalog
 from twistspec.cli import main
 from twistspec.spectra import classify
@@ -91,7 +92,9 @@ def test_criterion_4_reduction_identity(small_groups, endos_of):
     checked = 0
     for name in small_groups:
         for phi in endos_of(name):
-            assert reduction_check(phi), name
+            count = reidemeister_number(phi)
+            assert reduction_check(phi, count), name
+            assert oracles.reduced_count(phi) == count, name
             checked += 1
     _report("4", True, f"reduction to the injective quotient preserves the "
                        f"count for {checked} endomorphisms", t0)

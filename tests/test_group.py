@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 import oracles
 
 from twistspec.errors import OrderCapExceeded
-from twistspec.group import FiniteGroup, closure
+from twistspec.group import closure
 from twistspec.perm import Permutation
-from twistspec.catalog import (abelian, alternating, build, cyclic,
-                               metacyclic, quaternion_dicyclic, sl2,
-                               symmetric)
+from twistspec.catalog import (GroupDefinition, abelian, alternating, build,
+                               cyclic, direct_product, metacyclic,
+                               quaternion_dicyclic, sl2, symmetric)
+from twistspec.spectra import structure_flags
 
 
 def S3():
@@ -175,64 +176,92 @@ def test_structural_predicates():
 
 
 def test_quasisimple_with_trivial_center_builds_no_quotient(monkeypatch):
-    quotients = []
-    quotient = FiniteGroup.quotient
+    # No group is materialized for G/Z(G), whatever the centre.
+    import twistspec.group as group_mod
 
-    def spied(self, sub):
-        quotients.append(sub.order)
-        return quotient(self, sub)
-
-    monkeypatch.setattr(FiniteGroup, "quotient", spied)
     a7 = build(alternating(7))
+    sl25 = build(sl2(5))
+    built = []
+    monkeypatch.setattr(group_mod, "closure",
+                        lambda *args, **kwargs: built.append(args))
     assert a7.center().order == 1
     assert a7.is_quasisimple()
-    assert quotients == []
-    # SL(2,5) has a centre of order 2: it is quasisimple through
-    # SL(2,5)/Z = A5.
-    sl25 = build(sl2(5))
+    # SL(2,5) has a centre of order 2 and SL(2,5)/Z = A5.
+    assert sl25.center().order == 2
     assert sl25.is_quasisimple()
-    assert quotients == [2]
+    assert built == []
+
+
+def _sl2_7():
+    """SL(2,7) on the 48 nonzero vectors of F_7^2: order 336, k = 11."""
+    p = 7
+    points = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
+    index = {v: i for i, v in enumerate(points)}
+
+    def row(a, b, c, d):
+        return [index[((a * x + b * y) % p, (c * x + d * y) % p)] + 1
+                for (x, y) in points]
+
+    return GroupDefinition("SL(2,7)", len(points),
+                           [row(0, -1, 1, 0), row(1, 1, 0, 1)],
+                           {"order": 336, "class_number": 11})
+
+
+def test_perfect_central_extension_of_a_non_simple_group(monkeypatch):
+    # SL(2,5)xA5 is perfect with Z of order 2, and G/Z = A5xA5 is not
+    # simple; no group is materialized on the way.
+    import twistspec.group as group_mod
+
+    group = build(direct_product(sl2(5), alternating(5)))
+    assert group.order == 7200
+    built = []
+    closure_of = group_mod.closure
+    monkeypatch.setattr(group_mod, "closure", lambda *args, **kwargs:
+                        built.append(args) or closure_of(*args, **kwargs))
+    flags = structure_flags(group)
+    assert built == []
+    assert group.center().order == 2
+    assert flags == {"abelian": False, "nilpotent": False, "perfect": True,
+                     "simple": False, "quasisimple": False}
+
+
+def test_sl27_is_quasisimple_and_a5xa5_is_not():
+    sl27 = build(_sl2_7())
+    assert sl27.center().order == 2
+    assert sl27.is_perfect() and not sl27.is_simple()
+    assert sl27.is_quasisimple()
+    a5xa5 = build(direct_product(alternating(5), alternating(5)))
+    assert a5xa5.center().order == 1
+    assert a5xa5.is_perfect()
+    assert not a5xa5.is_simple()
+    assert not a5xa5.is_quasisimple()
 
 
 def test_quotient_examples():
     s3 = S3()
     a3 = s3.derived_subgroup()
-    quotient, projection = s3.quotient(a3)
+    quotient, projection = oracles.quotient(s3, a3)
     assert quotient.order == 2
-    kernel = tuple(x for x, t in enumerate(projection.table) if t == 0)
+    kernel = tuple(x for x, t in enumerate(projection) if t == 0)
     assert kernel == a3.indices
     z4 = build(cyclic(4))
     two = z4.subgroup([0, z4.power(1, 2)])
-    assert z4.quotient(two)[0].order == 2
+    assert oracles.quotient(z4, two)[0].order == 2
     # quotient by the trivial subgroup preserves the order
-    full, proj = s3.quotient(s3.trivial_subgroup())
+    full, proj = oracles.quotient(s3, s3.trivial_subgroup())
     assert full.order == 6
-    assert proj.is_automorphism() or len(set(proj.table)) == 6
-
-
-def test_quotient_is_built_once_per_kernel(monkeypatch):
-    s4 = build(symmetric(4))
-    builds = []
-    build_quotient = type(s4)._build_quotient
-
-    def counted(self, sub):
-        builds.append(sub.indices)
-        return build_quotient(self, sub)
-
-    monkeypatch.setattr(type(s4), "_build_quotient", counted)
-    v4 = s4.normal_closure(
-        [s4.index_of(Permutation.from_cycles(4, (1, 2), (3, 4)))])
-    first = s4.quotient(v4)
-    # Another Subgroup value with the same members shares the quotient.
-    again = s4.quotient(s4.subgroup(v4.indices))
-    assert again is first and first[0].order == 6
-    assert builds == [v4.indices]
-    assert s4.quotient(s4.derived_subgroup())[0].order == 2
-    assert len(builds) == 2
-    # The check that a kernel is normal is not skipped by the cache.
-    transposition = s4.index_of(Permutation.from_cycles(4, (1, 2)))
-    with pytest.raises(ValueError):
-        s4.quotient(s4.subgroup([0, transposition]))
+    assert sorted(proj) == list(range(6))
+    # G/N is simple exactly when the oracle's quotient is.  In Z6 an element
+    # of order 3 normally generates only Z3, so Z6/Z2 = Z3 needs N's
+    # generators in the closure.
+    z6 = build(cyclic(6))
+    for group, sub in [(s3, a3), (s3, s3.trivial_subgroup()),
+                       (s3, s3.subgroup(range(6))),
+                       *((z6, z6.subgroup(z6.subgroup_closure([g])))
+                         for g in range(6))]:
+        assert group._is_simple_modulo(sub) == \
+            oracles.quotient_is_simple(group, sub)
+    assert z6._is_simple_modulo(z6.subgroup([0, z6.power(1, 3)]))
 
 
 def test_derived_generating_set_caches_few_columns():
@@ -252,7 +281,7 @@ def test_quotient_requires_normal():
     transposition = s3.index_of(Permutation.from_cycles(3, (1, 2)))
     sub = s3.subgroup([0, transposition])
     with pytest.raises(ValueError):
-        s3.quotient(sub)
+        oracles.quotient(s3, sub)
 
 
 def test_metacyclic_frobenius_classes():

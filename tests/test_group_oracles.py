@@ -9,6 +9,7 @@ import pytest
 import oracles
 from twistspec.catalog import (GroupDefinition, alternating, build, dihedral,
                                shipped_catalog, symmetric)
+from twistspec.group import orbits
 from twistspec.morphism import _levels, inner_automorphism
 from twistspec.perm import Permutation
 from twistspec.twisted import twisted_classes
@@ -68,6 +69,10 @@ def test_predicates(case):
     classes = oracles.conjugacy_classes(table)
     assert group.is_nilpotent() == oracles.is_nilpotent(table)
     assert group.is_simple() == oracles.is_simple(table, classes)
+    # Quasisimple: perfect, with G/Z(G) simple.
+    perfect = oracles.derived_subgroup(table) == list(range(group.order))
+    assert group.is_quasisimple() == (
+        perfect and oracles.quotient_is_simple(group, group.center()))
     assert group.is_abelian() == (len(oracles.center(table)) == group.order)
 
 
@@ -91,19 +96,29 @@ def test_normal_closure_and_subgroup_check(case):
 
 def test_cosets_and_projection(case):
     # The left cosets of the center, of the derived subgroup and of the
-    # first generator's cyclic subgroup (often not normal); each element's
-    # permutation of the cosets of the normal ones, read along the tree.
+    # first generator's cyclic subgroup (often not normal) are the orbits
+    # of right multiplication by the subgroup's generators, as
+    # reduction_check reads them.  The oracle's projection onto the
+    # quotient by each normal one has that kernel and respects products,
+    # and G/N is simple exactly when that quotient is.
     group, table = case
     first = group.generator_indices()[:1]
     cyclic = group.subgroup(group.subgroup_closure(first))
-    assert group.left_cosets(cyclic) == \
-        oracles.left_cosets(table, list(cyclic.indices))
-    for sub in (group.center(), group.derived_subgroup()):
-        members = list(sub.indices)
-        assert group.left_cosets(sub) == oracles.left_cosets(table, members)
-        quotient_group, projection = group.quotient(sub)
-        assert [quotient_group.elements[t] for t in projection.table] == \
-            oracles.coset_permutations(table, members)
+    center, derived = group.center(), group.derived_subgroup()
+    for sub in (cyclic, center, derived):
+        coset_of, reps, _ = orbits(
+            group.order, [group.column(h) for h in sub.generators])
+        assert (coset_of, reps) == oracles.left_cosets(group, sub.indices)
+    for sub in (center, derived):
+        quotient_group, projection = oracles.quotient(group, sub)
+        assert [x for x, t in enumerate(projection) if t == 0] == \
+            list(sub.indices)
+        assert all(projection[table[a][b]]
+                   == quotient_group.product(projection[a], projection[b])
+                   for a in range(group.order)
+                   for b in group.generator_indices())
+        assert group._is_simple_modulo(sub) == \
+            oracles.quotient_is_simple(group, sub)
 
 
 def test_inner_automorphisms(case):

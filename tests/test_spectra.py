@@ -121,7 +121,7 @@ def test_class_preserving_equals_inner_for_simple_quotients(catalog_groups):
     assert report.class_preserving_aut_count == a5.order  # Inn(A5) = A5
     assert report.class_preserving_out_order == 1
     sl25 = catalog_groups["SL(2,5)"]
-    quotient_group, _ = sl25.quotient(sl25.center())
+    quotient_group, _ = oracles.quotient(sl25, sl25.center())
     assert quotient_group.order == 60
     qreport = classify(quotient_group, name="SL(2,5)/Z")
     assert qreport.class_preserving_aut_count == 60

@@ -4,11 +4,14 @@ import oracles
 
 from twistspec.errors import MethodDisagreement
 from twistspec.morphism import (Morphism, identity_morphism,
-                                inner_automorphism, morphism_from_images)
+                                inner_automorphism, morphism_from_images,
+                                weighted_sweep)
 from twistspec.perm import Permutation
 from twistspec.twisted import (induced_class_map, reduction_check,
                                reidemeister_number, twisted_classes)
-from twistspec.catalog import alternating, build, cyclic, symmetric
+from twistspec.catalog import alternating, build, cyclic, save, symmetric
+from twistspec.cli import main
+from twistspec.spectra import _witness, theorem_battery
 
 
 @pytest.fixture(scope="module")
@@ -167,29 +170,83 @@ def test_method_disagreement_is_raised_on_corrupt_data(s3, monkeypatch):
 # -- reduction to the injective quotient ------------------------------------------
 
 def test_reduction_on_automorphism_is_trivially_true(s3):
-    assert reduction_check(identity_morphism(s3))
+    # An injective map is its own reduction: nothing is counted.
+    assert reduction_check(identity_morphism(s3), 3)
+    assert reduction_check(identity_morphism(s3), 0)
 
 
 def test_reduction_on_doubling():
     z4 = build(cyclic(4))
     doubling = Morphism(z4, z4, [z4.power(i, 2) for i in range(4)])
     assert reidemeister_number(doubling) == 1
-    assert reduction_check(doubling)
+    assert reduction_check(doubling, 1)
+    assert not reduction_check(doubling, 2)
 
 
 def test_reduction_on_sign_like(s3):
     t = Permutation.from_cycles(3, (1, 2))
     phi = morphism_from_images(s3, s3, [t, Permutation.identity(3)])
     assert reidemeister_number(phi) == 2
-    induced = phi.induced_on_quotient(phi.iterated_kernel())
+    induced = oracles.induced_on_quotient(phi, phi.iterated_kernel())
     assert reidemeister_number(induced) == 2
-    assert reduction_check(phi)
+    assert reduction_check(phi, 2)
+    assert not reduction_check(phi, 1)
 
 
 def test_reduction_across_small_catalog(small_groups, endos_of):
     for name in small_groups:
         for phi in endos_of(name):
-            assert reduction_check(phi), name
+            assert reduction_check(phi, reidemeister_number(phi)), name
+
+
+def _whole_group_for_non_injective(monkeypatch):
+    real = Morphism.iterated_kernel
+
+    def patched(self):
+        if self.is_automorphism():
+            return real(self)
+        return self.source.subgroup(range(self.source.order))
+
+    monkeypatch.setattr(Morphism, "iterated_kernel", patched)
+
+
+def test_reduction_failure_is_reported(s3, monkeypatch, tmp_path, capsys):
+    # With N = G every non-injective phi reduces to one class, so the first
+    # representative with R(phi) > 1 must be the witness.
+    _whole_group_for_non_injective(monkeypatch)
+    witness = next(phi for phi, _ in weighted_sweep(s3)
+                   if not phi.is_automorphism()
+                   and reidemeister_number(phi) > 1)
+    checks = {chk.name: chk for chk in theorem_battery(s3)}
+    failed = checks["reduction-to-injective"]
+    assert not failed.passed
+    assert failed.witness["generator_images"] == \
+        _witness(witness, "")["generator_images"]
+    assert all(chk.passed for name, chk in checks.items()
+               if name != "reduction-to-injective")
+    path = tmp_path / "s3.json"
+    save(symmetric(3), path)
+    assert main(["verify", str(path)]) == 3
+    assert "FAIL  S3  reduction-to-injective" in capsys.readouterr().out
+
+
+def test_non_injective_reduction_is_an_internal_error(monkeypatch, tmp_path,
+                                                     capsys):
+    # Patched to ker phi alone, N = {0, 4} for the doubling map of Z8:
+    # phi(2) = 4 lies in N although 2 does not.
+    z8 = build(cyclic(8))
+    doubling = Morphism(z8, z8, [z8.power(i, 2) for i in range(8)])
+    monkeypatch.setattr(
+        Morphism, "iterated_kernel",
+        lambda self: self.source.subgroup(
+            x for x, t in enumerate(self.table) if t == 0))
+    assert len(doubling.iterated_kernel().indices) == 2
+    with pytest.raises(AssertionError, match="not injective"):
+        reduction_check(doubling, reidemeister_number(doubling))
+    path = tmp_path / "z8.json"
+    save(cyclic(8), path)
+    assert main(["verify", str(path)]) == 4
+    assert "internal error" in capsys.readouterr().err
 
 
 def test_orbit_stabiliser_identity(small_groups, endos_of):

@@ -25,7 +25,7 @@ from twistspec.morphism import inner_automorphism, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import (classify, extended_spectrum, spectrum,
                                theorem_battery)
-from twistspec.twisted import reidemeister_number
+from twistspec.twisted import reduction_check, reidemeister_number
 
 
 def _redundant_a5():
@@ -127,6 +127,20 @@ def test_battery_over_representatives_matches_every_morphism(case):
     got = [(chk.name, chk.passed, chk.witness is None)
            for chk in theorem_battery(group)]
     assert got == want
+
+
+def test_reduction_check_counts_the_induced_classes(case):
+    """For each representative with a nontrivial stable kernel N, the
+    orbits reduction_check counts inside G number the twisted classes of
+    the oracle's induced map on G/N, by either method."""
+    for phi, _ in case["end_sweep"]:
+        if phi.iterated_kernel().is_trivial():
+            continue
+        count = reidemeister_number(phi)
+        assert reduction_check(phi, count)
+        assert not reduction_check(phi, count + 1)
+        assert oracles.reduced_count(phi) == count
+        assert oracles.reduced_count(phi, "orbits") == count
 
 
 SMALL = [defn for defn in shipped_catalog() if defn.expected["order"] <= 24]
