@@ -1,8 +1,10 @@
 """Command-line surface: info, spectrum, verify, survey.
 
 Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 theorem-battery
-failure, 4 internal error (a failed internal consistency check; a survey
-still writes its report, with the file's error recorded).  Survey reports
+failure, 4 internal error (a failed internal consistency check, a
+disagreement of the two counting methods, or a table that breaks the
+homomorphism law; a survey still writes its report, with the file's error
+recorded).  Survey reports
 are byte-identical for identical inputs and flags regardless of ``--jobs``.
 """
 
@@ -17,8 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from . import catalog
-from .errors import (BudgetExceeded, DefinitionError, OrderCapExceeded,
-                     TwistspecError)
+from .errors import (BudgetExceeded, DefinitionError, MethodDisagreement,
+                     NotAHomomorphism, OrderCapExceeded, TwistspecError)
 from .group import DEFAULT_ORDER_CAP, FiniteGroup
 from .morphism import DEFAULT_PRODUCT_BUDGET
 from .spectra import FLAG_NAMES, classify, structure_flags, theorem_battery
@@ -30,6 +32,8 @@ EXIT_BATTERY = 3
 EXIT_INTERNAL = 4
 
 _METHODS = {"fixed": "fixed-classes", "orbits": "orbits", "checked": "checked"}
+# Errors that only a bug in twistspec can raise: exit 4.
+_INTERNAL_ERRORS = (AssertionError, MethodDisagreement, NotAHomomorphism)
 BUDGET_ENV = "TWISTSPEC_BUDGET"
 ORDER_CAP_ENV = "TWISTSPEC_ORDER_CAP"
 
@@ -208,11 +212,11 @@ def _survey_worker(task: tuple) -> dict:
         report = classify(group, name=defn.name, extended=True,
                           battery=battery, method=method, budget=budget)
         return {"file": name, "report": report.to_json_dict()}
-    except TwistspecError as exc:
-        return {"file": name, "error": f"{type(exc).__name__}: {exc}"}
-    except AssertionError as exc:
+    except _INTERNAL_ERRORS as exc:
         return {"file": name, "error": f"{type(exc).__name__}: {exc}",
                 "internal": True}
+    except TwistspecError as exc:
+        return {"file": name, "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _cmd_survey(args) -> int:
@@ -318,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--battery", action="store_true",
                           help="include the theorem battery per group")
     p_survey.add_argument("--method", choices=sorted(_METHODS),
-                          default="fixed")
+                          default="fixed",
+                          help="counting path for the spectra; no effect "
+                               "with --battery, which counts every "
+                               "representative by both methods and "
+                               "compares")
     common(p_survey)
     p_survey.set_defaults(func=_cmd_survey)
     return parser
@@ -339,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, OrderCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except AssertionError as exc:
+    except _INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -293,17 +293,6 @@ class FiniteGroup:
     def trivial_subgroup(self) -> Subgroup:
         return self.subgroup([0])
 
-    def subgroup_closure(self, seeds: Iterable[int]) -> tuple[int, ...]:
-        """Indices of the subgroup generated by ``seeds``, sorted."""
-        reached = [False] * self.order
-        reached[0] = True
-        found = [0]
-        columns: list[list[int]] = []
-        for y in seeds:
-            if not reached[y]:
-                self._adjoin(found, reached, columns, self.column(y))
-        return tuple(sorted(found))
-
     def centralizer(self, y: int, within: Subgroup | None = None) -> Subgroup:
         """The elements of ``within`` (default: all of G) that commute
         with ``y``."""

@@ -171,20 +171,11 @@ class Morphism:
         # A composite of verified homomorphisms is one.
         return Morphism(inner.source, self.target, table, _verified=True)
 
-    # -- fixed points and classes -------------------------------------------
+    # -- fixed points ---------------------------------------------------------
 
     def fixed_point_count(self) -> int:
         self._require_endo()
         return sum(1 for i, t in enumerate(self.table) if t == i)
-
-    def is_class_preserving(self, classes=None) -> bool:
-        """Maps every conjugacy class to itself (checked on representatives)."""
-        self._require_endo()
-        if classes is None:
-            classes = self.source.conjugacy_classes()
-        class_of = classes.class_of
-        return all(class_of[self.table[r]] == c
-                   for c, r in enumerate(classes.representatives))
 
     # -- the kernel tower -----------------------------------------------------
 

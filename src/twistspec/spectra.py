@@ -15,7 +15,8 @@ from .errors import BudgetExceeded
 from .group import FiniteGroup
 from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, inner_automorphism,
                        weighted_sweep)
-from .twisted import induced_class_map, reidemeister_number, reduction_check, twisted_classes
+from .twisted import (METHODS, induced_class_map, reidemeister_number,
+                      reduction_check, twisted_classes)
 
 FLAG_NAMES = (
     "abelian", "nilpotent", "perfect", "simple", "quasisimple", "odd_order",
@@ -53,14 +54,6 @@ class SpectrumReport:
     flags: dict[str, bool | None]
     theorem_battery: list[BatteryCheck] | None = None
     annotations: list[str] = field(default_factory=list)
-
-    def spectrum_values(self) -> list[int]:
-        return sorted(self.spectrum)
-
-    def extended_values(self) -> list[int] | None:
-        if self.extended_spectrum is None:
-            return None
-        return sorted(self.extended_spectrum)
 
     @property
     def class_preserving_out_order(self) -> int:
@@ -122,20 +115,17 @@ def _witness(phi: Morphism, detail: str) -> dict:
     }
 
 
-def _tally(pairs, classes, method: str) -> tuple[Counter, Counter, int]:
-    """Fold ``(morphism, weight)`` pairs into weighted counters: the
-    Reidemeister numbers of the automorphisms and of all the morphisms,
-    and the class-preserving automorphisms.  No morphism is kept."""
+def _tally(pairs, classes, method: str) -> tuple[Counter, Counter]:
+    """Fold ``(morphism, weight)`` pairs into weighted counters of the
+    Reidemeister numbers of the automorphisms and of all the morphisms.
+    No morphism is kept."""
     spec, ext = Counter(), Counter()
-    class_preserving = 0
     for phi, weight in pairs:
         value = reidemeister_number(phi, method, classes)
         ext[value] += weight
         if phi.is_automorphism():
             spec[value] += weight
-            if phi.is_class_preserving(classes):
-                class_preserving += weight
-    return spec, ext, class_preserving
+    return spec, ext
 
 
 def _sorted_map(counter: Counter) -> dict[int, int]:
@@ -163,29 +153,39 @@ def classify(group: FiniteGroup, name: str | None = None, *,
              budget: int | None = DEFAULT_PRODUCT_BUDGET) -> SpectrumReport:
     """Full classification of one group.
 
-    The endomorphism sweep is attempted only when ``extended`` is set; if it
+    Spectra come from one weighted sweep over Inn(G)-orbits.  The
+    endomorphism sweep is attempted only when ``extended`` is set; if it
     blows the product budget the extended fields are reported as skipped
-    rather than guessed.  The automorphism sweep is mandatory and budget
-    errors there propagate.  Spectra come from one weighted sweep over
-    Inn(G)-orbits; ``battery`` adds ``theorem_battery``, which makes its
-    own sweep of the endomorphisms' Inn(G)-orbits.
+    rather than guessed, and the automorphism sweep, whose budget errors
+    propagate, gives the spectrum.  With ``battery`` the one sweep is the
+    battery's sweep of the endomorphisms, which folds the spectra from its
+    fixed-class counts; ``method`` is then unused, since the battery counts
+    by both methods and compares, and budget errors propagate.  An
+    automorphism fixes every class exactly when its count is k, so the
+    class-preserving automorphisms are the spectrum's multiplicity of k.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     classes = group.conjugacy_classes()
     k = classes.count
+    structure = structure_flags(group)
     annotations: list[str] = []
 
-    tally = extended_map = None
-    if extended:
+    battery_checks = tally = extended_map = None
+    if battery:
+        battery_checks, tally = _battery(group, structure, budget)
+    elif extended:
         try:
             tally = _tally(weighted_sweep(group, budget=budget), classes,
                            method)
-            extended_map = _sorted_map(tally[1])
         except BudgetExceeded:
             annotations.append("extended spectrum skipped: budget exceeded")
     if tally is None:
         tally = _tally(weighted_sweep(group, automorphisms=True,
                                       budget=budget), classes, method)
-    spec_counter, ext_counter, cp_count = tally
+    elif extended:
+        extended_map = _sorted_map(tally[1])
+    spec_counter, ext_counter = tally
     spectrum_map = _sorted_map(spec_counter)
     aut_count = sum(spec_counter.values())
 
@@ -194,15 +194,10 @@ def classify(group: FiniteGroup, name: str | None = None, *,
         raise AssertionError("automorphism count incompatible with Inn(G)")
     out_order = aut_count * center_order // group.order
 
-    trivial_spec = set(spectrum_map) == {k}
-    if trivial_spec != (cp_count == aut_count):
-        raise AssertionError(
-            "trivial spectrum flag disagrees with the class-preserving count"
-        )
     flags: dict[str, bool | None] = {
-        **structure_flags(group),
+        **structure,
         "odd_order": group.order % 2 == 1,
-        "trivial_spectrum": trivial_spec,
+        "trivial_spectrum": set(spectrum_map) == {k},
         "trivial_extended_spectrum": (
             None if extended_map is None else set(extended_map) == {1, k}
         ),
@@ -212,10 +207,6 @@ def classify(group: FiniteGroup, name: str | None = None, *,
         ),
     }
 
-    battery_checks = None
-    if battery:
-        battery_checks = theorem_battery(group, budget=budget)
-
     return SpectrumReport(
         name=name or group.name or f"order{group.order}",
         order=group.order,
@@ -223,7 +214,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
         class_number=k,
         aut_count=aut_count,
         end_count=None if extended_map is None else sum(ext_counter.values()),
-        class_preserving_aut_count=cp_count,
+        class_preserving_aut_count=spec_counter[k],
         out_order=out_order,
         spectrum=spectrum_map,
         extended_spectrum=extended_map,
@@ -246,85 +237,84 @@ def theorem_battery(group: FiniteGroup, *,
     R values.  The invariance of R is itself checked under
     ``orbit-vs-fixed-classes``: for each representative of weight > 1 and
     each declared generator s, tau_s . phi must have phi's count.  Counts
-    are computed by both methods throughout.  ``reduction-to-injective``
-    compares the fixed-class count with the orbits on G of the twisted maps
-    and N's generators, which number R of the induced map on G/N
-    (``reduction_check``); no quotient group is built.  A failure carries
-    the first failing representative in sweep order as its witness.
-    Failures are data, not errors.
+    are computed by both methods throughout.  ``orbit-stabiliser-identity``
+    (|[1]| * |Fix phi| = |G|) is checked here and nowhere else in the
+    package.  ``reduction-to-injective`` compares the fixed-class count
+    with the orbits on G of the twisted maps and N's generators, which
+    number R of the induced map on G/N (``reduction_check``); no quotient
+    group is built.  A failure carries the first failing representative in
+    sweep order as its witness.  Failures are data, not errors.
+    ``classify(..., battery=True)`` folds its spectra from this same sweep.
     """
+    return _battery(group, structure_flags(group), budget)[0]
+
+
+def _battery(group: FiniteGroup, structure: dict[str, bool],
+             budget: int | None
+             ) -> tuple[list[BatteryCheck], tuple[Counter, Counter]]:
+    """``theorem_battery``'s checks, and ``_tally``'s counters of the
+    fixed-class counts, folded from the same sweep.  ``structure`` is
+    ``structure_flags(group)``."""
     classes = group.conjugacy_classes()
     k = classes.count
     inners = [inner_automorphism(group, s) for s in group.generator_indices()]
-
-    agree_fail = orbstab_fail = reduction_fail = parity_fail = None
-    first_by_value: dict[int, Morphism] = {}
-    first_auto_by_value: dict[int, Morphism] = {}
-    non_dichotomy = None
+    # The witness of each check's first failure, or None.
+    agree = orbstab = reduction = parity = None
+    aut_hit = end_hit = dichotomy = None
+    spec, ext = Counter(), Counter()
 
     for phi, weight in weighted_sweep(group, budget=budget):
         partition = twisted_classes(phi)
-        orbit_count = partition.count
+        value = partition.count
         fixed_count = induced_class_map(phi, classes).fixed_count
-        if agree_fail is None:
-            if orbit_count != fixed_count:
-                agree_fail = _witness(
-                    phi, f"orbits {orbit_count} != fixed classes {fixed_count}"
-                )
+        automorphism = phi.is_automorphism()
+        ext[fixed_count] += weight
+        if automorphism:
+            spec[fixed_count] += weight
+        if agree is None:
+            if value != fixed_count:
+                agree = _witness(
+                    phi, f"orbits {value} != fixed classes {fixed_count}")
             elif weight > 1:
                 for tau in inners:
                     moved = twisted_classes(tau.compose(phi)).count
                     if moved != fixed_count:
-                        agree_fail = _witness(
+                        agree = _witness(
                             phi, f"orbits {moved} of an inner twist != fixed "
-                                 f"classes {fixed_count}"
-                        )
+                                 f"classes {fixed_count}")
                         break
-        value = orbit_count
-        first_by_value.setdefault(value, phi)
-        if phi.is_automorphism():
-            first_auto_by_value.setdefault(value, phi)
         if (partition.identity_class_size() * phi.fixed_point_count()
-                != group.order) and orbstab_fail is None:
-            orbstab_fail = _witness(phi, "identity class size times fixed "
-                                         "subgroup order misses the order")
-        if not reduction_check(phi, fixed_count) and reduction_fail is None:
-            reduction_fail = _witness(phi, "count changed on the injective "
-                                           "quotient")
-        if group.order % 2 == 1 and value % 2 == 0 and parity_fail is None:
-            parity_fail = _witness(phi, f"even count {value} in an odd-order "
-                                        "group")
-        if not (phi.is_trivial() or phi.is_automorphism()):
-            non_dichotomy = non_dichotomy or phi
+                != group.order):
+            orbstab = orbstab or _witness(
+                phi, "identity class size times fixed subgroup order "
+                     "misses the order")
+        if not reduction_check(phi, fixed_count):
+            reduction = reduction or _witness(
+                phi, "count changed on the injective quotient")
+        if group.order % 2 == 1 and value % 2 == 0:
+            parity = parity or _witness(
+                phi, f"even count {value} in an odd-order group")
+        if value == k - 1:
+            end_hit = end_hit or _witness(
+                phi, f"endomorphism with count {k - 1}")
+            if automorphism:
+                aut_hit = aut_hit or _witness(
+                    phi, f"automorphism with count {k - 1}")
+        if not (automorphism or phi.is_trivial()):
+            dichotomy = dichotomy or _witness(
+                phi, "neither trivial nor bijective")
 
-    checks = [
-        BatteryCheck("orbit-vs-fixed-classes", agree_fail is None, agree_fail),
-        BatteryCheck("orbit-stabiliser-identity", orbstab_fail is None,
-                     orbstab_fail),
-        BatteryCheck("reduction-to-injective", reduction_fail is None,
-                     reduction_fail),
-    ]
+    named = [("orbit-vs-fixed-classes", agree),
+             ("orbit-stabiliser-identity", orbstab),
+             ("reduction-to-injective", reduction)]
     if group.order % 2 == 1:
-        checks.append(BatteryCheck("odd-order-parity", parity_fail is None,
-                                   parity_fail))
-    spectrum_hit = (k - 1) in first_auto_by_value
-    checks.append(BatteryCheck(
-        "spectrum-excludes-k-minus-1", not spectrum_hit,
-        _witness(first_auto_by_value[k - 1],
-                 f"automorphism with count {k - 1}")
-        if spectrum_hit else None,
-    ))
-    if group.order > 2 and (group.is_nilpotent() or group.is_quasisimple()):
-        extended_hit = (k - 1) in first_by_value
-        checks.append(BatteryCheck(
-            "extended-excludes-k-minus-1", not extended_hit,
-            _witness(first_by_value[k - 1], f"endomorphism with count {k - 1}")
-            if extended_hit else None,
-        ))
-    if group.is_quasisimple():
-        checks.append(BatteryCheck(
-            "quasisimple-dichotomy", non_dichotomy is None,
-            _witness(non_dichotomy, "neither trivial nor bijective")
-            if non_dichotomy is not None else None,
-        ))
-    return checks
+        named.append(("odd-order-parity", parity))
+    named.append(("spectrum-excludes-k-minus-1", aut_hit))
+    if group.order > 2 and (structure["nilpotent"]
+                            or structure["quasisimple"]):
+        named.append(("extended-excludes-k-minus-1", end_hit))
+    if structure["quasisimple"]:
+        named.append(("quasisimple-dichotomy", dichotomy))
+    checks = [BatteryCheck(name, witness is None, witness)
+              for name, witness in named]
+    return checks, (spec, ext)

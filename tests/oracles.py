@@ -45,6 +45,29 @@ def closure(table, seeds):
     return sorted(members)
 
 
+def subgroup_closure(group, seeds):
+    """Indices of the subgroup of ``group`` generated by ``seeds``, sorted:
+    everything the identity reaches by right multiplication by the seeds."""
+    columns = [group.column(y) for y in seeds]
+    members = {0}
+    frontier = [0]
+    for x in frontier:
+        for column in columns:
+            if column[x] not in members:
+                members.add(column[x])
+                frontier.append(column[x])
+    return tuple(sorted(members))
+
+
+def is_class_preserving(phi, classes=None):
+    """``phi`` maps every conjugacy class to itself (checked on
+    representatives)."""
+    if classes is None:
+        classes = phi.source.conjugacy_classes()
+    return all(classes.class_of[phi.table[r]] == c
+               for c, r in enumerate(classes.representatives))
+
+
 def conjugacy_classes(table):
     """(class_of, representatives, sizes), conjugating by every element and
     numbering classes by their smallest member."""

@@ -3,12 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import twistspec
 from twistspec import catalog
 from twistspec.cli import main
+from twistspec.errors import NotAHomomorphism, TwistspecError
 from twistspec.catalog import (cyclic, m9, quaternion_dicyclic, save,
                                symmetric)
 from twistspec.perm import Permutation
@@ -271,13 +273,13 @@ def test_survey_records_non_utf8_file(small_dir, tmp_path):
     assert error["error"].startswith("DefinitionError:")
 
 
-def _classify_failing_on(name):
-    """``classify`` that fails an internal check for the group ``name``."""
+def _classify_failing_on(name, error=AssertionError):
+    """``classify`` that raises ``error`` for the group ``name``."""
     from twistspec.spectra import classify
 
     def failing(group, name=None, **kwargs):
         if name == failing.target:
-            raise AssertionError("synthetic internal failure")
+            raise error("synthetic internal failure")
         return classify(group, name=name, **kwargs)
     failing.target = name
     return failing
@@ -307,6 +309,73 @@ def test_internal_error_exit_code(s3_file, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "classify", _classify_failing_on("S3"))
     assert main(["spectrum", s3_file]) == 4
     assert "internal error: synthetic" in capsys.readouterr().err
+
+
+# Every TwistspecError subclass, each with the exit code main gives it.
+ERROR_EXITS = {"DefinitionError": 1, "BudgetExceeded": 2,
+               "OrderCapExceeded": 2, "NotAHomomorphism": 4,
+               "MethodDisagreement": 4}
+
+
+@pytest.mark.parametrize("error", TwistspecError.__subclasses__(),
+                         ids=lambda error: error.__name__)
+def test_every_error_class_has_an_exit_code(error, s3_file, monkeypatch,
+                                            capsys):
+    import twistspec.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "classify", _classify_failing_on("S3", error))
+    assert main(["spectrum", s3_file]) == ERROR_EXITS[error.__name__]
+    assert "synthetic internal failure" in capsys.readouterr().err
+
+
+def test_survey_marks_not_a_homomorphism_internal(small_dir, tmp_path,
+                                                  monkeypatch):
+    import twistspec.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "classify",
+                        _classify_failing_on("Z6", NotAHomomorphism))
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out)]) == 4
+    assert json.loads(out.read_text())["summary"]["errors"] == [
+        {"file": "z6.json",
+         "error": "NotAHomomorphism: synthetic internal failure"}]
+
+
+def _miscount_fixed_classes(monkeypatch):
+    """The fixed-class method counts one class too many on S3, so
+    ``--method checked`` finds the two methods disagreeing there."""
+    import twistspec.twisted as twisted_mod
+
+    honest = twisted_mod.induced_class_map
+
+    def miscounted(phi, classes=None):
+        class_map = honest(phi, classes)
+        if phi.source.name != "S3":
+            return class_map
+        return SimpleNamespace(fixed_count=class_map.fixed_count + 1)
+
+    monkeypatch.setattr(twisted_mod, "induced_class_map", miscounted)
+
+
+def test_method_disagreement_is_an_internal_error(s3_file, monkeypatch,
+                                                  capsys):
+    _miscount_fixed_classes(monkeypatch)
+    assert main(["spectrum", s3_file, "--extended", "--method",
+                 "checked"]) == 4
+    assert "internal error: orbit sweep gave" in capsys.readouterr().err
+
+
+def test_survey_records_method_disagreement_as_internal(small_dir, tmp_path,
+                                                        monkeypatch):
+    _miscount_fixed_classes(monkeypatch)
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out), "--method",
+                 "checked"]) == 4
+    doc = json.loads(out.read_text())
+    assert [g["name"] for g in doc["groups"]] == ["Z1", "Z2", "Z6", "Dic2"]
+    [error] = doc["summary"]["errors"]
+    assert error["file"] == "s3.json"
+    assert error["error"].startswith("MethodDisagreement: orbit sweep gave")
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])

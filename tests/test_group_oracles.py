@@ -103,7 +103,7 @@ def test_cosets_and_projection(case):
     # and G/N is simple exactly when that quotient is.
     group, table = case
     first = group.generator_indices()[:1]
-    cyclic = group.subgroup(group.subgroup_closure(first))
+    cyclic = group.subgroup(oracles.subgroup_closure(group, first))
     center, derived = group.center(), group.derived_subgroup()
     for sub in (cyclic, center, derived):
         coset_of, reps, _ = orbits(

@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -6,7 +7,7 @@ import oracles
 import twistspec.spectra as spectra_mod
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
-from twistspec.morphism import weighted_sweep
+from twistspec.morphism import Morphism, weighted_sweep
 from twistspec.spectra import (_witness, classify, extended_spectrum,
                                spectrum, theorem_battery)
 from twistspec.twisted import reidemeister_number
@@ -148,6 +149,12 @@ def test_skipped_extended_fields_are_annotated():
     assert report.spectrum == {5: 24}
 
 
+@pytest.mark.parametrize("battery", [False, True])
+def test_classify_rejects_unknown_method(battery):
+    with pytest.raises(ValueError, match="unknown method"):
+        classify(build(symmetric(3)), method="fixed", battery=battery)
+
+
 def test_classify_propagates_budget_error_for_automorphisms():
     group = build(symmetric(4))
     with pytest.raises(BudgetExceeded):
@@ -248,6 +255,47 @@ def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
     assert main(["verify", str(path)]) == 3
     out = capsys.readouterr().out
     assert "FAIL  S3  orbit-vs-fixed-classes  witness=" in out
+
+
+def test_battery_orbit_stabiliser_check_can_fail(tmp_path, monkeypatch,
+                                                 capsys):
+    """A fixed-point count that is wrong for the trivial map fails
+    ``orbit-stabiliser-identity`` alone, with that map as witness; no
+    internal assertion fires first."""
+    group = build(symmetric(3))
+    honest = Morphism.fixed_point_count
+    monkeypatch.setattr(Morphism, "fixed_point_count",
+                        lambda phi: honest(phi) + (1 if phi.is_trivial() else 0))
+    first = next(phi for phi, _ in weighted_sweep(group) if phi.is_trivial())
+    checks = battery_map(group)
+    failed = [name for name, chk in checks.items() if not chk.passed]
+    assert failed == ["orbit-stabiliser-identity"]
+    witness = checks["orbit-stabiliser-identity"].witness
+    expected = _witness(first, "")
+    assert (witness["generator_images"], witness["generator_cycles"]) == (
+        expected["generator_images"], expected["generator_cycles"])
+    path = tmp_path / "s3.json"
+    save(symmetric(3), path)
+    assert main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  S3  orbit-stabiliser-identity  witness=" in out
+
+
+def test_survey_battery_budget_error_is_recorded(tmp_path):
+    """A budget that covers Aut(S4) but not End(S4): with the battery the
+    End sweep is mandatory, so S4 is recorded as a budget error."""
+    directory = tmp_path / "groups"
+    directory.mkdir()
+    for defn in (symmetric(3), symmetric(4)):
+        save(defn, directory / f"{defn.name.lower()}.json")
+    out = tmp_path / "r.json"
+    assert main(["survey", str(directory), "--out", str(out), "--battery",
+                 "--budget", "500"]) == 0
+    doc = json.loads(out.read_text())
+    assert [g["name"] for g in doc["groups"]] == ["S3"]
+    assert doc["summary"]["errors"] == [
+        {"file": "s4.json",
+         "error": "BudgetExceeded: product budget 500 exceeded"}]
 
 
 def test_spectrum_multiset_stable_under_enumeration_order(catalog_groups):

@@ -9,6 +9,7 @@ a redundant generating set of three search generators, where the
 centraliser chain goes three levels deep.
 """
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -16,6 +17,7 @@ import pytest
 
 import oracles
 import twistspec.morphism as morphism_mod
+import twistspec.spectra as spectra_mod
 from twistspec.catalog import (GroupDefinition, alternating, build,
                                holomorph_cyclic, save, shipped_catalog,
                                symmetric)
@@ -65,7 +67,7 @@ def _oracle(morphisms, classes):
                      for phi in morphisms)
     preserving = sum(1 for phi in morphisms
                      if phi.is_automorphism()
-                     and phi.is_class_preserving(classes))
+                     and oracles.is_class_preserving(phi, classes))
     return values, preserving
 
 
@@ -74,7 +76,8 @@ def _weighted(pairs, classes):
     preserving = 0
     for phi, weight in pairs:
         values[reidemeister_number(phi, "fixed-classes", classes)] += weight
-        if phi.is_automorphism() and phi.is_class_preserving(classes):
+        if (phi.is_automorphism()
+                and oracles.is_class_preserving(phi, classes)):
             preserving += weight
     return values, preserving
 
@@ -101,7 +104,7 @@ def test_spectrum_aut_count_and_class_preserving(case):
     assert _weighted(autos_in_end, classes) == want
 
 
-def test_classify_and_spectra_are_views_of_the_sweep(case):
+def test_classify_and_spectra_are_views_of_the_sweep(case, monkeypatch):
     group, classes = case["group"], case["classes"]
     ext_values, _ = _oracle(case["endos"], classes)
     aut_values, preserving = _oracle(case["autos"], classes)
@@ -116,6 +119,23 @@ def test_classify_and_spectra_are_views_of_the_sweep(case):
     skipped = classify(group, extended=False)
     assert skipped.spectrum == report.spectrum
     assert skipped.class_preserving_aut_count == preserving
+    # With the battery, its End sweep is the only one and gives the same
+    # report, whether or not the extended fields are asked for.
+    checks = theorem_battery(group)
+    calls = []
+    sweep = spectra_mod.weighted_sweep
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("automorphisms", False))
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(spectra_mod, "weighted_sweep", counted)
+    for extended, two_pass in ((True, report), (False, skipped)):
+        calls.clear()
+        one_pass = classify(group, extended=extended, battery=True)
+        assert calls == [False]
+        assert one_pass == dataclasses.replace(two_pass,
+                                               theorem_battery=checks)
 
 
 def test_battery_over_representatives_matches_every_morphism(case):
