@@ -8,9 +8,8 @@ from .errors import (BudgetExceeded, DefinitionError, MethodDisagreement,
 from .perm import Permutation
 from .group import (DEFAULT_ORDER_CAP, ClassPartition, FiniteGroup,
                     Subgroup, closure)
-from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, identity_morphism,
-                       inner_automorphism, morphism_from_images,
-                       weighted_sweep)
+from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, inner_automorphism,
+                       morphism_from_images, weighted_sweep)
 from .twisted import (ClassMap, TwistedPartition, induced_class_map,
                       reduction_check, reidemeister_number, twisted_classes)
 from .spectra import (FLAG_NAMES, BatteryCheck, SpectrumReport, classify,
@@ -24,8 +23,8 @@ __all__ = [
     "Permutation",
     "FiniteGroup", "Subgroup", "ClassPartition", "closure",
     "DEFAULT_ORDER_CAP", "DEFAULT_PRODUCT_BUDGET",
-    "Morphism", "morphism_from_images", "identity_morphism",
-    "inner_automorphism", "weighted_sweep",
+    "Morphism", "morphism_from_images", "inner_automorphism",
+    "weighted_sweep",
     "TwistedPartition", "ClassMap", "twisted_classes", "induced_class_map",
     "reidemeister_number", "reduction_check",
     "SpectrumReport", "BatteryCheck", "FLAG_NAMES", "spectrum",

@@ -4,17 +4,19 @@ A Morphism stores the full element-to-element index table.  Every public
 constructor verifies the homomorphism law on all (element, generator) pairs,
 which suffices because each element is a positive word in the generators.
 
-One search serves every sweep: ``weighted_sweep`` yields one endomorphism
-(or automorphism) per Inn(G)-orbit, weighted by the orbit's size, and the
-spectra, ``classify`` and the theorem battery all fold it.  The search is
-depth-first along the chain of subgroups H_j generated by the first j search
-generators.  Depth j picks an image for the j-th generator from a pool
-pruned by element order (endomorphisms: image order divides generator
-order; automorphisms: equal order and equal conjugacy-class size), keeps it
-only if it is the smallest in its orbit under the current centraliser, and
-extends the partial table from H_j to H_{j+1}, verifying the homomorphism
-law there: an image that breaks it drops its whole subtree, and an
-automorphism candidate must keep the partial table injective.
+One search serves every sweep: ``_search`` hands its consumer the live
+table of one endomorphism (or automorphism) per Inn(G)-orbit, weighted by
+the orbit's size.  The spectra and ``classify`` fold those tables in place;
+``weighted_sweep`` wraps each one in a Morphism for the theorem battery and
+other consumers that keep one.  The search is depth-first along the chain
+of subgroups H_j generated by the first j search generators.  Depth j
+picks an image for the j-th generator from a pool pruned by element order
+(endomorphisms: image order divides generator order; automorphisms: equal
+order and equal conjugacy-class size), keeps it only if it is the smallest
+in its orbit under the current centraliser, and extends the partial table
+from H_j to H_{j+1}, verifying the homomorphism law there: an image that
+breaks it drops its whole subtree, and an automorphism candidate must keep
+the partial table injective.
 """
 
 from __future__ import annotations
@@ -209,10 +211,6 @@ class Morphism:
         return sub
 
 
-def identity_morphism(group: FiniteGroup) -> Morphism:
-    return Morphism(group, group, range(group.order), _verified=True)
-
-
 def inner_automorphism(group: FiniteGroup, conjugator: int) -> Morphism:
     """The automorphism g -> h g h^-1 for the element with index ``conjugator``."""
     column = group.column(group.inverse(conjugator))
@@ -277,9 +275,17 @@ def _orbit_minima(group: FiniteGroup, stab: Subgroup, pool: Sequence[int],
     return [(x, sizes[orbit_of[x]]) for x in pool if reps[orbit_of[x]] == x]
 
 
-def _search(group: FiniteGroup, automorphisms: bool,
-            budget: int | None) -> Iterator[tuple[Morphism, int]]:
+def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
+            ) -> Iterator[tuple[list[int], int, bool]]:
     """The one morphism search behind every sweep.
+
+    Yields ``(table, weight, bijective)`` per Inn(G)-orbit.  ``table`` is
+    the search's live list, phi's images by element index: it is valid only
+    until the next item is requested, and the consumer must not change it
+    (copy it to keep it; ``weighted_sweep`` does).  ``bijective`` tells
+    whether phi is an automorphism: always in the Aut sweep, and in the End
+    sweep exactly when the kernel is trivial, since an injective map of a
+    finite set to itself is onto.
 
     A depth-first search along the chain H_0 = 1 < H_1 < ... < H_k = G,
     H_j = <gens[:j]> for the small generating set.  Depth j chooses an
@@ -302,7 +308,7 @@ def _search(group: FiniteGroup, automorphisms: bool,
     """
     gens = group.small_generating_set()
     if not gens:
-        yield identity_morphism(group), 1
+        yield [0], 1, True
         return
     levels = _levels(group, gens)
     pools = _pools(group, gens, automorphisms)
@@ -317,7 +323,7 @@ def _search(group: FiniteGroup, automorphisms: bool,
         top = group.centralizer(0)
 
     def search(depth: int, weight: int, stab: Subgroup | None
-               ) -> Iterator[tuple[Morphism, int]]:
+               ) -> Iterator[tuple[list[int], int, bool]]:
         steps = levels[depth]
         if stab is None:
             kept = [(x, 1) for x in pools[depth]]
@@ -331,7 +337,8 @@ def _search(group: FiniteGroup, automorphisms: bool,
             if depth == last:
                 if automorphisms and len(set(table)) != group.order:
                     raise AssertionError("generating images gave a non-bijection")
-                yield Morphism(group, group, table, _verified=True), weight * size
+                bijective = automorphisms or table.count(0) == 1
+                yield table, weight * size, bijective
                 continue
             nxt = None
             if stab is not None:
@@ -354,7 +361,10 @@ def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,
     twisted classes of phi onto those of tau_h . phi; class preservation
     and bijectivity are invariant too.  So weighted counts over this sweep
     equal counts over all of End(G) or Aut(G), and the weights sum to |End|
-    or |Aut|.
+    or |Aut|.  Each item is a Morphism holding its own copy of ``_search``'s
+    live table, so it may be kept; the search and its budget charges are
+    those of the spectra's fold.
     """
-    return _search(group, automorphisms, budget)
+    for table, weight, _ in _search(group, automorphisms, budget):
+        yield Morphism(group, group, table, _verified=True), weight
 

@@ -11,6 +11,7 @@ the cheap default; ``checked`` runs both and must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import MethodDisagreement
 from .group import ClassPartition, FiniteGroup, orbits
@@ -78,19 +79,28 @@ def twisted_classes(phi: Morphism) -> TwistedPartition:
                             tuple(sizes))
 
 
+def _class_images(table: Sequence[int], classes: ClassPartition,
+                  bijective: bool) -> list[int]:
+    """The class index of the image of each class representative under the
+    endomorphism ``table``; asserts that the identity class is fixed and
+    that an automorphism (``bijective``) permutes the classes."""
+    class_of = classes.class_of
+    mapping = [class_of[table[r]] for r in classes.representatives]
+    if mapping[0] != 0:
+        raise AssertionError("identity class must map to itself")
+    if bijective and len(set(mapping)) != classes.count:
+        raise AssertionError("automorphism must permute the classes")
+    return mapping
+
+
 def induced_class_map(phi: Morphism, classes: ClassPartition | None = None
                       ) -> ClassMap:
     """Map each class index to the class index of the image of its rep."""
     phi._require_endo()
     if classes is None:
         classes = phi.source.conjugacy_classes()
-    mapping = tuple(classes.class_of[phi.table[r]]
-                    for r in classes.representatives)
-    if mapping[0] != 0:
-        raise AssertionError("identity class must map to itself")
-    if phi.is_automorphism() and len(set(mapping)) != classes.count:
-        raise AssertionError("automorphism must permute the classes")
-    return ClassMap(classes, mapping)
+    mapping = _class_images(phi.table, classes, phi.is_automorphism())
+    return ClassMap(classes, tuple(mapping))
 
 
 def reidemeister_number(phi: Morphism, method: str = "fixed-classes",

@@ -6,9 +6,11 @@ products taken one at a time, so none of it shares code with the
 generator-action algorithms in ``twistspec``.  ``every_morphism``
 lists every endomorphism by expanding the weighted sweep's representatives
 into their Inn(G)-orbits, and ``battery_over`` runs the theorem battery over
-such a list one morphism at a time.  ``quotient`` builds G/N as a
-permutation group on the left cosets of N, which ``twistspec`` itself never
-does, and ``induced_on_quotient`` the map an endomorphism induces there.
+such a list one morphism at a time.  ``tally`` folds the weighted sweep's
+Morphisms through ``reidemeister_number``, the spectra's counters computed
+the slow way.  ``quotient`` builds G/N as a permutation group on the left
+cosets of N, which ``twistspec`` itself never does, and
+``induced_on_quotient`` the map an endomorphism induces there.
 The suites compare the fast paths with these on small groups.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 
 from twistspec.group import closure as materialize
 from twistspec.morphism import Morphism, weighted_sweep
@@ -344,6 +347,23 @@ def morphisms(group, automorphisms=False):
     """``every_morphism`` as Morphism objects, each verified on construction."""
     return [Morphism(group, group, table)
             for table in every_morphism(group, automorphisms)]
+
+
+def identity_morphism(group):
+    return Morphism(group, group, range(group.order))
+
+
+def tally(pairs, classes, method):
+    """Fold ``(morphism, weight)`` pairs into weighted counters of the
+    Reidemeister numbers of the automorphisms and of all the morphisms,
+    each counted by ``reidemeister_number``."""
+    spec, ext = Counter(), Counter()
+    for phi, weight in pairs:
+        value = reidemeister_number(phi, method, classes)
+        ext[value] += weight
+        if phi.is_automorphism():
+            spec[value] += weight
+    return spec, ext
 
 
 def battery_over(group, endos):

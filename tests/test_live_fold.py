@@ -1,0 +1,201 @@
+"""The spectra's fold over the search's live tables.
+
+``spectra._fold`` reads each representative's Reidemeister number off the
+table ``morphism._search`` is still filling, under ``fixed-classes``
+without building a Morphism.  Its counters are compared with the slow
+oracle ``oracles.tally``, which takes the weighted sweep's Morphisms
+through ``reidemeister_number``; its budget charges with the weighted
+sweep's; and its two assertions are shown to fire on bad tables.
+"""
+
+import pytest
+
+import oracles
+import twistspec.morphism as morphism_mod
+import twistspec.spectra as spectra_mod
+from twistspec.catalog import (abelian, alternating, build, dihedral,
+                               direct_product, holomorph_cyclic, save,
+                               shipped_catalog, symmetric)
+from twistspec.cli import main
+from twistspec.errors import BudgetExceeded
+from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, Morphism, weighted_sweep
+from twistspec.spectra import classify, extended_spectrum, spectrum
+from twistspec.twisted import METHODS
+
+# Hol(Z21) and Z2^4 are not in the catalog: Hol(Z21) has a deep
+# centraliser chain, Z2^4 has 65536 endomorphisms and a trivial Inn(G).
+CASES = [*shipped_catalog(), alternating(6), symmetric(6),
+         holomorph_cyclic(21), abelian(2, 2, 2, 2)]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda defn: defn.name)
+def case(request):
+    group = build(request.param)
+    return {"group": group,
+            "end_sweep": list(weighted_sweep(group)),
+            "aut_sweep": list(weighted_sweep(group, automorphisms=True))}
+
+
+def _assert_fold_matches_oracle(group, end_sweep, aut_sweep, method):
+    classes = group.conjugacy_classes()
+    budget = DEFAULT_PRODUCT_BUDGET
+    assert (spectra_mod._fold(group, False, method, budget)
+            == oracles.tally(end_sweep, classes, method))
+    assert (spectra_mod._fold(group, True, method, budget)
+            == oracles.tally(aut_sweep, classes, method))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_fold_matches_the_morphism_oracle(case, method):
+    _assert_fold_matches_oracle(case["group"], case["end_sweep"],
+                                case["aut_sweep"], method)
+
+
+def test_fold_matches_the_oracle_on_a_large_centre():
+    """D8 x Z2 x Z2 (order 32, centre of order 8): most representatives
+    weigh little, so this is nearly a full sweep of End(G)."""
+    group = build(direct_product(dihedral(4), abelian(2, 2)))
+    aut_sweep = list(weighted_sweep(group, automorphisms=True))
+    _assert_fold_matches_oracle(group, list(weighted_sweep(group)), aut_sweep,
+                                "fixed-classes")
+
+
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts the Morphism objects built while the fixture is active."""
+    count = [0]
+    init = Morphism.__init__
+
+    def spied(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Morphism, "__init__", spied)
+    return count
+
+
+@pytest.mark.parametrize("defn", [abelian(2, 2, 2, 2), symmetric(6)],
+                         ids=lambda defn: defn.name)
+def test_default_method_builds_no_morphism(defn, constructed):
+    group = build(defn)
+    ext = extended_spectrum(group)
+    spec = spectrum(group)
+    report = classify(group, extended=True)
+    assert constructed[0] == 0
+    assert (report.extended_spectrum, report.spectrum) == (ext, spec)
+    assert report.end_count == sum(ext.values())
+
+
+@pytest.mark.parametrize("defn", [abelian(2, 2, 2), symmetric(6)],
+                         ids=lambda defn: defn.name)
+def test_checked_method_builds_one_morphism_per_representative(defn,
+                                                               constructed):
+    group = build(defn)
+    end_reps = len(list(weighted_sweep(group)))
+    aut_reps = len(list(weighted_sweep(group, automorphisms=True)))
+    constructed[0] = 0
+    extended_spectrum(group, method="checked")
+    assert constructed[0] == end_reps
+    constructed[0] = 0
+    spectrum(group, method="checked")
+    assert constructed[0] == aut_reps
+
+
+@pytest.fixture
+def charges(monkeypatch):
+    """Every amount charged to a product budget, in order."""
+    log = []
+    charge = morphism_mod._Budget.charge
+
+    def spied(self, amount):
+        log.append(amount)
+        charge(self, amount)
+
+    monkeypatch.setattr(morphism_mod._Budget, "charge", spied)
+    return log
+
+
+def _charged(log, call):
+    log.clear()
+    try:
+        call()
+    except BudgetExceeded:
+        return list(log), True
+    return list(log), False
+
+
+@pytest.mark.parametrize("automorphisms, budget, fold", [
+    (False, 50, extended_spectrum),
+    (True, 10, spectrum),
+], ids=["extended_spectrum", "spectrum"])
+def test_budget_runs_out_where_the_weighted_sweep_does(automorphisms, budget,
+                                                       fold, charges):
+    group = build(symmetric(4))
+    sweep = _charged(charges, lambda: list(weighted_sweep(
+        group, automorphisms=automorphisms, budget=budget)))
+    assert sweep[1], "the budget must run out"
+    assert _charged(charges, lambda: fold(group, budget=budget)) == sweep
+
+
+@pytest.mark.parametrize("defn", [symmetric(4), symmetric(6),
+                                  holomorph_cyclic(21)],
+                         ids=lambda defn: defn.name)
+def test_fold_charges_what_the_weighted_sweep_charges(defn, charges):
+    """Same amounts in the same order.  The totals were measured when
+    every sweep still built a Morphism per representative."""
+    group = build(defn)
+    end, _ = _charged(charges, lambda: list(weighted_sweep(group)))
+    aut, _ = _charged(charges, lambda: list(
+        weighted_sweep(group, automorphisms=True)))
+    assert _charged(charges, lambda: extended_spectrum(group)) == (end, False)
+    assert _charged(charges, lambda: spectrum(group)) == (aut, False)
+    # The End sweep gives classify both spectra.
+    assert _charged(charges, lambda: classify(group)) == (end, False)
+    assert _charged(charges, lambda: classify(group, extended=False)) == (
+        aut, False)
+    totals = {"S4": (1144, 214), "S6": (152454, 30212),
+              "Hol(Z21)": (916734, 44793)}
+    assert (sum(end), sum(aut)) == totals[group.name]
+
+
+def _identity_moved(group):
+    table = list(range(group.order))
+    table[0] = 1
+    return table, False
+
+
+def _class_onto_identity(group):
+    # The class of element 1 goes to the identity's class.
+    table = list(range(group.order))
+    table[1] = 0
+    return table, True
+
+
+def _trivial_as_automorphism(group):
+    return [0] * group.order, True
+
+
+@pytest.mark.parametrize("bad", [_identity_moved, _class_onto_identity,
+                                 _trivial_as_automorphism],
+                         ids=["identity-class-moved",
+                              "class-onto-identity-as-automorphism",
+                              "trivial-as-automorphism"])
+def test_fold_assertions_fire(bad, tmp_path, monkeypatch, capsys):
+    defn = symmetric(3)
+    group = build(defn)
+    table, bijective = bad(group)
+
+    def search(group, automorphisms, budget):
+        yield table, 1, bijective
+
+    monkeypatch.setattr(spectra_mod, "_search", search)
+    with pytest.raises(AssertionError):
+        extended_spectrum(group)
+    with pytest.raises(AssertionError):
+        spectrum(group)
+    path = tmp_path / "s3.json"
+    save(defn, path)
+    assert main(["spectrum", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "Traceback" not in err

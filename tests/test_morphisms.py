@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 import oracles
+from oracles import identity_morphism
 from twistspec.errors import BudgetExceeded, NotAHomomorphism
-from twistspec.morphism import (Morphism, _verify_table, identity_morphism,
-                                inner_automorphism, morphism_from_images,
-                                weighted_sweep)
+from twistspec.morphism import (Morphism, _verify_table, inner_automorphism,
+                                morphism_from_images, weighted_sweep)
 from twistspec.perm import Permutation
 from twistspec.catalog import (abelian, alternating, build, cyclic,
                                holomorph_cyclic, quaternion_dicyclic,

@@ -1,11 +1,11 @@
 import pytest
 
 import oracles
+from oracles import identity_morphism
 
 from twistspec.errors import MethodDisagreement
-from twistspec.morphism import (Morphism, identity_morphism,
-                                inner_automorphism, morphism_from_images,
-                                weighted_sweep)
+from twistspec.morphism import (Morphism, inner_automorphism,
+                                morphism_from_images, weighted_sweep)
 from twistspec.perm import Permutation
 from twistspec.twisted import (induced_class_map, reduction_check,
                                reidemeister_number, twisted_classes)
