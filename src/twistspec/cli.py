@@ -11,6 +11,7 @@ are byte-identical for identical inputs and flags regardless of ``--jobs``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -273,7 +274,11 @@ def _cmd_survey(args) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each
+    ``add_argument`` builds a help formatter, which reads the terminal size
+    and the environment.  ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="twistspec",
         description="Twisted conjugacy and Reidemeister spectra for finite "

@@ -15,7 +15,8 @@ computations (conjugacy classes, centers, normal closures, the derived and
 lower central series) are orbits under the columns of a few generators:
 O(|G| * |gens|) list reads instead of all-pairs products.  No quotient group
 is built: a question about G/N (is it simple?) is answered by orbits in G
-that take in N's generators.
+that take in N's generators, and the cosets of a normal subgroup are
+labelled once per subgroup (``normal_cosets``).
 See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
 ch. 4.
 """
@@ -104,6 +105,8 @@ class FiniteGroup:
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
         self._small_gens: tuple[int, ...] | None = None
+        self._cosets: dict[tuple[int, ...],
+                           tuple[Subgroup, list[int], list[int]]] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -305,6 +308,33 @@ class FiniteGroup:
         flags = sub.member_flags
         return all(flags[column[y]] for column in self._conjugation_columns()
                    for y in sub.generators)
+
+    def normal_cosets(self, members: tuple[int, ...]
+                      ) -> tuple[Subgroup, list[int], list[int]]:
+        """The normal subgroup N with these sorted member indices, with
+        ``coset_of`` (the coset index of each element) and the cosets'
+        representatives, numbered by smallest member.
+
+        Built once per member tuple and cached: ``subgroup`` verifies
+        closure, conjugation by each generator of G must keep N, and the
+        cosets are the orbits of right multiplication by N's generators,
+        each of which must have |N| members.
+        """
+        entry = self._cosets.get(members)
+        if entry is None:
+            with self._lock:
+                entry = self._cosets.get(members)
+                if entry is None:
+                    sub = self.subgroup(members)
+                    if not self.is_normal(sub):
+                        raise AssertionError("subgroup is not normal")
+                    coset_of, reps, sizes = orbits(
+                        self.order, [self.column(y) for y in sub.generators])
+                    if any(size != sub.order for size in sizes):
+                        raise AssertionError(
+                            "cosets do not all have |N| members")
+                    entry = self._cosets[members] = (sub, coset_of, reps)
+        return entry
 
     def _normal_closure(self, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
         """Members and generators of the smallest normal subgroup containing

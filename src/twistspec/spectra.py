@@ -257,7 +257,7 @@ def theorem_battery(group: FiniteGroup, *,
     are computed by both methods throughout.  ``orbit-stabiliser-identity``
     (|[1]| * |Fix phi| = |G|) is checked here and nowhere else in the
     package.  ``reduction-to-injective`` compares the fixed-class count
-    with the orbits on G of the twisted maps and N's generators, which
+    with the orbits of the projected twisted maps on the cosets of N, which
     number R of the induced map on G/N (``reduction_check``); no quotient
     group is built.  A failure carries the first failing representative in
     sweep order as its witness.  Failures are data, not errors.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MethodDisagreement
-from .group import ClassPartition, FiniteGroup, orbits
+from .group import ClassPartition, FiniteGroup, Subgroup, orbits
 from .morphism import Morphism
 
 METHODS = ("fixed-classes", "orbits", "checked")
@@ -126,17 +126,34 @@ def reidemeister_number(phi: Morphism, method: str = "fixed-classes",
     return fixed
 
 
+def _induced_count(phi: Morphism, tower: Subgroup) -> int:
+    """The Reidemeister number of the map phi induces on G/N, N = ``tower``
+    normal with phi(N) in N, counted on the [G:N] cosets.
+
+    The projected twisted maps c -> coset of s^-1 rep_c phi(s) are well
+    defined because N is normal and phi(N) lies in N, and their orbits are
+    the twisted classes of the induced map.  The coset labelling comes from
+    the group's per-tower cache; no quotient group is built.
+    """
+    group = phi.source
+    _, coset_of, reps = group.normal_cosets(tower.indices)
+    maps = [[coset_of[column[row[r]]] for r in reps]
+            for column, row in zip(
+                map(group.column, phi.generator_images),
+                group._inverse_generator_rows())]
+    return len(orbits(len(reps), maps)[1])
+
+
 def reduction_check(phi: Morphism, count: int) -> bool:
     """True when ``count``, phi's Reidemeister number, is also that of the
     injective map phi induces on G/N, N the stabilized kernel union.
 
-    No quotient group is built.  N is normal with phi(N) in N, so adding
-    right multiplication by N's generators to the twisted maps
-    g -> s^-1 g phi(s) gives orbits on G that are the preimages of the
-    twisted classes of the induced map; their number is its Reidemeister
-    number.  Asserts first that phi(x) in N implies x in N, so the induced
-    map is injective, hence bijective.  Expected true for every
-    endomorphism; exposed as a verification hook.
+    Asserts first that phi(x) in N implies x in N, so the induced map is
+    injective, hence bijective; this and the phi-invariance of N
+    (``iterated_kernel``) are checked for every phi, while N's closure,
+    normality and cosets are verified once per distinct tower.  The count
+    itself runs on the [G:N] cosets (``_induced_count``).  Expected true
+    for every endomorphism; exposed as a verification hook.
     """
     phi._require_endo()
     tower = phi.iterated_kernel()
@@ -146,6 +163,4 @@ def reduction_check(phi: Morphism, count: int) -> bool:
     flags = tower.member_flags
     if any(flags[t] and not flags[x] for x, t in enumerate(phi.table)):
         raise AssertionError("induced map on the quotient is not injective")
-    group = phi.source
-    maps = _twisted_maps(phi) + [group.column(y) for y in tower.generators]
-    return len(orbits(group.order, maps)[1]) == count
+    return _induced_count(phi, tower) == count

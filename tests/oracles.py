@@ -10,7 +10,8 @@ such a list one morphism at a time.  ``tally`` folds the weighted sweep's
 Morphisms through ``reidemeister_number``, the spectra's counters computed
 the slow way.  ``quotient`` builds G/N as a permutation group on the left
 cosets of N, which ``twistspec`` itself never does, and
-``induced_on_quotient`` the map an endomorphism induces there.
+``induced_on_quotient`` the map an endomorphism induces there;
+``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
 The suites compare the fast paths with these on small groups.
 """
 
@@ -20,7 +21,7 @@ import functools
 import itertools
 from collections import Counter
 
-from twistspec.group import closure as materialize
+from twistspec.group import closure as materialize, orbits
 from twistspec.morphism import Morphism, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import BatteryCheck, _witness
@@ -221,6 +222,20 @@ def reduced_count(phi, method="fixed-classes"):
     group = phi.source
     sub = group.subgroup(iterated_kernel(phi.table))
     return reidemeister_number(induced_on_quotient(phi, sub), method)
+
+
+def reduction_orbits_on_g(phi):
+    """R of the map ``phi`` induces on G/N, N the stabilized kernel union
+    found one power at a time, counted on all of G: the orbits of the
+    twisted maps g -> s^-1 g phi(s) together with right multiplication by
+    N's generators are the preimages of the induced map's twisted classes."""
+    group = phi.source
+    sub = group.subgroup(iterated_kernel(phi.table))
+    maps = [group.column(y) for y in sub.generators]
+    for s in group.generator_indices():
+        column = group.column(phi.table[s])
+        maps.append([column[x] for x in group.row(group.inverse(s))])
+    return len(orbits(group.order, maps)[1])
 
 
 def inner_automorphism(table, c):

@@ -429,3 +429,45 @@ def test_console_entry_point(s3_file):
     )
     assert proc.returncode == 0
     assert "order" in proc.stdout
+
+
+def test_parser_is_built_once_per_process(s3_file, tmp_path, capsys):
+    # One process runs several commands on the same cached parser; each
+    # must exit and print exactly as it does in a process of its own.
+    from twistspec.cli import build_parser
+    assert build_parser() is build_parser()
+    commands = [["info", s3_file], ["info", str(tmp_path / "missing.json")],
+                ["spectrum", s3_file, "--extended"], ["--version"],
+                ["verify", s3_file]]
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistspec.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (code, got.out, got.err) == \
+            (proc.returncode, proc.stdout, proc.stderr), argv
+    assert build_parser() is build_parser()
+
+
+def test_verify_matches_the_benchmark_golden(tmp_path, capsys):
+    # The benchmark's frozen catalog inputs and recorded verify output,
+    # read only.
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    docs = json.loads((bench / "data" / "catalog.json").read_text("utf-8"))
+    golden = json.loads((bench / "golden" / "verify.json").read_bytes())
+    definitions = [catalog.from_json_dict(doc) for doc in docs]
+    paths = catalog.write_catalog(tmp_path, definitions)
+    assert len(paths) == len(golden) == 51
+    for defn, path in zip(definitions, paths):
+        code = main(["verify", str(path)])
+        want = golden[f"verify {defn.name}"]
+        assert (code, capsys.readouterr().out) == \
+            (want["exit"], want["stdout"]), defn.name

@@ -98,7 +98,8 @@ def test_cosets_and_projection(case):
     # The left cosets of the center, of the derived subgroup and of the
     # first generator's cyclic subgroup (often not normal) are the orbits
     # of right multiplication by the subgroup's generators, as
-    # reduction_check reads them.  The oracle's projection onto the
+    # normal_cosets labels them for the reduction check (normal ones
+    # only).  The oracle's projection onto the
     # quotient by each normal one has that kernel and respects products,
     # and G/N is simple exactly when that quotient is.
     group, table = case
@@ -110,6 +111,9 @@ def test_cosets_and_projection(case):
             group.order, [group.column(h) for h in sub.generators])
         assert (coset_of, reps) == oracles.left_cosets(group, sub.indices)
     for sub in (center, derived):
+        cached, coset_of, reps = group.normal_cosets(sub.indices)
+        assert cached.indices == sub.indices
+        assert (coset_of, reps) == oracles.left_cosets(group, sub.indices)
         quotient_group, projection = oracles.quotient(group, sub)
         assert [x for x, t in enumerate(projection) if t == 0] == \
             list(sub.indices)

@@ -18,6 +18,7 @@ import pytest
 import oracles
 import twistspec.morphism as morphism_mod
 import twistspec.spectra as spectra_mod
+import twistspec.twisted as twisted_mod
 from twistspec.catalog import (GroupDefinition, alternating, build,
                                holomorph_cyclic, save, shipped_catalog,
                                symmetric)
@@ -150,13 +151,21 @@ def test_battery_over_representatives_matches_every_morphism(case):
 
 
 def test_reduction_check_counts_the_induced_classes(case):
-    """For each representative with a nontrivial stable kernel N, the
-    orbits reduction_check counts inside G number the twisted classes of
-    the oracle's induced map on G/N, by either method."""
+    """For each representative, the orbits reduction_check counts on the
+    cosets of its stable kernel N equal the orbits on G of the twisted maps
+    together with N's columns; for a nontrivial N they number the twisted
+    classes of the oracle's induced map on G/N, by either method."""
     for phi, _ in case["end_sweep"]:
-        if phi.iterated_kernel().is_trivial():
-            continue
+        tower = phi.iterated_kernel()
         count = reidemeister_number(phi)
+        cosets = twisted_mod._induced_count(phi, tower)
+        assert cosets == oracles.reduction_orbits_on_g(phi)
+        if tower.is_trivial():
+            # G/1 is G and the induced map is phi itself.
+            assert cosets == count == reidemeister_number(phi, "orbits")
+            continue
+        assert cosets == count == reidemeister_number(
+            oracles.induced_on_quotient(phi, tower))
         assert reduction_check(phi, count)
         assert not reduction_check(phi, count + 1)
         assert oracles.reduced_count(phi) == count
