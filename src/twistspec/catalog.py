@@ -20,7 +20,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -395,14 +395,12 @@ def m9() -> GroupDefinition:
                            {"order": 72, "class_number": 6})
 
 
-_SL2_CLASS_NUMBERS = {3: 7, 5: 9}
-
-
 def sl2(p: int) -> GroupDefinition:
     """2x2 determinant-one matrices over the p-element field acting on the
-    p^2 - 1 nonzero vectors, for p in {3, 5}."""
-    if p not in _SL2_CLASS_NUMBERS:
-        raise DefinitionError("sl2 is provided for p in {3, 5}")
+    p^2 - 1 nonzero vectors, for an odd prime p; SL(2,p) then has p + 4
+    conjugacy classes."""
+    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1)):
+        raise DefinitionError(f"sl2 needs an odd prime, got {p}")
     points = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
     index = {v: i for i, v in enumerate(points)}
 
@@ -414,7 +412,7 @@ def sl2(p: int) -> GroupDefinition:
     shear = row(1, 1, 0, 1)         # [[1,1],[0,1]]
     return GroupDefinition(f"SL(2,{p})", p * p - 1, [rotation, shear],
                            {"order": p * (p * p - 1),
-                            "class_number": _SL2_CLASS_NUMBERS[p]})
+                            "class_number": p + 4})
 
 
 # -- the shipped catalog ---------------------------------------------------------

@@ -1,11 +1,11 @@
 """Command-line surface: info, spectrum, verify, survey.
 
-Exit codes: 0 success, 1 input error, 2 budget exceeded, 3 theorem-battery
-failure, 4 internal error (a failed internal consistency check, a
-disagreement of the two counting methods, or a table that breaks the
-homomorphism law; a survey still writes its report, with the file's error
-recorded).  Survey reports
-are byte-identical for identical inputs and flags regardless of ``--jobs``.
+Exit codes: 0 success, 1 input error (a bad file or flag, or a usage
+error), 2 budget exceeded, 3 theorem-battery failure, 4 internal error (a
+failed internal consistency check or a table that breaks the homomorphism
+law; a survey still writes its report, with the file's error recorded).
+Survey reports are byte-identical for identical inputs and flags regardless
+of ``--jobs``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ EXIT_BUDGET = 2
 EXIT_BATTERY = 3
 EXIT_INTERNAL = 4
 
-_METHODS = {"fixed": "fixed-classes", "orbits": "orbits", "checked": "checked"}
 # Errors that only a bug in twistspec can raise: exit 4.
 _INTERNAL_ERRORS = (AssertionError, MethodDisagreement, NotAHomomorphism)
 BUDGET_ENV = "TWISTSPEC_BUDGET"
@@ -117,8 +116,7 @@ def _cmd_info(args) -> int:
 def _cmd_spectrum(args) -> int:
     defn, group = _load_group(args.file, args.order_cap)
     report = classify(group, name=defn.name, extended=args.extended,
-                      battery=False, method=_METHODS[args.method],
-                      budget=args.budget)
+                      battery=False, budget=args.budget)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return EXIT_OK
@@ -206,12 +204,12 @@ def _matches(report_doc: dict, rules: dict) -> bool:
 
 
 def _survey_worker(task: tuple) -> dict:
-    path, budget, order_cap, battery, method = task
+    path, budget, order_cap, battery = task
     name = os.path.basename(path)
     try:
         defn, group = _load_group(path, order_cap)
         report = classify(group, name=defn.name, extended=True,
-                          battery=battery, method=method, budget=budget)
+                          battery=battery, budget=budget)
         return {"file": name, "report": report.to_json_dict()}
     except _INTERNAL_ERRORS as exc:
         return {"file": name, "error": f"{type(exc).__name__}: {exc}",
@@ -232,8 +230,8 @@ def _cmd_survey(args) -> int:
     if not out.parent.is_dir():
         raise DefinitionError(f"--out {out}: no directory {out.parent}")
     files = sorted(str(p) for p in directory.glob("*.json"))
-    tasks = [(path, args.budget, args.order_cap,
-              args.battery, _METHODS[args.method]) for path in files]
+    tasks = [(path, args.budget, args.order_cap, args.battery)
+             for path in files]
     if args.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_survey_worker, tasks))
@@ -274,12 +272,21 @@ def _cmd_survey(args) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise DefinitionError, so they exit 1 like any other
+    input error; argparse would exit 2, the budget code.  Subparsers are
+    built by the same class."""
+
+    def error(self, message: str):
+        raise DefinitionError(f"{message} (see {self.prog} --help)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: each
     ``add_argument`` builds a help formatter, which reads the terminal size
     and the environment.  ``parse_args`` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twistspec",
         description="Twisted conjugacy and Reidemeister spectra for finite "
                     "permutation groups",
@@ -307,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("file")
     p_spec.add_argument("--extended", action="store_true",
                         help="also sweep all endomorphisms")
-    p_spec.add_argument("--method", choices=sorted(_METHODS), default="fixed")
     p_spec.add_argument("--json", action="store_true")
     common(p_spec)
     p_spec.set_defaults(func=_cmd_spectrum)
@@ -326,21 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--jobs", type=int, default=1)
     p_survey.add_argument("--battery", action="store_true",
                           help="include the theorem battery per group")
-    p_survey.add_argument("--method", choices=sorted(_METHODS),
-                          default="fixed",
-                          help="counting path for the spectra; no effect "
-                               "with --battery, which counts every "
-                               "representative by both methods and "
-                               "compares")
     common(p_survey)
     p_survey.set_defaults(func=_cmd_survey)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.budget = _resolve_limit(args.budget, "--budget", BUDGET_ENV,
                                      DEFAULT_PRODUCT_BUDGET)
         args.order_cap = _resolve_limit(args.order_cap, "--order-cap",

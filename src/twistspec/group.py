@@ -451,7 +451,9 @@ class FiniteGroup:
 
         The declared generators are kept (minus duplicates and the identity)
         when there are at most three; otherwise a small set is re-derived
-        greedily, picking the element that maximally grows the closure.
+        greedily, picking the first element that maximally grows the
+        closure.  A round's scan stops at the first candidate that closes
+        all of G, which no later candidate can beat.
         """
         if self._small_gens is None:
             with self._lock:
@@ -485,6 +487,8 @@ class FiniteGroup:
                              self._new_column(cand))
                 if len(grown) > best_size:
                     best, best_size = cand, len(grown)
+                    if best_size == self.order:
+                        break
             chosen.append(best)
             self._adjoin(found, reached, columns, self.column(best))
         return tuple(chosen)

@@ -16,8 +16,8 @@ from .errors import BudgetExceeded
 from .group import FiniteGroup
 from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, _search,
                        inner_automorphism, weighted_sweep)
-from .twisted import (METHODS, _class_images, induced_class_map,
-                      reidemeister_number, reduction_check, twisted_classes)
+from .twisted import (_class_images, induced_class_map, reduction_check,
+                      twisted_classes)
 
 FLAG_NAMES = (
     "abelian", "nilpotent", "perfect", "simple", "quasisimple", "odd_order",
@@ -116,29 +116,23 @@ def _witness(phi: Morphism, detail: str) -> dict:
     }
 
 
-def _fold(group: FiniteGroup, automorphisms: bool, method: str,
+def _fold(group: FiniteGroup, automorphisms: bool,
           budget: int | None) -> tuple[Counter, Counter]:
     """Weighted counters of the Reidemeister numbers of the automorphisms
     and of all the morphisms of one End (or Aut) sweep.
 
-    Under ``fixed-classes`` R is read off the search's live table: the
-    number of classes c whose representative phi maps back into c, k reads
-    with no copy and no Morphism.  ``_class_images`` asserts on those k
-    images that the identity class is fixed and that an automorphism
-    permutes the classes.  ``orbits`` and ``checked`` wrap each table in a
-    Morphism and go through ``reidemeister_number``.
+    R is read off the search's live table: the number of classes c whose
+    representative phi maps back into c, k reads with no copy and no
+    Morphism.  ``_class_images`` asserts on those k images that the
+    identity class is fixed and that an automorphism permutes the classes.
+    The orbit count is cross-checked by the battery, which compares both
+    counts on every representative.
     """
     classes = group.conjugacy_classes()
     own = range(classes.count)
-    live = method == "fixed-classes"
     spec, ext = Counter(), Counter()
     for table, weight, bijective in _search(group, automorphisms, budget):
-        if live:
-            images = _class_images(table, classes, bijective)
-            value = sum(map(eq, images, own))
-        else:
-            phi = Morphism(group, group, table, _verified=True)
-            value = reidemeister_number(phi, method, classes)
+        value = sum(map(eq, _class_images(table, classes, bijective), own))
         ext[value] += weight
         if bijective:
             spec[value] += weight
@@ -149,42 +143,36 @@ def _sorted_map(counter: Counter) -> dict[int, int]:
     return {v: counter[v] for v in sorted(counter)}
 
 
-def spectrum(group: FiniteGroup, *, method: str = "fixed-classes",
+def spectrum(group: FiniteGroup, *,
              budget: int | None = DEFAULT_PRODUCT_BUDGET) -> dict[int, int]:
     """Reidemeister numbers over all automorphisms, with multiplicities."""
-    return _sorted_map(_fold(group, True, method, budget)[0])
+    return _sorted_map(_fold(group, True, budget)[0])
 
 
-def extended_spectrum(group: FiniteGroup, *, method: str = "fixed-classes",
+def extended_spectrum(group: FiniteGroup, *,
                       budget: int | None = DEFAULT_PRODUCT_BUDGET
                       ) -> dict[int, int]:
     """Reidemeister numbers over all endomorphisms, with multiplicities."""
-    return _sorted_map(_fold(group, False, method, budget)[1])
+    return _sorted_map(_fold(group, False, budget)[1])
 
 
 def classify(group: FiniteGroup, name: str | None = None, *,
              extended: bool = True, battery: bool = False,
-             method: str = "fixed-classes",
              budget: int | None = DEFAULT_PRODUCT_BUDGET) -> SpectrumReport:
     """Full classification of one group.
 
     Spectra come from one weighted sweep over Inn(G)-orbits, folded from
-    the search's live tables as they are filled (``_fold``): under
-    ``fixed-classes`` no Morphism is built, while ``orbits`` and
-    ``checked`` build one per representative.  The endomorphism sweep is
-    attempted only when ``extended`` is set; if it blows the product budget
-    the extended fields are reported as skipped rather than guessed, and
-    the automorphism sweep, whose budget errors propagate, gives the
-    spectrum.  With ``battery`` the one sweep is the battery's sweep of the
-    endomorphisms (``weighted_sweep``, one Morphism per representative),
-    which folds the spectra from its fixed-class counts; ``method`` is then
-    unused, since the battery counts by both methods and compares, and
-    budget errors propagate.  An automorphism fixes every class exactly
-    when its count is k, so the class-preserving automorphisms are the
-    spectrum's multiplicity of k.
+    the search's live tables as they are filled (``_fold``), with no
+    Morphism built.  The endomorphism sweep is attempted only when
+    ``extended`` is set; if it blows the product budget the extended fields
+    are reported as skipped rather than guessed, and the automorphism
+    sweep, whose budget errors propagate, gives the spectrum.  With
+    ``battery`` the one sweep is the battery's sweep of the endomorphisms
+    (``weighted_sweep``, one Morphism per representative), which folds the
+    spectra from its fixed-class counts; budget errors propagate.  An
+    automorphism fixes every class exactly when its count is k, so the
+    class-preserving automorphisms are the spectrum's multiplicity of k.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     classes = group.conjugacy_classes()
     k = classes.count
     structure = structure_flags(group)
@@ -195,11 +183,11 @@ def classify(group: FiniteGroup, name: str | None = None, *,
         battery_checks, tally = _battery(group, structure, budget)
     elif extended:
         try:
-            tally = _fold(group, False, method, budget)
+            tally = _fold(group, False, budget)
         except BudgetExceeded:
             annotations.append("extended spectrum skipped: budget exceeded")
     if tally is None:
-        tally = _fold(group, True, method, budget)
+        tally = _fold(group, True, budget)
     elif extended:
         extended_map = _sorted_map(tally[1])
     spec_counter, ext_counter = tally

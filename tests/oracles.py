@@ -12,6 +12,8 @@ the slow way.  ``quotient`` builds G/N as a permutation group on the left
 cosets of N, which ``twistspec`` itself never does, and
 ``induced_on_quotient`` the map an endomorphism induces there;
 ``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
+``small_generating_set`` is the search's greedy generating set with every
+round's candidate scan run to the end.
 The suites compare the fast paths with these on small groups.
 """
 
@@ -61,6 +63,29 @@ def subgroup_closure(group, seeds):
                 members.add(column[x])
                 frontier.append(column[x])
     return tuple(sorted(members))
+
+
+def small_generating_set(group):
+    """``FiniteGroup.small_generating_set`` with every round's candidate
+    scan run to the end: the declared generators without duplicates and
+    the identity when at most three remain, else the first element of
+    largest order, then each round the first element whose closure with
+    the chosen ones is strictly the largest."""
+    declared = list(dict.fromkeys(g for g in group.generator_indices() if g))
+    if len(declared) <= 3:
+        return tuple(declared)
+    orders = [p.order() for p in group.elements]
+    chosen = [max(range(1, group.order), key=orders.__getitem__)]
+    found = subgroup_closure(group, chosen)
+    while len(found) < group.order:
+        best, best_found = None, found
+        for cand in sorted(set(range(group.order)) - set(found)):
+            grown = subgroup_closure(group, [*chosen, cand])
+            if len(grown) > len(best_found):
+                best, best_found = cand, grown
+        chosen.append(best)
+        found = best_found
+    return tuple(chosen)
 
 
 def is_class_preserving(phi, classes=None):

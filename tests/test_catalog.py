@@ -56,7 +56,7 @@ def test_invalid_builder_parameters():
     with pytest.raises(DefinitionError):
         quaternion_dicyclic(1)
     with pytest.raises(DefinitionError):
-        sl2(7)
+        sl2(2)
     with pytest.raises(DefinitionError):
         holomorph_cyclic(1)
     with pytest.raises(DefinitionError):

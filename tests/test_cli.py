@@ -133,6 +133,35 @@ def test_json_booleans_are_not_integers(field, doc, tmp_path, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["info"],
+    ["info", "{s3}", "--bogus"],
+    ["spectrum", "{s3}", "--method", "orbits"],
+    ["spectrum", "{s3}", "--budget", "many"],
+    ["verify"],
+    ["verify", "{s3}", "--extended"],
+    ["survey", "{dir}"],
+    ["survey", "{dir}", "--out", "r.json", "--method", "checked"],
+    ["frobnicate"],
+], ids=lambda argv: " ".join(argv) or "bare")
+def test_usage_errors_are_input_errors(argv, s3_file, small_dir, capsys):
+    argv = [arg.format(s3=s3_file, dir=small_dir) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["spectrum", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_spectrum_command(s3_file, capsys):
     assert main(["spectrum", s3_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -141,8 +170,7 @@ def test_spectrum_command(s3_file, capsys):
 
 
 def test_spectrum_extended(s3_file, capsys):
-    assert main(["spectrum", s3_file, "--extended", "--method", "checked",
-                 "--json"]) == 0
+    assert main(["spectrum", s3_file, "--extended", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["extended_spectrum"] == [[1, 1], [2, 3], [3, 6]]
     assert doc["flags"]["full_extended_spectrum"] is True
@@ -342,11 +370,11 @@ def test_survey_marks_not_a_homomorphism_internal(small_dir, tmp_path,
 
 
 def _miscount_fixed_classes(monkeypatch):
-    """The fixed-class method counts one class too many on S3, so
-    ``--method checked`` finds the two methods disagreeing there."""
-    import twistspec.twisted as twisted_mod
+    """The battery's fixed-class count is one class too many on S3, so its
+    orbit count disagrees there."""
+    import twistspec.spectra as spectra_mod
 
-    honest = twisted_mod.induced_class_map
+    honest = spectra_mod.induced_class_map
 
     def miscounted(phi, classes=None):
         class_map = honest(phi, classes)
@@ -354,28 +382,33 @@ def _miscount_fixed_classes(monkeypatch):
             return class_map
         return SimpleNamespace(fixed_count=class_map.fixed_count + 1)
 
-    monkeypatch.setattr(twisted_mod, "induced_class_map", miscounted)
+    monkeypatch.setattr(spectra_mod, "induced_class_map", miscounted)
 
 
-def test_method_disagreement_is_an_internal_error(s3_file, monkeypatch,
-                                                  capsys):
+def test_verify_catches_miscounted_fixed_classes(s3_file, monkeypatch,
+                                                 capsys):
     _miscount_fixed_classes(monkeypatch)
-    assert main(["spectrum", s3_file, "--extended", "--method",
-                 "checked"]) == 4
-    assert "internal error: orbit sweep gave" in capsys.readouterr().err
+    assert main(["verify", s3_file]) == 3
+    failed = [line.split("  witness=")[0]
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL")]
+    assert "FAIL  S3  orbit-vs-fixed-classes" in failed
 
 
-def test_survey_records_method_disagreement_as_internal(small_dir, tmp_path,
-                                                        monkeypatch):
+def test_survey_battery_records_miscounted_fixed_classes(small_dir, tmp_path,
+                                                         monkeypatch):
     _miscount_fixed_classes(monkeypatch)
     out = tmp_path / "r.json"
-    assert main(["survey", str(small_dir), "--out", str(out), "--method",
-                 "checked"]) == 4
+    assert main(["survey", str(small_dir), "--out", str(out),
+                 "--battery"]) == 0
     doc = json.loads(out.read_text())
-    assert [g["name"] for g in doc["groups"]] == ["Z1", "Z2", "Z6", "Dic2"]
-    [error] = doc["summary"]["errors"]
-    assert error["file"] == "s3.json"
-    assert error["error"].startswith("MethodDisagreement: orbit sweep gave")
+    assert doc["summary"]["errors"] == []
+    failed = {group["name"]: [check["check"]
+                              for check in group["theorem_battery"]
+                              if not check["passed"]]
+              for group in doc["groups"]}
+    assert "orbit-vs-fixed-classes" in failed.pop("S3")
+    assert failed == {"Z1": [], "Z2": [], "Z6": [], "Dic2": []}
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "is-dir"])

@@ -9,8 +9,8 @@ import oracles
 from twistspec.errors import OrderCapExceeded
 from twistspec.group import closure
 from twistspec.perm import Permutation
-from twistspec.catalog import (GroupDefinition, abelian, alternating, build,
-                               cyclic, direct_product, metacyclic,
+from twistspec.catalog import (abelian, alternating, build, cyclic,
+                               direct_product, metacyclic,
                                quaternion_dicyclic, sl2, symmetric)
 from twistspec.spectra import structure_flags
 
@@ -192,21 +192,6 @@ def test_quasisimple_with_trivial_center_builds_no_quotient(monkeypatch):
     assert built == []
 
 
-def _sl2_7():
-    """SL(2,7) on the 48 nonzero vectors of F_7^2: order 336, k = 11."""
-    p = 7
-    points = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
-    index = {v: i for i, v in enumerate(points)}
-
-    def row(a, b, c, d):
-        return [index[((a * x + b * y) % p, (c * x + d * y) % p)] + 1
-                for (x, y) in points]
-
-    return GroupDefinition("SL(2,7)", len(points),
-                           [row(0, -1, 1, 0), row(1, 1, 0, 1)],
-                           {"order": 336, "class_number": 11})
-
-
 def test_perfect_central_extension_of_a_non_simple_group(monkeypatch):
     # SL(2,5)xA5 is perfect with Z of order 2, and G/Z = A5xA5 is not
     # simple; no group is materialized on the way.
@@ -226,7 +211,7 @@ def test_perfect_central_extension_of_a_non_simple_group(monkeypatch):
 
 
 def test_sl27_is_quasisimple_and_a5xa5_is_not():
-    sl27 = build(_sl2_7())
+    sl27 = build(sl2(7))
     assert sl27.center().order == 2
     assert sl27.is_perfect() and not sl27.is_simple()
     assert sl27.is_quasisimple()

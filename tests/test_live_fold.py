@@ -1,11 +1,11 @@
 """The spectra's fold over the search's live tables.
 
 ``spectra._fold`` reads each representative's Reidemeister number off the
-table ``morphism._search`` is still filling, under ``fixed-classes``
-without building a Morphism.  Its counters are compared with the slow
-oracle ``oracles.tally``, which takes the weighted sweep's Morphisms
-through ``reidemeister_number``; its budget charges with the weighted
-sweep's; and its two assertions are shown to fire on bad tables.
+table ``morphism._search`` is still filling, without building a Morphism.
+Its counters are compared with the slow oracle ``oracles.tally``, which
+takes the weighted sweep's Morphisms through ``reidemeister_number`` under
+every method, the orbit count among them; its budget charges with the
+weighted sweep's; and its two assertions are shown to fire on bad tables.
 """
 
 import pytest
@@ -39,9 +39,9 @@ def case(request):
 def _assert_fold_matches_oracle(group, end_sweep, aut_sweep, method):
     classes = group.conjugacy_classes()
     budget = DEFAULT_PRODUCT_BUDGET
-    assert (spectra_mod._fold(group, False, method, budget)
+    assert (spectra_mod._fold(group, False, budget)
             == oracles.tally(end_sweep, classes, method))
-    assert (spectra_mod._fold(group, True, method, budget)
+    assert (spectra_mod._fold(group, True, budget)
             == oracles.tally(aut_sweep, classes, method))
 
 
@@ -57,7 +57,7 @@ def test_fold_matches_the_oracle_on_a_large_centre():
     group = build(direct_product(dihedral(4), abelian(2, 2)))
     aut_sweep = list(weighted_sweep(group, automorphisms=True))
     _assert_fold_matches_oracle(group, list(weighted_sweep(group)), aut_sweep,
-                                "fixed-classes")
+                                "orbits")
 
 
 @pytest.fixture
@@ -84,21 +84,6 @@ def test_default_method_builds_no_morphism(defn, constructed):
     assert constructed[0] == 0
     assert (report.extended_spectrum, report.spectrum) == (ext, spec)
     assert report.end_count == sum(ext.values())
-
-
-@pytest.mark.parametrize("defn", [abelian(2, 2, 2), symmetric(6)],
-                         ids=lambda defn: defn.name)
-def test_checked_method_builds_one_morphism_per_representative(defn,
-                                                               constructed):
-    group = build(defn)
-    end_reps = len(list(weighted_sweep(group)))
-    aut_reps = len(list(weighted_sweep(group, automorphisms=True)))
-    constructed[0] = 0
-    extended_spectrum(group, method="checked")
-    assert constructed[0] == end_reps
-    constructed[0] = 0
-    spectrum(group, method="checked")
-    assert constructed[0] == aut_reps
 
 
 @pytest.fixture
