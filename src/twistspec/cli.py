@@ -304,7 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {DEFAULT_ORDER_CAP}, "
                             f"env {ORDER_CAP_ENV})")
 
-    p_info = sub.add_parser("info", help="order, classes and structure flags")
+    p_info = sub.add_parser(
+        "info", help="order, classes and structure flags",
+        description="Order, classes and structure flags.  info sweeps no "
+                    "morphisms and takes no product budget (--budget is "
+                    "accepted and unused); its work is bounded by the "
+                    "order cap.")
     p_info.add_argument("file")
     p_info.add_argument("--json", action="store_true")
     common(p_info)

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import prod
 from operator import eq
+from typing import Sequence
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup
-from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, _search,
-                       inner_automorphism, weighted_sweep)
+from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, _Budget, _pools,
+                       _search, inner_automorphism, weighted_sweep)
 from .twisted import (_class_images, induced_class_map, reduction_check,
                       twisted_classes)
 
@@ -121,13 +123,21 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     """Weighted counters of the Reidemeister numbers of the automorphisms
     and of all the morphisms of one End (or Aut) sweep.
 
-    R is read off the search's live table: the number of classes c whose
+    An abelian group whose search generators are independent (the product
+    of their orders is |G|) is counted over image subgroups instead
+    (``_count_abelian``); the counters are the same.  Otherwise R is read
+    off the search's live table: the number of classes c whose
     representative phi maps back into c, k reads with no copy and no
     Morphism.  ``_class_images`` asserts on those k images that the
     identity class is fixed and that an automorphism permutes the classes.
     The orbit count is cross-checked by the battery, which compares both
     counts on every representative.
     """
+    gens = group.small_generating_set()
+    if (group.is_abelian()
+            and prod(map(group.element_order, gens)) == group.order):
+        spec, ext = _count_abelian(group, gens, budget)
+        return (spec, spec) if automorphisms else (spec, ext)
     classes = group.conjugacy_classes()
     own = range(classes.count)
     spec, ext = Counter(), Counter()
@@ -136,6 +146,88 @@ def _fold(group: FiniteGroup, automorphisms: bool,
         ext[value] += weight
         if bijective:
             spec[value] += weight
+    return spec, ext
+
+
+def _count_abelian(group: FiniteGroup, gens: Sequence[int],
+                   budget: int | None) -> tuple[Counter, Counter]:
+    """``_fold``'s counters for an abelian group with independent search
+    generators, counted over image subgroups instead of endomorphisms.
+
+    Every class is one element, so R(phi) = |Fix phi| = |G| / |im psi| for
+    psi(x) = x^-1 phi(x), and psi runs over End(G) as phi does.  G is the
+    direct product of the cyclic groups <g_j>, so any images d_j whose
+    orders divide those of the g_j are psi(g_j) for exactly one
+    endomorphism: the pools of ``morphism._pools``.  R depends only on
+    K = <d_1, ..., d_n>, so the count runs over the states
+    K_j = <d_1, ..., d_j> with the number of prefixes that reach each.
+    phi(g_j) = g_j d_j, and phi is an automorphism exactly when it is
+    injective on every H_j = <g_1, ..., g_j>, that is, when
+    L_j = phi(H_j) has |H_j| members; a state is the pair (K_j, L_j), with
+    L_j = 0 once phi is not injective.  Subgroups are bitmasks over element
+    indices; each join <K, c> is built once per call.  The budget is
+    charged states times candidates per depth, each state as it is made,
+    and the size of each join.  The End multiplicities must sum to the
+    product of the pool sizes, which is |End(G)|.
+    """
+    tracker = _Budget(budget)
+    pools = _pools(group, gens, False)
+    members = {1: (0,)}  # a subgroup's bitmask -> its members, identity first
+    joins: dict[tuple[int, int], int] = {}
+
+    def join(mask: int, c: int) -> int:
+        """The bitmask of <K, c>: K and its cosets c^i K until c^i is in K."""
+        if mask >> c & 1:
+            return mask
+        joined = joins.get((mask, c))
+        if joined is None:
+            column, layer = group.column(c), members[mask]
+            found, joined = list(layer), mask
+            while True:
+                layer = [column[x] for x in layer]  # the coset c^i K
+                if mask >> layer[0] & 1:
+                    break
+                found += layer
+                joined |= sum(1 << x for x in layer)
+            tracker.charge(len(found))
+            members[joined] = tuple(found)
+            joins[mask, c] = joined
+        return joined
+
+    orders = group.element_orders()
+    states = Counter({(1, 1): 1})
+    h_order = 1
+    # Each state is charged the candidates it will try when it is made, so
+    # a count that outgrows the budget stops before its states fill memory.
+    sizes = [len(pool) for pool in pools] + [0]
+    tracker.charge(sizes[0])
+    for g, pool, after in zip(gens, pools, sizes[1:]):
+        h_order *= orders[g]
+        shift = group.column(g)
+        images = [shift[d] for d in pool]  # phi(g) = g d
+        k_rows: dict[int, list[int]] = {}
+        l_rows = {0: [0] * len(pool)}
+        grown: Counter = Counter()
+        for (k, l), weight in states.items():
+            if k not in k_rows:
+                k_rows[k] = [join(k, d) for d in pool]
+            if l not in l_rows:
+                l_rows[l] = [m if m.bit_count() == h_order else 0
+                             for m in (join(l, c) for c in images)]
+            made = len(grown)
+            for pair, count in Counter(zip(k_rows[k], l_rows[l])).items():
+                grown[pair] += weight * count
+            tracker.charge((len(grown) - made) * after)
+        states = grown
+
+    spec, ext = Counter(), Counter()
+    for (k, l), weight in states.items():
+        value = group.order // k.bit_count()
+        ext[value] += weight
+        if l:
+            spec[value] += weight
+    if sum(ext.values()) != prod(map(len, pools)):
+        raise AssertionError("endomorphism multiplicities miss |End(G)|")
     return spec, ext
 
 
@@ -161,17 +253,19 @@ def classify(group: FiniteGroup, name: str | None = None, *,
              budget: int | None = DEFAULT_PRODUCT_BUDGET) -> SpectrumReport:
     """Full classification of one group.
 
-    Spectra come from one weighted sweep over Inn(G)-orbits, folded from
-    the search's live tables as they are filled (``_fold``), with no
-    Morphism built.  The endomorphism sweep is attempted only when
-    ``extended`` is set; if it blows the product budget the extended fields
-    are reported as skipped rather than guessed, and the automorphism
-    sweep, whose budget errors propagate, gives the spectrum.  With
-    ``battery`` the one sweep is the battery's sweep of the endomorphisms
-    (``weighted_sweep``, one Morphism per representative), which folds the
-    spectra from its fixed-class counts; budget errors propagate.  An
-    automorphism fixes every class exactly when its count is k, so the
-    class-preserving automorphisms are the spectrum's multiplicity of k.
+    Spectra come from ``_fold``: one weighted sweep over Inn(G)-orbits,
+    folded from the search's live tables as they are filled, with no
+    Morphism built, or, for an abelian group with independent search
+    generators, a count over image subgroups.  The endomorphism sweep (or
+    count) is attempted only when ``extended`` is set; if it blows the
+    product budget the extended fields are reported as skipped rather than
+    guessed, and the automorphism sweep, whose budget errors propagate,
+    gives the spectrum.  With ``battery`` the one sweep is the battery's
+    sweep of the endomorphisms (``weighted_sweep``, one Morphism per
+    representative, never the abelian count), which folds the spectra from
+    its fixed-class counts; budget errors propagate.  An automorphism fixes
+    every class exactly when its count is k, so the class-preserving
+    automorphisms are the spectrum's multiplicity of k.
     """
     classes = group.conjugacy_classes()
     k = classes.count

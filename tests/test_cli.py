@@ -162,6 +162,14 @@ def test_help_and_version_exit_0(argv, capsys):
     assert capsys.readouterr().out
 
 
+def test_info_help_says_it_takes_no_budget(capsys):
+    with pytest.raises(SystemExit):
+        main(["info", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "takes no product budget" in text
+    assert "bounded by the order cap" in text
+
+
 def test_spectrum_command(s3_file, capsys):
     assert main(["spectrum", s3_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -490,17 +498,55 @@ def test_parser_is_built_once_per_process(s3_file, tmp_path, capsys):
     assert build_parser() is build_parser()
 
 
-def test_verify_matches_the_benchmark_golden(tmp_path, capsys):
-    # The benchmark's frozen catalog inputs and recorded verify output,
-    # read only.
-    bench = Path(__file__).resolve().parent.parent / "perfbench"
-    docs = json.loads((bench / "data" / "catalog.json").read_text("utf-8"))
-    golden = json.loads((bench / "golden" / "verify.json").read_bytes())
+# The benchmark's frozen inputs and recorded outputs, read only.
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# The benchmark's ladder commands, keyed as in its golden file.
+LADDER = {
+    "info S6": ["info", "S6", "--json"],
+    "spectrum A6": ["spectrum", "A6", "--json"],
+    "spectrum --extended Z2^4": ["spectrum", "Z2xZ2xZ2xZ2", "--extended",
+                                 "--json"],
+}
+
+
+def _benchmark_files(directory, inputs):
+    """The benchmark's input set ``inputs`` written as definition files;
+    returns their paths by group name."""
+    docs = json.loads((BENCH / "data" / f"{inputs}.json").read_text("utf-8"))
     definitions = [catalog.from_json_dict(doc) for doc in docs]
-    paths = catalog.write_catalog(tmp_path, definitions)
-    assert len(paths) == len(golden) == 51
-    for defn, path in zip(definitions, paths):
-        code = main(["verify", str(path)])
-        want = golden[f"verify {defn.name}"]
+    paths = catalog.write_catalog(directory, definitions)
+    return {defn.name: str(path) for defn, path in zip(definitions, paths)}
+
+
+def test_verify_matches_the_benchmark_golden(tmp_path, capsys):
+    files = _benchmark_files(tmp_path, "catalog")
+    golden = json.loads((BENCH / "golden" / "verify.json").read_bytes())
+    assert len(files) == len(golden) == 51
+    for name, path in files.items():
+        code = main(["verify", path])
+        want = golden[f"verify {name}"]
         assert (code, capsys.readouterr().out) == \
-            (want["exit"], want["stdout"]), defn.name
+            (want["exit"], want["stdout"]), name
+
+
+def test_ladder_matches_the_benchmark_golden(tmp_path, capsys):
+    files = _benchmark_files(tmp_path, "ladder")
+    golden = json.loads((BENCH / "golden" / "ladder.json").read_bytes())
+    assert set(golden) == set(LADDER)
+    for key, (command, name, *flags) in LADDER.items():
+        code = main([command, files[name], *flags])
+        assert (code, capsys.readouterr().out) == \
+            (golden[key]["exit"], golden[key]["stdout"]), key
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_matches_the_benchmark_golden(jobs, tmp_path, capsys):
+    directory = tmp_path / "catalog"
+    assert len(_benchmark_files(directory, "catalog")) == 51
+    want = json.loads((BENCH / "golden" / "survey.json").read_bytes())["survey"]
+    out = tmp_path / "report.json"
+    code = main(["survey", str(directory), "--out", str(out), "--jobs", jobs])
+    stdout = capsys.readouterr().out.replace(str(out), "@OUT")
+    assert (code, stdout) == (want["exit"], want["stdout"])
+    report = (BENCH / "golden" / want["files"]["@OUT"]).read_bytes()
+    assert out.read_bytes() == report
