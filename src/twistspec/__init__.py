@@ -10,8 +10,8 @@ from .group import (DEFAULT_ORDER_CAP, ClassPartition, FiniteGroup,
                     Subgroup, closure)
 from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, inner_automorphism,
                        morphism_from_images, weighted_sweep)
-from .twisted import (ClassMap, TwistedPartition, induced_class_map,
-                      reduction_check, reidemeister_number, twisted_classes)
+from .twisted import (ClassMap, induced_class_map, reduction_check,
+                      reidemeister_number, twisted_classes)
 from .spectra import (FLAG_NAMES, BatteryCheck, SpectrumReport, classify,
                       extended_spectrum, spectrum, theorem_battery)
 from . import catalog
@@ -25,7 +25,7 @@ __all__ = [
     "DEFAULT_ORDER_CAP", "DEFAULT_PRODUCT_BUDGET",
     "Morphism", "morphism_from_images", "inner_automorphism",
     "weighted_sweep",
-    "TwistedPartition", "ClassMap", "twisted_classes", "induced_class_map",
+    "ClassMap", "twisted_classes", "induced_class_map",
     "reidemeister_number", "reduction_check",
     "SpectrumReport", "BatteryCheck", "FLAG_NAMES", "spectrum",
     "extended_spectrum", "classify", "theorem_battery",

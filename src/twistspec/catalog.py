@@ -28,7 +28,7 @@ from .errors import DefinitionError
 from .group import DEFAULT_ORDER_CAP, FiniteGroup, closure
 from .perm import Permutation
 
-_EXPECTED_KEYS = {"order", "class_number"}
+_EXPECTED_KEYS = ("order", "class_number")
 
 
 @dataclass
@@ -142,7 +142,7 @@ def from_json_dict(doc: object, *, source: str = "<memory>") -> GroupDefinition:
     if expected is not None:
         if not isinstance(expected, dict):
             raise DefinitionError(f"{source}: 'expected' must be an object")
-        unknown = set(expected) - _EXPECTED_KEYS
+        unknown = set(expected).difference(_EXPECTED_KEYS)
         if unknown:
             raise DefinitionError(
                 f"{source}: unknown expected keys {sorted(unknown)}"

@@ -27,18 +27,33 @@ import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import OrderCapExceeded
+from .errors import BudgetExceeded, OrderCapExceeded
 from .perm import Permutation
 
 DEFAULT_ORDER_CAP = 20000
 
 
+class _Budget:
+    """Approximate product counter; each charge is an upper bound on the
+    work of one search node, one orbit pass or one candidate closure."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int | None):
+        self.limit = limit
+        self.spent = 0
+
+    def charge(self, amount: int) -> None:
+        self.spent += amount
+        if self.limit is not None and self.spent > self.limit:
+            raise BudgetExceeded(f"product budget {self.limit} exceeded")
+
+
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of ``parent`` as a membership mask over element indices,
+    """A subgroup as a membership mask over its group's element indices,
     with member indices that generate it."""
 
-    parent: "FiniteGroup"
     member_flags: tuple[bool, ...]
     indices: tuple[int, ...]
     generators: tuple[int, ...]
@@ -56,10 +71,10 @@ class Subgroup:
 
 @dataclass(frozen=True, eq=False)
 class ClassPartition:
-    """Conjugacy-class decomposition, each class represented by its
-    smallest member index."""
+    """A partition of ``range(n)`` into the orbits that ``orbits`` finds:
+    conjugacy classes, twisted classes or cosets.  ``class_of`` numbers
+    each point's orbit; each orbit is represented by its smallest member."""
 
-    group: "FiniteGroup"
     class_of: tuple[int, ...]
     representatives: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -67,6 +82,9 @@ class ClassPartition:
     @property
     def count(self) -> int:
         return len(self.representatives)
+
+    def identity_class_size(self) -> int:
+        return self.sizes[self.class_of[0]]
 
 
 class FiniteGroup:
@@ -106,7 +124,7 @@ class FiniteGroup:
         self._derived: Subgroup | None = None
         self._small_gens: tuple[int, ...] | None = None
         self._cosets: dict[tuple[int, ...],
-                           tuple[Subgroup, list[int], list[int]]] = {}
+                           tuple[Subgroup, ClassPartition]] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -231,9 +249,8 @@ class FiniteGroup:
     def _compute_classes(self) -> ClassPartition:
         # Classes are the orbits of conjugation by the generators.
         n = self.order
-        class_of, reps, sizes = orbits(n, self._conjugation_columns())
-        partition = ClassPartition(self, tuple(class_of), tuple(reps), tuple(sizes))
-        if sum(sizes) != n or any(n % s for s in sizes):
+        partition = orbits(n, self._conjugation_columns())
+        if sum(partition.sizes) != n or any(n % s for s in partition.sizes):
             raise AssertionError("conjugacy class sizes violate orbit-stabiliser")
         if partition.class_of[0] != 0 or partition.sizes[0] != 1:
             raise AssertionError("identity class is not class 0 of size 1")
@@ -291,7 +308,7 @@ class FiniteGroup:
                 self._adjoin(found, reached, columns, self.column(y), flags)
         if self.order % len(members):
             raise AssertionError("subgroup order violates Lagrange")
-        return Subgroup(self, tuple(flags), tuple(members), tuple(gens))
+        return Subgroup(tuple(flags), tuple(members), tuple(gens))
 
     def trivial_subgroup(self) -> Subgroup:
         return self.subgroup([0])
@@ -310,10 +327,10 @@ class FiniteGroup:
                    for y in sub.generators)
 
     def normal_cosets(self, members: tuple[int, ...]
-                      ) -> tuple[Subgroup, list[int], list[int]]:
+                      ) -> tuple[Subgroup, ClassPartition]:
         """The normal subgroup N with these sorted member indices, with
-        ``coset_of`` (the coset index of each element) and the cosets'
-        representatives, numbered by smallest member.
+        its cosets as a partition of the element indices, numbered by
+        smallest member.
 
         Built once per member tuple and cached: ``subgroup`` verifies
         closure, conjugation by each generator of G must keep N, and the
@@ -328,12 +345,12 @@ class FiniteGroup:
                     sub = self.subgroup(members)
                     if not self.is_normal(sub):
                         raise AssertionError("subgroup is not normal")
-                    coset_of, reps, sizes = orbits(
+                    cosets = orbits(
                         self.order, [self.column(y) for y in sub.generators])
-                    if any(size != sub.order for size in sizes):
+                    if any(size != sub.order for size in cosets.sizes):
                         raise AssertionError(
                             "cosets do not all have |N| members")
-                    entry = self._cosets[members] = (sub, coset_of, reps)
+                    entry = self._cosets[members] = (sub, cosets)
         return entry
 
     def _normal_closure(self, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -446,22 +463,27 @@ class FiniteGroup:
 
     # -- generating sets for morphism search ---------------------------------
 
-    def small_generating_set(self) -> tuple[int, ...]:
+    def small_generating_set(self, budget: int | None = None
+                             ) -> tuple[int, ...]:
         """Generator indices used by the morphism search.
 
         The declared generators are kept (minus duplicates and the identity)
         when there are at most three; otherwise a small set is re-derived
         greedily, picking the first element that maximally grows the
         closure.  A round's scan stops at the first candidate that closes
-        all of G, which no later candidate can beat.
+        all of G, which no later candidate can beat.  Each candidate's
+        closure is charged to a product budget of ``budget`` (None: no
+        limit) before it is built; a scan that exceeds it raises
+        BudgetExceeded and caches nothing.
         """
         if self._small_gens is None:
             with self._lock:
                 if self._small_gens is None:
-                    self._small_gens = self._derive_small_gens()
+                    self._small_gens = self._derive_small_gens(
+                        _Budget(budget))
         return self._small_gens
 
-    def _derive_small_gens(self) -> tuple[int, ...]:
+    def _derive_small_gens(self, tracker: _Budget) -> tuple[int, ...]:
         declared = []
         for g in self.generator_indices():
             if g != 0 and g not in declared:
@@ -482,6 +504,9 @@ class FiniteGroup:
             for cand in range(1, self.order):
                 if reached[cand]:
                     continue
+                # The candidate's column, then at most |G| members taking
+                # each of the len(chosen) + 1 columns.
+                tracker.charge(self.order * (len(chosen) + 2))
                 grown = list(found)
                 self._adjoin(grown, list(reached), list(columns),
                              self._new_column(cand))
@@ -494,10 +519,9 @@ class FiniteGroup:
         return tuple(chosen)
 
 
-def orbits(size: int, maps: Sequence[Sequence[int]]
-           ) -> tuple[list[int], list[int], list[int]]:
+def orbits(size: int, maps: Sequence[Sequence[int]]) -> ClassPartition:
     """Orbits on ``range(size)`` of the group generated by the permutations
-    ``maps``, as ``(orbit_of, representatives, sizes)``.
+    ``maps``.
 
     Scanning points in ascending order numbers the orbits by their smallest
     members, which are the representatives.
@@ -519,7 +543,7 @@ def orbits(size: int, maps: Sequence[Sequence[int]]
                     orbit_of[y] = oid
                     orbit.append(y)
         sizes.append(len(orbit))
-    return orbit_of, reps, sizes
+    return ClassPartition(tuple(orbit_of), tuple(reps), tuple(sizes))
 
 
 def closure(degree: int, generators: Sequence[Permutation], *,

@@ -23,27 +23,11 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, NotAHomomorphism
-from .group import FiniteGroup, Subgroup, orbits
+from .errors import NotAHomomorphism
+from .group import FiniteGroup, Subgroup, _Budget, orbits
 from .perm import Permutation
 
 DEFAULT_PRODUCT_BUDGET = 10 ** 8
-
-
-class _Budget:
-    """Approximate product counter; each charge is an upper bound on the
-    work of one search node or one orbit pass."""
-
-    __slots__ = ("limit", "spent")
-
-    def __init__(self, limit: int | None):
-        self.limit = limit
-        self.spent = 0
-
-    def charge(self, amount: int) -> None:
-        self.spent += amount
-        if self.limit is not None and self.spent > self.limit:
-            raise BudgetExceeded(f"product budget {self.limit} exceeded")
 
 
 def _levels(source: FiniteGroup, gens: Sequence[int]
@@ -280,8 +264,9 @@ def _orbit_minima(group: FiniteGroup, stab: Subgroup, pool: Sequence[int],
     classes, hence of these orbits."""
     maps = [group.conjugation(t) for t in stab.generators]
     tracker.charge(group.order * len(maps))
-    orbit_of, reps, sizes = orbits(group.order, maps)
-    return [(x, sizes[orbit_of[x]]) for x in pool if reps[orbit_of[x]] == x]
+    orbit = orbits(group.order, maps)
+    class_of, reps, sizes = orbit.class_of, orbit.representatives, orbit.sizes
+    return [(x, sizes[class_of[x]]) for x in pool if reps[class_of[x]] == x]
 
 
 def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
@@ -315,7 +300,7 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     restricts to, so the prune is lossless.  The pools and every prune are
     invariant under conjugation.
     """
-    gens = group.small_generating_set()
+    gens = group.small_generating_set(budget)
     if not gens:
         yield [0], 1, True
         return

@@ -133,7 +133,7 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     The orbit count is cross-checked by the battery, which compares both
     counts on every representative.
     """
-    gens = group.small_generating_set()
+    gens = group.small_generating_set(budget)
     if (group.is_abelian()
             and prod(map(group.element_order, gens)) == group.order):
         spec, ext = _count_abelian(group, gens, budget)
@@ -267,8 +267,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     every class exactly when its count is k, so the class-preserving
     automorphisms are the spectrum's multiplicity of k.
     """
-    classes = group.conjugacy_classes()
-    k = classes.count
+    k = group.class_number()
     structure = structure_flags(group)
     annotations: list[str] = []
 
@@ -354,8 +353,7 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
     """``theorem_battery``'s checks, and ``_fold``'s counters of the
     fixed-class counts, folded from the same sweep.  ``structure`` is
     ``structure_flags(group)``."""
-    classes = group.conjugacy_classes()
-    k = classes.count
+    k = group.class_number()
     inners = [inner_automorphism(group, s) for s in group.generator_indices()]
     # The witness of each check's first failure, or None.
     agree = orbstab = reduction = parity = None
@@ -365,7 +363,7 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
     for phi, weight in weighted_sweep(group, budget=budget):
         partition = twisted_classes(phi)
         value = partition.count
-        fixed_count = induced_class_map(phi, classes).fixed_count
+        fixed_count = induced_class_map(phi).fixed_count
         automorphism = phi.is_automorphism()
         ext[fixed_count] += weight
         if automorphism:

@@ -14,35 +14,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MethodDisagreement
-from .group import ClassPartition, FiniteGroup, Subgroup, orbits
+from .group import ClassPartition, Subgroup, orbits
 from .morphism import Morphism
 
 METHODS = ("fixed-classes", "orbits", "checked")
 
 
 @dataclass(frozen=True, eq=False)
-class TwistedPartition:
-    """Partition of a group into the twisted conjugacy classes of a morphism."""
-
-    group: FiniteGroup
-    morphism: Morphism
-    class_of: tuple[int, ...]
-    representatives: tuple[int, ...]
-    sizes: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.representatives)
-
-    def identity_class_size(self) -> int:
-        return self.sizes[self.class_of[0]]
-
-
-@dataclass(frozen=True, eq=False)
 class ClassMap:
     """The self-map induced on conjugacy classes: [g] -> [phi(g)]."""
 
-    partition: ClassPartition
     mapping: tuple[int, ...]
 
     @property
@@ -62,7 +43,7 @@ def _twisted_maps(phi: Morphism) -> list[list[int]]:
     return maps
 
 
-def twisted_classes(phi: Morphism) -> TwistedPartition:
+def twisted_classes(phi: Morphism) -> ClassPartition:
     """Orbits of h . g = h g phi(h)^-1, numbered by smallest member index.
 
     They are the orbits of the generators' inverses, g -> s^-1 g phi(s).
@@ -72,11 +53,10 @@ def twisted_classes(phi: Morphism) -> TwistedPartition:
     """
     phi._require_endo()
     group = phi.source
-    class_of, reps, sizes = orbits(group.order, _twisted_maps(phi))
-    if sum(sizes) != group.order:
+    partition = orbits(group.order, _twisted_maps(phi))
+    if sum(partition.sizes) != group.order:
         raise AssertionError("twisted class sizes do not sum to the order")
-    return TwistedPartition(group, phi, tuple(class_of), tuple(reps),
-                            tuple(sizes))
+    return partition
 
 
 def _class_images(table: Sequence[int], classes: ClassPartition,
@@ -93,18 +73,15 @@ def _class_images(table: Sequence[int], classes: ClassPartition,
     return mapping
 
 
-def induced_class_map(phi: Morphism, classes: ClassPartition | None = None
-                      ) -> ClassMap:
+def induced_class_map(phi: Morphism) -> ClassMap:
     """Map each class index to the class index of the image of its rep."""
     phi._require_endo()
-    if classes is None:
-        classes = phi.source.conjugacy_classes()
-    mapping = _class_images(phi.table, classes, phi.is_automorphism())
-    return ClassMap(classes, tuple(mapping))
+    mapping = _class_images(phi.table, phi.source.conjugacy_classes(),
+                            phi.is_automorphism())
+    return ClassMap(tuple(mapping))
 
 
-def reidemeister_number(phi: Morphism, method: str = "fixed-classes",
-                        classes: ClassPartition | None = None) -> int:
+def reidemeister_number(phi: Morphism, method: str = "fixed-classes") -> int:
     """Number of twisted conjugacy classes of an endomorphism.
 
     ``fixed-classes`` counts fixed points of the induced class map,
@@ -115,7 +92,7 @@ def reidemeister_number(phi: Morphism, method: str = "fixed-classes",
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if method == "orbits":
         return twisted_classes(phi).count
-    fixed = induced_class_map(phi, classes).fixed_count
+    fixed = induced_class_map(phi).fixed_count
     if method == "checked":
         orbit_count = twisted_classes(phi).count
         if orbit_count != fixed:
@@ -136,12 +113,13 @@ def _induced_count(phi: Morphism, tower: Subgroup) -> int:
     the group's per-tower cache; no quotient group is built.
     """
     group = phi.source
-    _, coset_of, reps = group.normal_cosets(tower.indices)
-    maps = [[coset_of[column[row[r]]] for r in reps]
+    cosets = group.normal_cosets(tower.indices)[1]
+    coset_of = cosets.class_of
+    maps = [[coset_of[column[row[r]]] for r in cosets.representatives]
             for column, row in zip(
                 map(group.column, phi.generator_images),
                 group._inverse_generator_rows())]
-    return len(orbits(len(reps), maps)[1])
+    return orbits(cosets.count, maps).count
 
 
 def reduction_check(phi: Morphism, count: int) -> bool:

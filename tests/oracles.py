@@ -260,7 +260,7 @@ def reduction_orbits_on_g(phi):
     for s in group.generator_indices():
         column = group.column(phi.table[s])
         maps.append([column[x] for x in group.row(group.inverse(s))])
-    return len(orbits(group.order, maps)[1])
+    return orbits(group.order, maps).count
 
 
 def inner_automorphism(table, c):
@@ -393,13 +393,13 @@ def identity_morphism(group):
     return Morphism(group, group, range(group.order))
 
 
-def tally(pairs, classes, method):
+def tally(pairs, method):
     """Fold ``(morphism, weight)`` pairs into weighted counters of the
     Reidemeister numbers of the automorphisms and of all the morphisms,
     each counted by ``reidemeister_number``."""
     spec, ext = Counter(), Counter()
     for phi, weight in pairs:
-        value = reidemeister_number(phi, method, classes)
+        value = reidemeister_number(phi, method)
         ext[value] += weight
         if phi.is_automorphism():
             spec[value] += weight
@@ -409,8 +409,7 @@ def tally(pairs, classes, method):
 def battery_over(group, endos):
     """The theorem battery run over ``endos`` one morphism at a time, with
     the first failing morphism in list order as each witness."""
-    classes = group.conjugacy_classes()
-    k = classes.count
+    k = group.class_number()
     agree_fail = orbstab_fail = reduction_fail = parity_fail = None
     first_by_value = {}
     first_auto_by_value = {}
@@ -418,7 +417,7 @@ def battery_over(group, endos):
     for phi in endos:
         partition = twisted_partition(phi)
         value = partition.count
-        fixed_count = induced_class_map(phi, classes).fixed_count
+        fixed_count = induced_class_map(phi).fixed_count
         if value != fixed_count and agree_fail is None:
             agree_fail = _witness(
                 phi, f"orbits {value} != fixed classes {fixed_count}")

@@ -384,8 +384,8 @@ def _miscount_fixed_classes(monkeypatch):
 
     honest = spectra_mod.induced_class_map
 
-    def miscounted(phi, classes=None):
-        class_map = honest(phi, classes)
+    def miscounted(phi):
+        class_map = honest(phi)
         if phi.source.name != "S3":
             return class_map
         return SimpleNamespace(fixed_count=class_map.fixed_count + 1)

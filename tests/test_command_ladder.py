@@ -1,0 +1,43 @@
+"""Every command on groups beyond the catalog, each with a small budget.
+
+S7, A7, SL(2,13), D8 x Z2 x Z2 (order 64) and Z2^12 from its 12 generators
+run through ``info``, ``spectrum``, ``spectrum --extended`` and ``verify``
+with ``--budget 100000``.  Each must answer (exit 0) or stop at the budget
+(exit 2) within a few seconds: the resource contract bounds the work of
+every command, the generating-set scan of Z2^12 included.  None of these
+groups is in ``shipped_catalog()``.
+"""
+
+import time
+
+import pytest
+
+from twistspec.catalog import (abelian, alternating, dihedral,
+                               direct_product, save, shipped_catalog,
+                               sl2, symmetric)
+from twistspec.cli import main
+
+RUNGS = [symmetric(7), alternating(7), sl2(13),
+         direct_product(dihedral(8), abelian(2, 2)), abelian(*[2] * 12)]
+COMMANDS = [["info"], ["spectrum"], ["spectrum", "--extended"], ["verify"]]
+# Seconds allowed per command; every rung takes well under 1 s.
+TIME_LIMIT = 3.0
+
+
+@pytest.mark.parametrize("defn", RUNGS, ids=lambda defn: defn.name)
+def test_every_command_answers_or_stops_at_the_budget(defn, tmp_path,
+                                                      capsys):
+    path = tmp_path / "group.json"
+    save(defn, path)
+    for command in COMMANDS:
+        start = time.perf_counter()
+        code = main([*command, str(path), "--budget", "100000"])
+        elapsed = time.perf_counter() - start
+        capsys.readouterr()
+        assert code in (0, 2), (command, code)
+        assert elapsed < TIME_LIMIT, (command, elapsed)
+
+
+def test_rungs_are_not_shipped():
+    names = {d.name for d in shipped_catalog()}
+    assert not names & {d.name for d in RUNGS}

@@ -11,7 +11,8 @@ import oracles
 from twistspec.catalog import (GroupDefinition, abelian, alternating, build,
                                dihedral, direct_product, m9, shipped_catalog,
                                symmetric)
-from twistspec.group import orbits
+from twistspec.errors import BudgetExceeded
+from twistspec.group import _Budget, orbits
 from twistspec.morphism import _levels, inner_automorphism
 from twistspec.perm import Permutation
 from twistspec.twisted import twisted_classes
@@ -109,13 +110,14 @@ def test_cosets_and_projection(case):
     cyclic = group.subgroup(oracles.subgroup_closure(group, first))
     center, derived = group.center(), group.derived_subgroup()
     for sub in (cyclic, center, derived):
-        coset_of, reps, _ = orbits(
-            group.order, [group.column(h) for h in sub.generators])
-        assert (coset_of, reps) == oracles.left_cosets(group, sub.indices)
+        cosets = orbits(group.order, [group.column(h) for h in sub.generators])
+        assert ((list(cosets.class_of), list(cosets.representatives))
+                == oracles.left_cosets(group, sub.indices))
     for sub in (center, derived):
-        cached, coset_of, reps = group.normal_cosets(sub.indices)
+        cached, cosets = group.normal_cosets(sub.indices)
         assert cached.indices == sub.indices
-        assert (coset_of, reps) == oracles.left_cosets(group, sub.indices)
+        assert ((list(cosets.class_of), list(cosets.representatives))
+                == oracles.left_cosets(group, sub.indices))
         quotient_group, projection = oracles.quotient(group, sub)
         assert [x for x, t in enumerate(projection) if t == 0] == \
             list(sub.indices)
@@ -181,6 +183,32 @@ def test_small_generating_set_of_s7_from_coxeter_generators():
     gens = group.small_generating_set()
     assert len(gens) == 2
     assert oracles.subgroup_closure(group, gens) == tuple(range(5040))
+
+
+def test_the_generating_set_scan_is_charged_to_the_budget(monkeypatch):
+    # M9 from four generators scans.  A budget one short of the scan's
+    # charges stops it before the closure that would exceed it, and nothing
+    # is cached; the full budget gives the unbudgeted set.  Three declared
+    # generators never scan, so they take no charge.
+    charges = []
+    charge = _Budget.charge
+
+    def spied(self, amount):
+        charges.append(amount)
+        charge(self, amount)
+
+    monkeypatch.setattr(_Budget, "charge", spied)
+    gens = build(m9()).small_generating_set()
+    spent = sum(charges)
+    assert spent > 0
+    group = build(m9())
+    with pytest.raises(BudgetExceeded):
+        group.small_generating_set(spent - 1)
+    assert group.small_generating_set(spent) == gens
+    charges.clear()
+    s5 = build(symmetric(5))
+    assert s5.small_generating_set(0) == s5.generator_indices()
+    assert charges == []
 
 
 SMALL = [defn.name for defn in shipped_catalog() if build(defn).order <= 24]

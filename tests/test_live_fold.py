@@ -37,12 +37,11 @@ def case(request):
 
 
 def _assert_fold_matches_oracle(group, end_sweep, aut_sweep, method):
-    classes = group.conjugacy_classes()
     budget = DEFAULT_PRODUCT_BUDGET
     assert (spectra_mod._fold(group, False, budget)
-            == oracles.tally(end_sweep, classes, method))
+            == oracles.tally(end_sweep, method))
     assert (spectra_mod._fold(group, True, budget)
-            == oracles.tally(aut_sweep, classes, method))
+            == oracles.tally(aut_sweep, method))
 
 
 @pytest.mark.parametrize("method", METHODS)

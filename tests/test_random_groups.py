@@ -10,8 +10,14 @@ which shares no code with the search.  A second strategy draws abelian
 groups, direct products of 1-4 cyclic factors, generated by the factors'
 generators (independent, so the spectra are counted over image subgroups)
 or by random elements (mostly dependent, so they are swept), and compares
-the fold with the same oracle.  The draws are derandomized, so the groups
-are the same on every run.
+the fold with the same oracle.  A third strategy draws 1-5 generators of
+degree 7, kept up to order 200; on those the structure predicates, centre,
+derived subgroup and the cosets of the last two are compared with the
+product-table oracles, every kernel tower's coset count with the orbits of
+the twisted maps on all of G, and, where |End| is small, the theorem
+battery over the representatives with the battery over every
+endomorphism.  The draws are derandomized, so the groups are the same on
+every run.
 """
 
 from math import gcd, prod
@@ -25,7 +31,8 @@ from twistspec.errors import OrderCapExceeded
 from twistspec.group import closure
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
 from twistspec.perm import Permutation
-from twistspec.spectra import _fold
+from twistspec.spectra import _fold, theorem_battery
+from twistspec.twisted import _induced_count
 
 ORDER_CAP = 120
 # Groups up to this order are also enumerated from the flat grid.
@@ -33,6 +40,12 @@ GRID_ORDER = 16
 # Abelian draws with more endomorphisms are rejected: the oracle counts the
 # twisted classes of each one.
 END_CAP = 1024
+# Degree-7 draws are kept up to this order.
+WIDE_ORDER_CAP = 200
+# Degree-7 draws with more endomorphisms skip the battery oracle, which
+# counts the twisted classes of each one and builds a quotient group for
+# each one that is not injective.
+BATTERY_END_CAP = 400
 
 
 @st.composite
@@ -47,12 +60,34 @@ def permutation_groups(draw):
         reject()
 
 
+@st.composite
+def cycles(draw, degree):
+    """A cycle through 2 to ``degree`` drawn points, in the drawn order:
+    few of them rarely generate all of S_n or A_n."""
+    points = draw(st.lists(st.integers(0, degree - 1), min_size=2,
+                           unique=True))
+    images = list(range(degree))
+    for p, q in zip(points, points[1:] + points[:1]):
+        images[p] = q
+    return Permutation(images)
+
+
+@st.composite
+def degree_seven_groups(draw):
+    generators = draw(st.lists(cycles(7), min_size=1,
+                               max_size=5))
+    try:
+        return closure(7, generators, order_cap=WIDE_ORDER_CAP)
+    except OrderCapExceeded:
+        reject()
+
+
 def _assert_fold_matches_the_orbit_count(group, automorphisms):
     """``_fold`` against ``oracles.tally`` over the weighted sweep, whose
     items it returns."""
     sweep = list(weighted_sweep(group, automorphisms=automorphisms))
     assert (_fold(group, automorphisms, DEFAULT_PRODUCT_BUDGET)
-            == oracles.tally(sweep, group.conjugacy_classes(), "orbits"))
+            == oracles.tally(sweep, "orbits"))
     return sweep
 
 
@@ -101,3 +136,42 @@ def test_fold_and_sweep_against_the_oracles(group):
 def test_abelian_fold_against_the_oracle(group):
     for automorphisms in (False, True):
         _assert_fold_matches_the_orbit_count(group, automorphisms)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(degree_seven_groups())
+def test_structure_and_cosets_against_the_table_oracles(group):
+    table = oracles.product_table(group)
+    center, derived = group.center(), group.derived_subgroup()
+    assert list(center.indices) == oracles.center(table)
+    assert list(derived.indices) == oracles.derived_subgroup(table)
+    assert group.is_abelian() == (center.order == group.order)
+    assert group.is_perfect() == (derived.order == group.order)
+    assert group.is_nilpotent() == oracles.is_nilpotent(table)
+    assert group.is_simple() == oracles.is_simple(
+        table, oracles.conjugacy_classes(table))
+    assert group.is_quasisimple() == (
+        group.is_perfect() and oracles.quotient_is_simple(group, center))
+    for sub in (center, derived):
+        cosets = group.normal_cosets(sub.indices)[1]
+        assert ((list(cosets.class_of), list(cosets.representatives))
+                == oracles.left_cosets(group, sub.indices))
+    for phi, _ in weighted_sweep(group):
+        assert (_induced_count(phi, phi.iterated_kernel())
+                == oracles.reduction_orbits_on_g(phi))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(degree_seven_groups())
+def test_battery_against_every_endomorphism(group):
+    if sum(weight for _, weight in weighted_sweep(group)) > BATTERY_END_CAP:
+        reject()
+    got = theorem_battery(group)
+    want = oracles.battery_over(group, oracles.morphisms(group))
+    assert ([(chk.name, chk.passed, chk.witness is None) for chk in got]
+            == [(chk.name, chk.passed, chk.witness is None) for chk in want])
+    assert all(chk.passed for chk in got)

@@ -22,3 +22,20 @@ def test_reproduce_tables_small_orders():
     assert proc.returncode == 0, proc.stderr
     assert "groups with trivial Reidemeister spectrum" in proc.stdout
     assert "groups with full extended Reidemeister spectrum" in proc.stdout
+
+
+def test_build_catalog_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "build_catalog.py"),
+             "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] and written[0] == written[1]

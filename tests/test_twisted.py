@@ -106,7 +106,7 @@ def test_induced_map_swaps_a4_cycle_classes():
 def test_map_independent_of_representative(s3):
     classes = s3.conjugacy_classes()
     for phi in oracles.morphisms(s3):
-        mapping = induced_class_map(phi, classes).mapping
+        mapping = induced_class_map(phi).mapping
         for g in range(s3.order):
             assert (classes.class_of[phi.table[g]]
                     == mapping[classes.class_of[g]])

@@ -64,7 +64,7 @@ def case(request):
 
 
 def _oracle(morphisms, classes):
-    values = Counter(reidemeister_number(phi, "fixed-classes", classes)
+    values = Counter(reidemeister_number(phi, "fixed-classes")
                      for phi in morphisms)
     preserving = sum(1 for phi in morphisms
                      if phi.is_automorphism()
@@ -76,7 +76,7 @@ def _weighted(pairs, classes):
     values = Counter()
     preserving = 0
     for phi, weight in pairs:
-        values[reidemeister_number(phi, "fixed-classes", classes)] += weight
+        values[reidemeister_number(phi, "fixed-classes")] += weight
         if (phi.is_automorphism()
                 and oracles.is_class_preserving(phi, classes)):
             preserving += weight
