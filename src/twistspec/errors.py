@@ -17,9 +17,5 @@ class NotAHomomorphism(TwistspecError):
     """Generator images do not extend to a homomorphism."""
 
 
-class MethodDisagreement(TwistspecError):
-    """The two Reidemeister-number methods disagreed (a correctness bug)."""
-
-
 class DefinitionError(TwistspecError):
     """A group-definition file or builder parameter is invalid."""

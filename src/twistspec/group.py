@@ -107,7 +107,6 @@ class FiniteGroup:
         self.elements = elements
         self.name = name
         self._index = index
-        self._right = right
         self._tree = tree
         # Reentrant: lazy builders call each other (classes need inverses).
         self._lock = threading.RLock()
@@ -415,9 +414,8 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         gens = self.generator_indices()
-        right = self._right
-        return all(right[s][a] == right[t][b]
-                   for t, a in enumerate(gens) for s, b in enumerate(gens))
+        return all(self.column(s)[t] == self.column(t)[s]
+                   for s in gens for t in gens)
 
     def is_perfect(self) -> bool:
         return self.derived_subgroup().order == self.order

@@ -11,14 +11,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from math import prod
-from operator import eq
 from typing import Sequence
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup
 from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, _Budget, _pools,
                        _search, inner_automorphism, weighted_sweep)
-from .twisted import (_class_images, induced_class_map, reduction_check,
+from .twisted import (_fixed_count, reduction_check, reidemeister_number,
                       twisted_classes)
 
 FLAG_NAMES = (
@@ -126,12 +125,11 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     An abelian group whose search generators are independent (the product
     of their orders is |G|) is counted over image subgroups instead
     (``_count_abelian``); the counters are the same.  Otherwise R is read
-    off the search's live table: the number of classes c whose
-    representative phi maps back into c, k reads with no copy and no
-    Morphism.  ``_class_images`` asserts on those k images that the
-    identity class is fixed and that an automorphism permutes the classes.
-    The orbit count is cross-checked by the battery, which compares both
-    counts on every representative.
+    off the search's live table by ``_fixed_count``, the number of classes
+    c whose representative phi maps back into c: k reads with no copy and
+    no Morphism, asserting that the identity class is fixed and that an
+    automorphism permutes the classes.  The orbit count is cross-checked by
+    the battery, which compares both counts on every representative.
     """
     gens = group.small_generating_set(budget)
     if (group.is_abelian()
@@ -139,10 +137,9 @@ def _fold(group: FiniteGroup, automorphisms: bool,
         spec, ext = _count_abelian(group, gens, budget)
         return (spec, spec) if automorphisms else (spec, ext)
     classes = group.conjugacy_classes()
-    own = range(classes.count)
     spec, ext = Counter(), Counter()
     for table, weight, bijective in _search(group, automorphisms, budget):
-        value = sum(map(eq, _class_images(table, classes, bijective), own))
+        value = _fixed_count(table, classes, bijective)
         ext[value] += weight
         if bijective:
             spec[value] += weight
@@ -271,6 +268,9 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     structure = structure_flags(group)
     annotations: list[str] = []
 
+    # Scanned once, outside the End fold's try: a scan that runs out of
+    # budget fails the command now rather than being retried by the Aut fold.
+    group.small_generating_set(budget)
     battery_checks = tally = extended_map = None
     if battery:
         battery_checks, tally = _battery(group, structure, budget)
@@ -363,7 +363,7 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
     for phi, weight in weighted_sweep(group, budget=budget):
         partition = twisted_classes(phi)
         value = partition.count
-        fixed_count = induced_class_map(phi).fixed_count
+        fixed_count = reidemeister_number(phi)
         automorphism = phi.is_automorphism()
         ext[fixed_count] += weight
         if automorphism:

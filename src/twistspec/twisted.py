@@ -3,32 +3,19 @@
 For an endomorphism phi, elements g1 and g2 are twisted-conjugate when
 g1 = h g2 phi(h)^-1 for some h.  The count of twisted classes can be obtained
 two independent ways: by sweeping the orbits of the twisted action (the
-definition) or by counting the fixed points of the map induced on ordinary
-conjugacy classes.  The orbit method is the oracle; the fixed-class method is
-the cheap default; ``checked`` runs both and must agree.
+definition, ``twisted_classes(phi).count``) or by counting the conjugacy
+classes that phi maps to themselves (``reidemeister_number``).  The orbit
+count is the oracle; the fixed-class count is the cheap one, and the theorem
+battery compares the two on every endomorphism it sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import eq
 from typing import Sequence
 
-from .errors import MethodDisagreement
 from .group import ClassPartition, Subgroup, orbits
 from .morphism import Morphism
-
-METHODS = ("fixed-classes", "orbits", "checked")
-
-
-@dataclass(frozen=True, eq=False)
-class ClassMap:
-    """The self-map induced on conjugacy classes: [g] -> [phi(g)]."""
-
-    mapping: tuple[int, ...]
-
-    @property
-    def fixed_count(self) -> int:
-        return sum(1 for c, image in enumerate(self.mapping) if image == c)
 
 
 def _twisted_maps(phi: Morphism) -> list[list[int]]:
@@ -73,34 +60,29 @@ def _class_images(table: Sequence[int], classes: ClassPartition,
     return mapping
 
 
-def induced_class_map(phi: Morphism) -> ClassMap:
+def _fixed_count(table: Sequence[int], classes: ClassPartition,
+                 bijective: bool) -> int:
+    """The number of classes whose representative the endomorphism
+    ``table`` maps back into its own class, with ``_class_images``'s
+    assertions."""
+    return sum(map(eq, _class_images(table, classes, bijective),
+                   range(classes.count)))
+
+
+def induced_class_map(phi: Morphism) -> tuple[int, ...]:
     """Map each class index to the class index of the image of its rep."""
     phi._require_endo()
-    mapping = _class_images(phi.table, phi.source.conjugacy_classes(),
-                            phi.is_automorphism())
-    return ClassMap(tuple(mapping))
+    return tuple(_class_images(phi.table, phi.source.conjugacy_classes(),
+                               phi.is_automorphism()))
 
 
-def reidemeister_number(phi: Morphism, method: str = "fixed-classes") -> int:
-    """Number of twisted conjugacy classes of an endomorphism.
-
-    ``fixed-classes`` counts fixed points of the induced class map,
-    ``orbits`` counts the twisted classes directly, and ``checked`` computes
-    both and raises MethodDisagreement if they differ (never expected).
-    """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    if method == "orbits":
-        return twisted_classes(phi).count
-    fixed = induced_class_map(phi).fixed_count
-    if method == "checked":
-        orbit_count = twisted_classes(phi).count
-        if orbit_count != fixed:
-            raise MethodDisagreement(
-                f"orbit sweep gave {orbit_count}, fixed classes gave {fixed} "
-                f"for {phi!r}"
-            )
-    return fixed
+def reidemeister_number(phi: Morphism) -> int:
+    """Number of twisted conjugacy classes of an endomorphism, counted as
+    the classes phi maps to themselves.  ``twisted_classes(phi).count``
+    counts the same number by its definition."""
+    phi._require_endo()
+    return _fixed_count(phi.table, phi.source.conjugacy_classes(),
+                        phi.is_automorphism())
 
 
 def _induced_count(phi: Morphism, tower: Subgroup) -> int:

@@ -7,9 +7,10 @@ generator-action algorithms in ``twistspec``.  ``every_morphism``
 lists every endomorphism by expanding the weighted sweep's representatives
 into their Inn(G)-orbits, and ``battery_over`` runs the theorem battery over
 such a list one morphism at a time.  ``tally`` folds the weighted sweep's
-Morphisms through ``reidemeister_number``, the spectra's counters computed
-the slow way.  ``quotient`` builds G/N as a permutation group on the left
-cosets of N, which ``twistspec`` itself never does, and
+Morphisms through ``count``, the spectra's counters computed the slow way,
+by the fixed-class count, the orbit count or both (``METHODS``).
+``quotient`` builds G/N as a permutation group on the left cosets of N,
+which ``twistspec`` itself never does, and
 ``induced_on_quotient`` the map an endomorphism induces there;
 ``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
 ``small_generating_set`` is the search's greedy generating set with every
@@ -27,8 +28,22 @@ from twistspec.group import closure as materialize, orbits
 from twistspec.morphism import Morphism, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import BatteryCheck, _witness
-from twistspec.twisted import (induced_class_map, reidemeister_number,
+from twistspec.twisted import (reidemeister_number,
                                twisted_classes as twisted_partition)
+
+METHODS = ("fixed-classes", "orbits", "checked")
+
+
+def count(phi, method):
+    """R(phi) by ``method``: the fixed-class count, the orbit count, or,
+    for ``checked``, both, which must agree."""
+    assert method in METHODS, method
+    if method == "orbits":
+        return twisted_partition(phi).count
+    fixed = reidemeister_number(phi)
+    if method == "checked":
+        assert twisted_partition(phi).count == fixed, phi
+    return fixed
 
 
 def product_table(group):
@@ -246,7 +261,7 @@ def reduced_count(phi, method="fixed-classes"):
     the powers of ``phi`` (found one power at a time)."""
     group = phi.source
     sub = group.subgroup(iterated_kernel(phi.table))
-    return reidemeister_number(induced_on_quotient(phi, sub), method)
+    return count(induced_on_quotient(phi, sub), method)
 
 
 def reduction_orbits_on_g(phi):
@@ -396,10 +411,10 @@ def identity_morphism(group):
 def tally(pairs, method):
     """Fold ``(morphism, weight)`` pairs into weighted counters of the
     Reidemeister numbers of the automorphisms and of all the morphisms,
-    each counted by ``reidemeister_number``."""
+    each counted by ``count`` under ``method``."""
     spec, ext = Counter(), Counter()
     for phi, weight in pairs:
-        value = reidemeister_number(phi, method)
+        value = count(phi, method)
         ext[value] += weight
         if phi.is_automorphism():
             spec[value] += weight
@@ -417,7 +432,7 @@ def battery_over(group, endos):
     for phi in endos:
         partition = twisted_partition(phi)
         value = partition.count
-        fixed_count = induced_class_map(phi).fixed_count
+        fixed_count = reidemeister_number(phi)
         if value != fixed_count and agree_fail is None:
             agree_fail = _witness(
                 phi, f"orbits {value} != fixed classes {fixed_count}")

@@ -75,8 +75,7 @@ def test_criterion_3_cross_method_oracle(small_groups, endos_of):
     for name, group in small_groups.items():
         for phi in endos_of(name):
             partition = twisted_classes(phi)
-            assert partition.count == reidemeister_number(
-                phi, "fixed-classes"), name
+            assert partition.count == reidemeister_number(phi), name
             assert (partition.identity_class_size()
                     * phi.fixed_point_count() == group.order), name
             checked += 1
@@ -110,7 +109,8 @@ def test_criterion_5_odd_order_parity(catalog_groups, endos_of):
         group = catalog_groups[name]
         assert group.order % 2 == 1
         for phi in endos_of(name):
-            r = reidemeister_number(phi, "checked")
+            r = reidemeister_number(phi)
+            assert r == twisted_classes(phi).count, name
             assert r % 2 == 1, (name, r)
             checked += 1
     _report("5", True, f"all {checked} endomorphism counts odd across "

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -349,8 +348,7 @@ def test_internal_error_exit_code(s3_file, monkeypatch, capsys):
 
 # Every TwistspecError subclass, each with the exit code main gives it.
 ERROR_EXITS = {"DefinitionError": 1, "BudgetExceeded": 2,
-               "OrderCapExceeded": 2, "NotAHomomorphism": 4,
-               "MethodDisagreement": 4}
+               "OrderCapExceeded": 2, "NotAHomomorphism": 4}
 
 
 @pytest.mark.parametrize("error", TwistspecError.__subclasses__(),
@@ -382,15 +380,12 @@ def _miscount_fixed_classes(monkeypatch):
     orbit count disagrees there."""
     import twistspec.spectra as spectra_mod
 
-    honest = spectra_mod.induced_class_map
+    honest = spectra_mod.reidemeister_number
 
     def miscounted(phi):
-        class_map = honest(phi)
-        if phi.source.name != "S3":
-            return class_map
-        return SimpleNamespace(fixed_count=class_map.fixed_count + 1)
+        return honest(phi) + (phi.source.name == "S3")
 
-    monkeypatch.setattr(spectra_mod, "induced_class_map", miscounted)
+    monkeypatch.setattr(spectra_mod, "reidemeister_number", miscounted)
 
 
 def test_verify_catches_miscounted_fixed_classes(s3_file, monkeypatch,

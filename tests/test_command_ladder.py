@@ -4,8 +4,9 @@ S7, A7, SL(2,13), D8 x Z2 x Z2 (order 64) and Z2^12 from its 12 generators
 run through ``info``, ``spectrum``, ``spectrum --extended`` and ``verify``
 with ``--budget 100000``.  Each must answer (exit 0) or stop at the budget
 (exit 2) within a few seconds: the resource contract bounds the work of
-every command, the generating-set scan of Z2^12 included.  None of these
-groups is in ``shipped_catalog()``.
+every command, the generating-set scan of Z2^12 included, and a scan that
+runs out of budget is not run again.  None of these groups is in
+``shipped_catalog()``.
 """
 
 import time
@@ -16,6 +17,7 @@ from twistspec.catalog import (abelian, alternating, dihedral,
                                direct_product, save, shipped_catalog,
                                sl2, symmetric)
 from twistspec.cli import main
+from twistspec.group import FiniteGroup
 
 RUNGS = [symmetric(7), alternating(7), sl2(13),
          direct_product(dihedral(8), abelian(2, 2)), abelian(*[2] * 12)]
@@ -41,3 +43,22 @@ def test_every_command_answers_or_stops_at_the_budget(defn, tmp_path,
 def test_rungs_are_not_shipped():
     names = {d.name for d in shipped_catalog()}
     assert not names & {d.name for d in RUNGS}
+
+
+def test_an_exhausted_generating_set_scan_runs_once(tmp_path, monkeypatch,
+                                                    capsys):
+    """The End fold's budget error is recorded as a skipped extended
+    spectrum; the Aut fold must not start the same scan again."""
+    scans = []
+    derive = FiniteGroup._derive_small_gens
+
+    def spied(self, tracker):
+        scans.append(self.order)
+        return derive(self, tracker)
+
+    monkeypatch.setattr(FiniteGroup, "_derive_small_gens", spied)
+    path = tmp_path / "group.json"
+    save(abelian(*[2] * 12), path)
+    assert main(["spectrum", str(path), "--extended",
+                 "--budget", "100000"]) == 2
+    assert scans == [2 ** 12]

@@ -3,9 +3,9 @@
 ``spectra._fold`` reads each representative's Reidemeister number off the
 table ``morphism._search`` is still filling, without building a Morphism.
 Its counters are compared with the slow oracle ``oracles.tally``, which
-takes the weighted sweep's Morphisms through ``reidemeister_number`` under
-every method, the orbit count among them; its budget charges with the
-weighted sweep's; and its two assertions are shown to fire on bad tables.
+counts the weighted sweep's Morphisms by every method of ``oracles.count``,
+the orbit count among them; its budget charges with the weighted sweep's;
+and its two assertions are shown to fire on bad tables.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, Morphism, weighted_sweep
 from twistspec.spectra import classify, extended_spectrum, spectrum
-from twistspec.twisted import METHODS
 
 # Hol(Z21) and Z2^4 are not in the catalog: Hol(Z21) has a deep
 # centraliser chain, Z2^4 has 65536 endomorphisms and a trivial Inn(G).
@@ -44,7 +43,7 @@ def _assert_fold_matches_oracle(group, end_sweep, aut_sweep, method):
             == oracles.tally(aut_sweep, method))
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", oracles.METHODS)
 def test_fold_matches_the_morphism_oracle(case, method):
     _assert_fold_matches_oracle(case["group"], case["end_sweep"],
                                 case["aut_sweep"], method)

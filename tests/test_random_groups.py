@@ -15,9 +15,12 @@ degree 7, kept up to order 200; on those the structure predicates, centre,
 derived subgroup and the cosets of the last two are compared with the
 product-table oracles, every kernel tower's coset count with the orbits of
 the twisted maps on all of G, and, where |End| is small, the theorem
-battery over the representatives with the battery over every
-endomorphism.  The draws are derandomized, so the groups are the same on
-every run.
+battery over the representatives with the battery over every endomorphism
+and each nontrivial tower's coset count with R of the map induced on the
+permutation quotient, by both counts.  On every draw with at most three
+distinct non-identity declared generators, the search's generating set
+must be those generators in declared order.  The draws are derandomized,
+so the groups are the same on every run.
 """
 
 from math import gcd, prod
@@ -32,7 +35,8 @@ from twistspec.group import closure
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import _fold, theorem_battery
-from twistspec.twisted import _induced_count
+from twistspec.twisted import (_induced_count, reidemeister_number,
+                               twisted_classes)
 
 ORDER_CAP = 120
 # Groups up to this order are also enumerated from the flat grid.
@@ -82,6 +86,16 @@ def degree_seven_groups(draw):
         reject()
 
 
+def _assert_few_declared_generators_are_kept(group):
+    """At most three distinct non-identity declared generators are the
+    search's generating set, in declared order."""
+    identity = Permutation.identity(group.degree)
+    declared = [g for g in dict.fromkeys(group.generators) if g != identity]
+    if len(declared) <= 3:
+        assert group.small_generating_set() == tuple(
+            map(group.index_of, declared))
+
+
 def _assert_fold_matches_the_orbit_count(group, automorphisms):
     """``_fold`` against ``oracles.tally`` over the weighted sweep, whose
     items it returns."""
@@ -116,6 +130,7 @@ def abelian_groups(draw):
                                  HealthCheck.too_slow])
 @given(permutation_groups())
 def test_fold_and_sweep_against_the_oracles(group):
+    _assert_few_declared_generators_are_kept(group)
     gens = group.small_generating_set()
     assert oracles.subgroup_closure(group, gens) == tuple(range(group.order))
 
@@ -134,6 +149,7 @@ def test_fold_and_sweep_against_the_oracles(group):
                                  HealthCheck.too_slow])
 @given(abelian_groups())
 def test_abelian_fold_against_the_oracle(group):
+    _assert_few_declared_generators_are_kept(group)
     for automorphisms in (False, True):
         _assert_fold_matches_the_orbit_count(group, automorphisms)
 
@@ -143,6 +159,7 @@ def test_abelian_fold_against_the_oracle(group):
                                  HealthCheck.too_slow])
 @given(degree_seven_groups())
 def test_structure_and_cosets_against_the_table_oracles(group):
+    _assert_few_declared_generators_are_kept(group)
     table = oracles.product_table(group)
     center, derived = group.center(), group.derived_subgroup()
     assert list(center.indices) == oracles.center(table)
@@ -168,10 +185,18 @@ def test_structure_and_cosets_against_the_table_oracles(group):
                                  HealthCheck.too_slow])
 @given(degree_seven_groups())
 def test_battery_against_every_endomorphism(group):
-    if sum(weight for _, weight in weighted_sweep(group)) > BATTERY_END_CAP:
+    sweep = list(weighted_sweep(group))
+    if sum(weight for _, weight in sweep) > BATTERY_END_CAP:
         reject()
     got = theorem_battery(group)
     want = oracles.battery_over(group, oracles.morphisms(group))
     assert ([(chk.name, chk.passed, chk.witness is None) for chk in got]
             == [(chk.name, chk.passed, chk.witness is None) for chk in want])
     assert all(chk.passed for chk in got)
+    for phi, _ in sweep:
+        tower = phi.iterated_kernel()
+        if tower.is_trivial():
+            continue
+        induced = oracles.induced_on_quotient(phi, tower)
+        assert (_induced_count(phi, tower) == reidemeister_number(induced)
+                == twisted_classes(induced).count)

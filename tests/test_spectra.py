@@ -221,6 +221,17 @@ def test_battery_all_pass_across_catalog(catalog_groups):
             assert chk.passed, (name, chk.name, chk.witness)
 
 
+# The checks that apply to every group, so ``verify`` always prints a line.
+UNCONDITIONAL_CHECKS = {"orbit-vs-fixed-classes", "orbit-stabiliser-identity",
+                        "reduction-to-injective", "spectrum-excludes-k-minus-1"}
+
+
+def test_battery_always_has_the_unconditional_checks(catalog_groups):
+    for name, group in catalog_groups.items():
+        names = {chk.name for chk in theorem_battery(group)}
+        assert UNCONDITIONAL_CHECKS <= names, name
+
+
 def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
                                                  capsys):
     """A count that is wrong only off the representatives, on some

@@ -3,7 +3,6 @@ import pytest
 import oracles
 from oracles import identity_morphism
 
-from twistspec.errors import MethodDisagreement
 from twistspec.morphism import (Morphism, inner_automorphism,
                                 morphism_from_images, weighted_sweep)
 from twistspec.perm import Permutation
@@ -61,8 +60,7 @@ def test_inversion_on_z4_gives_even_cosets():
     two = z4.power(1, 2)
     first = {i for i in range(4) if partition.class_of[i] == 0}
     assert first == {0, two}
-    assert reidemeister_number(inversion, "orbits") == 2
-    assert reidemeister_number(inversion, "checked") == 2
+    assert reidemeister_number(inversion) == 2
 
 
 def test_twisted_partition_matches_definition_oracle(s3):
@@ -79,13 +77,13 @@ def test_twisted_partition_matches_definition_oracle(s3):
 # -- induced class map ---------------------------------------------------------
 
 def test_induced_map_of_identity_is_identity(s3):
-    mapping = induced_class_map(identity_morphism(s3)).mapping
+    mapping = induced_class_map(identity_morphism(s3))
     assert mapping == tuple(range(s3.conjugacy_classes().count))
 
 
 def test_induced_map_of_trivial_is_constant(s3):
     trivial = morphism_from_images(s3, s3, [Permutation.identity(3)] * 2)
-    assert set(induced_class_map(trivial).mapping) == {0}
+    assert set(induced_class_map(trivial)) == {0}
 
 
 def test_induced_map_swaps_a4_cycle_classes():
@@ -93,7 +91,7 @@ def test_induced_map_swaps_a4_cycle_classes():
     swap = Permutation.from_cycles(4, (1, 2))
     phi = morphism_from_images(
         a4, a4, [swap * g * swap.inverse() for g in a4.generators])
-    mapping = induced_class_map(phi).mapping
+    mapping = induced_class_map(phi)
     classes = a4.conjugacy_classes()
     three_cycle_classes = [c for c in range(classes.count)
                            if classes.sizes[c] == 4]
@@ -106,7 +104,7 @@ def test_induced_map_swaps_a4_cycle_classes():
 def test_map_independent_of_representative(s3):
     classes = s3.conjugacy_classes()
     for phi in oracles.morphisms(s3):
-        mapping = induced_class_map(phi).mapping
+        mapping = induced_class_map(phi)
         for g in range(s3.order):
             assert (classes.class_of[phi.table[g]]
                     == mapping[classes.class_of[g]])
@@ -123,16 +121,11 @@ def test_trivial_morphism_count_is_one(s3):
     assert reidemeister_number(trivial) == 1
 
 
-def test_unknown_method_rejected(s3):
-    with pytest.raises(ValueError):
-        reidemeister_number(identity_morphism(s3), "guess")
-
-
 def test_methods_agree_on_small_catalog(small_groups, endos_of):
     for name, group in small_groups.items():
         for phi in endos_of(name):
-            assert (reidemeister_number(phi, "orbits")
-                    == reidemeister_number(phi, "fixed-classes")), name
+            assert (twisted_classes(phi).count
+                    == reidemeister_number(phi)), name
 
 
 def test_inner_automorphisms_have_maximal_count(catalog_groups):
@@ -151,20 +144,6 @@ def test_count_bounds_and_characterizations(small_groups, endos_of):
             assert (r == k) == oracles.is_class_preserving(phi)
             # R = 1 exactly when phi fixes only the identity.
             assert (r == 1) == (phi.fixed_point_count() == 1)
-
-
-def test_method_disagreement_is_raised_on_corrupt_data(s3, monkeypatch):
-    phi = identity_morphism(s3)
-    import twistspec.twisted as twisted_mod
-    real = twisted_mod.twisted_classes
-
-    class Fake:
-        count = 99
-
-    monkeypatch.setattr(twisted_mod, "twisted_classes", lambda m: Fake())
-    with pytest.raises(MethodDisagreement):
-        twisted_mod.reidemeister_number(phi, "checked")
-    monkeypatch.setattr(twisted_mod, "twisted_classes", real)
 
 
 # -- reduction to the injective quotient ------------------------------------------

@@ -28,7 +28,8 @@ from twistspec.morphism import inner_automorphism, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import (classify, extended_spectrum, spectrum,
                                theorem_battery)
-from twistspec.twisted import reduction_check, reidemeister_number
+from twistspec.twisted import (reduction_check, reidemeister_number,
+                               twisted_classes)
 
 
 def _redundant_a5():
@@ -64,8 +65,7 @@ def case(request):
 
 
 def _oracle(morphisms, classes):
-    values = Counter(reidemeister_number(phi, "fixed-classes")
-                     for phi in morphisms)
+    values = Counter(reidemeister_number(phi) for phi in morphisms)
     preserving = sum(1 for phi in morphisms
                      if phi.is_automorphism()
                      and oracles.is_class_preserving(phi, classes))
@@ -76,7 +76,7 @@ def _weighted(pairs, classes):
     values = Counter()
     preserving = 0
     for phi, weight in pairs:
-        values[reidemeister_number(phi, "fixed-classes")] += weight
+        values[reidemeister_number(phi)] += weight
         if (phi.is_automorphism()
                 and oracles.is_class_preserving(phi, classes)):
             preserving += weight
@@ -162,7 +162,7 @@ def test_reduction_check_counts_the_induced_classes(case):
         assert cosets == oracles.reduction_orbits_on_g(phi)
         if tower.is_trivial():
             # G/1 is G and the induced map is phi itself.
-            assert cosets == count == reidemeister_number(phi, "orbits")
+            assert cosets == count == twisted_classes(phi).count
             continue
         assert cosets == count == reidemeister_number(
             oracles.induced_on_quotient(phi, tower))
