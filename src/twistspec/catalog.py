@@ -20,7 +20,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -112,6 +112,8 @@ def load(path: str | Path) -> GroupDefinition:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DefinitionError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DefinitionError(f"{path}: JSON nested too deeply") from exc
     return from_json_dict(doc, source=str(path))
 
 
@@ -192,9 +194,7 @@ def abelian(*orders: int) -> GroupDefinition:
             row[offset + i] = offset + (i + 1) % k + 1
         rows.append(row)
         offset += k
-    total = 1
-    for k in orders:
-        total *= k
+    total = prod(orders)
     name = "x".join(f"Z{k}" for k in orders)
     return GroupDefinition(name, degree, rows,
                            {"order": total, "class_number": total})
@@ -220,7 +220,7 @@ def symmetric(n: int) -> GroupDefinition:
         return GroupDefinition("S1", 1, [], {"order": 1, "class_number": 1})
     transposition = [2, 1] + list(range(3, n + 1))
     rows = [transposition] if n == 2 else [transposition, _rotation_row(n)]
-    expected = {"order": _factorial(n)}
+    expected = {"order": factorial(n)}
     if n in _PARTITIONS:
         expected["class_number"] = _PARTITIONS[n]
     return GroupDefinition(f"S{n}", n, rows, expected)
@@ -243,17 +243,10 @@ def alternating(n: int) -> GroupDefinition:
     else:
         long_even = [1] + list(range(3, n + 1)) + [2]  # (2 3 ... n)
         rows = [three_cycle, long_even]
-    expected = {"order": _factorial(n) // 2}
+    expected = {"order": factorial(n) // 2}
     if n in _ALTERNATING_K:
         expected["class_number"] = _ALTERNATING_K[n]
     return GroupDefinition(f"A{n}", n, rows, expected)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _regular_rows(elements: list, mul: Callable) -> tuple[int, list[list[int]]]:

@@ -230,8 +230,11 @@ def _cmd_survey(args) -> int:
     files = sorted(str(p) for p in directory.glob("*.json"))
     tasks = [(path, args.budget, args.order_cap, args.battery)
              for path in files]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # The pool starts all its workers at once, so never more than there
+    # are files or CPUs.
+    workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_survey_worker, tasks))
     else:
         results = [_survey_worker(task) for task in tasks]
@@ -332,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--filter", default=None,
                           help="comma-separated key=value terms; keys are "
                                "flag names plus min_order/max_order")
-    p_survey.add_argument("--jobs", type=int, default=1)
+    p_survey.add_argument("--jobs", type=int, default=1,
+                          help="worker processes, at most one per file "
+                               "and per CPU (default 1)")
     p_survey.add_argument("--battery", action="store_true",
                           help="include the theorem battery per group")
     common(p_survey)

@@ -1,8 +1,9 @@
-"""Homomorphisms between finite groups and the one morphism search.
+"""Endomorphisms of a finite group and the one morphism search.
 
-A Morphism stores the full element-to-element index table.  Every public
-constructor verifies the homomorphism law on all (element, generator) pairs,
-which suffices because each element is a positive word in the generators.
+A Morphism is an endomorphism of one group, stored as the full
+element-to-element index table.  Every public constructor verifies the
+homomorphism law on all (element, generator) pairs, which suffices because
+each element is a positive word in the generators.
 
 One search serves every sweep: ``_search`` hands its consumer the live
 table of one endomorphism (or automorphism) per Inn(G)-orbit, weighted by
@@ -30,7 +31,7 @@ from .perm import Permutation
 DEFAULT_PRODUCT_BUDGET = 10 ** 8
 
 
-def _levels(source: FiniteGroup, gens: Sequence[int]
+def _levels(group: FiniteGroup, gens: Sequence[int]
             ) -> list[list[tuple[int, int, int, bool]]]:
     """The steps that extend a partial table from H_j = <gens[:j]> to
     H_{j+1}, for each depth j.
@@ -44,12 +45,12 @@ def _levels(source: FiniteGroup, gens: Sequence[int]
     read, and over all depths each (element, generator) pair is checked
     exactly once.
     """
-    columns = [source.column(g) for g in gens]
-    inside = [False] * source.order  # H_j
+    columns = [group.column(g) for g in gens]
+    inside = [False] * group.order  # H_j
     inside[0] = True
     levels = []
     for j in range(len(gens)):
-        reached = [False] * source.order
+        reached = [False] * group.order
         reached[0] = True
         order = [0]
         steps = []
@@ -74,8 +75,8 @@ def _levels(source: FiniteGroup, gens: Sequence[int]
 
 def _extend(table: list[int], steps: Sequence[tuple[int, int, int, bool]],
             images: Sequence[list[int]], injective: bool) -> bool:
-    """Run one depth's steps on ``table``; ``images[i]`` is the target's
-    column of the image of ``gens[i]``.  False on a conflict, or, when
+    """Run one depth's steps on ``table``; ``images[i]`` is the column of
+    the image of ``gens[i]``.  False on a conflict, or, when
     ``injective``, as soon as a non-identity element maps to the identity."""
     for x, i, y, new in steps:
         t = images[i][table[x]]
@@ -88,79 +89,71 @@ def _extend(table: list[int], steps: Sequence[tuple[int, int, int, bool]],
     return True
 
 
-def _verify_table(source: FiniteGroup, target: FiniteGroup,
-                  table: Sequence[int]) -> bool:
+def _verify_table(group: FiniteGroup, table: Sequence[int]) -> bool:
     if table[0] != 0:
         return False
-    for g in source.generator_indices():
-        src, tgt = source.column(g), target.column(table[g])
+    for g in group.generator_indices():
+        src, tgt = group.column(g), group.column(table[g])
         if any(table[src[x]] != tgt[tx] for x, tx in enumerate(table)):
             return False
     return True
 
 
 class Morphism:
-    """A verified homomorphism ``source -> target`` as a full index table."""
+    """A verified endomorphism of ``group`` as a full index table."""
 
-    __slots__ = ("source", "target", "table", "generator_images")
+    __slots__ = ("group", "table", "generator_images")
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup,
-                 table: Sequence[int], *, _verified: bool = False):
+    def __init__(self, group: FiniteGroup, table: Sequence[int], *,
+                 _verified: bool = False):
         table = tuple(table)
-        if len(table) != source.order:
-            raise ValueError("table length differs from source order")
-        if min(table) < 0 or max(table) >= len(target.elements):
-            raise ValueError("table entry outside target")
-        if not _verified and not _verify_table(source, target, table):
+        if len(table) != group.order:
+            raise ValueError("table length differs from the group order")
+        if min(table) < 0 or max(table) >= group.order:
+            raise ValueError("table entry outside the group")
+        if not _verified and not _verify_table(group, table):
             raise NotAHomomorphism("table violates the homomorphism law")
-        self.source = source
-        self.target = target
+        self.group = group
         self.table = table
-        # Images of the declared source generators, for reporting.
-        self.generator_images = tuple(table[i] for i in source.generator_indices())
+        # Images of the declared generators, for reporting.
+        self.generator_images = tuple(table[i] for i in group.generator_indices())
 
     def __call__(self, index: int) -> int:
         return self.table[index]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Morphism)
-                and self.source is other.source
-                and self.target is other.target
+                and self.group is other.group
                 and self.table == other.table)
 
     def __hash__(self) -> int:
-        return hash((id(self.source), id(self.target), self.table))
+        return hash((id(self.group), self.table))
 
     def __repr__(self) -> str:
-        images = ", ".join(self.target.elements[t].cycle_string()
+        images = ", ".join(self.group.elements[t].cycle_string()
                            for t in self.generator_images)
         return f"Morphism(gens -> [{images}])"
 
     # -- basic structure ---------------------------------------------------
-
-    def _require_endo(self) -> None:
-        if self.source is not self.target:
-            raise ValueError("operation requires an endomorphism")
 
     def is_trivial(self) -> bool:
         return all(t == 0 for t in self.table)
 
     def is_automorphism(self) -> bool:
         # A homomorphism of a finite group with a trivial kernel is onto.
-        return self.source is self.target and self.table.count(0) == 1
+        return self.table.count(0) == 1
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """``self`` after ``inner``: x -> self(inner(x))."""
-        if inner.target is not self.source:
+        if inner.group is not self.group:
             raise ValueError("morphisms are not composable")
         table = tuple(self.table[t] for t in inner.table)
         # A composite of verified homomorphisms is one.
-        return Morphism(inner.source, self.target, table, _verified=True)
+        return Morphism(self.group, table, _verified=True)
 
     # -- fixed points ---------------------------------------------------------
 
     def fixed_point_count(self) -> int:
-        self._require_endo()
         return sum(1 for i, t in enumerate(self.table) if t == i)
 
     # -- the kernel tower -----------------------------------------------------
@@ -175,8 +168,7 @@ class Morphism:
         induces on G/N is injective (``twisted.reduction_check`` asserts
         it), since phi(x) in N puts x in the kernel of a power of phi.
         """
-        self._require_endo()
-        sub = self.source.normal_cosets(_stable_kernel(self.table))[0]
+        sub = self.group.normal_cosets(_stable_kernel(self.table))[0]
         flags, table = sub.member_flags, self.table
         if not all(flags[table[x]] for x in sub.indices):
             raise AssertionError("stabilized kernel union is not invariant")
@@ -208,35 +200,35 @@ def inner_automorphism(group: FiniteGroup, conjugator: int) -> Morphism:
     """The automorphism g -> h g h^-1 for the element with index ``conjugator``."""
     column = group.column(group.inverse(conjugator))
     table = [column[x] for x in group.row(conjugator)]
-    return Morphism(group, group, table)
+    return Morphism(group, table)
 
 
-def morphism_from_images(source: FiniteGroup, target: FiniteGroup,
+def morphism_from_images(group: FiniteGroup,
                          images: Sequence[Permutation | int]) -> Morphism:
     """Extend an assignment of the declared generators to a verified Morphism.
 
     Raises NotAHomomorphism when the assignment does not extend.
     """
-    if len(images) != len(source.generators):
+    if len(images) != len(group.generators):
         raise ValueError(
-            f"expected {len(source.generators)} images, got {len(images)}"
+            f"expected {len(group.generators)} images, got {len(images)}"
         )
     idxs = []
     for img in images:
         if isinstance(img, Permutation):
-            if img not in target:
-                raise ValueError(f"{img!r} is not an element of the target")
-            idxs.append(target.index_of(img))
+            if img not in group:
+                raise ValueError(f"{img!r} is not an element of the group")
+            idxs.append(group.index_of(img))
         else:
-            if not 0 <= img < target.order:
-                raise ValueError(f"image index {img} outside target")
+            if not 0 <= img < group.order:
+                raise ValueError(f"image index {img} outside the group")
             idxs.append(img)
-    table = [0] * source.order
-    images = [target.column(t) for t in idxs]
-    for steps in _levels(source, source.generator_indices()):
+    table = [0] * group.order
+    images = [group.column(t) for t in idxs]
+    for steps in _levels(group, group.generator_indices()):
         if not _extend(table, steps, images, False):
             raise NotAHomomorphism("generator images do not extend")
-    return Morphism(source, target, table, _verified=True)
+    return Morphism(group, table, _verified=True)
 
 
 def _pools(group: FiniteGroup, gens: Sequence[int],
@@ -360,5 +352,5 @@ def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,
     those of the spectra's fold.
     """
     for table, weight, _ in _search(group, automorphisms, budget):
-        yield Morphism(group, group, table, _verified=True), weight
+        yield Morphism(group, table, _verified=True), weight
 

@@ -107,7 +107,7 @@ def structure_flags(group: FiniteGroup) -> dict[str, bool]:
 
 def _witness(phi: Morphism, detail: str) -> dict:
     """Failure payload: the morphism's generator images plus a short note."""
-    group = phi.target
+    group = phi.group
     return {
         "generator_images": [group.elements[t].to_one_based()
                              for t in phi.generator_images],

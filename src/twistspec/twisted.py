@@ -21,7 +21,7 @@ from .morphism import Morphism
 def _twisted_maps(phi: Morphism) -> list[list[int]]:
     """g -> s^-1 g phi(s) for each declared generator s: a row of s^-1
     (cached per group) followed by the column of phi(s)."""
-    group = phi.source
+    group = phi.group
     maps = []
     for s, row in zip(group.generator_indices(),
                       group._inverse_generator_rows()):
@@ -38,8 +38,7 @@ def twisted_classes(phi: Morphism) -> ClassPartition:
     here: ``theorem_battery`` checks it and reports a failure with a
     witness.
     """
-    phi._require_endo()
-    group = phi.source
+    group = phi.group
     partition = orbits(group.order, _twisted_maps(phi))
     if sum(partition.sizes) != group.order:
         raise AssertionError("twisted class sizes do not sum to the order")
@@ -71,8 +70,7 @@ def _fixed_count(table: Sequence[int], classes: ClassPartition,
 
 def induced_class_map(phi: Morphism) -> tuple[int, ...]:
     """Map each class index to the class index of the image of its rep."""
-    phi._require_endo()
-    return tuple(_class_images(phi.table, phi.source.conjugacy_classes(),
+    return tuple(_class_images(phi.table, phi.group.conjugacy_classes(),
                                phi.is_automorphism()))
 
 
@@ -80,8 +78,7 @@ def reidemeister_number(phi: Morphism) -> int:
     """Number of twisted conjugacy classes of an endomorphism, counted as
     the classes phi maps to themselves.  ``twisted_classes(phi).count``
     counts the same number by its definition."""
-    phi._require_endo()
-    return _fixed_count(phi.table, phi.source.conjugacy_classes(),
+    return _fixed_count(phi.table, phi.group.conjugacy_classes(),
                         phi.is_automorphism())
 
 
@@ -94,7 +91,7 @@ def _induced_count(phi: Morphism, tower: Subgroup) -> int:
     the twisted classes of the induced map.  The coset labelling comes from
     the group's per-tower cache; no quotient group is built.
     """
-    group = phi.source
+    group = phi.group
     cosets = group.normal_cosets(tower.indices)[1]
     coset_of = cosets.class_of
     maps = [[coset_of[column[row[r]]] for r in cosets.representatives]
@@ -115,7 +112,6 @@ def reduction_check(phi: Morphism, count: int) -> bool:
     itself runs on the [G:N] cosets (``_induced_count``).  Expected true
     for every endomorphism; exposed as a verification hook.
     """
-    phi._require_endo()
     tower = phi.iterated_kernel()
     if tower.is_trivial():
         # phi is already injective: the induced map is phi itself.

@@ -107,7 +107,7 @@ def is_class_preserving(phi, classes=None):
     """``phi`` maps every conjugacy class to itself (checked on
     representatives)."""
     if classes is None:
-        classes = phi.source.conjugacy_classes()
+        classes = phi.group.conjugacy_classes()
     return all(classes.class_of[phi.table[r]] == c
                for c, r in enumerate(classes.representatives))
 
@@ -240,14 +240,14 @@ def induced_on_quotient(phi, sub):
     ValueError when ``sub`` is not invariant under ``phi``."""
     if any(phi.table[x] not in sub for x in sub.indices):
         raise ValueError("subgroup is not invariant under the morphism")
-    quotient_group, projection = quotient(phi.source, sub)
+    quotient_group, projection = quotient(phi.group, sub)
     induced = [-1] * quotient_group.order
     for e, c in enumerate(projection):
         t = projection[phi.table[e]]
         if induced[c] < 0:
             induced[c] = t
         assert induced[c] == t, "induced map is not well defined"
-    return Morphism(quotient_group, quotient_group, induced)
+    return Morphism(quotient_group, induced)
 
 
 def quotient_is_simple(group, sub):
@@ -259,7 +259,7 @@ def quotient_is_simple(group, sub):
 def reduced_count(phi, method="fixed-classes"):
     """R of the map ``phi`` induces on G/N, N the union of the kernels of
     the powers of ``phi`` (found one power at a time)."""
-    group = phi.source
+    group = phi.group
     sub = group.subgroup(iterated_kernel(phi.table))
     return count(induced_on_quotient(phi, sub), method)
 
@@ -269,7 +269,7 @@ def reduction_orbits_on_g(phi):
     found one power at a time, counted on all of G: the orbits of the
     twisted maps g -> s^-1 g phi(s) together with right multiplication by
     N's generators are the preimages of the induced map's twisted classes."""
-    group = phi.source
+    group = phi.group
     sub = group.subgroup(iterated_kernel(phi.table))
     maps = [group.column(y) for y in sub.generators]
     for s in group.generator_indices():
@@ -400,12 +400,12 @@ def every_morphism(group, automorphisms=False):
 
 def morphisms(group, automorphisms=False):
     """``every_morphism`` as Morphism objects, each verified on construction."""
-    return [Morphism(group, group, table)
+    return [Morphism(group, table)
             for table in every_morphism(group, automorphisms)]
 
 
 def identity_morphism(group):
-    return Morphism(group, group, range(group.order))
+    return Morphism(group, range(group.order))
 
 
 def tally(pairs, method):

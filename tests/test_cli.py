@@ -308,6 +308,72 @@ def test_survey_records_non_utf8_file(small_dir, tmp_path):
     assert error["error"].startswith("DefinitionError:")
 
 
+NESTED_JSON = b"[" * 100000 + b"]" * 100000
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_survey_records_deeply_nested_file(small_dir, tmp_path, jobs):
+    (small_dir / "nested.json").write_bytes(NESTED_JSON)
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out),
+                 "--jobs", jobs]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["group_count"] == 5
+    [error] = doc["summary"]["errors"]
+    assert error["file"] == "nested.json"
+    assert error["error"].startswith("DefinitionError:")
+
+
+def test_deeply_nested_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_bytes(NESTED_JSON)
+    assert main(["info", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("jobs,files,cpus,workers", [
+    (50000, 2, 8, 2),
+    (3, 5, 8, 3),
+    (50000, 5, 4, 4),
+    (4, 5, 1, None),
+    (4, 5, None, None),
+    (50000, 1, 8, None),
+])
+def test_survey_workers_are_capped_by_files_and_cpus(
+        small_dir, tmp_path, monkeypatch, jobs, files, cpus, workers):
+    import twistspec.cli as cli_mod
+
+    sizes = []
+
+    class RecordingPool:
+        """Records ``max_workers`` and maps in this process, so no worker
+        is started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    for extra in sorted(small_dir.glob("*.json"))[files:]:
+        extra.unlink()
+    serial = tmp_path / "serial.json"
+    assert main(["survey", str(small_dir), "--out", str(serial)]) == 0
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out),
+                 "--jobs", str(jobs)]) == 0
+    assert sizes == ([] if workers is None else [workers])
+    assert out.read_bytes() == serial.read_bytes()
+
+
 def _classify_failing_on(name, error=AssertionError):
     """``classify`` that raises ``error`` for the group ``name``."""
     from twistspec.spectra import classify
@@ -383,7 +449,7 @@ def _miscount_fixed_classes(monkeypatch):
     honest = spectra_mod.reidemeister_number
 
     def miscounted(phi):
-        return honest(phi) + (phi.source.name == "S3")
+        return honest(phi) + (phi.group.name == "S3")
 
     monkeypatch.setattr(spectra_mod, "reidemeister_number", miscounted)
 

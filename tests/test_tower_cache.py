@@ -129,9 +129,9 @@ def test_per_phi_checks_fire_on_a_cache_hit(monkeypatch):
     members = (0, a)
     monkeypatch.setattr(morphism_mod, "_stable_kernel", lambda table: members)
     built = _spy_on_cache_builds(monkeypatch)
-    identity = morphism_from_images(group, group, [a, b])
-    swap = morphism_from_images(group, group, [b, a])
-    projection = morphism_from_images(group, group, [a, 0])
+    identity = morphism_from_images(group, [a, b])
+    swap = morphism_from_images(group, [b, a])
+    projection = morphism_from_images(group, [a, 0])
     assert identity.iterated_kernel().indices == members
     # The identity induces the identity on G/N = Z2, with 2 classes.
     assert reduction_check(identity, 2)

@@ -20,7 +20,7 @@ def s3():
 
 def brute_twisted_partition(phi):
     """Oracle straight from the definition: g1 ~ g2 iff g1 = h g2 phi(h)^-1."""
-    table = oracles.product_table(phi.source)
+    table = oracles.product_table(phi.group)
     inv = oracles.inverses(table)
     n = len(table)
     related = {
@@ -46,7 +46,7 @@ def test_identity_twist_is_ordinary_conjugation(s3):
 
 
 def test_trivial_morphism_has_one_class(s3):
-    trivial = morphism_from_images(s3, s3, [Permutation.identity(3)] * 2)
+    trivial = morphism_from_images(s3, [Permutation.identity(3)] * 2)
     partition = twisted_classes(trivial)
     assert partition.count == 1
     assert partition.sizes == (6,)
@@ -54,7 +54,7 @@ def test_trivial_morphism_has_one_class(s3):
 
 def test_inversion_on_z4_gives_even_cosets():
     z4 = build(cyclic(4))
-    inversion = Morphism(z4, z4, [z4.inverse(i) for i in range(4)])
+    inversion = Morphism(z4, [z4.inverse(i) for i in range(4)])
     partition = twisted_classes(inversion)
     assert partition.count == 2
     two = z4.power(1, 2)
@@ -82,7 +82,7 @@ def test_induced_map_of_identity_is_identity(s3):
 
 
 def test_induced_map_of_trivial_is_constant(s3):
-    trivial = morphism_from_images(s3, s3, [Permutation.identity(3)] * 2)
+    trivial = morphism_from_images(s3, [Permutation.identity(3)] * 2)
     assert set(induced_class_map(trivial)) == {0}
 
 
@@ -90,7 +90,7 @@ def test_induced_map_swaps_a4_cycle_classes():
     a4 = build(alternating(4))
     swap = Permutation.from_cycles(4, (1, 2))
     phi = morphism_from_images(
-        a4, a4, [swap * g * swap.inverse() for g in a4.generators])
+        a4, [swap * g * swap.inverse() for g in a4.generators])
     mapping = induced_class_map(phi)
     classes = a4.conjugacy_classes()
     three_cycle_classes = [c for c in range(classes.count)
@@ -117,7 +117,7 @@ def test_identity_count_is_class_number(s3):
 
 
 def test_trivial_morphism_count_is_one(s3):
-    trivial = morphism_from_images(s3, s3, [Permutation.identity(3)] * 2)
+    trivial = morphism_from_images(s3, [Permutation.identity(3)] * 2)
     assert reidemeister_number(trivial) == 1
 
 
@@ -156,7 +156,7 @@ def test_reduction_on_automorphism_is_trivially_true(s3):
 
 def test_reduction_on_doubling():
     z4 = build(cyclic(4))
-    doubling = Morphism(z4, z4, [z4.power(i, 2) for i in range(4)])
+    doubling = Morphism(z4, [z4.power(i, 2) for i in range(4)])
     assert reidemeister_number(doubling) == 1
     assert reduction_check(doubling, 1)
     assert not reduction_check(doubling, 2)
@@ -164,7 +164,7 @@ def test_reduction_on_doubling():
 
 def test_reduction_on_sign_like(s3):
     t = Permutation.from_cycles(3, (1, 2))
-    phi = morphism_from_images(s3, s3, [t, Permutation.identity(3)])
+    phi = morphism_from_images(s3, [t, Permutation.identity(3)])
     assert reidemeister_number(phi) == 2
     induced = oracles.induced_on_quotient(phi, phi.iterated_kernel())
     assert reidemeister_number(induced) == 2
@@ -184,7 +184,7 @@ def _whole_group_for_non_injective(monkeypatch):
     def patched(self):
         if self.is_automorphism():
             return real(self)
-        return self.source.subgroup(range(self.source.order))
+        return self.group.subgroup(range(self.group.order))
 
     monkeypatch.setattr(Morphism, "iterated_kernel", patched)
 
@@ -214,10 +214,10 @@ def test_non_injective_reduction_is_an_internal_error(monkeypatch, tmp_path,
     # Patched to ker phi alone, N = {0, 4} for the doubling map of Z8:
     # phi(2) = 4 lies in N although 2 does not.
     z8 = build(cyclic(8))
-    doubling = Morphism(z8, z8, [z8.power(i, 2) for i in range(8)])
+    doubling = Morphism(z8, [z8.power(i, 2) for i in range(8)])
     monkeypatch.setattr(
         Morphism, "iterated_kernel",
-        lambda self: self.source.subgroup(
+        lambda self: self.group.subgroup(
             x for x, t in enumerate(self.table) if t == 0))
     assert len(doubling.iterated_kernel().indices) == 2
     with pytest.raises(AssertionError, match="not injective"):
