@@ -19,10 +19,9 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from math import factorial, gcd, isqrt, prod
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DefinitionError
 from .group import DEFAULT_ORDER_CAP, FiniteGroup, closure
@@ -31,8 +30,7 @@ from .perm import Permutation
 _EXPECTED_KEYS = ("order", "class_number")
 
 
-@dataclass
-class GroupDefinition:
+class GroupDefinition(NamedTuple):
     """A named permutation group given by 1-based generator image rows."""
 
     name: str
@@ -413,9 +411,10 @@ def sl2(p: int) -> GroupDefinition:
 def _named(defn: GroupDefinition, name: str | None = None,
            class_number: int | None = None) -> GroupDefinition:
     if name is not None:
-        defn.name = name
+        defn = defn._replace(name=name)
     if class_number is not None:
-        defn.expected = {**(defn.expected or {}), "class_number": class_number}
+        defn = defn._replace(
+            expected={**(defn.expected or {}), "class_number": class_number})
     return defn
 
 

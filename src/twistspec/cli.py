@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -231,9 +230,11 @@ def _cmd_survey(args) -> int:
     tasks = [(path, args.budget, args.order_cap, args.battery)
              for path in files]
     # The pool starts all its workers at once, so never more than there
-    # are files or CPUs.
+    # are files or CPUs.  Only this branch imports it: the import costs
+    # every other command start-up time.
     workers = min(args.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_survey_worker, tasks))
     else:
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
                             f"(default {DEFAULT_PRODUCT_BUDGET}, "
                             f"env {BUDGET_ENV})")
         p.add_argument("--order-cap", type=int, default=None,
-                       help="group materialization cap "
+                       help="cap on the group order and the degree "
                             f"(default {DEFAULT_ORDER_CAP}, "
                             f"env {ORDER_CAP_ENV})")
 

@@ -24,8 +24,7 @@ ch. 4.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, OrderCapExceeded
 from .perm import Permutation
@@ -49,8 +48,7 @@ class _Budget:
             raise BudgetExceeded(f"product budget {self.limit} exceeded")
 
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
+class Subgroup(NamedTuple):
     """A subgroup as a membership mask over its group's element indices,
     with member indices that generate it."""
 
@@ -69,8 +67,7 @@ class Subgroup:
         return self.order == 1
 
 
-@dataclass(frozen=True, eq=False)
-class ClassPartition:
+class ClassPartition(NamedTuple):
     """A partition of ``range(n)`` into the orbits that ``orbits`` finds:
     conjugacy classes, twisted classes or cosets.  ``class_of`` numbers
     each point's orbit; each orbit is represented by its smallest member."""
@@ -80,7 +77,7 @@ class ClassPartition:
     sizes: tuple[int, ...]
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # the orbit count; shadows tuple.count
         return len(self.representatives)
 
     def identity_class_size(self) -> int:
@@ -216,15 +213,6 @@ class FiniteGroup:
 
     def inverse(self, i: int) -> int:
         return self.inverses()[i]
-
-    def power(self, i: int, exponent: int) -> int:
-        if exponent < 0:
-            return self.power(self.inverse(i), -exponent)
-        row = self.row(i)
-        acc = 0
-        for _ in range(exponent):
-            acc = row[acc]
-        return acc
 
     def element_order(self, i: int) -> int:
         return self.element_orders()[i]
@@ -552,10 +540,13 @@ def closure(degree: int, generators: Sequence[Permutation], *,
     Breadth-first from the identity, generators applied in list order; the
     resulting element order is deterministic.  The search keeps each
     generator's action on element indices and the Schreier tree.  Raises
-    OrderCapExceeded when the group would exceed ``order_cap``.
+    OrderCapExceeded when the group would exceed ``order_cap`` or the
+    degree does, since each element costs ``degree`` entries.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
+    if degree > order_cap:
+        raise OrderCapExceeded(f"degree {degree} exceeds order cap {order_cap}")
     for g in generators:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")

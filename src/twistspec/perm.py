@@ -82,20 +82,6 @@ class Permutation(tuple):
             inv[x] = i
         return Permutation._unchecked(tuple(inv))
 
-    def __pow__(self, exponent: int):  # type: ignore[override]
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Permutation.identity(len(self))
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles as 1-based point tuples, each led by its minimum."""
         out = []

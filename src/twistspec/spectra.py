@@ -9,9 +9,8 @@ definitions and the multiplicities cost nothing extra and help debugging.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup
@@ -26,8 +25,7 @@ FLAG_NAMES = (
 )
 
 
-@dataclass
-class BatteryCheck:
+class BatteryCheck(NamedTuple):
     """One named theorem check with an optional failure witness."""
 
     name: str
@@ -39,8 +37,7 @@ class BatteryCheck:
                 "witness": self.witness}
 
 
-@dataclass
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Spectra, classification flags and battery results for one group."""
 
     name: str
@@ -55,7 +52,7 @@ class SpectrumReport:
     extended_spectrum: dict[int, int] | None
     flags: dict[str, bool | None]
     theorem_battery: list[BatteryCheck] | None = None
-    annotations: list[str] = field(default_factory=list)
+    annotations: tuple[str, ...] = ()
 
     @property
     def class_preserving_out_order(self) -> int:
@@ -318,7 +315,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
         extended_spectrum=extended_map,
         flags=flags,
         theorem_battery=battery_checks,
-        annotations=annotations,
+        annotations=tuple(annotations),
     )
 
 

@@ -284,6 +284,16 @@ def inner_automorphism(table, c):
     return [table[table[c][g]][inv[c]] for g in range(len(table))]
 
 
+def power(group, i, exponent):
+    """The index of element ``i`` raised to ``exponent >= 0``, by repeated
+    products along ``i``'s row."""
+    row = group.row(i)
+    acc = 0
+    for _ in range(exponent):
+        acc = row[acc]
+    return acc
+
+
 def element_orders(table):
     orders = []
     for x in range(len(table)):

@@ -72,12 +72,10 @@ def test_holomorph_generator_counts():
 
 
 def test_expected_block_mismatch_fails_loudly():
-    bad = cyclic(4)
-    bad.expected = {"order": 5}
+    bad = cyclic(4)._replace(expected={"order": 5})
     with pytest.raises(DefinitionError):
         build(bad)
-    bad = cyclic(4)
-    bad.expected = {"order": 4, "class_number": 3}
+    bad = cyclic(4)._replace(expected={"order": 4, "class_number": 3})
     with pytest.raises(DefinitionError):
         build(bad)
 
@@ -154,7 +152,7 @@ definitions = st.integers(min_value=1, max_value=6).flatmap(
 @given(definitions, st.booleans())
 def test_round_trip_random_definitions(tmp_path_factory, defn, with_expected):
     if with_expected:
-        defn.expected = {"order": build(defn).order}
+        defn = defn._replace(expected={"order": build(defn).order})
     path = tmp_path_factory.mktemp("defs") / "g.json"
     save(defn, path)
     assert load(path) == defn

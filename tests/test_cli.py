@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -204,6 +205,15 @@ def test_order_cap_flag(tmp_path, capsys):
     assert main(["info", str(path), "--order-cap", "10"]) == 2
 
 
+def test_order_cap_bounds_the_degree(tmp_path, capsys):
+    # The trivial group on 11 points: order 1, but each element costs 11.
+    path = tmp_path / "wide.json"
+    path.write_text('{"name": "X", "degree": 11, "generators": []}')
+    assert main(["info", str(path), "--order-cap", "10"]) == 2
+    assert "degree 11 exceeds order cap 10" in capsys.readouterr().err
+    assert main(["info", str(path), "--order-cap", "11"]) == 0
+
+
 @pytest.mark.parametrize("command,env,named", [
     (["spectrum", "@s3"], {"TWISTSPEC_BUDGET": "0"}, "TWISTSPEC_BUDGET"),
     (["info", "@s3"], {"TWISTSPEC_ORDER_CAP": "0"}, "TWISTSPEC_ORDER_CAP"),
@@ -365,7 +375,8 @@ def test_survey_workers_are_capped_by_files_and_cpus(
         extra.unlink()
     serial = tmp_path / "serial.json"
     assert main(["survey", str(small_dir), "--out", str(serial)]) == 0
-    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: cpus)
     out = tmp_path / "r.json"
     assert main(["survey", str(small_dir), "--out", str(out),
@@ -531,6 +542,40 @@ def test_console_entry_point(s3_file):
     )
     assert proc.returncode == 0
     assert "order" in proc.stdout
+
+
+# Heavy modules that no serial command needs: dataclasses pulls in inspect,
+# ast and dis; only survey with more than one worker starts a process pool.
+UNNEEDED_MODULES = {"dataclasses", "inspect", "multiprocessing",
+                    "concurrent.futures.process"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "@S3"], ["spectrum", "@S3", "--extended"], ["verify", "@S3"],
+    ["survey", "@DIR", "--out", "@OUT", "--jobs", "1", "--battery"],
+])
+def test_serial_commands_import_no_unneeded_modules(s3_file, small_dir,
+                                                    tmp_path, argv):
+    places = {"@S3": s3_file, "@DIR": str(small_dir),
+              "@OUT": str(tmp_path / "r.json")}
+    script = "\n".join([
+        "import json, sys",
+        "before = set(sys.modules)",
+        "from twistspec.cli import main",
+        f"code = main({[places.get(arg, arg) for arg in argv]!r})",
+        "sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))",
+        "sys.exit(code)",
+    ])
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = set(json.loads(proc.stderr))
+    assert "twistspec.cli" in imported
+    assert not imported & UNNEEDED_MODULES
 
 
 def test_parser_is_built_once_per_process(s3_file, tmp_path, capsys):

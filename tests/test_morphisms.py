@@ -85,7 +85,7 @@ def test_table_entries_must_index_the_target(s3):
 
 def test_compose_identity_and_collapse():
     z4 = build(cyclic(4))
-    doubling = Morphism(z4, [z4.power(i, 2) for i in range(4)])
+    doubling = Morphism(z4, [oracles.power(z4, i, 2) for i in range(4)])
     assert doubling.compose(identity_morphism(z4)) == doubling
     assert identity_morphism(z4).compose(doubling) == doubling
     assert doubling.compose(doubling).is_trivial()
@@ -243,7 +243,7 @@ def test_z4_endomorphisms_are_the_multiplications():
     z4 = build(cyclic(4))
     tables = set(oracles.every_morphism(z4))
     expected = {
-        tuple(z4.power(i, a) for i in range(4)) for a in range(4)
+        tuple(oracles.power(z4, i, a) for i in range(4)) for a in range(4)
     }
     assert tables == expected
 
@@ -328,7 +328,7 @@ def test_inner_automorphism_examples(s3):
 def test_iterated_kernel_examples(s3):
     assert identity_morphism(s3).iterated_kernel().order == 1
     z4 = build(cyclic(4))
-    doubling = Morphism(z4, [z4.power(i, 2) for i in range(4)])
+    doubling = Morphism(z4, [oracles.power(z4, i, 2) for i in range(4)])
     assert doubling.iterated_kernel().order == 4
     phi = sign_like(s3)
     assert phi.iterated_kernel().order == 3
@@ -370,7 +370,7 @@ def test_greedy_generating_set_on_m9():
 
 def test_morphism_images_accept_indices():
     z6 = build(cyclic(6))
-    phi = morphism_from_images(z6, [z6.power(1, 5)])
+    phi = morphism_from_images(z6, [oracles.power(z6, 1, 5)])
     assert phi.is_automorphism()
 
 

@@ -85,16 +85,6 @@ def test_composition_associative(triple):
     assert (p * q) * r == p * (q * r)
 
 
-@given(perms, st.integers(min_value=-6, max_value=6))
-def test_power_matches_iteration(p, k):
-    e = Permutation.identity(p.degree)
-    base = p if k >= 0 else p.inverse()
-    acc = e
-    for _ in range(abs(k)):
-        acc = acc * base
-    assert p ** k == acc
-
-
 @given(perms)
 def test_cycles_reconstruct(p):
     assert Permutation.from_cycles(p.degree, *p.cycles()) == p

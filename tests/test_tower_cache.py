@@ -8,7 +8,6 @@ count the once-per-tower checks, and patched towers show that every
 assertion still fires, also on a cache hit.
 """
 
-import dataclasses
 import sys
 
 import pytest
@@ -42,7 +41,7 @@ def _spy_on_cache_builds(monkeypatch, drop_last_generator=False):
         if sys._getframe(1).f_code is NORMAL_COSETS:
             built["subgroup"].append(sub.indices)
             if drop_last_generator:
-                sub = dataclasses.replace(sub, generators=sub.generators[:-1])
+                sub = sub._replace(generators=sub.generators[:-1])
         return sub
 
     def is_normal(self, sub):

@@ -9,7 +9,6 @@ a redundant generating set of three search generators, where the
 centraliser chain goes three levels deep.
 """
 
-import dataclasses
 import json
 from collections import Counter
 
@@ -135,8 +134,7 @@ def test_classify_and_spectra_are_views_of_the_sweep(case, monkeypatch):
         calls.clear()
         one_pass = classify(group, extended=extended, battery=True)
         assert calls == [False]
-        assert one_pass == dataclasses.replace(two_pass,
-                                               theorem_battery=checks)
+        assert one_pass == two_pass._replace(theorem_battery=checks)
 
 
 def test_battery_over_representatives_matches_every_morphism(case):
