@@ -4,9 +4,11 @@ catalog: groups whose spectrum collapses to {k(G)}, and groups whose
 endomorphisms realize every count from 1 to k(G)."""
 
 import argparse
+import sys
 import time
 
 from twistspec.catalog import build, shipped_catalog
+from twistspec.errors import BudgetExceeded
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET
 from twistspec.spectra import classify
 
@@ -23,7 +25,12 @@ def main() -> None:
         group = build(defn)
         if group.order > args.max_order:
             continue
-        reports.append(classify(group, name=defn.name, budget=args.budget))
+        try:
+            reports.append(classify(group, budget=args.budget))
+        except BudgetExceeded as exc:
+            # Exit as the command line does when a budget runs out.
+            print(f"error: {defn.name}: {exc}", file=sys.stderr)
+            sys.exit(2)
     reports.sort(key=lambda r: (r.order, r.name))
 
     print(f"classified {len(reports)} groups in "

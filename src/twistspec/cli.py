@@ -33,38 +33,25 @@ EXIT_INTERNAL = 4
 
 # Errors that only a bug in twistspec can raise: exit 4.
 _INTERNAL_ERRORS = (AssertionError, NotAHomomorphism)
-BUDGET_ENV = "TWISTSPEC_BUDGET"
-ORDER_CAP_ENV = "TWISTSPEC_ORDER_CAP"
 
 
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return None
+def _positive(text: str) -> int:
+    """The ``type`` of every limit flag: an integer of at least 1.  The
+    parser reports a rejection as a usage error that names the flag."""
     try:
-        return int(raw)
+        value = int(text)
     except ValueError:
-        raise DefinitionError(f"{name} must be an integer, got {raw!r}")
-
-
-def _positive(value: int, name: str) -> int:
+        value = 0
     if value < 1:
-        raise DefinitionError(f"{name} must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
     return value
 
 
-def _resolve_limit(flag_value: int | None, flag: str, env: str,
-                   default: int) -> int:
-    """The flag if given, else the environment variable, else the default."""
-    if flag_value is not None:
-        return _positive(flag_value, flag)
-    env_value = _env_int(env)
-    return default if env_value is None else _positive(env_value, env)
-
-
-def _load_group(path: str, order_cap: int) -> tuple[catalog.GroupDefinition, FiniteGroup]:
-    defn = catalog.load(path)
-    return defn, catalog.build(defn, order_cap=order_cap)
+def _load_group(path: str, order_cap: int) -> FiniteGroup:
+    """The group a definition file names; ``catalog.build`` gives it the
+    definition's name."""
+    return catalog.build(catalog.load(path), order_cap=order_cap)
 
 
 def _print_table(rows: list[tuple[str, str]]) -> None:
@@ -82,7 +69,7 @@ def _format_value_map(values: dict[int, int]) -> str:
 # -- info -----------------------------------------------------------------
 
 def _cmd_info(args) -> int:
-    _, group = _load_group(args.file, args.order_cap)
+    group = _load_group(args.file, args.order_cap)
     classes = group.conjugacy_classes()
     flags = structure_flags(group)
     if args.json:
@@ -113,9 +100,9 @@ def _cmd_info(args) -> int:
 # -- spectrum ----------------------------------------------------------------
 
 def _cmd_spectrum(args) -> int:
-    defn, group = _load_group(args.file, args.order_cap)
-    report = classify(group, name=defn.name, extended=args.extended,
-                      battery=False, budget=args.budget)
+    group = _load_group(args.file, args.order_cap)
+    report = classify(group, extended=args.extended, battery=False,
+                      budget=args.budget)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return EXIT_OK
@@ -142,12 +129,12 @@ def _cmd_spectrum(args) -> int:
 # -- verify -------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    defn, group = _load_group(args.file, args.order_cap)
+    group = _load_group(args.file, args.order_cap)
     checks = theorem_battery(group, budget=args.budget)
     failures = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
-        line = f"{status}  {defn.name}  {check.name}"
+        line = f"{status}  {group.name}  {check.name}"
         if not check.passed:
             failures += 1
             line += f"  witness={json.dumps(check.witness)}"
@@ -204,8 +191,7 @@ def _survey_worker(task: tuple) -> dict:
     path, budget, order_cap, battery = task
     name = os.path.basename(path)
     try:
-        defn, group = _load_group(path, order_cap)
-        report = classify(group, name=defn.name, extended=True,
+        report = classify(_load_group(path, order_cap), extended=True,
                           battery=battery, budget=budget)
         return {"file": name, "report": report.to_json_dict()}
     except _INTERNAL_ERRORS as exc:
@@ -216,7 +202,6 @@ def _survey_worker(task: tuple) -> dict:
 
 
 def _cmd_survey(args) -> int:
-    _positive(args.jobs, "--jobs")
     directory = Path(args.directory)
     if not directory.is_dir():
         raise DefinitionError(f"{directory} is not a directory")
@@ -296,25 +281,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--budget", type=int, default=None,
-                       help="product budget per enumeration "
-                            f"(default {DEFAULT_PRODUCT_BUDGET}, "
-                            f"env {BUDGET_ENV})")
-        p.add_argument("--order-cap", type=int, default=None,
+    def order_cap(p):
+        p.add_argument("--order-cap", type=_positive,
+                       default=DEFAULT_ORDER_CAP,
                        help="cap on the group order and the degree "
-                            f"(default {DEFAULT_ORDER_CAP}, "
-                            f"env {ORDER_CAP_ENV})")
+                            f"(default {DEFAULT_ORDER_CAP})")
+
+    def limits(p):
+        p.add_argument("--budget", type=_positive,
+                       default=DEFAULT_PRODUCT_BUDGET,
+                       help="product budget per enumeration "
+                            f"(default {DEFAULT_PRODUCT_BUDGET})")
+        order_cap(p)
 
     p_info = sub.add_parser(
         "info", help="order, classes and structure flags",
         description="Order, classes and structure flags.  info sweeps no "
-                    "morphisms and takes no product budget (--budget is "
-                    "accepted and unused); its work is bounded by the "
-                    "order cap.")
+                    "morphisms and takes no product budget; its work is "
+                    "bounded by the order cap.")
     p_info.add_argument("file")
     p_info.add_argument("--json", action="store_true")
-    common(p_info)
+    order_cap(p_info)
     p_info.set_defaults(func=_cmd_info)
 
     p_spec = sub.add_parser("spectrum", help="Reidemeister spectrum")
@@ -322,12 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--extended", action="store_true",
                         help="also sweep all endomorphisms")
     p_spec.add_argument("--json", action="store_true")
-    common(p_spec)
+    limits(p_spec)
     p_spec.set_defaults(func=_cmd_spectrum)
 
     p_verify = sub.add_parser("verify", help="run the theorem battery")
     p_verify.add_argument("file")
-    common(p_verify)
+    limits(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_survey = sub.add_parser("survey", help="classify a directory of groups")
@@ -336,12 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--filter", default=None,
                           help="comma-separated key=value terms; keys are "
                                "flag names plus min_order/max_order")
-    p_survey.add_argument("--jobs", type=int, default=1,
+    p_survey.add_argument("--jobs", type=_positive, default=1,
                           help="worker processes, at most one per file "
                                "and per CPU (default 1)")
     p_survey.add_argument("--battery", action="store_true",
                           help="include the theorem battery per group")
-    common(p_survey)
+    limits(p_survey)
     p_survey.set_defaults(func=_cmd_survey)
     return parser
 
@@ -349,10 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.budget = _resolve_limit(args.budget, "--budget", BUDGET_ENV,
-                                     DEFAULT_PRODUCT_BUDGET)
-        args.order_cap = _resolve_limit(args.order_cap, "--order-cap",
-                                        ORDER_CAP_ENV, DEFAULT_ORDER_CAP)
         return args.func(args)
     except DefinitionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -198,9 +198,7 @@ def _stable_kernel(table: Sequence[int]) -> tuple[int, ...]:
 
 def inner_automorphism(group: FiniteGroup, conjugator: int) -> Morphism:
     """The automorphism g -> h g h^-1 for the element with index ``conjugator``."""
-    column = group.column(group.inverse(conjugator))
-    table = [column[x] for x in group.row(conjugator)]
-    return Morphism(group, table)
+    return Morphism(group, group.conjugation(group.inverse(conjugator)))
 
 
 def morphism_from_images(group: FiniteGroup,

@@ -113,6 +113,10 @@ def test_file_contents_are_stable(tmp_path):
     ({"name": "X", "degree": 2, "generators": [[2, 1]],
       "expected": {"order": -1}}, "positive"),
     ([1, 2], "object"),
+    ({"name": "X", "degree": 2, "generators": {"a": [2, 1]}},
+     "'generators' must be a list"),
+    ({"name": "X", "degree": 2, "generators": [[2, 1]], "expected": [2]},
+     "'expected' must be an object"),
 ])
 def test_validation_diagnostics(doc, fragment):
     with pytest.raises(DefinitionError) as err:

@@ -139,6 +139,7 @@ def test_json_booleans_are_not_integers(field, doc, tmp_path, capsys):
     ["info", "{s3}", "--bogus"],
     ["spectrum", "{s3}", "--method", "orbits"],
     ["spectrum", "{s3}", "--budget", "many"],
+    ["info", "{s3}", "--budget", "5"],
     ["verify"],
     ["verify", "{s3}", "--extended"],
     ["survey", "{dir}"],
@@ -190,15 +191,6 @@ def test_budget_exit_code(tmp_path, capsys):
     assert main(["spectrum", str(path), "--budget", "10"]) == 2
 
 
-def test_budget_env_variable(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "s4.json"
-    save(symmetric(4), path)
-    monkeypatch.setenv("TWISTSPEC_BUDGET", "10")
-    assert main(["spectrum", str(path)]) == 2
-    monkeypatch.setenv("TWISTSPEC_BUDGET", "100000000")
-    assert main(["spectrum", str(path)]) == 0
-
-
 def test_order_cap_flag(tmp_path, capsys):
     path = tmp_path / "s4.json"
     save(symmetric(4), path)
@@ -214,25 +206,46 @@ def test_order_cap_bounds_the_degree(tmp_path, capsys):
     assert main(["info", str(path), "--order-cap", "11"]) == 0
 
 
-@pytest.mark.parametrize("command,env,named", [
-    (["spectrum", "@s3"], {"TWISTSPEC_BUDGET": "0"}, "TWISTSPEC_BUDGET"),
-    (["info", "@s3"], {"TWISTSPEC_ORDER_CAP": "0"}, "TWISTSPEC_ORDER_CAP"),
-    (["spectrum", "@s3", "--budget", "-5"], {}, "--budget"),
-    (["info", "@s3", "--order-cap", "-1"], {}, "--order-cap"),
-    (["survey", "@dir", "--out", "@out", "--jobs", "0"], {}, "--jobs"),
-    (["survey", "@dir", "--out", "@out", "--jobs", "-3"], {}, "--jobs"),
-], ids=["env-budget-0", "env-order-cap-0", "budget-negative",
+@pytest.mark.parametrize("command,named", [
+    (["spectrum", "@s3", "--budget", "0"], "--budget"),
+    (["spectrum", "@s3", "--budget", "-5"], "--budget"),
+    (["verify", "@s3", "--budget", "many"], "--budget"),
+    (["info", "@s3", "--order-cap", "-1"], "--order-cap"),
+    (["survey", "@dir", "--out", "@out", "--jobs", "0"], "--jobs"),
+    (["survey", "@dir", "--out", "@out", "--jobs", "-3"], "--jobs"),
+], ids=["budget-0", "budget-negative", "budget-not-an-integer",
         "order-cap-negative", "jobs-0", "jobs-negative"])
-def test_non_positive_limits_are_input_errors(command, env, named, s3_file,
-                                              small_dir, tmp_path, capsys,
-                                              monkeypatch):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_non_positive_limits_are_input_errors(command, named, s3_file,
+                                              small_dir, tmp_path, capsys):
     places = {"@s3": s3_file, "@dir": str(small_dir),
               "@out": str(tmp_path / "r.json")}
     assert main([places.get(arg, arg) for arg in command]) == 1
-    assert named in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_limits_come_from_flags_only(tmp_path):
+    # Settings in the environment change nothing: a run with limits that
+    # would stop it prints exactly what a clean run prints.
+    path = tmp_path / "s4.json"
+    save(symmetric(4), path)
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    clean = {key: value for key, value in os.environ.items()
+             if not key.startswith("TWISTSPEC_")}
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", "twistspec.cli", "spectrum", str(path),
+             "--extended", "--json"],
+            capture_output=True, text=True,
+            env={**clean, "PYTHONPATH": pythonpath, **extra})
+        for extra in ({}, {"TWISTSPEC_BUDGET": "1",
+                           "TWISTSPEC_ORDER_CAP": "1"})
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout
 
 
 def test_verify_pass(tmp_path, capsys):
@@ -287,6 +300,37 @@ def test_survey_bad_filter(small_dir, tmp_path):
     out = tmp_path / "r.json"
     assert main(["survey", str(small_dir), "--out", str(out),
                  "--filter", "nonsense=1"]) == 1
+
+
+@pytest.mark.parametrize("term,message", [
+    ("abelian", "filter term 'abelian' is not key=value"),
+    ("min_order=six", "filter min_order needs an integer"),
+    ("abelian=yes", "filter abelian needs true or false"),
+], ids=["no-equals", "order-not-an-integer", "flag-not-a-boolean"])
+def test_survey_filter_term_errors(term, message, small_dir, tmp_path,
+                                   capsys):
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out),
+                 "--filter", term]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_survey_filter_skips_empty_terms_and_drops_small_groups(small_dir,
+                                                                tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["survey", str(small_dir), "--out", str(out),
+                 "--filter", " , min_order=6,"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["filter"] == " , min_order=6,"
+    assert [g["name"] for g in doc["groups"]] == ["S3", "Z6", "Dic2"]
+
+
+def test_survey_needs_a_directory(s3_file, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["survey", s3_file, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {s3_file} is not a directory\n"
+    assert not out.exists()
 
 
 def test_survey_empty_directory(tmp_path):
@@ -389,10 +433,10 @@ def _classify_failing_on(name, error=AssertionError):
     """``classify`` that raises ``error`` for the group ``name``."""
     from twistspec.spectra import classify
 
-    def failing(group, name=None, **kwargs):
-        if name == failing.target:
+    def failing(group, **kwargs):
+        if group.name == failing.target:
             raise error("synthetic internal failure")
-        return classify(group, name=name, **kwargs)
+        return classify(group, **kwargs)
     failing.target = name
     return failing
 
@@ -542,6 +586,12 @@ def test_console_entry_point(s3_file):
     )
     assert proc.returncode == 0
     assert "order" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistspec.cli", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, f"{twistspec.__version__}\n", "")
 
 
 # Heavy modules that no serial command needs: dataclasses pulls in inspect,

@@ -63,6 +63,9 @@ def test_image_must_live_in_target(s3):
         morphism_from_images(z3, [outsider])
     with pytest.raises(ValueError):
         morphism_from_images(s3, [Permutation.identity(3)])  # wrong count
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=f"image index {bad} outside"):
+            morphism_from_images(z3, [bad])
 
 
 def test_bad_table_rejected(s3):
@@ -71,6 +74,8 @@ def test_bad_table_rejected(s3):
     table[0] = 0
     with pytest.raises(NotAHomomorphism):
         Morphism(s3, table)
+    with pytest.raises(NotAHomomorphism):
+        Morphism(s3, [1] * 6)  # the identity must map to the identity
 
 
 def test_table_entries_must_index_the_target(s3):
@@ -321,6 +326,17 @@ def test_inner_automorphism_examples(s3):
     phi = inner_automorphism(s3, t)
     assert phi.table[t] == t
     assert phi.is_automorphism()
+
+
+def test_inner_automorphism_conjugates_by_its_element(catalog_groups):
+    # x -> h x h^-1, checked on the permutations themselves.
+    for name in ("S3", "Q8", "SL(2,3)"):
+        group = catalog_groups[name]
+        elements = group.elements
+        for h, perm in enumerate(elements):
+            table = inner_automorphism(group, h).table
+            assert all(elements[table[x]] == perm * g * perm.inverse()
+                       for x, g in enumerate(elements))
 
 
 # -- kernel towers and induced maps ---------------------------------------------------

@@ -24,6 +24,19 @@ def test_reproduce_tables_small_orders():
     assert "groups with full extended Reidemeister spectrum" in proc.stdout
 
 
+def test_reproduce_tables_budget_error_is_one_line():
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"),
+         "--budget", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: Z2: product budget 1 exceeded\n"
+
+
 def test_build_catalog_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     src = str(Path(twistspec.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

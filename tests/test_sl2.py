@@ -16,7 +16,7 @@ from twistspec.errors import DefinitionError
 from twistspec.spectra import classify
 
 
-@pytest.mark.parametrize("p", (7, 11, 13))
+@pytest.mark.parametrize("p", (7, 11, 13, 19))
 def test_sl2_spectra(p):
     group = build(sl2(p))
     n = p * (p * p - 1)
