@@ -3,21 +3,27 @@
 catalog: groups whose spectrum collapses to {k(G)}, and groups whose
 endomorphisms realize every count from 1 to k(G)."""
 
-import argparse
 import sys
 import time
 
 from twistspec.catalog import build, shipped_catalog
-from twistspec.errors import BudgetExceeded
+from twistspec.cli import _Parser, _positive
+from twistspec.errors import BudgetExceeded, DefinitionError
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET
 from twistspec.spectra import classify
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=DEFAULT_PRODUCT_BUDGET)
-    parser.add_argument("--max-order", type=int, default=120)
-    args = parser.parse_args()
+    parser = _Parser(description=__doc__)
+    parser.add_argument("--budget", type=_positive,
+                        default=DEFAULT_PRODUCT_BUDGET)
+    parser.add_argument("--max-order", type=_positive, default=120)
+    try:
+        args = parser.parse_args()
+    except DefinitionError as exc:
+        # A usage error exits 1, as on the command line.
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
 
     t0 = time.monotonic()
     reports = []

@@ -7,9 +7,9 @@ each element is a positive word in the generators.
 
 One search serves every sweep: ``_search`` hands its consumer the live
 table of one endomorphism (or automorphism) per Inn(G)-orbit, weighted by
-the orbit's size.  The spectra and ``classify`` fold those tables in place;
-``weighted_sweep`` wraps each one in a Morphism for the theorem battery and
-other consumers that keep one.  The search is depth-first along the chain
+the orbit's size.  The spectra, ``classify`` and the theorem battery read
+those tables in place; ``weighted_sweep`` wraps each one in a Morphism for
+consumers that keep one.  The search is depth-first along the chain
 of subgroups H_j generated by the first j search generators.  Depth j
 picks an image for the j-th generator from a pool pruned by element order
 (endomorphisms: image order divides generator order; automorphisms: equal
@@ -22,6 +22,7 @@ the partial table injective.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import Iterator, Sequence
 
 from .errors import NotAHomomorphism
@@ -154,25 +155,36 @@ class Morphism:
     # -- fixed points ---------------------------------------------------------
 
     def fixed_point_count(self) -> int:
-        return sum(1 for i, t in enumerate(self.table) if t == i)
+        return _fixed_points(self.table)
 
     # -- the kernel tower -----------------------------------------------------
 
     def iterated_kernel(self) -> Subgroup:
-        """Union of the kernels of all powers of an endomorphism.
+        """Union of the kernels of all powers of an endomorphism
+        (``_kernel_tower``)."""
+        return _kernel_tower(self.group, self.table)
 
-        The members come from ``_stable_kernel``.  The subgroup N is taken
-        from the group's per-tower cache (``FiniteGroup.normal_cosets``),
-        which verifies closure and normality once per distinct tower; that
-        N is phi-invariant is checked here, for every phi.  The map phi
-        induces on G/N is injective (``twisted.reduction_check`` asserts
-        it), since phi(x) in N puts x in the kernel of a power of phi.
-        """
-        sub = self.group.normal_cosets(_stable_kernel(self.table))[0]
-        flags, table = sub.member_flags, self.table
-        if not all(flags[table[x]] for x in sub.indices):
-            raise AssertionError("stabilized kernel union is not invariant")
-        return sub
+
+def _fixed_points(table: Sequence[int]) -> int:
+    """The number of elements the endomorphism ``table`` fixes."""
+    return sum(map(eq, table, range(len(table))))
+
+
+def _kernel_tower(group: FiniteGroup, table: Sequence[int]) -> Subgroup:
+    """Union N of the kernels of all powers of the endomorphism ``table``.
+
+    The members come from ``_stable_kernel``.  N is taken from the group's
+    per-tower cache (``FiniteGroup.normal_cosets``), which verifies closure
+    and normality once per distinct tower; that N is phi-invariant is
+    checked here, for every phi.  The map phi induces on G/N is injective
+    (``twisted.reduction_check`` asserts it), since phi(x) in N puts x in
+    the kernel of a power of phi.
+    """
+    sub = group.normal_cosets(_stable_kernel(table))[0]
+    flags = sub.member_flags
+    if not all(flags[table[x]] for x in sub.indices):
+        raise AssertionError("stabilized kernel union is not invariant")
+    return sub
 
 
 def _stable_kernel(table: Sequence[int]) -> tuple[int, ...]:

@@ -14,10 +14,9 @@ from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup
-from .morphism import (DEFAULT_PRODUCT_BUDGET, Morphism, _Budget, _pools,
-                       _search, inner_automorphism, weighted_sweep)
-from .twisted import (_fixed_count, reduction_check, reidemeister_number,
-                      twisted_classes)
+from .morphism import (DEFAULT_PRODUCT_BUDGET, _Budget, _fixed_points,
+                       _pools, _search)
+from .twisted import _fixed_count, _reduces, _twisted_partition
 
 FLAG_NAMES = (
     "abelian", "nilpotent", "perfect", "simple", "quasisimple", "odd_order",
@@ -102,14 +101,14 @@ def structure_flags(group: FiniteGroup) -> dict[str, bool]:
     }
 
 
-def _witness(phi: Morphism, detail: str) -> dict:
-    """Failure payload: the morphism's generator images plus a short note."""
-    group = phi.group
+def _witness(group: FiniteGroup, images: Sequence[int], detail: str) -> dict:
+    """Failure payload: the images of the declared generators under the
+    failing morphism, plus a short note."""
     return {
         "generator_images": [group.elements[t].to_one_based()
-                             for t in phi.generator_images],
+                             for t in images],
         "generator_cycles": [group.elements[t].cycle_string()
-                             for t in phi.generator_images],
+                             for t in images],
         "detail": detail,
     }
 
@@ -255,9 +254,9 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     product budget the extended fields are reported as skipped rather than
     guessed, and the automorphism sweep, whose budget errors propagate,
     gives the spectrum.  With ``battery`` the one sweep is the battery's
-    sweep of the endomorphisms (``weighted_sweep``, one Morphism per
-    representative, never the abelian count), which folds the spectra from
-    its fixed-class counts; budget errors propagate.  An automorphism fixes
+    sweep of the endomorphisms (``_battery``, the same live tables, never
+    the abelian count), which folds the spectra from its fixed-class
+    counts; budget errors propagate.  An automorphism fixes
     every class exactly when its count is k, so the class-preserving
     automorphisms are the spectrum's multiplicity of k.
     """
@@ -331,15 +330,16 @@ def theorem_battery(group: FiniteGroup, *,
     bijective exactly when phi is, and the parity and k - 1 checks read only
     R values.  The invariance of R is itself checked under
     ``orbit-vs-fixed-classes``: for each representative of weight > 1 and
-    each declared generator s, tau_s . phi must have phi's count.  Counts
-    are computed by both methods throughout.  ``orbit-stabiliser-identity``
-    (|[1]| * |Fix phi| = |G|) is checked here and nowhere else in the
-    package.  ``reduction-to-injective`` compares the fixed-class count
-    with the orbits of the projected twisted maps on the cosets of N, which
-    number R of the induced map on G/N (``reduction_check``); no quotient
-    group is built.  A failure carries the first failing representative in
-    sweep order as its witness.  Failures are data, not errors.
-    ``classify(..., battery=True)`` folds its spectra from this same sweep.
+    each declared generator s, tau_s . phi must have phi's count, unless it
+    is phi itself.  Counts are computed by both methods throughout.
+    ``orbit-stabiliser-identity`` (|[1]| * |Fix phi| = |G|) is checked here
+    and nowhere else in the package.  ``reduction-to-injective`` compares
+    the fixed-class count with the orbits of the projected twisted maps on
+    the cosets of N, which number R of the induced map on G/N
+    (``twisted.reduction_check``); no quotient group is built.  A failure
+    carries the first failing representative in sweep order as its
+    witness.  Failures are data, not errors.  ``classify(...,
+    battery=True)`` folds its spectra from this same sweep.
     """
     return _battery(group, structure_flags(group), budget)[0]
 
@@ -349,54 +349,74 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
              ) -> tuple[list[BatteryCheck], tuple[Counter, Counter]]:
     """``theorem_battery``'s checks, and ``_fold``'s counters of the
     fixed-class counts, folded from the same sweep.  ``structure`` is
-    ``structure_flags(group)``."""
+    ``structure_flags(group)``.
+
+    Like ``_fold`` it reads the live tables of ``_search`` and builds no
+    Morphism; a witness is built from the table's generator images at the
+    moment of failure.  The twisted maps g -> s^-1 g c and their
+    projections on the cosets of each tower are built once per call, in
+    one dict: at most (declared generators) x (distinct images) maps of
+    |G| entries.  tau_s . phi is taken by its generator images
+    tau_s(phi(g)), and is not counted again when they are phi's own.
+    """
     k = group.class_number()
-    inners = [inner_automorphism(group, s) for s in group.generator_indices()]
+    classes = group.conjugacy_classes()
+    gens = group.generator_indices()
+    # tau_s: x -> s x s^-1, for each declared generator s.
+    twists = [group.conjugation(group.inverse(s)) for s in gens]
+    maps: dict = {}
     # The witness of each check's first failure, or None.
     agree = orbstab = reduction = parity = None
     aut_hit = end_hit = dichotomy = None
     spec, ext = Counter(), Counter()
 
-    for phi, weight in weighted_sweep(group, budget=budget):
-        partition = twisted_classes(phi)
+    for table, weight, automorphism in _search(group, False, budget):
+        images = [table[s] for s in gens]
+        partition = _twisted_partition(group, images, maps)
         value = partition.count
-        fixed_count = reidemeister_number(phi)
-        automorphism = phi.is_automorphism()
+        fixed_count = _fixed_count(table, classes, automorphism)
         ext[fixed_count] += weight
         if automorphism:
             spec[fixed_count] += weight
         if agree is None:
             if value != fixed_count:
                 agree = _witness(
-                    phi, f"orbits {value} != fixed classes {fixed_count}")
+                    group, images,
+                    f"orbits {value} != fixed classes {fixed_count}")
             elif weight > 1:
-                for tau in inners:
-                    moved = twisted_classes(tau.compose(phi)).count
+                for twist in twists:
+                    moved_images = [twist[c] for c in images]
+                    if moved_images == images:
+                        continue
+                    moved = _twisted_partition(group, moved_images,
+                                               maps).count
                     if moved != fixed_count:
                         agree = _witness(
-                            phi, f"orbits {moved} of an inner twist != fixed "
-                                 f"classes {fixed_count}")
+                            group, images,
+                            f"orbits {moved} of an inner twist != fixed "
+                            f"classes {fixed_count}")
                         break
-        if (partition.identity_class_size() * phi.fixed_point_count()
+        if (partition.identity_class_size() * _fixed_points(table)
                 != group.order):
             orbstab = orbstab or _witness(
-                phi, "identity class size times fixed subgroup order "
-                     "misses the order")
-        if not reduction_check(phi, fixed_count):
+                group, images, "identity class size times fixed subgroup "
+                               "order misses the order")
+        if not _reduces(group, table, images, fixed_count, maps):
             reduction = reduction or _witness(
-                phi, "count changed on the injective quotient")
+                group, images, "count changed on the injective quotient")
         if group.order % 2 == 1 and value % 2 == 0:
             parity = parity or _witness(
-                phi, f"even count {value} in an odd-order group")
+                group, images, f"even count {value} in an odd-order group")
         if value == k - 1:
             end_hit = end_hit or _witness(
-                phi, f"endomorphism with count {k - 1}")
+                group, images, f"endomorphism with count {k - 1}")
             if automorphism:
                 aut_hit = aut_hit or _witness(
-                    phi, f"automorphism with count {k - 1}")
-        if not (automorphism or phi.is_trivial()):
+                    group, images, f"automorphism with count {k - 1}")
+        # phi is trivial exactly when every generator maps to 1.
+        if not automorphism and any(images):
             dichotomy = dichotomy or _witness(
-                phi, "neither trivial nor bijective")
+                group, images, "neither trivial nor bijective")
 
     named = [("orbit-vs-fixed-classes", agree),
              ("orbit-stabiliser-identity", orbstab),

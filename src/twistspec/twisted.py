@@ -7,6 +7,11 @@ definition, ``twisted_classes(phi).count``) or by counting the conjugacy
 classes that phi maps to themselves (``reidemeister_number``).  The orbit
 count is the oracle; the fixed-class count is the cheap one, and the theorem
 battery compares the two on every endomorphism it sweeps.
+
+The public functions take a Morphism and wrap helpers that take the group,
+phi's table and its generator images, as the theorem battery holds them
+when it reads the search's live tables.  The twisted maps are built
+through a dict the caller owns (``_twisted_maps``).
 """
 
 from __future__ import annotations
@@ -14,20 +19,34 @@ from __future__ import annotations
 from operator import eq
 from typing import Sequence
 
-from .group import ClassPartition, Subgroup, orbits
-from .morphism import Morphism
+from .group import ClassPartition, FiniteGroup, Subgroup, orbits
+from .morphism import Morphism, _kernel_tower
 
 
-def _twisted_maps(phi: Morphism) -> list[list[int]]:
-    """g -> s^-1 g phi(s) for each declared generator s: a row of s^-1
-    (cached per group) followed by the column of phi(s)."""
-    group = phi.group
-    maps = []
-    for s, row in zip(group.generator_indices(),
-                      group._inverse_generator_rows()):
-        column = group.column(phi.table[s])
-        maps.append([column[x] for x in row])
-    return maps
+def _twisted_maps(group: FiniteGroup, images: Sequence[int],
+                  maps: dict) -> list[list[int]]:
+    """g -> s^-1 g c for each declared generator s and its image c: a row
+    of s^-1 (cached per group) followed by the column of c.  A map depends
+    only on s and c, so it is built once per ``maps``, under (s, c)."""
+    found = []
+    for s, row, c in zip(group.generator_indices(),
+                         group._inverse_generator_rows(), images):
+        twisted = maps.get((s, c))
+        if twisted is None:
+            column = group.column(c)
+            twisted = maps[s, c] = [column[x] for x in row]
+        found.append(twisted)
+    return found
+
+
+def _twisted_partition(group: FiniteGroup, images: Sequence[int],
+                       maps: dict) -> ClassPartition:
+    """``twisted_classes`` of the endomorphism with these generator
+    images."""
+    partition = orbits(group.order, _twisted_maps(group, images, maps))
+    if sum(partition.sizes) != group.order:
+        raise AssertionError("twisted class sizes do not sum to the order")
+    return partition
 
 
 def twisted_classes(phi: Morphism) -> ClassPartition:
@@ -38,11 +57,7 @@ def twisted_classes(phi: Morphism) -> ClassPartition:
     here: ``theorem_battery`` checks it and reports a failure with a
     witness.
     """
-    group = phi.group
-    partition = orbits(group.order, _twisted_maps(phi))
-    if sum(partition.sizes) != group.order:
-        raise AssertionError("twisted class sizes do not sum to the order")
-    return partition
+    return _twisted_partition(phi.group, phi.generator_images, {})
 
 
 def _class_images(table: Sequence[int], classes: ClassPartition,
@@ -82,6 +97,27 @@ def reidemeister_number(phi: Morphism) -> int:
                         phi.is_automorphism())
 
 
+def _coset_count(group: FiniteGroup, images: Sequence[int],
+                 tower: Subgroup, maps: dict) -> int:
+    """``_induced_count`` of the endomorphism with these generator images.
+
+    Each projected map is read off the twisted map on G
+    (``_twisted_maps``) at the coset representatives and kept in ``maps``
+    under (s, c, N's members).
+    """
+    cosets = group.normal_cosets(tower.indices)[1]
+    coset_of, reps = cosets.class_of, cosets.representatives
+    projected = []
+    for s, c, twisted in zip(group.generator_indices(), images,
+                             _twisted_maps(group, images, maps)):
+        key = (s, c, tower.indices)
+        found = maps.get(key)
+        if found is None:
+            found = maps[key] = [coset_of[twisted[r]] for r in reps]
+        projected.append(found)
+    return orbits(cosets.count, projected).count
+
+
 def _induced_count(phi: Morphism, tower: Subgroup) -> int:
     """The Reidemeister number of the map phi induces on G/N, N = ``tower``
     normal with phi(N) in N, counted on the [G:N] cosets.
@@ -91,14 +127,21 @@ def _induced_count(phi: Morphism, tower: Subgroup) -> int:
     the twisted classes of the induced map.  The coset labelling comes from
     the group's per-tower cache; no quotient group is built.
     """
-    group = phi.group
-    cosets = group.normal_cosets(tower.indices)[1]
-    coset_of = cosets.class_of
-    maps = [[coset_of[column[row[r]]] for r in cosets.representatives]
-            for column, row in zip(
-                map(group.column, phi.generator_images),
-                group._inverse_generator_rows())]
-    return orbits(cosets.count, maps).count
+    return _coset_count(phi.group, phi.generator_images, tower, {})
+
+
+def _reduces(group: FiniteGroup, table: Sequence[int],
+             images: Sequence[int], count: int, maps: dict) -> bool:
+    """``reduction_check`` of the endomorphism ``table`` with these
+    generator images."""
+    tower = _kernel_tower(group, table)
+    if tower.is_trivial():
+        # phi is already injective: the induced map is phi itself.
+        return True
+    flags = tower.member_flags
+    if any(flags[t] and not flags[x] for x, t in enumerate(table)):
+        raise AssertionError("induced map on the quotient is not injective")
+    return _coset_count(group, images, tower, maps) == count
 
 
 def reduction_check(phi: Morphism, count: int) -> bool:
@@ -107,16 +150,9 @@ def reduction_check(phi: Morphism, count: int) -> bool:
 
     Asserts first that phi(x) in N implies x in N, so the induced map is
     injective, hence bijective; this and the phi-invariance of N
-    (``iterated_kernel``) are checked for every phi, while N's closure,
-    normality and cosets are verified once per distinct tower.  The count
-    itself runs on the [G:N] cosets (``_induced_count``).  Expected true
-    for every endomorphism; exposed as a verification hook.
+    (``morphism._kernel_tower``) are checked for every phi, while N's
+    closure, normality and cosets are verified once per distinct tower.
+    The count itself runs on the [G:N] cosets (``_induced_count``).
+    Expected true for every endomorphism; exposed as a verification hook.
     """
-    tower = phi.iterated_kernel()
-    if tower.is_trivial():
-        # phi is already injective: the induced map is phi itself.
-        return True
-    flags = tower.member_flags
-    if any(flags[t] and not flags[x] for x, t in enumerate(phi.table)):
-        raise AssertionError("induced map on the quotient is not injective")
-    return _induced_count(phi, tower) == count
+    return _reduces(phi.group, phi.table, phi.generator_images, count, {})

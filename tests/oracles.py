@@ -13,6 +13,10 @@ by the fixed-class count, the orbit count or both (``METHODS``).
 which ``twistspec`` itself never does, and
 ``induced_on_quotient`` the map an endomorphism induces there;
 ``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
+``morphism_battery`` is the theorem battery built on Morphisms, one per
+representative of the weighted sweep, with every inner twist composed as a
+full table; ``miscounted_fixed_classes`` injects a fault that both
+batteries see, and ``assert_battery_matches`` compares them.
 ``small_generating_set`` is the search's greedy generating set with every
 round's candidate scan run to the end.
 The suites compare the fast paths with these on small groups.
@@ -23,12 +27,18 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
+import twistspec.morphism as morphism_mod
+import twistspec.spectra as spectra_mod
+import twistspec.twisted as twisted_mod
 from twistspec.group import closure as materialize, orbits
-from twistspec.morphism import Morphism, weighted_sweep
+from twistspec.morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,
+                                weighted_sweep)
 from twistspec.perm import Permutation
-from twistspec.spectra import BatteryCheck, _witness
-from twistspec.twisted import (reidemeister_number,
+from twistspec.spectra import BatteryCheck
+from twistspec.twisted import (reduction_check, reidemeister_number,
                                twisted_classes as twisted_partition)
 
 METHODS = ("fixed-classes", "orbits", "checked")
@@ -429,6 +439,117 @@ def tally(pairs, method):
         if phi.is_automorphism():
             spec[value] += weight
     return spec, ext
+
+
+def _witness(phi, detail):
+    """The battery's failure payload for the morphism ``phi``."""
+    return spectra_mod._witness(phi.group, phi.generator_images, detail)
+
+
+def morphism_battery(group, budget=DEFAULT_PRODUCT_BUDGET):
+    """``spectra._battery``'s checks and counters, computed one Morphism at
+    a time over ``weighted_sweep``: each representative's twisted classes,
+    fixed-class count, fixed points and kernel tower come from its
+    Morphism, and each inner twist tau_s . phi is composed as a full table
+    and counted afresh, also when it is phi itself."""
+    structure = spectra_mod.structure_flags(group)
+    k = group.class_number()
+    inners = [morphism_mod.inner_automorphism(group, s)
+              for s in group.generator_indices()]
+    agree = orbstab = reduction = parity = None
+    aut_hit = end_hit = dichotomy = None
+    spec, ext = Counter(), Counter()
+
+    for phi, weight in weighted_sweep(group, budget=budget):
+        partition = twisted_partition(phi)
+        value = partition.count
+        fixed_count = reidemeister_number(phi)
+        automorphism = phi.is_automorphism()
+        ext[fixed_count] += weight
+        if automorphism:
+            spec[fixed_count] += weight
+        if agree is None:
+            if value != fixed_count:
+                agree = _witness(
+                    phi, f"orbits {value} != fixed classes {fixed_count}")
+            elif weight > 1:
+                for tau in inners:
+                    moved = twisted_partition(tau.compose(phi)).count
+                    if moved != fixed_count:
+                        agree = _witness(
+                            phi, f"orbits {moved} of an inner twist != fixed "
+                                 f"classes {fixed_count}")
+                        break
+        if (partition.identity_class_size() * phi.fixed_point_count()
+                != group.order):
+            orbstab = orbstab or _witness(
+                phi, "identity class size times fixed subgroup order "
+                     "misses the order")
+        if not reduction_check(phi, fixed_count):
+            reduction = reduction or _witness(
+                phi, "count changed on the injective quotient")
+        if group.order % 2 == 1 and value % 2 == 0:
+            parity = parity or _witness(
+                phi, f"even count {value} in an odd-order group")
+        if value == k - 1:
+            end_hit = end_hit or _witness(
+                phi, f"endomorphism with count {k - 1}")
+            if automorphism:
+                aut_hit = aut_hit or _witness(
+                    phi, f"automorphism with count {k - 1}")
+        if not (automorphism or phi.is_trivial()):
+            dichotomy = dichotomy or _witness(
+                phi, "neither trivial nor bijective")
+
+    named = [("orbit-vs-fixed-classes", agree),
+             ("orbit-stabiliser-identity", orbstab),
+             ("reduction-to-injective", reduction)]
+    if group.order % 2 == 1:
+        named.append(("odd-order-parity", parity))
+    named.append(("spectrum-excludes-k-minus-1", aut_hit))
+    if group.order > 2 and (structure["nilpotent"]
+                            or structure["quasisimple"]):
+        named.append(("extended-excludes-k-minus-1", end_hit))
+    if structure["quasisimple"]:
+        named.append(("quasisimple-dichotomy", dichotomy))
+    checks = [BatteryCheck(name, witness is None, witness)
+              for name, witness in named]
+    return checks, (spec, ext)
+
+
+@contextmanager
+def miscounted_fixed_classes(group, chosen):
+    """Within the block, the fixed-class count of every endomorphism of
+    ``group`` whose generator images are in ``chosen`` is one too many,
+    both for ``reidemeister_number`` and for the battery's own count."""
+    honest = twisted_mod._fixed_count
+    gens = group.generator_indices()
+
+    def miscounted(table, classes, bijective):
+        extra = tuple(table[s] for s in gens) in chosen
+        return honest(table, classes, bijective) + extra
+
+    with mock.patch.object(twisted_mod, "_fixed_count", miscounted), \
+            mock.patch.object(spectra_mod, "_fixed_count", miscounted):
+        yield
+
+
+def assert_battery_matches(group):
+    """``spectra._battery`` equals ``morphism_battery`` in checks,
+    witnesses and counters, honestly and with the fixed-class count wrong
+    from the middle of the sweep on, so that the orbit-vs-fixed-classes
+    and reduction checks fail first at the same representative."""
+    def live():
+        return spectra_mod._battery(group, spectra_mod.structure_flags(group),
+                                    DEFAULT_PRODUCT_BUDGET)
+
+    assert live() == morphism_battery(group)
+    sweep = list(weighted_sweep(group))
+    chosen = {phi.generator_images for phi, _ in sweep[len(sweep) // 2:]}
+    with miscounted_fixed_classes(group, chosen):
+        got = live()
+        assert got == morphism_battery(group)
+    assert not got[0][0].passed
 
 
 def battery_over(group, endos):

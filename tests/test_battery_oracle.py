@@ -1,0 +1,75 @@
+"""The theorem battery, which reads the search's live tables, against the
+slow battery that builds a Morphism per representative
+(``oracles.morphism_battery``).
+
+Both must give the same checks with the same witnesses and the same
+counters (``oracles.assert_battery_matches``): on every catalog group, on
+A6, S6 and Hol(Z21), and, under a fixed-class count that is one too many
+on chosen representatives, with the first failures compared.  The
+Hypothesis strategies of ``test_random_groups`` run the same comparison.
+The battery's work is pinned too: its orbit passes and its budget charges.
+"""
+
+from collections import Counter
+
+import pytest
+
+import oracles
+import twistspec.group as group_mod
+import twistspec.spectra as spectra_mod
+from twistspec.catalog import (alternating, build, holomorph_cyclic,
+                               shipped_catalog, symmetric)
+from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
+from twistspec.spectra import _fold
+
+CASES = [*shipped_catalog(), alternating(6), symmetric(6),
+         holomorph_cyclic(21)]
+
+
+@pytest.mark.parametrize("defn", CASES, ids=lambda defn: defn.name)
+def test_battery_matches_the_morphism_battery(defn):
+    oracles.assert_battery_matches(build(defn))
+
+
+def test_catalog_battery_orbit_passes(monkeypatch):
+    """The catalog battery counts the twisted classes of 3152
+    representatives and of 498 inner twists, one per declared generator of
+    each representative of weight > 1 that the generator moves."""
+    images = []
+    partition = spectra_mod._twisted_partition
+
+    def spied(group, generator_images, maps):
+        images.append(tuple(generator_images))
+        return partition(group, generator_images, maps)
+
+    monkeypatch.setattr(spectra_mod, "_twisted_partition", spied)
+    passes = Counter()
+    for defn in shipped_catalog():
+        group = build(defn)
+        images.clear()
+        spectra_mod.theorem_battery(group)
+        representatives = {phi.generator_images
+                           for phi, _ in weighted_sweep(group)}
+        passes.update(image in representatives for image in images)
+    assert (passes[True], passes[False]) == (3152, 498)
+
+
+@pytest.mark.parametrize("defn", [symmetric(4), symmetric(6),
+                                  holomorph_cyclic(21)],
+                         ids=lambda defn: defn.name)
+def test_battery_charges_the_budget_as_the_end_fold(defn, monkeypatch):
+    group = build(defn)
+    group.small_generating_set(DEFAULT_PRODUCT_BUDGET)
+    charged = []
+    charge = group_mod._Budget.charge
+
+    def spied(self, amount):
+        charged.append(amount)
+        charge(self, amount)
+
+    monkeypatch.setattr(group_mod._Budget, "charge", spied)
+    spectra_mod.theorem_battery(group)
+    battery = list(charged)
+    charged.clear()
+    _fold(group, False, DEFAULT_PRODUCT_BUDGET)
+    assert battery == charged and battery

@@ -497,16 +497,17 @@ def test_survey_marks_not_a_homomorphism_internal(small_dir, tmp_path,
 
 
 def _miscount_fixed_classes(monkeypatch):
-    """The battery's fixed-class count is one class too many on S3, so its
-    orbit count disagrees there."""
+    """The battery's fixed-class count is one class too many on S3 (the
+    group of order 6 with 3 classes), so its orbit count disagrees there."""
     import twistspec.spectra as spectra_mod
 
-    honest = spectra_mod.reidemeister_number
+    honest = spectra_mod._fixed_count
 
-    def miscounted(phi):
-        return honest(phi) + (phi.group.name == "S3")
+    def miscounted(table, classes, bijective):
+        return (honest(table, classes, bijective)
+                + (len(table) == 6 and classes.count == 3))
 
-    monkeypatch.setattr(spectra_mod, "reidemeister_number", miscounted)
+    monkeypatch.setattr(spectra_mod, "_fixed_count", miscounted)
 
 
 def test_verify_catches_miscounted_fixed_classes(s3_file, monkeypatch,

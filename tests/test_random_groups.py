@@ -3,7 +3,9 @@
 Hypothesis draws 1-4 generators of degree 2-6, duplicates and the identity
 allowed, and keeps the group when its order is at most 120.  On each, the
 spectra's fold is compared with the orbit count of every representative
-(``oracles.tally``), the sweep's weights with the Inn(G)-orbits that
+(``oracles.tally``), the theorem battery with the slow battery built on
+Morphisms (``oracles.assert_battery_matches``, on all three strategies),
+the sweep's weights with the Inn(G)-orbits that
 ``oracles.every_morphism`` expands them into, and, on the small ones, that
 expansion with the flat grid of generator images (``oracles.morphism_grid``),
 which shares no code with the search.  A second strategy draws abelian
@@ -134,6 +136,7 @@ def test_fold_and_sweep_against_the_oracles(group):
     gens = group.small_generating_set()
     assert oracles.subgroup_closure(group, gens) == tuple(range(group.order))
 
+    oracles.assert_battery_matches(group)
     for automorphisms in (False, True):
         sweep = _assert_fold_matches_the_orbit_count(group, automorphisms)
         every = oracles.every_morphism(group, automorphisms)
@@ -150,6 +153,7 @@ def test_fold_and_sweep_against_the_oracles(group):
 @given(abelian_groups())
 def test_abelian_fold_against_the_oracle(group):
     _assert_few_declared_generators_are_kept(group)
+    oracles.assert_battery_matches(group)
     for automorphisms in (False, True):
         _assert_fold_matches_the_orbit_count(group, automorphisms)
 
@@ -178,6 +182,7 @@ def test_structure_and_cosets_against_the_table_oracles(group):
     for phi, _ in weighted_sweep(group):
         assert (_induced_count(phi, phi.iterated_kernel())
                 == oracles.reduction_orbits_on_g(phi))
+    oracles.assert_battery_matches(group)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,

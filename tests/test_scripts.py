@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import twistspec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +37,25 @@ def test_reproduce_tables_budget_error_is_one_line():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: Z2: product budget 1 exceeded\n"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--budget", "many"), ("--budget", "0"),
+    ("--max-order", "0"), ("--max-order", "-5"),
+])
+def test_reproduce_tables_usage_errors_exit_1(flag, value):
+    src = str(Path(twistspec.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_tables.py"),
+         flag, value],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: argument {flag}: must be a positive integer, got "
+        f"{value!r} (see reproduce_tables.py --help)\n")
 
 
 def test_build_catalog_bytes_do_not_depend_on_the_hash_seed(tmp_path):

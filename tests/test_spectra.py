@@ -7,7 +7,7 @@ import oracles
 import twistspec.spectra as spectra_mod
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
-from twistspec.morphism import Morphism, weighted_sweep
+from twistspec.morphism import weighted_sweep
 from twistspec.spectra import (_witness, classify, extended_spectrum,
                                spectrum, theorem_battery)
 from twistspec.twisted import reidemeister_number
@@ -238,16 +238,16 @@ def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
     tau_s . phi, fails ``orbit-vs-fixed-classes`` with phi as witness."""
     group = build(symmetric(3))
     sweep = list(weighted_sweep(group))
-    representatives = {phi.table for phi, _ in sweep}
-    honest = spectra_mod.twisted_classes
+    representatives = {phi.generator_images for phi, _ in sweep}
+    honest = spectra_mod._twisted_partition
 
-    def corrupted(phi):
-        partition = honest(phi)
-        if phi.table in representatives:
+    def corrupted(group, images, maps):
+        partition = honest(group, images, maps)
+        if tuple(images) in representatives:
             return partition
         return SimpleNamespace(count=partition.count + 1)
 
-    monkeypatch.setattr(spectra_mod, "twisted_classes", corrupted)
+    monkeypatch.setattr(spectra_mod, "_twisted_partition", corrupted)
     # The first representative of weight > 1 in sweep order; its orbit is
     # not a point, so some declared generator moves it.
     first = next(phi for phi, weight in sweep if weight > 1)
@@ -255,7 +255,7 @@ def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
     failed = [name for name, chk in checks.items() if not chk.passed]
     assert failed == ["orbit-vs-fixed-classes"]
     witness = checks["orbit-vs-fixed-classes"].witness
-    expected = _witness(first, "")
+    expected = _witness(group, first.generator_images, "")
     assert (witness["generator_images"], witness["generator_cycles"]) == (
         expected["generator_images"], expected["generator_cycles"])
     path = tmp_path / "s3.json"
@@ -271,15 +271,15 @@ def test_battery_orbit_stabiliser_check_can_fail(tmp_path, monkeypatch,
     ``orbit-stabiliser-identity`` alone, with that map as witness; no
     internal assertion fires first."""
     group = build(symmetric(3))
-    honest = Morphism.fixed_point_count
-    monkeypatch.setattr(Morphism, "fixed_point_count",
-                        lambda phi: honest(phi) + (1 if phi.is_trivial() else 0))
+    honest = spectra_mod._fixed_points
+    monkeypatch.setattr(spectra_mod, "_fixed_points",
+                        lambda table: honest(table) + (0 if any(table) else 1))
     first = next(phi for phi, _ in weighted_sweep(group) if phi.is_trivial())
     checks = battery_map(group)
     failed = [name for name, chk in checks.items() if not chk.passed]
     assert failed == ["orbit-stabiliser-identity"]
     witness = checks["orbit-stabiliser-identity"].witness
-    expected = _witness(first, "")
+    expected = _witness(group, first.generator_images, "")
     assert (witness["generator_images"], witness["generator_cycles"]) == (
         expected["generator_images"], expected["generator_cycles"])
     path = tmp_path / "s3.json"

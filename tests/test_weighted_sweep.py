@@ -123,13 +123,13 @@ def test_classify_and_spectra_are_views_of_the_sweep(case, monkeypatch):
     # report, whether or not the extended fields are asked for.
     checks = theorem_battery(group)
     calls = []
-    sweep = spectra_mod.weighted_sweep
+    search = spectra_mod._search
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("automorphisms", False))
-        return sweep(*args, **kwargs)
+    def counted(group, automorphisms, budget):
+        calls.append(automorphisms)
+        return search(group, automorphisms, budget)
 
-    monkeypatch.setattr(spectra_mod, "weighted_sweep", counted)
+    monkeypatch.setattr(spectra_mod, "_search", counted)
     for extended, two_pass in ((True, report), (False, skipped)):
         calls.clear()
         one_pass = classify(group, extended=extended, battery=True)
