@@ -11,12 +11,13 @@ generator on element indices (``x -> index(x * s)``) and the Schreier tree
 (each element's parent and the generator that reached it).  Every product
 is a read of a right-multiplication column ``x -> index(x * y)``, built from
 the tree in O(|G|) the first time ``y`` is used and cached.  Structural
-computations (conjugacy classes, centers, normal closures, the derived and
-lower central series) are orbits under the columns of a few generators:
-O(|G| * |gens|) list reads instead of all-pairs products.  No quotient group
-is built: a question about G/N (is it simple?) is answered by orbits in G
-that take in N's generators, and the cosets of a normal subgroup are
-labelled once per subgroup (``normal_cosets``).
+computations (conjugacy classes, normal closures, the derived and lower
+central series) are orbits under the columns of a few generators:
+O(|G| * |gens|) list reads instead of all-pairs products.  Inverses are
+read along the tree, element orders and the centre off the classes.  No
+quotient group is built: a question about G/N (is it simple?) is answered
+by orbits in G that take in N's generators, and the cosets of a normal
+subgroup are labelled once per subgroup (``normal_cosets``).
 See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
 ch. 4.
 """
@@ -118,6 +119,7 @@ class FiniteGroup:
         self._classes: ClassPartition | None = None
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
+        self._simple: bool | None = None
         self._small_gens: tuple[int, ...] | None = None
         self._cosets: dict[tuple[int, ...],
                            tuple[Subgroup, ClassPartition]] = {}
@@ -204,11 +206,20 @@ class FiniteGroup:
         return self.column(j)[i]
 
     def inverses(self) -> list[int]:
+        """``index(x^-1)`` for every ``x``, in tree order: ``x = p * s``
+        gives ``x^-1 = row(s^-1)[inv[p]]``, where ``s``'s column sends
+        ``s^-1`` to the identity.  One row per tree column."""
         if self._inverses is None:
             with self._lock:
                 if self._inverses is None:
-                    idx = self._index
-                    self._inverses = [idx[p.inverse()] for p in self.elements]
+                    rows: dict[int, list[int]] = {}
+                    inv = [0]
+                    for parent, column in self._tree:
+                        row = rows.get(id(column))
+                        if row is None:
+                            row = rows[id(column)] = self.row(column.index(0))
+                        inv.append(row[inv[parent]])
+                    self._inverses = inv
         return self._inverses
 
     def inverse(self, i: int) -> int:
@@ -218,10 +229,14 @@ class FiniteGroup:
         return self.element_orders()[i]
 
     def element_orders(self) -> list[int]:
+        """The order of every element: a class function, so computed once
+        per conjugacy class representative and spread by ``class_of``."""
         if self._orders is None:
             with self._lock:
                 if self._orders is None:
-                    self._orders = [p.order() for p in self.elements]
+                    class_of, reps, _ = self.conjugacy_classes()
+                    orders = [self.elements[r].order() for r in reps]
+                    self._orders = [orders[c] for c in class_of]
         return self._orders
 
     # -- conjugacy --------------------------------------------------------
@@ -378,15 +393,13 @@ class FiniteGroup:
         return self.subgroup(self._normal_closure(seeds)[0])
 
     def center(self) -> Subgroup:
+        """The classes of size 1, verified by ``subgroup``."""
         if self._center is None:
             with self._lock:
                 if self._center is None:
-                    conjugations = self._conjugation_columns()
-                    members = [
-                        x for x in range(self.order)
-                        if all(conj[x] == x for conj in conjugations)
-                    ]
-                    self._center = self.subgroup(members)
+                    _, reps, sizes = self.conjugacy_classes()
+                    self._center = self.subgroup(
+                        r for r, size in zip(reps, sizes) if size == 1)
         return self._center
 
     def derived_subgroup(self) -> Subgroup:
@@ -423,13 +436,26 @@ class FiniteGroup:
     def is_simple(self) -> bool:
         """True iff |G| > 1 and every nontrivial element normally generates G.
 
-        The trivial group is not simple; prime-order groups are.
+        The trivial group is not simple; prime-order groups are.  When
+        1 < |G'| < |G|, G' is a proper nontrivial normal subgroup, so only
+        abelian and perfect groups run the per-class scan; its answer is
+        cached.
         """
-        return self._is_simple_modulo(self.trivial_subgroup())
+        if self._simple is None:
+            with self._lock:
+                if self._simple is None:
+                    derived = self.derived_subgroup().order
+                    self._simple = derived in (1, self.order) and \
+                        self._is_simple_modulo(self.trivial_subgroup())
+        return self._simple
 
     def is_quasisimple(self) -> bool:
         """Perfect, with G/Z(G) simple."""
-        return self.is_perfect() and self._is_simple_modulo(self.center())
+        if not self.is_perfect():
+            return False
+        center = self.center()
+        return (self.is_simple() if center.is_trivial()
+                else self._is_simple_modulo(center))
 
     def is_nilpotent(self) -> bool:
         """The lower central series reaches the trivial subgroup.

@@ -259,15 +259,20 @@ def _pools(group: FiniteGroup, gens: Sequence[int],
             for g in gens]
 
 
-def _orbit_minima(group: FiniteGroup, stab: Subgroup, pool: Sequence[int],
-                  tracker: _Budget) -> list[tuple[int, int]]:
+def _orbit_minima(group: FiniteGroup, stab: Subgroup | None,
+                  pool: Sequence[int], tracker: _Budget
+                  ) -> list[tuple[int, int]]:
     """The smallest member of each orbit of ``stab`` acting on ``pool`` by
     conjugation, with the orbit's size.  Pools are unions of conjugacy
-    classes, hence of these orbits."""
-    maps = [group.conjugation(t) for t in stab.generators]
-    tracker.charge(group.order * len(maps))
-    orbit = orbits(group.order, maps)
-    class_of, reps, sizes = orbit.class_of, orbit.representatives, orbit.sizes
+    classes, hence of these orbits.  For None, standing for G, they are
+    the conjugacy classes, read with no orbit pass."""
+    if stab is None:
+        orbit = group.conjugacy_classes()
+    else:
+        maps = [group.conjugation(t) for t in stab.generators]
+        tracker.charge(group.order * len(maps))
+        orbit = orbits(group.order, maps)
+    class_of, reps, sizes = orbit
     return [(x, sizes[class_of[x]]) for x in pool if reps[class_of[x]] == x]
 
 
@@ -289,8 +294,11 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     (``_levels``), verifying the homomorphism law there; a conflict drops
     the candidate with its whole subtree.  Each node is charged its number
     of steps.  c_j is kept only if it is the smallest index in its orbit
-    under S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation (S_0 = G), and
-    the weight is multiplied by that orbit's size.  The kept tuples are the
+    under S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation, and the
+    weight is multiplied by that orbit's size.  S_0 = G, whose orbits are
+    the conjugacy classes (numbered by smallest member, as ``orbits``
+    numbers them), so depth 0 reads them off the class partition and
+    builds no conjugation maps.  The kept tuples are the
     lexicographically smallest of their Inn(G)-orbits, one per orbit, and
     each weight is |G| / |C_G(phi(G))|, the size of phi's Inn(G)-orbit.
     Once S_j is central its orbits are single points and the remaining
@@ -312,16 +320,14 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     table = [0] * group.order
     images: list = [None] * len(gens)  # columns of c_0, ..., c_depth
     last = len(gens) - 1
-    # S_0 = C_G(1) = G; None stands for a central stabiliser.
-    top = None
-    if not group.is_abelian():
+    abelian = group.is_abelian()
+    if not abelian:
         center_order = group.center().order
-        top = group.centralizer(0)
 
     def search(depth: int, weight: int, stab: Subgroup | None
                ) -> Iterator[tuple[list[int], int, bool]]:
         steps = levels[depth]
-        if stab is None:
+        if stab is None and depth:
             kept = [(x, 1) for x in pools[depth]]
         else:
             kept = _orbit_minima(group, stab, pools[depth], tracker)
@@ -337,14 +343,16 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
                 yield table, weight * size, bijective
                 continue
             nxt = None
-            if stab is not None:
+            # None is G at depth 0 (``centralizer``'s default) and a
+            # central S_j below it.
+            if stab is not None or depth == 0 and not abelian:
                 tracker.charge(group.order)
                 nxt = group.centralizer(cand, stab)
                 if nxt.order == center_order:
                     nxt = None
             yield from search(depth + 1, weight * size, nxt)
 
-    yield from search(0, 1, top)
+    yield from search(0, 1, None)
 
 
 def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,

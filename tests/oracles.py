@@ -66,6 +66,14 @@ def inverses(table):
     return [row.index(0) for row in table]
 
 
+def assert_element_tables(group, table):
+    """``group``'s inverses and element orders against the product table:
+    x^-1 is the y with table[x][y] = 0, and x's order the length of its
+    powers' walk back to the identity."""
+    assert group.inverses() == inverses(table)
+    assert group.element_orders() == element_orders(table)
+
+
 def closure(table, seeds):
     """Indices of the subgroup generated by ``seeds``, sorted."""
     members = {0}

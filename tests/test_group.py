@@ -175,6 +175,38 @@ def test_structural_predicates():
     assert build(abelian(2, 6)).is_abelian()
 
 
+@pytest.mark.parametrize("defn, simple, quasisimple, scans", [
+    # S6' = A6 is proper and nontrivial: no scan.
+    (symmetric(6), False, False, 0),
+    # Perfect with a trivial centre: is_quasisimple reuses the scan.
+    (alternating(6), True, True, 1),
+    # Perfect with a centre of order 2: one scan for N = 1, one for N = Z.
+    (sl2(5), False, True, 2),
+    (cyclic(7), True, False, 1),
+    (cyclic(1), False, False, 1),
+], ids=["S6", "A6", "SL(2,5)", "Z7", "Z1"])
+def test_simplicity_from_the_derived_subgroup(defn, simple, quasisimple,
+                                              scans, monkeypatch):
+    import twistspec.group as group_mod
+
+    calls = []
+    scan = group_mod.FiniteGroup._is_simple_modulo
+    monkeypatch.setattr(group_mod.FiniteGroup, "_is_simple_modulo",
+                        lambda self, sub: calls.append(sub.order)
+                        or scan(self, sub))
+    group = build(defn)
+    assert (group.is_simple(), group.is_quasisimple(),
+            group.is_simple()) == (simple, quasisimple, simple)
+    assert len(calls) == scans
+    # Asked in the other order, the same scans run: with a trivial centre
+    # is_quasisimple runs is_simple's scan, which is_simple then reads.
+    calls.clear()
+    group = build(defn)
+    assert (group.is_quasisimple(), group.is_simple()) == (quasisimple,
+                                                           simple)
+    assert len(calls) == scans
+
+
 def test_quasisimple_with_trivial_center_builds_no_quotient(monkeypatch):
     # No group is materialized for G/Z(G), whatever the centre.
     import twistspec.group as group_mod

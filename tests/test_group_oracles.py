@@ -5,6 +5,8 @@ steps); the derived small generating sets against the greedy whose every
 round scans all candidates; twisted classes and kernel towers on every
 endomorphism of the catalog groups of order <= 24."""
 
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -52,6 +54,43 @@ def test_products_and_table(case):
     assert [[group.product(i, j) for j in range(group.order)]
             for i in range(group.order)] == table
     assert [group.row(i) for i in range(group.order)] == table
+
+
+def test_inverses_and_element_orders(case):
+    oracles.assert_element_tables(*case)
+
+
+@pytest.fixture
+def permutation_calls(monkeypatch):
+    """Counts the calls of ``Permutation.inverse`` and ``Permutation.order``
+    made while the fixture is active."""
+    calls = Counter()
+
+    def spy(name):
+        method = getattr(Permutation, name)
+
+        def spied(self):
+            calls[name] += 1
+            return method(self)
+        monkeypatch.setattr(Permutation, name, spied)
+
+    spy("inverse")
+    spy("order")
+    return calls
+
+
+@pytest.mark.parametrize("case", CASES, ids=_case_id)
+def test_element_tables_read_the_tree_and_the_classes(case,
+                                                      permutation_calls):
+    # Inverses come from the Schreier tree, with no Permutation.inverse;
+    # element orders take one Permutation.order per conjugacy class.
+    group = build(case[0])
+    permutation_calls.clear()
+    group.inverses()
+    assert permutation_calls["inverse"] == 0
+    classes = group.conjugacy_classes()
+    group.element_orders()
+    assert permutation_calls == {"order": classes.count}
 
 
 def test_conjugacy_classes(case):

@@ -5,7 +5,9 @@ table ``morphism._search`` is still filling, without building a Morphism.
 Its counters are compared with the slow oracle ``oracles.tally``, which
 counts the weighted sweep's Morphisms by every method of ``oracles.count``,
 the orbit count among them; its budget charges with the weighted sweep's;
-and its two assertions are shown to fire on bad tables.
+and its two assertions are shown to fire on bad tables.  Depth 0's
+candidates and weights, read off the conjugacy classes, are compared with
+the orbit pass over C_G(1) = G that they replaced.
 """
 
 import pytest
@@ -47,6 +49,48 @@ def _assert_fold_matches_oracle(group, end_sweep, aut_sweep, method):
 def test_fold_matches_the_morphism_oracle(case, method):
     _assert_fold_matches_oracle(case["group"], case["end_sweep"],
                                 case["aut_sweep"], method)
+
+
+def test_depth_zero_reads_the_conjugacy_classes(case):
+    """Depth 0's candidates and weights, read off the classes, against the
+    orbit pass over C_G(1) = G that it replaced, for both pools."""
+    group = case["group"]
+    gens = group.small_generating_set()
+    for automorphisms in (False, True):
+        pool = (morphism_mod._pools(group, gens, automorphisms)[0]
+                if gens else [0])
+        tracker = morphism_mod._Budget(None)
+        slow = morphism_mod._orbit_minima(group, group.centralizer(0), pool,
+                                          tracker)
+        assert morphism_mod._orbit_minima(group, None, pool, tracker) == slow
+
+
+@pytest.mark.parametrize("defn", [symmetric(4), symmetric(6),
+                                  holomorph_cyclic(21)],
+                         ids=lambda defn: defn.name)
+def test_depth_zero_takes_no_centraliser_and_no_orbit_pass(defn,
+                                                           monkeypatch):
+    # Before its first node, each sweep reads the classes (S_0 = G, passed
+    # as None) and builds no centraliser and no orbits; no later depth
+    # passes None.
+    group = build(defn)
+    log = []
+    orbit_minima = morphism_mod._orbit_minima
+    extend = morphism_mod._extend
+    centralizer = type(group).centralizer
+    monkeypatch.setattr(morphism_mod, "_orbit_minima", lambda g, stab, *rest:
+                        log.append(("minima", stab is None))
+                        or orbit_minima(g, stab, *rest))
+    monkeypatch.setattr(morphism_mod, "_extend", lambda *args:
+                        log.append("extend") or extend(*args))
+    monkeypatch.setattr(type(group), "centralizer", lambda *args:
+                        log.append("centralizer") or centralizer(*args))
+    for sweep in (extended_spectrum, spectrum):
+        log.clear()
+        sweep(group)
+        assert log[:2] == [("minima", True), "extend"]
+        assert log.count(("minima", True)) == 1
+        assert ("minima", False) in log
 
 
 def test_fold_matches_the_oracle_on_a_large_centre():
@@ -125,7 +169,9 @@ def test_budget_runs_out_where_the_weighted_sweep_does(automorphisms, budget,
                          ids=lambda defn: defn.name)
 def test_fold_charges_what_the_weighted_sweep_charges(defn, charges):
     """Same amounts in the same order.  The totals were measured when
-    every sweep still built a Morphism per representative."""
+    every sweep still built a Morphism per representative, less the orbit
+    pass that depth 0 made before it read the conjugacy classes:
+    |G| times the generators of C_G(1), 24 * 2, 720 * 2 and 252 * 3."""
     group = build(defn)
     end, _ = _charged(charges, lambda: list(weighted_sweep(group)))
     aut, _ = _charged(charges, lambda: list(
@@ -136,8 +182,8 @@ def test_fold_charges_what_the_weighted_sweep_charges(defn, charges):
     assert _charged(charges, lambda: classify(group)) == (end, False)
     assert _charged(charges, lambda: classify(group, extended=False)) == (
         aut, False)
-    totals = {"S4": (1144, 214), "S6": (152454, 30212),
-              "Hol(Z21)": (916734, 44793)}
+    totals = {"S4": (1096, 166), "S6": (151014, 28772),
+              "Hol(Z21)": (915978, 44037)}
     assert (sum(end), sum(aut)) == totals[group.name]
 
 

@@ -21,8 +21,10 @@ battery over the representatives with the battery over every endomorphism
 and each nontrivial tower's coset count with R of the map induced on the
 permutation quotient, by both counts.  On every draw with at most three
 distinct non-identity declared generators, the search's generating set
-must be those generators in declared order.  The draws are derandomized,
-so the groups are the same on every run.
+must be those generators in declared order.  On every draw of the three
+strategies, the inverses and element orders must equal the product-table
+oracles.  The draws are derandomized, so the groups are the same on every
+run.
 """
 
 from math import gcd, prod
@@ -136,13 +138,14 @@ def test_fold_and_sweep_against_the_oracles(group):
     gens = group.small_generating_set()
     assert oracles.subgroup_closure(group, gens) == tuple(range(group.order))
 
+    table = oracles.product_table(group)
+    oracles.assert_element_tables(group, table)
     oracles.assert_battery_matches(group)
     for automorphisms in (False, True):
         sweep = _assert_fold_matches_the_orbit_count(group, automorphisms)
         every = oracles.every_morphism(group, automorphisms)
         assert sum(weight for _, weight in sweep) == len(every)
         if group.order <= GRID_ORDER:
-            table = oracles.product_table(group)
             assert every == sorted(
                 oracles.morphism_grid(table, gens, automorphisms))
 
@@ -153,6 +156,7 @@ def test_fold_and_sweep_against_the_oracles(group):
 @given(abelian_groups())
 def test_abelian_fold_against_the_oracle(group):
     _assert_few_declared_generators_are_kept(group)
+    oracles.assert_element_tables(group, oracles.product_table(group))
     oracles.assert_battery_matches(group)
     for automorphisms in (False, True):
         _assert_fold_matches_the_orbit_count(group, automorphisms)
@@ -165,6 +169,7 @@ def test_abelian_fold_against_the_oracle(group):
 def test_structure_and_cosets_against_the_table_oracles(group):
     _assert_few_declared_generators_are_kept(group)
     table = oracles.product_table(group)
+    oracles.assert_element_tables(group, table)
     center, derived = group.center(), group.derived_subgroup()
     assert list(center.indices) == oracles.center(table)
     assert list(derived.indices) == oracles.derived_subgroup(table)
