@@ -14,10 +14,13 @@ of subgroups H_j generated by the first j search generators.  Depth j
 picks an image for the j-th generator from a pool pruned by element order
 (endomorphisms: image order divides generator order; automorphisms: equal
 order and equal conjugacy-class size), keeps it only if it is the smallest
-in its orbit under the current centraliser, and extends the partial table
-from H_j to H_{j+1}, verifying the homomorphism law there: an image that
-breaks it drops its whole subtree, and an automorphism candidate must keep
-the partial table injective.
+in its orbit under S_j, the centraliser of the earlier images, and extends
+the partial table from H_j to H_{j+1}, verifying the homomorphism law
+there: an image that breaks it drops its whole subtree, and an automorphism
+candidate must keep the partial table injective.  The orbit of an image c
+under S_j has [S_j : C_{S_j}(c)] points, so an image whose orbit is a point
+hands S_j and its orbits on to the next depth; only the others build a
+centraliser and an orbit pass.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from operator import eq
 from typing import Iterator, Sequence
 
 from .errors import NotAHomomorphism
-from .group import FiniteGroup, Subgroup, _Budget, orbits
+from .group import ClassPartition, FiniteGroup, Subgroup, _Budget, orbits
 from .perm import Permutation
 
 DEFAULT_PRODUCT_BUDGET = 10 ** 8
@@ -259,23 +262,6 @@ def _pools(group: FiniteGroup, gens: Sequence[int],
             for g in gens]
 
 
-def _orbit_minima(group: FiniteGroup, stab: Subgroup | None,
-                  pool: Sequence[int], tracker: _Budget
-                  ) -> list[tuple[int, int]]:
-    """The smallest member of each orbit of ``stab`` acting on ``pool`` by
-    conjugation, with the orbit's size.  Pools are unions of conjugacy
-    classes, hence of these orbits.  For None, standing for G, they are
-    the conjugacy classes, read with no orbit pass."""
-    if stab is None:
-        orbit = group.conjugacy_classes()
-    else:
-        maps = [group.conjugation(t) for t in stab.generators]
-        tracker.charge(group.order * len(maps))
-        orbit = orbits(group.order, maps)
-    class_of, reps, sizes = orbit
-    return [(x, sizes[class_of[x]]) for x in pool if reps[class_of[x]] == x]
-
-
 def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
             ) -> Iterator[tuple[list[int], int, bool]]:
     """The one morphism search behind every sweep.
@@ -295,14 +281,19 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     the candidate with its whole subtree.  Each node is charged its number
     of steps.  c_j is kept only if it is the smallest index in its orbit
     under S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation, and the
-    weight is multiplied by that orbit's size.  S_0 = G, whose orbits are
-    the conjugacy classes (numbered by smallest member, as ``orbits``
-    numbers them), so depth 0 reads them off the class partition and
-    builds no conjugation maps.  The kept tuples are the
+    weight is multiplied by that orbit's size.  The kept tuples are the
     lexicographically smallest of their Inn(G)-orbits, one per orbit, and
     each weight is |G| / |C_G(phi(G))|, the size of phi's Inn(G)-orbit.
-    Once S_j is central its orbits are single points and the remaining
-    generators range over their whole pools.
+
+    Each node holds ``(stab, orbit)``: S_j as a Subgroup, None only for
+    G, and its orbits numbered by smallest member (as ``orbits`` numbers
+    them), None once S_j is central and every orbit is a point; then the
+    remaining generators range over their whole pools.  The root holds G
+    and the conjugacy classes.  One rule moves down the chain: the orbit of
+    c_j has [S_j : S_{j+1}] points, so a kept c_j whose orbit is a point
+    (the identity, a central element, any element centralising S_j) hands
+    ``(stab, orbit)`` on unchanged, and any other builds S_{j+1} and its
+    orbits once, charged |G| and |G| per generator of S_{j+1}.
 
     Automorphism candidates must also keep the partial table injective: no
     non-identity element of H_{j+1} may map to the identity.  A
@@ -320,17 +311,18 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     table = [0] * group.order
     images: list = [None] * len(gens)  # columns of c_0, ..., c_depth
     last = len(gens) - 1
-    abelian = group.is_abelian()
-    if not abelian:
-        center_order = group.center().order
+    center_order = group.center().order
 
-    def search(depth: int, weight: int, stab: Subgroup | None
+    def search(depth: int, weight: int, stab: Subgroup | None,
+               orbit: ClassPartition | None
                ) -> Iterator[tuple[list[int], int, bool]]:
         steps = levels[depth]
-        if stab is None and depth:
+        if orbit is None:
             kept = [(x, 1) for x in pools[depth]]
         else:
-            kept = _orbit_minima(group, stab, pools[depth], tracker)
+            class_of, reps, sizes = orbit
+            kept = [(x, sizes[class_of[x]]) for x in pools[depth]
+                    if reps[class_of[x]] == x]
         for cand, size in kept:
             tracker.charge(len(steps))
             images[depth] = group.column(cand)
@@ -342,17 +334,18 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
                 bijective = automorphisms or table.count(0) == 1
                 yield table, weight * size, bijective
                 continue
-            nxt = None
-            # None is G at depth 0 (``centralizer``'s default) and a
-            # central S_j below it.
-            if stab is not None or depth == 0 and not abelian:
+            nxt, nxt_orbit = stab, orbit
+            if size > 1:
                 tracker.charge(group.order)
-                nxt = group.centralizer(cand, stab)
-                if nxt.order == center_order:
-                    nxt = None
-            yield from search(depth + 1, weight * size, nxt)
+                nxt, nxt_orbit = group.centralizer(cand, stab), None
+                if nxt.order > center_order:
+                    maps = [group.conjugation(t) for t in nxt.generators]
+                    tracker.charge(group.order * len(maps))
+                    nxt_orbit = orbits(group.order, maps)
+            yield from search(depth + 1, weight * size, nxt, nxt_orbit)
 
-    yield from search(0, 1, None)
+    root = group.conjugacy_classes() if center_order < group.order else None
+    yield from search(0, 1, None, root)
 
 
 def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,

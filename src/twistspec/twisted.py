@@ -99,11 +99,16 @@ def reidemeister_number(phi: Morphism) -> int:
 
 def _coset_count(group: FiniteGroup, images: Sequence[int],
                  tower: Subgroup, maps: dict) -> int:
-    """``_induced_count`` of the endomorphism with these generator images.
+    """The Reidemeister number of the map that the endomorphism with these
+    generator images induces on G/N, N = ``tower`` normal with phi(N) in
+    N, counted on the [G:N] cosets.
 
-    Each projected map is read off the twisted map on G
-    (``_twisted_maps``) at the coset representatives and kept in ``maps``
-    under (s, c, N's members).
+    The projected twisted maps c -> coset of s^-1 rep_c phi(s) are well
+    defined because N is normal and phi(N) lies in N, and their orbits are
+    the twisted classes of the induced map.  Each is read off the twisted
+    map on G (``_twisted_maps``) at the coset representatives and kept in
+    ``maps`` under (s, c, N's members).  The coset labelling comes from the
+    group's per-tower cache; no quotient group is built.
     """
     cosets = group.normal_cosets(tower.indices)[1]
     coset_of, reps = cosets.class_of, cosets.representatives
@@ -116,18 +121,6 @@ def _coset_count(group: FiniteGroup, images: Sequence[int],
             found = maps[key] = [coset_of[twisted[r]] for r in reps]
         projected.append(found)
     return orbits(cosets.count, projected).count
-
-
-def _induced_count(phi: Morphism, tower: Subgroup) -> int:
-    """The Reidemeister number of the map phi induces on G/N, N = ``tower``
-    normal with phi(N) in N, counted on the [G:N] cosets.
-
-    The projected twisted maps c -> coset of s^-1 rep_c phi(s) are well
-    defined because N is normal and phi(N) lies in N, and their orbits are
-    the twisted classes of the induced map.  The coset labelling comes from
-    the group's per-tower cache; no quotient group is built.
-    """
-    return _coset_count(phi.group, phi.generator_images, tower, {})
 
 
 def _reduces(group: FiniteGroup, table: Sequence[int],
@@ -152,7 +145,7 @@ def reduction_check(phi: Morphism, count: int) -> bool:
     injective, hence bijective; this and the phi-invariance of N
     (``morphism._kernel_tower``) are checked for every phi, while N's
     closure, normality and cosets are verified once per distinct tower.
-    The count itself runs on the [G:N] cosets (``_induced_count``).
+    The count itself runs on the [G:N] cosets (``_coset_count``).
     Expected true for every endomorphism; exposed as a verification hook.
     """
     return _reduces(phi.group, phi.table, phi.generator_images, count, {})

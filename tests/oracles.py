@@ -405,11 +405,14 @@ def every_morphism(group, automorphisms=False):
     Inn(G)-orbit, the tables ``[conj_h[t] for t in phi.table]``: the
     closure of ``phi`` under conjugation by the declared generators,
     computed from permutation products.  Asserts that each orbit's size is
-    the representative's weight and that no two orbits meet.
+    the representative's weight, that the representative's images of the
+    search generators are the lexicographically smallest in its orbit, and
+    that no two orbits meet.
     """
     idx = group.index_of
     conj = [[idx(s * x * s.inverse()) for x in group.elements]
             for s in group.generators]
+    gens = group.small_generating_set()
     found = set()
     for phi, weight in weighted_sweep(group, automorphisms=automorphisms):
         orbit = [phi.table]
@@ -421,6 +424,8 @@ def every_morphism(group, automorphisms=False):
                     seen.add(image)
                     orbit.append(image)
         assert len(orbit) == weight, (phi, weight, len(orbit))
+        assert (min(tuple(table[g] for g in gens) for table in orbit)
+                == tuple(phi.table[g] for g in gens)), phi
         assert found.isdisjoint(seen), "two representatives share an orbit"
         found |= seen
     return sorted(found)

@@ -7,7 +7,8 @@ counts the weighted sweep's Morphisms by every method of ``oracles.count``,
 the orbit count among them; its budget charges with the weighted sweep's;
 and its two assertions are shown to fire on bad tables.  Depth 0's
 candidates and weights, read off the conjugacy classes, are compared with
-the orbit pass over C_G(1) = G that they replaced.
+an orbit pass over C_G(1) = G, and every centraliser the search builds is
+shown to be a proper subgroup of the one it is taken in.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from twistspec.catalog import (abelian, alternating, build, dihedral,
                                shipped_catalog, symmetric)
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
+from twistspec.group import orbits
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, Morphism, weighted_sweep
 from twistspec.spectra import classify, extended_spectrum, spectrum
 
@@ -51,46 +53,87 @@ def test_fold_matches_the_morphism_oracle(case, method):
                                 case["aut_sweep"], method)
 
 
-def test_depth_zero_reads_the_conjugacy_classes(case):
-    """Depth 0's candidates and weights, read off the classes, against the
-    orbit pass over C_G(1) = G that it replaced, for both pools."""
+def test_depth_zero_reads_the_conjugacy_classes(case, monkeypatch):
+    """Depth 0's candidates and weights, read off the classes, against an
+    orbit pass over C_G(1) = G, for both pools.  The search tries exactly
+    those candidates at depth 0, and each centraliser it takes there has
+    the candidate's weight as its index."""
     group = case["group"]
     gens = group.small_generating_set()
+    maps = [group.conjugation(t) for t in group.centralizer(0).generators]
+    class_of, reps, sizes = orbits(group.order, maps)
+    levels, tried, indices = [], [], {}
+    make_levels = morphism_mod._levels
+    extend = morphism_mod._extend
+    centralizer = type(group).centralizer
+    at_root = [False]  # whether the last node was at depth 0
+
+    def spied_extend(table, steps, images, injective):
+        at_root[0] = steps is levels[-1][0]
+        if at_root[0]:
+            tried.append(images[0][0])  # column(c)[0] = c
+        return extend(table, steps, images, injective)
+
+    def spied_centralizer(self, y, within=None):
+        # A centraliser is taken right after its candidate's node.
+        found = centralizer(self, y, within)
+        if at_root[0]:
+            indices[y] = self.order // found.order
+        return found
+
+    monkeypatch.setattr(morphism_mod, "_levels", lambda *args:
+                        levels.append(make_levels(*args)) or levels[-1])
+    monkeypatch.setattr(morphism_mod, "_extend", spied_extend)
+    monkeypatch.setattr(type(group), "centralizer", spied_centralizer)
     for automorphisms in (False, True):
         pool = (morphism_mod._pools(group, gens, automorphisms)[0]
                 if gens else [0])
-        tracker = morphism_mod._Budget(None)
-        slow = morphism_mod._orbit_minima(group, group.centralizer(0), pool,
-                                          tracker)
-        assert morphism_mod._orbit_minima(group, None, pool, tracker) == slow
+        slow = [(x, sizes[class_of[x]]) for x in pool
+                if reps[class_of[x]] == x]
+        classes = group.conjugacy_classes()
+        assert [(x, classes.sizes[classes.class_of[x]]) for x in pool
+                if classes.representatives[classes.class_of[x]] == x] == slow
+        tried.clear()
+        indices.clear()
+        for _ in morphism_mod._search(group, automorphisms, None):
+            pass
+        if gens:
+            assert tried == [x for x, _ in slow]
+        assert indices.items() <= dict(slow).items()
 
 
 @pytest.mark.parametrize("defn", [symmetric(4), symmetric(6),
-                                  holomorph_cyclic(21)],
+                                  holomorph_cyclic(21),
+                                  direct_product(dihedral(4), abelian(2, 2))],
                          ids=lambda defn: defn.name)
-def test_depth_zero_takes_no_centraliser_and_no_orbit_pass(defn,
-                                                           monkeypatch):
-    # Before its first node, each sweep reads the classes (S_0 = G, passed
-    # as None) and builds no centraliser and no orbits; no later depth
-    # passes None.
+def test_centralisers_are_proper_and_come_after_the_first_node(defn,
+                                                               monkeypatch):
+    # A candidate whose orbit under S_j is a point hands S_j on: every
+    # centraliser the search builds is a proper subgroup of the S_j it is
+    # taken in, so none is of the identity or of a central element.  The
+    # root reads the classes, so the first node comes before any orbit pass.
     group = build(defn)
     log = []
-    orbit_minima = morphism_mod._orbit_minima
     extend = morphism_mod._extend
     centralizer = type(group).centralizer
-    monkeypatch.setattr(morphism_mod, "_orbit_minima", lambda g, stab, *rest:
-                        log.append(("minima", stab is None))
-                        or orbit_minima(g, stab, *rest))
+    orbit_pass = morphism_mod.orbits
+
+    def spied_centralizer(self, y, within=None):
+        found = centralizer(self, y, within)
+        log.append("centralizer")
+        assert found.order < (self.order if within is None else within.order)
+        return found
+
     monkeypatch.setattr(morphism_mod, "_extend", lambda *args:
                         log.append("extend") or extend(*args))
-    monkeypatch.setattr(type(group), "centralizer", lambda *args:
-                        log.append("centralizer") or centralizer(*args))
+    monkeypatch.setattr(morphism_mod, "orbits", lambda *args:
+                        log.append("orbits") or orbit_pass(*args))
+    monkeypatch.setattr(type(group), "centralizer", spied_centralizer)
     for sweep in (extended_spectrum, spectrum):
         log.clear()
         sweep(group)
-        assert log[:2] == [("minima", True), "extend"]
-        assert log.count(("minima", True)) == 1
-        assert ("minima", False) in log
+        assert log[0] == "extend"
+        assert "centralizer" in log and "orbits" in log
 
 
 def test_fold_matches_the_oracle_on_a_large_centre():
@@ -170,8 +213,11 @@ def test_budget_runs_out_where_the_weighted_sweep_does(automorphisms, budget,
 def test_fold_charges_what_the_weighted_sweep_charges(defn, charges):
     """Same amounts in the same order.  The totals were measured when
     every sweep still built a Morphism per representative, less the orbit
-    pass that depth 0 made before it read the conjugacy classes:
-    |G| times the generators of C_G(1), 24 * 2, 720 * 2 and 252 * 3."""
+    pass that depth 0 made before it read the conjugacy classes (|G| times
+    the generators of C_G(1), 24 * 2, 720 * 2 and 252 * 3), less the End
+    sweep's centralisers of candidates whose orbit is a point, |G| each,
+    with the orbit pass over each, |G| times the generators of G:
+    24 + 24 * 2, 720 + 720 * 2 and 2 * (252 + 252 * 3)."""
     group = build(defn)
     end, _ = _charged(charges, lambda: list(weighted_sweep(group)))
     aut, _ = _charged(charges, lambda: list(
@@ -182,8 +228,8 @@ def test_fold_charges_what_the_weighted_sweep_charges(defn, charges):
     assert _charged(charges, lambda: classify(group)) == (end, False)
     assert _charged(charges, lambda: classify(group, extended=False)) == (
         aut, False)
-    totals = {"S4": (1096, 166), "S6": (151014, 28772),
-              "Hol(Z21)": (915978, 44037)}
+    totals = {"S4": (1024, 166), "S6": (148854, 28772),
+              "Hol(Z21)": (913962, 44037)}
     assert (sum(end), sum(aut)) == totals[group.name]
 
 

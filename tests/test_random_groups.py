@@ -39,7 +39,7 @@ from twistspec.group import closure
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import _fold, theorem_battery
-from twistspec.twisted import (_induced_count, reidemeister_number,
+from twistspec.twisted import (_coset_count, reidemeister_number,
                                twisted_classes)
 
 ORDER_CAP = 120
@@ -185,7 +185,8 @@ def test_structure_and_cosets_against_the_table_oracles(group):
         assert ((list(cosets.class_of), list(cosets.representatives))
                 == oracles.left_cosets(group, sub.indices))
     for phi, _ in weighted_sweep(group):
-        assert (_induced_count(phi, phi.iterated_kernel())
+        assert (_coset_count(phi.group, phi.generator_images,
+                             phi.iterated_kernel(), {})
                 == oracles.reduction_orbits_on_g(phi))
     oracles.assert_battery_matches(group)
 
@@ -208,5 +209,6 @@ def test_battery_against_every_endomorphism(group):
         if tower.is_trivial():
             continue
         induced = oracles.induced_on_quotient(phi, tower)
-        assert (_induced_count(phi, tower) == reidemeister_number(induced)
+        assert (_coset_count(phi.group, phi.generator_images, tower, {})
+                == reidemeister_number(induced)
                 == twisted_classes(induced).count)

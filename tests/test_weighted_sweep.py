@@ -156,7 +156,8 @@ def test_reduction_check_counts_the_induced_classes(case):
     for phi, _ in case["end_sweep"]:
         tower = phi.iterated_kernel()
         count = reidemeister_number(phi)
-        cosets = twisted_mod._induced_count(phi, tower)
+        cosets = twisted_mod._coset_count(phi.group, phi.generator_images,
+                                          tower, {})
         assert cosets == oracles.reduction_orbits_on_g(phi)
         if tower.is_trivial():
             # G/1 is G and the induced map is phi itself.
