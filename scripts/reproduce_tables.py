@@ -7,7 +7,7 @@ import sys
 import time
 
 from twistspec.catalog import build, shipped_catalog
-from twistspec.cli import _Parser, _positive
+from twistspec.cli import _INTERNAL_ERRORS, _Parser, _positive
 from twistspec.errors import BudgetExceeded, DefinitionError
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET
 from twistspec.spectra import classify
@@ -37,6 +37,10 @@ def main() -> None:
             # Exit as the command line does when a budget runs out.
             print(f"error: {defn.name}: {exc}", file=sys.stderr)
             sys.exit(2)
+        except _INTERNAL_ERRORS as exc:
+            # Exit 4, as the command line does on an internal error.
+            print(f"internal error: {defn.name}: {exc}", file=sys.stderr)
+            sys.exit(4)
     reports.sort(key=lambda r: (r.order, r.name))
 
     print(f"classified {len(reports)} groups in "

@@ -3,8 +3,8 @@ classes, and the subgroup machinery behind the classification pipeline.
 
 Elements are numbered by breadth-first discovery from the identity with
 generators applied in list order, so every downstream numbering (classes,
-reports) is reproducible across runs.  All lazily built tables are write-once
-behind a lock, so a group value may be shared across threads.
+reports) is reproducible across runs.  Lazily built tables are written once,
+on first use, without locking, so a group belongs to one thread.
 
 The search that materializes a group also records the action of each
 generator on element indices (``x -> index(x * s)``) and the Schreier tree
@@ -24,7 +24,7 @@ ch. 4.
 
 from __future__ import annotations
 
-import threading
+from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, OrderCapExceeded
@@ -93,7 +93,8 @@ class FiniteGroup:
     generators[s]``; ``tree[j - 1] = (p, right[s])`` records that element
     ``j > 0`` was first reached as ``elements[p] * generators[s]``, with
     ``p < j``.  Heavy accessors (columns, inverses, element orders,
-    conjugacy classes) are built on first use and cached.
+    conjugacy classes) are written once, on first use, without locking:
+    a group belongs to one thread.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -106,8 +107,6 @@ class FiniteGroup:
         self.name = name
         self._index = index
         self._tree = tree
-        # Reentrant: lazy builders call each other (classes need inverses).
-        self._lock = threading.RLock()
         self._generator_indices = tuple(index[g] for g in self.generators)
         self._columns: list[list[int] | None] = [None] * len(elements)
         for g, column in zip(self._generator_indices, right):
@@ -157,10 +156,7 @@ class FiniteGroup:
         """
         column = self._columns[y]
         if column is None:
-            with self._lock:
-                column = self._columns[y]
-                if column is None:
-                    column = self._columns[y] = self._new_column(y)
+            column = self._columns[y] = self._new_column(y)
         return column
 
     def _new_column(self, y: int) -> list[int]:
@@ -184,22 +180,21 @@ class FiniteGroup:
         return [column[v] for v in self.row(self.inverse(t))]
 
     def _conjugation_columns(self) -> list[list[int]]:
-        """``conjugation(s)`` for each declared generator ``s``."""
+        """``conjugation(s)`` for each declared generator ``s``, read through
+        the cached ``row(s^-1)``."""
         if self._conjugations is None:
-            with self._lock:
-                if self._conjugations is None:
-                    self._conjugations = [self.conjugation(g)
-                                          for g in self.generator_indices()]
+            self._conjugations = [
+                [column[v] for v in row] for column, row in zip(
+                    map(self.column, self.generator_indices()),
+                    self._inverse_generator_rows())]
         return self._conjugations
 
     def _inverse_generator_rows(self) -> list[list[int]]:
         """``row(s^-1)`` for each declared generator ``s``."""
         if self._inverse_rows is None:
-            with self._lock:
-                if self._inverse_rows is None:
-                    inv = self.inverses()
-                    self._inverse_rows = [self.row(inv[g])
-                                          for g in self.generator_indices()]
+            inv = self.inverses()
+            self._inverse_rows = [self.row(inv[g])
+                                  for g in self.generator_indices()]
         return self._inverse_rows
 
     def product(self, i: int, j: int) -> int:
@@ -210,16 +205,14 @@ class FiniteGroup:
         gives ``x^-1 = row(s^-1)[inv[p]]``, where ``s``'s column sends
         ``s^-1`` to the identity.  One row per tree column."""
         if self._inverses is None:
-            with self._lock:
-                if self._inverses is None:
-                    rows: dict[int, list[int]] = {}
-                    inv = [0]
-                    for parent, column in self._tree:
-                        row = rows.get(id(column))
-                        if row is None:
-                            row = rows[id(column)] = self.row(column.index(0))
-                        inv.append(row[inv[parent]])
-                    self._inverses = inv
+            rows: dict[int, list[int]] = {}
+            inv = [0]
+            for parent, column in self._tree:
+                row = rows.get(id(column))
+                if row is None:
+                    row = rows[id(column)] = self.row(column.index(0))
+                inv.append(row[inv[parent]])
+            self._inverses = inv
         return self._inverses
 
     def inverse(self, i: int) -> int:
@@ -232,20 +225,16 @@ class FiniteGroup:
         """The order of every element: a class function, so computed once
         per conjugacy class representative and spread by ``class_of``."""
         if self._orders is None:
-            with self._lock:
-                if self._orders is None:
-                    class_of, reps, _ = self.conjugacy_classes()
-                    orders = [self.elements[r].order() for r in reps]
-                    self._orders = [orders[c] for c in class_of]
+            class_of, reps, _ = self.conjugacy_classes()
+            orders = [self.elements[r].order() for r in reps]
+            self._orders = [orders[c] for c in class_of]
         return self._orders
 
     # -- conjugacy --------------------------------------------------------
 
     def conjugacy_classes(self) -> ClassPartition:
         if self._classes is None:
-            with self._lock:
-                if self._classes is None:
-                    self._classes = self._compute_classes()
+            self._classes = self._compute_classes()
         return self._classes
 
     def _compute_classes(self) -> ClassPartition:
@@ -341,18 +330,14 @@ class FiniteGroup:
         """
         entry = self._cosets.get(members)
         if entry is None:
-            with self._lock:
-                entry = self._cosets.get(members)
-                if entry is None:
-                    sub = self.subgroup(members)
-                    if not self.is_normal(sub):
-                        raise AssertionError("subgroup is not normal")
-                    cosets = orbits(
-                        self.order, [self.column(y) for y in sub.generators])
-                    if any(size != sub.order for size in cosets.sizes):
-                        raise AssertionError(
-                            "cosets do not all have |N| members")
-                    entry = self._cosets[members] = (sub, cosets)
+            sub = self.subgroup(members)
+            if not self.is_normal(sub):
+                raise AssertionError("subgroup is not normal")
+            cosets = orbits(self.order,
+                            [self.column(y) for y in sub.generators])
+            if any(size != sub.order for size in cosets.sizes):
+                raise AssertionError("cosets do not all have |N| members")
+            entry = self._cosets[members] = (sub, cosets)
         return entry
 
     def _normal_closure(self, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -395,20 +380,16 @@ class FiniteGroup:
     def center(self) -> Subgroup:
         """The classes of size 1, verified by ``subgroup``."""
         if self._center is None:
-            with self._lock:
-                if self._center is None:
-                    _, reps, sizes = self.conjugacy_classes()
-                    self._center = self.subgroup(
-                        r for r, size in zip(reps, sizes) if size == 1)
+            _, reps, sizes = self.conjugacy_classes()
+            self._center = self.subgroup(
+                r for r, size in zip(reps, sizes) if size == 1)
         return self._center
 
     def derived_subgroup(self) -> Subgroup:
         """The normal closure of the commutators of the generators."""
         if self._derived is None:
-            with self._lock:
-                if self._derived is None:
-                    self._derived = self.normal_closure(
-                        self._generator_commutators(self.generator_indices()))
+            self._derived = self.normal_closure(
+                self._generator_commutators(self.generator_indices()))
         return self._derived
 
     # -- structural predicates ---------------------------------------------
@@ -436,17 +417,18 @@ class FiniteGroup:
     def is_simple(self) -> bool:
         """True iff |G| > 1 and every nontrivial element normally generates G.
 
-        The trivial group is not simple; prime-order groups are.  When
-        1 < |G'| < |G|, G' is a proper nontrivial normal subgroup, so only
-        abelian and perfect groups run the per-class scan; its answer is
-        cached.
+        When 1 < |G'| < |G|, G' is a proper nontrivial normal subgroup.  An
+        abelian group (|G'| = 1) is simple iff |G| is prime, so only perfect
+        groups run the per-class scan; its answer is cached.
         """
         if self._simple is None:
-            with self._lock:
-                if self._simple is None:
-                    derived = self.derived_subgroup().order
-                    self._simple = derived in (1, self.order) and \
-                        self._is_simple_modulo(self.trivial_subgroup())
+            n, derived = self.order, self.derived_subgroup().order
+            if derived == 1:
+                self._simple = n > 1 and all(
+                    n % d for d in range(2, isqrt(n) + 1))
+            else:
+                self._simple = derived == n and \
+                    self._is_simple_modulo(self.trivial_subgroup())
         return self._simple
 
     def is_quasisimple(self) -> bool:
@@ -489,10 +471,7 @@ class FiniteGroup:
         BudgetExceeded and caches nothing.
         """
         if self._small_gens is None:
-            with self._lock:
-                if self._small_gens is None:
-                    self._small_gens = self._derive_small_gens(
-                        _Budget(budget))
+            self._small_gens = self._derive_small_gens(_Budget(budget))
         return self._small_gens
 
     def _derive_small_gens(self, tracker: _Budget) -> tuple[int, ...]:

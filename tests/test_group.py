@@ -182,9 +182,11 @@ def test_structural_predicates():
     (alternating(6), True, True, 1),
     # Perfect with a centre of order 2: one scan for N = 1, one for N = Z.
     (sl2(5), False, True, 2),
-    (cyclic(7), True, False, 1),
-    (cyclic(1), False, False, 1),
-], ids=["S6", "A6", "SL(2,5)", "Z7", "Z1"])
+    # Abelian: simple iff |G| is prime, with no scan.
+    (cyclic(7), True, False, 0),
+    (cyclic(1), False, False, 0),
+    (cyclic(1009), True, False, 0),
+], ids=["S6", "A6", "SL(2,5)", "Z7", "Z1", "Z1009"])
 def test_simplicity_from_the_derived_subgroup(defn, simple, quasisimple,
                                               scans, monkeypatch):
     import twistspec.group as group_mod

@@ -11,10 +11,11 @@ import pytest
 
 import oracles
 from twistspec.catalog import (GroupDefinition, abelian, alternating, build,
-                               dihedral, direct_product, m9, shipped_catalog,
+                               dihedral, direct_product, m9,
+                               quaternion_dicyclic, shipped_catalog,
                                symmetric)
 from twistspec.errors import BudgetExceeded
-from twistspec.group import _Budget, orbits
+from twistspec.group import FiniteGroup, _Budget, closure, orbits
 from twistspec.morphism import _levels, inner_automorphism
 from twistspec.perm import Permutation
 from twistspec.twisted import twisted_classes
@@ -93,8 +94,27 @@ def test_element_tables_read_the_tree_and_the_classes(case,
     assert permutation_calls == {"order": classes.count}
 
 
+@pytest.mark.parametrize("defn, rows", [
+    (symmetric(4), 4), (quaternion_dicyclic(2), 4), (m9(), 8),
+], ids=["S4", "Q8", "M9"])
+def test_each_inverse_generator_row_is_built_once(defn, rows, monkeypatch):
+    # One row per tree column for the inverses, then one row(s^-1) per
+    # declared generator, shared by the conjugation columns and the
+    # twisted maps.
+    calls = []
+    row = FiniteGroup.row
+    monkeypatch.setattr(FiniteGroup, "row",
+                        lambda self, a: calls.append(a) or row(self, a))
+    group = closure(defn.degree, defn.permutations())
+    group.conjugacy_classes()
+    group._inverse_generator_rows()
+    assert len(calls) == rows
+
+
 def test_conjugacy_classes(case):
     group, table = case
+    assert group._conjugation_columns() == [
+        group.conjugation(s) for s in group.generator_indices()]
     partition = group.conjugacy_classes()
     assert (list(partition.class_of), list(partition.representatives),
             list(partition.sizes)) == oracles.conjugacy_classes(table)
@@ -111,6 +131,9 @@ def test_predicates(case):
     classes = oracles.conjugacy_classes(table)
     assert group.is_nilpotent() == oracles.is_nilpotent(table)
     assert group.is_simple() == oracles.is_simple(table, classes)
+    # The scan stays the slow oracle for the prime-order rule.
+    assert group.is_simple() == group._is_simple_modulo(
+        group.trivial_subgroup())
     # Quasisimple: perfect, with G/Z(G) simple.
     perfect = oracles.derived_subgroup(table) == list(range(group.order))
     assert group.is_quasisimple() == (

@@ -23,8 +23,10 @@ permutation quotient, by both counts.  On every draw with at most three
 distinct non-identity declared generators, the search's generating set
 must be those generators in declared order.  On every draw of the three
 strategies, the inverses and element orders must equal the product-table
-oracles.  The draws are derandomized, so the groups are the same on every
-run.
+oracles.  On every draw of the first strategy, the conjugation columns must
+equal ``conjugation(s)`` for each declared generator ``s``; on every
+abelian draw, the simple flag must equal the per-class scan.  The draws
+are derandomized, so the groups are the same on every run.
 """
 
 from math import gcd, prod
@@ -135,6 +137,8 @@ def abelian_groups(draw):
 @given(permutation_groups())
 def test_fold_and_sweep_against_the_oracles(group):
     _assert_few_declared_generators_are_kept(group)
+    assert group._conjugation_columns() == [
+        group.conjugation(s) for s in group.generator_indices()]
     gens = group.small_generating_set()
     assert oracles.subgroup_closure(group, gens) == tuple(range(group.order))
 
@@ -156,6 +160,9 @@ def test_fold_and_sweep_against_the_oracles(group):
 @given(abelian_groups())
 def test_abelian_fold_against_the_oracle(group):
     _assert_few_declared_generators_are_kept(group)
+    # Simple iff |G| is prime, against the per-class scan.
+    assert group.is_simple() == group._is_simple_modulo(
+        group.trivial_subgroup())
     oracles.assert_element_tables(group, oracles.product_table(group))
     oracles.assert_battery_matches(group)
     for automorphisms in (False, True):

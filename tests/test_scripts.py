@@ -1,6 +1,7 @@
 """The scripts under ``scripts/`` run end to end against the package under
 test."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistspec
+from twistspec.errors import NotAHomomorphism
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,6 +39,23 @@ def test_reproduce_tables_budget_error_is_one_line():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: Z2: product budget 1 exceeded\n"
+
+
+@pytest.mark.parametrize("error", [AssertionError, NotAHomomorphism])
+def test_reproduce_tables_internal_error_exits_4(error, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_tables", ROOT / "scripts" / "reproduce_tables.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+
+    def classify(group, **kwargs):
+        raise error("table mismatch")
+    monkeypatch.setattr(script, "classify", classify)
+    monkeypatch.setattr("sys.argv", ["reproduce_tables.py"])
+    with pytest.raises(SystemExit) as exit_info:
+        script.main()
+    assert exit_info.value.code == 4
+    assert capsys.readouterr() == ("", "internal error: Z1: table mismatch\n")
 
 
 @pytest.mark.parametrize("flag, value", [
