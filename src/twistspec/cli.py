@@ -211,7 +211,11 @@ def _cmd_survey(args) -> int:
         raise DefinitionError(f"--out {out} is a directory")
     if not out.parent.is_dir():
         raise DefinitionError(f"--out {out}: no directory {out.parent}")
-    files = sorted(str(p) for p in directory.glob("*.json"))
+    # A report written into the directory is not read back as a group.
+    # Two resolves, not one per file: each costs a stat per path component.
+    report = out.name if out.parent.resolve() == directory.resolve() else None
+    files = sorted(str(p) for p in directory.glob("*.json")
+                   if p.name != report)
     tasks = [(path, args.budget, args.order_cap, args.battery)
              for path in files]
     # The pool starts all its workers at once, so never more than there

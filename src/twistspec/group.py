@@ -13,8 +13,9 @@ is a read of a right-multiplication column ``x -> index(x * y)``, built from
 the tree in O(|G|) the first time ``y`` is used and cached.  Structural
 computations (conjugacy classes, normal closures, the derived and lower
 central series) are orbits under the columns of a few generators:
-O(|G| * |gens|) list reads instead of all-pairs products.  Inverses are
-read along the tree, element orders and the centre off the classes.  No
+O(|G| * |gens|) list reads instead of all-pairs products, and the twisted
+maps ``x -> s^-1 x c`` are kept like the columns.  Inverses are read
+along the tree, element orders and the centre off the classes.  No
 quotient group is built: a question about G/N (is it simple?) is answered
 by orbits in G that take in N's generators, and the cosets of a normal
 subgroup are labelled once per subgroup (``normal_cosets``).
@@ -109,11 +110,13 @@ class FiniteGroup:
         self._tree = tree
         self._generator_indices = tuple(index[g] for g in self.generators)
         self._columns: list[list[int] | None] = [None] * len(elements)
+        # A repeated generator keeps its first column, the one the tree holds.
         for g, column in zip(self._generator_indices, right):
-            self._columns[g] = column
+            if self._columns[g] is None:
+                self._columns[g] = column
         self._inverses: list[int] | None = None
-        self._conjugations: list[list[int]] | None = None
         self._inverse_rows: list[list[int]] | None = None
+        self._twisted: dict[tuple, list[int]] = {}
         self._orders: list[int] | None = None
         self._classes: ClassPartition | None = None
         self._center: Subgroup | None = None
@@ -180,20 +183,27 @@ class FiniteGroup:
         return [column[v] for v in self.row(self.inverse(t))]
 
     def _conjugation_columns(self) -> list[list[int]]:
-        """``conjugation(s)`` for each declared generator ``s``, read through
-        the cached ``row(s^-1)``."""
-        if self._conjugations is None:
-            self._conjugations = [
-                [column[v] for v in row] for column, row in zip(
-                    map(self.column, self.generator_indices()),
-                    self._inverse_generator_rows())]
-        return self._conjugations
+        """``conjugation(s)`` for each declared ``s``: its twisted map to s."""
+        return self._twisted_maps(self.generator_indices())
+
+    def _twisted_maps(self, images: Sequence[int]) -> list[list[int]]:
+        """x -> s^-1 x c for each declared generator s and its image c: the
+        row of s^-1, then the column of c.  Built once per group, under
+        (generator position, c), and kept, as the columns are."""
+        maps = self._twisted
+        found = []
+        for key, row in zip(enumerate(images), self._inverse_generator_rows()):
+            twisted = maps.get(key)
+            if twisted is None:
+                column = self.column(key[1])
+                twisted = maps[key] = [column[x] for x in row]
+            found.append(twisted)
+        return found
 
     def _inverse_generator_rows(self) -> list[list[int]]:
-        """``row(s^-1)`` for each declared generator ``s``."""
+        """``row(s^-1)`` for each declared ``s``; ``column(s)`` gives s^-1."""
         if self._inverse_rows is None:
-            inv = self.inverses()
-            self._inverse_rows = [self.row(inv[g])
+            self._inverse_rows = [self.row(self.column(g).index(0))
                                   for g in self.generator_indices()]
         return self._inverse_rows
 
@@ -202,16 +212,14 @@ class FiniteGroup:
 
     def inverses(self) -> list[int]:
         """``index(x^-1)`` for every ``x``, in tree order: ``x = p * s``
-        gives ``x^-1 = row(s^-1)[inv[p]]``, where ``s``'s column sends
-        ``s^-1`` to the identity.  One row per tree column."""
+        gives ``x^-1 = row(s^-1)[inv[p]]``, read off the generators'
+        ``_inverse_generator_rows``."""
         if self._inverses is None:
-            rows: dict[int, list[int]] = {}
+            rows = {id(self.column(g)): row for g, row in zip(
+                self.generator_indices(), self._inverse_generator_rows())}
             inv = [0]
             for parent, column in self._tree:
-                row = rows.get(id(column))
-                if row is None:
-                    row = rows[id(column)] = self.row(column.index(0))
-                inv.append(row[inv[parent]])
+                inv.append(rows[id(column)][inv[parent]])
             self._inverses = inv
         return self._inverses
 
@@ -444,16 +452,15 @@ class FiniteGroup:
 
         With G = <X> and gamma_i the normal closure of Y_i, gamma_{i+1} =
         [gamma_i, G] is the normal closure of the commutators [y, x] for y
-        in Y_i and x in X.
+        in Y_i and x in X.  gamma_2 is the cached derived subgroup.
         """
-        size, gens = self.order, self.generator_indices()
-        while size > 1:
+        sub, size = self.derived_subgroup(), self.order
+        members, gens = sub.indices, sub.generators
+        while 1 < len(members) < size:
+            size = len(members)
             members, gens = self._normal_closure(
                 self._generator_commutators(gens))
-            if len(members) == size:
-                return False
-            size = len(members)
-        return True
+        return len(members) == 1
 
     # -- generating sets for morphism search ---------------------------------
 

@@ -330,8 +330,8 @@ def theorem_battery(group: FiniteGroup, *,
     bijective exactly when phi is, and the parity and k - 1 checks read only
     R values.  The invariance of R is itself checked under
     ``orbit-vs-fixed-classes``: for each representative of weight > 1 and
-    each declared generator s, tau_s . phi must have phi's count, unless it
-    is phi itself.  Counts are computed by both methods throughout.
+    each declared generator s, tau_{s^-1} . phi must have phi's count,
+    unless it is phi itself.  Counts are computed by both methods throughout.
     ``orbit-stabiliser-identity`` (|[1]| * |Fix phi| = |G|) is checked here
     and nowhere else in the package.  ``reduction-to-injective`` compares
     the fixed-class count with the orbits of the projected twisted maps on
@@ -353,82 +353,78 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
 
     Like ``_fold`` it reads the live tables of ``_search`` and builds no
     Morphism; a witness is built from the table's generator images at the
-    moment of failure.  The twisted maps g -> s^-1 g c and their
-    projections on the cosets of each tower are built once per call, in
-    one dict: at most (declared generators) x (distinct images) maps of
-    |G| entries.  tau_s . phi is taken by its generator images
-    tau_s(phi(g)), and is not counted again when they are phi's own.
+    first failure of each check.  The twisted maps and their coset
+    projections are the group's (``FiniteGroup._twisted_maps``).  The inner
+    twists are the conjugation columns x -> s^-1 x s, that is tau_{s^-1};
+    tau_{s^-1} . phi is taken by its generator images, and is not counted
+    again when they are phi's own.
     """
     k = group.class_number()
     classes = group.conjugacy_classes()
     gens = group.generator_indices()
-    # tau_s: x -> s x s^-1, for each declared generator s.
-    twists = [group.conjugation(group.inverse(s)) for s in gens]
-    maps: dict = {}
-    # The witness of each check's first failure, or None.
-    agree = orbstab = reduction = parity = None
-    aut_hit = end_hit = dichotomy = None
+    twists = group._conjugation_columns()
+    # The witness of each check's first failure, by check name.
+    failures: dict[str, dict] = {}
+
+    def fail(name: str, detail: str) -> None:
+        if name not in failures:
+            failures[name] = _witness(group, images, detail)
+
     spec, ext = Counter(), Counter()
 
     for table, weight, automorphism in _search(group, False, budget):
         images = [table[s] for s in gens]
-        partition = _twisted_partition(group, images, maps)
+        partition = _twisted_partition(group, images)
         value = partition.count
         fixed_count = _fixed_count(table, classes, automorphism)
         ext[fixed_count] += weight
         if automorphism:
             spec[fixed_count] += weight
-        if agree is None:
+        if "orbit-vs-fixed-classes" not in failures:
             if value != fixed_count:
-                agree = _witness(
-                    group, images,
-                    f"orbits {value} != fixed classes {fixed_count}")
+                fail("orbit-vs-fixed-classes",
+                     f"orbits {value} != fixed classes {fixed_count}")
             elif weight > 1:
                 for twist in twists:
                     moved_images = [twist[c] for c in images]
                     if moved_images == images:
                         continue
-                    moved = _twisted_partition(group, moved_images,
-                                               maps).count
+                    moved = _twisted_partition(group, moved_images).count
                     if moved != fixed_count:
-                        agree = _witness(
-                            group, images,
-                            f"orbits {moved} of an inner twist != fixed "
-                            f"classes {fixed_count}")
+                        fail("orbit-vs-fixed-classes",
+                             f"orbits {moved} of an inner twist != fixed "
+                             f"classes {fixed_count}")
                         break
         if (partition.identity_class_size() * _fixed_points(table)
                 != group.order):
-            orbstab = orbstab or _witness(
-                group, images, "identity class size times fixed subgroup "
-                               "order misses the order")
-        if not _reduces(group, table, images, fixed_count, maps):
-            reduction = reduction or _witness(
-                group, images, "count changed on the injective quotient")
+            fail("orbit-stabiliser-identity", "identity class size times "
+                 "fixed subgroup order misses the order")
+        if not _reduces(group, table, images, fixed_count):
+            fail("reduction-to-injective",
+                 "count changed on the injective quotient")
         if group.order % 2 == 1 and value % 2 == 0:
-            parity = parity or _witness(
-                group, images, f"even count {value} in an odd-order group")
+            fail("odd-order-parity",
+                 f"even count {value} in an odd-order group")
         if value == k - 1:
-            end_hit = end_hit or _witness(
-                group, images, f"endomorphism with count {k - 1}")
+            fail("extended-excludes-k-minus-1",
+                 f"endomorphism with count {k - 1}")
             if automorphism:
-                aut_hit = aut_hit or _witness(
-                    group, images, f"automorphism with count {k - 1}")
+                fail("spectrum-excludes-k-minus-1",
+                     f"automorphism with count {k - 1}")
         # phi is trivial exactly when every generator maps to 1.
         if not automorphism and any(images):
-            dichotomy = dichotomy or _witness(
-                group, images, "neither trivial nor bijective")
+            fail("quasisimple-dichotomy", "neither trivial nor bijective")
 
-    named = [("orbit-vs-fixed-classes", agree),
-             ("orbit-stabiliser-identity", orbstab),
-             ("reduction-to-injective", reduction)]
+    names = ["orbit-vs-fixed-classes", "orbit-stabiliser-identity",
+             "reduction-to-injective"]
     if group.order % 2 == 1:
-        named.append(("odd-order-parity", parity))
-    named.append(("spectrum-excludes-k-minus-1", aut_hit))
+        names.append("odd-order-parity")
+    names.append("spectrum-excludes-k-minus-1")
     if group.order > 2 and (structure["nilpotent"]
                             or structure["quasisimple"]):
-        named.append(("extended-excludes-k-minus-1", end_hit))
+        names.append("extended-excludes-k-minus-1")
     if structure["quasisimple"]:
-        named.append(("quasisimple-dichotomy", dichotomy))
-    checks = [BatteryCheck(name, witness is None, witness)
-              for name, witness in named]
+        names.append("quasisimple-dichotomy")
+    checks = [BatteryCheck(name, name not in failures, failures.get(name))
+              for name in names]
     return checks, (spec, ext)

@@ -10,8 +10,9 @@ battery compares the two on every endomorphism it sweeps.
 
 The public functions take a Morphism and wrap helpers that take the group,
 phi's table and its generator images, as the theorem battery holds them
-when it reads the search's live tables.  The twisted maps are built
-through a dict the caller owns (``_twisted_maps``).
+when it reads the search's live tables.  The twisted maps and their
+projections on cosets are cached by the group
+(``FiniteGroup._twisted_maps``), so every caller shares them.
 """
 
 from __future__ import annotations
@@ -23,27 +24,11 @@ from .group import ClassPartition, FiniteGroup, Subgroup, orbits
 from .morphism import Morphism, _kernel_tower
 
 
-def _twisted_maps(group: FiniteGroup, images: Sequence[int],
-                  maps: dict) -> list[list[int]]:
-    """g -> s^-1 g c for each declared generator s and its image c: a row
-    of s^-1 (cached per group) followed by the column of c.  A map depends
-    only on s and c, so it is built once per ``maps``, under (s, c)."""
-    found = []
-    for s, row, c in zip(group.generator_indices(),
-                         group._inverse_generator_rows(), images):
-        twisted = maps.get((s, c))
-        if twisted is None:
-            column = group.column(c)
-            twisted = maps[s, c] = [column[x] for x in row]
-        found.append(twisted)
-    return found
-
-
-def _twisted_partition(group: FiniteGroup, images: Sequence[int],
-                       maps: dict) -> ClassPartition:
+def _twisted_partition(group: FiniteGroup,
+                       images: Sequence[int]) -> ClassPartition:
     """``twisted_classes`` of the endomorphism with these generator
     images."""
-    partition = orbits(group.order, _twisted_maps(group, images, maps))
+    partition = orbits(group.order, group._twisted_maps(images))
     if sum(partition.sizes) != group.order:
         raise AssertionError("twisted class sizes do not sum to the order")
     return partition
@@ -57,7 +42,7 @@ def twisted_classes(phi: Morphism) -> ClassPartition:
     here: ``theorem_battery`` checks it and reports a failure with a
     witness.
     """
-    return _twisted_partition(phi.group, phi.generator_images, {})
+    return _twisted_partition(phi.group, phi.generator_images)
 
 
 def _class_images(table: Sequence[int], classes: ClassPartition,
@@ -98,7 +83,7 @@ def reidemeister_number(phi: Morphism) -> int:
 
 
 def _coset_count(group: FiniteGroup, images: Sequence[int],
-                 tower: Subgroup, maps: dict) -> int:
+                 tower: Subgroup) -> int:
     """The Reidemeister number of the map that the endomorphism with these
     generator images induces on G/N, N = ``tower`` normal with phi(N) in
     N, counted on the [G:N] cosets.
@@ -106,16 +91,18 @@ def _coset_count(group: FiniteGroup, images: Sequence[int],
     The projected twisted maps c -> coset of s^-1 rep_c phi(s) are well
     defined because N is normal and phi(N) lies in N, and their orbits are
     the twisted classes of the induced map.  Each is read off the twisted
-    map on G (``_twisted_maps``) at the coset representatives and kept in
-    ``maps`` under (s, c, N's members).  The coset labelling comes from the
-    group's per-tower cache; no quotient group is built.
+    map on G (``FiniteGroup._twisted_maps``) at the coset representatives
+    and kept in the same group-owned cache, under (generator position, c,
+    N's members).  The coset labelling comes from the group's per-tower
+    cache; no quotient group is built.
     """
     cosets = group.normal_cosets(tower.indices)[1]
     coset_of, reps = cosets.class_of, cosets.representatives
+    maps = group._twisted
     projected = []
-    for s, c, twisted in zip(group.generator_indices(), images,
-                             _twisted_maps(group, images, maps)):
-        key = (s, c, tower.indices)
+    for (i, c), twisted in zip(enumerate(images),
+                               group._twisted_maps(images)):
+        key = (i, c, tower.indices)
         found = maps.get(key)
         if found is None:
             found = maps[key] = [coset_of[twisted[r]] for r in reps]
@@ -124,7 +111,7 @@ def _coset_count(group: FiniteGroup, images: Sequence[int],
 
 
 def _reduces(group: FiniteGroup, table: Sequence[int],
-             images: Sequence[int], count: int, maps: dict) -> bool:
+             images: Sequence[int], count: int) -> bool:
     """``reduction_check`` of the endomorphism ``table`` with these
     generator images."""
     tower = _kernel_tower(group, table)
@@ -134,7 +121,7 @@ def _reduces(group: FiniteGroup, table: Sequence[int],
     flags = tower.member_flags
     if any(flags[t] and not flags[x] for x, t in enumerate(table)):
         raise AssertionError("induced map on the quotient is not injective")
-    return _coset_count(group, images, tower, maps) == count
+    return _coset_count(group, images, tower) == count
 
 
 def reduction_check(phi: Morphism, count: int) -> bool:
@@ -148,4 +135,4 @@ def reduction_check(phi: Morphism, count: int) -> bool:
     The count itself runs on the [G:N] cosets (``_coset_count``).
     Expected true for every endomorphism; exposed as a verification hook.
     """
-    return _reduces(phi.group, phi.table, phi.generator_images, count, {})
+    return _reduces(phi.group, phi.table, phi.generator_images, count)

@@ -21,6 +21,8 @@ from twistspec.catalog import (alternating, build, holomorph_cyclic,
                                shipped_catalog, symmetric)
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
 from twistspec.spectra import _fold
+from twistspec.twisted import (reduction_check, reidemeister_number,
+                               twisted_classes)
 
 CASES = [*shipped_catalog(), alternating(6), symmetric(6),
          holomorph_cyclic(21)]
@@ -38,9 +40,9 @@ def test_catalog_battery_orbit_passes(monkeypatch):
     images = []
     partition = spectra_mod._twisted_partition
 
-    def spied(group, generator_images, maps):
+    def spied(group, generator_images):
         images.append(tuple(generator_images))
-        return partition(group, generator_images, maps)
+        return partition(group, generator_images)
 
     monkeypatch.setattr(spectra_mod, "_twisted_partition", spied)
     passes = Counter()
@@ -52,6 +54,20 @@ def test_catalog_battery_orbit_passes(monkeypatch):
                            for phi, _ in weighted_sweep(group)}
         passes.update(image in representatives for image in images)
     assert (passes[True], passes[False]) == (3152, 498)
+
+
+def test_battery_leaves_the_public_checks_nothing_to_build():
+    """The battery's twisted maps and coset projections are the group's:
+    after it, ``twisted_classes`` and ``reduction_check`` on every
+    representative add no entry to the group's cache."""
+    for defn in shipped_catalog():
+        group = build(defn)
+        spectra_mod.theorem_battery(group)
+        cached = set(group._twisted)
+        for phi, _ in weighted_sweep(group):
+            twisted_classes(phi)
+            assert reduction_check(phi, reidemeister_number(phi))
+        assert set(group._twisted) == cached, defn.name
 
 
 @pytest.mark.parametrize("defn", [symmetric(4), symmetric(6),

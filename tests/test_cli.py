@@ -283,6 +283,18 @@ def test_survey_roundtrip(small_dir, tmp_path, capsys):
     assert orders == sorted(orders)
 
 
+def test_survey_out_inside_the_directory(small_dir, capsys):
+    # The report of the first run is not read back as a group definition.
+    out = small_dir / "report.json"
+    written = []
+    for _ in range(2):
+        assert main(["survey", str(small_dir), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "surveyed 5 files -> 5 groups (0 errors)")
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_survey_filter(small_dir, tmp_path):
     out = tmp_path / "full.json"
     assert main(["survey", str(small_dir), "--out", str(out),

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 import oracles
 
 from twistspec.errors import OrderCapExceeded
-from twistspec.group import closure
+from twistspec.group import FiniteGroup, closure
 from twistspec.perm import Permutation
 from twistspec.catalog import (abelian, alternating, build, cyclic,
                                direct_product, metacyclic,
-                               quaternion_dicyclic, sl2, symmetric)
+                               quaternion_dicyclic, shipped_catalog, sl2,
+                               symmetric)
 from twistspec.spectra import structure_flags
 
 
@@ -173,6 +174,20 @@ def test_structural_predicates():
     assert not build(alternating(4)).is_quasisimple()
     assert not S3().is_abelian()
     assert build(abelian(2, 6)).is_abelian()
+
+
+def test_nilpotency_starts_at_the_derived_subgroup(monkeypatch):
+    # is_nilpotent takes gamma_2 from the cached derived subgroup, which
+    # is_perfect also reads, so the catalog's structure flags take 97 normal
+    # closures.
+    calls = []
+    normal_closure = FiniteGroup._normal_closure
+    monkeypatch.setattr(FiniteGroup, "_normal_closure",
+                        lambda self, seeds: calls.append(seeds)
+                        or normal_closure(self, seeds))
+    for defn in shipped_catalog():
+        structure_flags(build(defn))
+    assert len(calls) == 97
 
 
 @pytest.mark.parametrize("defn, simple, quasisimple, scans", [

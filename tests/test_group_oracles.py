@@ -95,12 +95,12 @@ def test_element_tables_read_the_tree_and_the_classes(case,
 
 
 @pytest.mark.parametrize("defn, rows", [
-    (symmetric(4), 4), (quaternion_dicyclic(2), 4), (m9(), 8),
+    (symmetric(4), 2), (quaternion_dicyclic(2), 2), (m9(), 4),
 ], ids=["S4", "Q8", "M9"])
 def test_each_inverse_generator_row_is_built_once(defn, rows, monkeypatch):
-    # One row per tree column for the inverses, then one row(s^-1) per
-    # declared generator, shared by the conjugation columns and the
-    # twisted maps.
+    # One row(s^-1) per declared generator, found through s's column and
+    # shared by the inverses, the conjugation columns and the twisted
+    # maps; the classes need no inverses.
     calls = []
     row = FiniteGroup.row
     monkeypatch.setattr(FiniteGroup, "row",
@@ -108,13 +108,35 @@ def test_each_inverse_generator_row_is_built_once(defn, rows, monkeypatch):
     group = closure(defn.degree, defn.permutations())
     group.conjugacy_classes()
     group._inverse_generator_rows()
+    group.inverses()
     assert len(calls) == rows
+
+
+def test_repeated_and_identity_generators():
+    # S4 declared as (a, a, 1, b): the inverses read the row of the column
+    # the Schreier tree holds, the first of a's two, and the identity's
+    # conjugation is the identity map.
+    a, b = symmetric(4).permutations()
+    group = closure(4, [a, a, Permutation.identity(4), b])
+    table = oracles.product_table(group)
+    inv = oracles.inverses(table)
+    assert group.inverses() == inv
+    conjugations = group._conjugation_columns()
+    assert conjugations == [
+        [table[table[inv[s]][x]][s] for x in range(group.order)]
+        for s in group.generator_indices()]
+    assert conjugations[2] == list(range(group.order))
 
 
 def test_conjugacy_classes(case):
     group, table = case
-    assert group._conjugation_columns() == [
+    conjugations = group._conjugation_columns()
+    assert conjugations == [
         group.conjugation(s) for s in group.generator_indices()]
+    # The conjugation columns are the group's cached twisted maps of each
+    # declared generator onto itself.
+    assert all(conjugations[i] is group._twisted[i, s]
+               for i, s in enumerate(group.generator_indices()))
     partition = group.conjugacy_classes()
     assert (list(partition.class_of), list(partition.representatives),
             list(partition.sizes)) == oracles.conjugacy_classes(table)

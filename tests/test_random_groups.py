@@ -193,7 +193,7 @@ def test_structure_and_cosets_against_the_table_oracles(group):
                 == oracles.left_cosets(group, sub.indices))
     for phi, _ in weighted_sweep(group):
         assert (_coset_count(phi.group, phi.generator_images,
-                             phi.iterated_kernel(), {})
+                             phi.iterated_kernel())
                 == oracles.reduction_orbits_on_g(phi))
     oracles.assert_battery_matches(group)
 
@@ -216,6 +216,6 @@ def test_battery_against_every_endomorphism(group):
         if tower.is_trivial():
             continue
         induced = oracles.induced_on_quotient(phi, tower)
-        assert (_coset_count(phi.group, phi.generator_images, tower, {})
+        assert (_coset_count(phi.group, phi.generator_images, tower)
                 == reidemeister_number(induced)
                 == twisted_classes(induced).count)

@@ -241,8 +241,8 @@ def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
     representatives = {phi.generator_images for phi, _ in sweep}
     honest = spectra_mod._twisted_partition
 
-    def corrupted(group, images, maps):
-        partition = honest(group, images, maps)
+    def corrupted(group, images):
+        partition = honest(group, images)
         if tuple(images) in representatives:
             return partition
         return SimpleNamespace(count=partition.count + 1)

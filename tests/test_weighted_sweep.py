@@ -157,7 +157,7 @@ def test_reduction_check_counts_the_induced_classes(case):
         tower = phi.iterated_kernel()
         count = reidemeister_number(phi)
         cosets = twisted_mod._coset_count(phi.group, phi.generator_images,
-                                          tower, {})
+                                          tower)
         assert cosets == oracles.reduction_orbits_on_g(phi)
         if tower.is_trivial():
             # G/1 is G and the induced map is phi itself.
