@@ -11,11 +11,11 @@ generator on element indices (``x -> index(x * s)``) and the Schreier tree
 (each element's parent and the generator that reached it).  Every product
 is a read of a right-multiplication column ``x -> index(x * y)``, built from
 the tree in O(|G|) the first time ``y`` is used and cached.  Structural
-computations (conjugacy classes, normal closures, the derived and lower
-central series) are orbits under the columns of a few generators:
-O(|G| * |gens|) list reads instead of all-pairs products, and the twisted
-maps ``x -> s^-1 x c`` are kept like the columns.  Inverses are read
-along the tree, element orders and the centre off the classes.  No
+computations (conjugacy classes, normal closures, the derived subgroup)
+are orbits under the columns of a few generators: O(|G| * |gens|) list
+reads instead of all-pairs products, and the twisted maps ``x -> s^-1 x c``
+are kept like the columns.  Inverses are read along the tree, element
+orders and the centre off the classes, nilpotency off the orders.  No
 quotient group is built: a question about G/N (is it simple?) is answered
 by orbits in G that take in N's generators, and the cosets of a normal
 subgroup are labelled once per subgroup (``normal_cosets``).
@@ -116,7 +116,7 @@ class FiniteGroup:
                 self._columns[g] = column
         self._inverses: list[int] | None = None
         self._inverse_rows: list[list[int]] | None = None
-        self._twisted: dict[tuple, list[int]] = {}
+        self._twisted: dict[tuple[int, int], list[int]] = {}
         self._orders: list[int] | None = None
         self._classes: ClassPartition | None = None
         self._center: Subgroup | None = None
@@ -448,19 +448,19 @@ class FiniteGroup:
                 else self._is_simple_modulo(center))
 
     def is_nilpotent(self) -> bool:
-        """The lower central series reaches the trivial subgroup.
-
-        With G = <X> and gamma_i the normal closure of Y_i, gamma_{i+1} =
-        [gamma_i, G] is the normal closure of the commutators [y, x] for y
-        in Y_i and x in X.  gamma_2 is the cached derived subgroup.
-        """
-        sub, size = self.derived_subgroup(), self.order
-        members, gens = sub.indices, sub.generators
-        while 1 < len(members) < size:
-            size = len(members)
-            members, gens = self._normal_closure(
-                self._generator_commutators(gens))
-        return len(members) == 1
+        """Each Sylow subgroup is normal: for each prime p dividing |G|,
+        exactly |G|_p elements have order dividing |G|_p (they then form
+        the one Sylow p-subgroup).  Read off ``element_orders``."""
+        orders = self.element_orders()
+        rest, p = self.order, 2
+        while rest > 1:
+            part = 1
+            while rest % p == 0:
+                rest, part = rest // p, part * p
+            if part > 1 and sum(part % o == 0 for o in orders) != part:
+                return False
+            p += 1
+        return True
 
     # -- generating sets for morphism search ---------------------------------
 

@@ -165,7 +165,7 @@ class Morphism:
     def iterated_kernel(self) -> Subgroup:
         """Union of the kernels of all powers of an endomorphism
         (``_kernel_tower``)."""
-        return _kernel_tower(self.group, self.table)
+        return _kernel_tower(self.group, self.table)[0]
 
 
 def _fixed_points(table: Sequence[int]) -> int:
@@ -173,21 +173,22 @@ def _fixed_points(table: Sequence[int]) -> int:
     return sum(map(eq, table, range(len(table))))
 
 
-def _kernel_tower(group: FiniteGroup, table: Sequence[int]) -> Subgroup:
+def _kernel_tower(group: FiniteGroup, table: Sequence[int]
+                  ) -> tuple[Subgroup, ClassPartition]:
     """Union N of the kernels of all powers of the endomorphism ``table``.
 
-    The members come from ``_stable_kernel``.  N is taken from the group's
-    per-tower cache (``FiniteGroup.normal_cosets``), which verifies closure
-    and normality once per distinct tower; that N is phi-invariant is
-    checked here, for every phi.  The map phi induces on G/N is injective
-    (``twisted.reduction_check`` asserts it), since phi(x) in N puts x in
-    the kernel of a power of phi.
+    The members come from ``_stable_kernel``.  N and its cosets are the
+    group's per-tower entry (``FiniteGroup.normal_cosets``), which verifies
+    closure and normality once per distinct tower; that N is phi-invariant
+    is checked here, for every phi.  The map phi induces on G/N is
+    injective (``twisted.reduction_check`` asserts it): phi(x) in N puts x
+    in the kernel of a power of phi.
     """
-    sub = group.normal_cosets(_stable_kernel(table))[0]
+    sub, cosets = group.normal_cosets(_stable_kernel(table))
     flags = sub.member_flags
     if not all(flags[table[x]] for x in sub.indices):
         raise AssertionError("stabilized kernel union is not invariant")
-    return sub
+    return sub, cosets
 
 
 def _stable_kernel(table: Sequence[int]) -> tuple[int, ...]:

@@ -334,8 +334,8 @@ def theorem_battery(group: FiniteGroup, *,
     unless it is phi itself.  Counts are computed by both methods throughout.
     ``orbit-stabiliser-identity`` (|[1]| * |Fix phi| = |G|) is checked here
     and nowhere else in the package.  ``reduction-to-injective`` compares
-    the fixed-class count with the orbits of the projected twisted maps on
-    the cosets of N, which number R of the induced map on G/N
+    the fixed-class count with R of the induced map on G/N, the number of
+    distinct images in G/N of phi's twisted classes
     (``twisted.reduction_check``); no quotient group is built.  A failure
     carries the first failing representative in sweep order as its
     witness.  Failures are data, not errors.  ``classify(...,
@@ -353,8 +353,9 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
 
     Like ``_fold`` it reads the live tables of ``_search`` and builds no
     Morphism; a witness is built from the table's generator images at the
-    first failure of each check.  The twisted maps and their coset
-    projections are the group's (``FiniteGroup._twisted_maps``).  The inner
+    first failure of each check.  The twisted maps are the group's
+    (``FiniteGroup._twisted_maps``), and each representative's twisted
+    classes serve its orbit count and its reduction check.  The inner
     twists are the conjugation columns x -> s^-1 x s, that is tau_{s^-1};
     tau_{s^-1} . phi is taken by its generator images, and is not counted
     again when they are phi's own.
@@ -399,7 +400,7 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
                 != group.order):
             fail("orbit-stabiliser-identity", "identity class size times "
                  "fixed subgroup order misses the order")
-        if not _reduces(group, table, images, fixed_count):
+        if not _reduces(group, table, partition, fixed_count):
             fail("reduction-to-injective",
                  "count changed on the injective quotient")
         if group.order % 2 == 1 and value % 2 == 0:

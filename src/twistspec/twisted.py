@@ -9,10 +9,11 @@ count is the oracle; the fixed-class count is the cheap one, and the theorem
 battery compares the two on every endomorphism it sweeps.
 
 The public functions take a Morphism and wrap helpers that take the group,
-phi's table and its generator images, as the theorem battery holds them
-when it reads the search's live tables.  The twisted maps and their
-projections on cosets are cached by the group
-(``FiniteGroup._twisted_maps``), so every caller shares them.
+phi's table, its generator images or its twisted classes, as the theorem
+battery holds them when it reads the search's live tables.  The twisted
+maps are cached by the group (``FiniteGroup._twisted_maps``), so every
+caller shares them.  The reduction to the injective map on G/N is counted
+on phi's twisted classes on G (``_coset_count``), with no second orbit pass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from operator import eq
 from typing import Sequence
 
-from .group import ClassPartition, FiniteGroup, Subgroup, orbits
+from .group import ClassPartition, FiniteGroup, orbits
 from .morphism import Morphism, _kernel_tower
 
 
@@ -82,46 +83,36 @@ def reidemeister_number(phi: Morphism) -> int:
                         phi.is_automorphism())
 
 
-def _coset_count(group: FiniteGroup, images: Sequence[int],
-                 tower: Subgroup) -> int:
-    """The Reidemeister number of the map that the endomorphism with these
-    generator images induces on G/N, N = ``tower`` normal with phi(N) in
-    N, counted on the [G:N] cosets.
+def _coset_count(partition: ClassPartition, cosets: ClassPartition) -> int:
+    """The Reidemeister number of the map that phi induces on G/N, read off
+    ``partition``, phi's twisted classes on G, and ``cosets``, the cosets
+    of N, for N normal with phi(N) in N.
 
-    The projected twisted maps c -> coset of s^-1 rep_c phi(s) are well
-    defined because N is normal and phi(N) lies in N, and their orbits are
-    the twisted classes of the induced map.  Each is read off the twisted
-    map on G (``FiniteGroup._twisted_maps``) at the coset representatives
-    and kept in the same group-owned cache, under (generator position, c,
-    N's members).  The coset labelling comes from the group's per-tower
-    cache; no quotient group is built.
+    The projection G -> G/N carries h . g = h g phi(h)^-1 onto the twisted
+    action of G/N and is onto, so each twisted class of G maps onto one
+    whole twisted class of G/N, and two images are equal or disjoint.  One
+    pass keeps the smallest coset each class meets, which tells the images
+    apart; their number is the count.  No quotient group is built.
     """
-    cosets = group.normal_cosets(tower.indices)[1]
-    coset_of, reps = cosets.class_of, cosets.representatives
-    maps = group._twisted
-    projected = []
-    for (i, c), twisted in zip(enumerate(images),
-                               group._twisted_maps(images)):
-        key = (i, c, tower.indices)
-        found = maps.get(key)
-        if found is None:
-            found = maps[key] = [coset_of[twisted[r]] for r in reps]
-        projected.append(found)
-    return orbits(cosets.count, projected).count
+    least = [cosets.count] * partition.count
+    for c, coset in zip(partition.class_of, cosets.class_of):
+        if coset < least[c]:
+            least[c] = coset
+    return len(set(least))
 
 
 def _reduces(group: FiniteGroup, table: Sequence[int],
-             images: Sequence[int], count: int) -> bool:
-    """``reduction_check`` of the endomorphism ``table`` with these
-    generator images."""
-    tower = _kernel_tower(group, table)
+             partition: ClassPartition, count: int) -> bool:
+    """``reduction_check`` of the endomorphism ``table`` with the twisted
+    classes ``partition``."""
+    tower, cosets = _kernel_tower(group, table)
     if tower.is_trivial():
         # phi is already injective: the induced map is phi itself.
         return True
     flags = tower.member_flags
     if any(flags[t] and not flags[x] for x, t in enumerate(table)):
         raise AssertionError("induced map on the quotient is not injective")
-    return _coset_count(group, images, tower) == count
+    return _coset_count(partition, cosets) == count
 
 
 def reduction_check(phi: Morphism, count: int) -> bool:
@@ -132,7 +123,8 @@ def reduction_check(phi: Morphism, count: int) -> bool:
     injective, hence bijective; this and the phi-invariance of N
     (``morphism._kernel_tower``) are checked for every phi, while N's
     closure, normality and cosets are verified once per distinct tower.
-    The count itself runs on the [G:N] cosets (``_coset_count``).
-    Expected true for every endomorphism; exposed as a verification hook.
+    The count is read off phi's twisted classes on G and N's cosets
+    (``_coset_count``).  Expected true for every endomorphism; exposed as
+    a verification hook.
     """
-    return _reduces(phi.group, phi.table, phi.generator_images, count)
+    return _reduces(phi.group, phi.table, twisted_classes(phi), count)

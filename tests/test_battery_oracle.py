@@ -17,6 +17,7 @@ import pytest
 import oracles
 import twistspec.group as group_mod
 import twistspec.spectra as spectra_mod
+import twistspec.twisted as twisted_mod
 from twistspec.catalog import (alternating, build, holomorph_cyclic,
                                shipped_catalog, symmetric)
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
@@ -56,10 +57,28 @@ def test_catalog_battery_orbit_passes(monkeypatch):
     assert (passes[True], passes[False]) == (3152, 498)
 
 
+def test_catalog_battery_orbit_calls(monkeypatch):
+    """The catalog battery runs one orbit pass in ``twisted`` per twisted
+    partition it counts, 3152 + 498: the reduction check reads R on G/N
+    off phi's own classes and runs no pass on the cosets."""
+    calls = []
+    real = twisted_mod.orbits
+
+    def spied(size, maps):
+        calls.append(size)
+        return real(size, maps)
+
+    monkeypatch.setattr(twisted_mod, "orbits", spied)
+    for defn in shipped_catalog():
+        spectra_mod.theorem_battery(build(defn))
+    assert len(calls) == 3650
+
+
 def test_battery_leaves_the_public_checks_nothing_to_build():
-    """The battery's twisted maps and coset projections are the group's:
-    after it, ``twisted_classes`` and ``reduction_check`` on every
-    representative add no entry to the group's cache."""
+    """The battery's twisted maps are the group's: after it,
+    ``twisted_classes`` and ``reduction_check`` on every representative add
+    no entry to the group's cache, whose keys are all (generator position,
+    image) pairs."""
     for defn in shipped_catalog():
         group = build(defn)
         spectra_mod.theorem_battery(group)
@@ -68,6 +87,8 @@ def test_battery_leaves_the_public_checks_nothing_to_build():
             twisted_classes(phi)
             assert reduction_check(phi, reidemeister_number(phi))
         assert set(group._twisted) == cached, defn.name
+        assert all(len(key) == 2 and 0 <= key[0] < len(group.generators)
+                   and 0 <= key[1] < group.order for key in cached), defn.name
 
 
 @pytest.mark.parametrize("defn", [symmetric(4), symmetric(6),

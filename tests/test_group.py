@@ -176,10 +176,10 @@ def test_structural_predicates():
     assert build(abelian(2, 6)).is_abelian()
 
 
-def test_nilpotency_starts_at_the_derived_subgroup(monkeypatch):
-    # is_nilpotent takes gamma_2 from the cached derived subgroup, which
-    # is_perfect also reads, so the catalog's structure flags take 97 normal
-    # closures.
+def test_nilpotency_reads_the_element_orders(monkeypatch):
+    # is_nilpotent counts the elements of p-power order and builds no normal
+    # closure, so the catalog's structure flags take 65 of them, all for the
+    # derived subgroup and the simplicity scans.
     calls = []
     normal_closure = FiniteGroup._normal_closure
     monkeypatch.setattr(FiniteGroup, "_normal_closure",
@@ -187,7 +187,13 @@ def test_nilpotency_starts_at_the_derived_subgroup(monkeypatch):
                         or normal_closure(self, seeds))
     for defn in shipped_catalog():
         structure_flags(build(defn))
-    assert len(calls) == 97
+    assert len(calls) == 65
+    calls.clear()
+    for defn in shipped_catalog():
+        group = build(defn)
+        group.conjugacy_classes()
+        group.is_nilpotent()
+    assert calls == []
 
 
 @pytest.mark.parametrize("defn, simple, quasisimple, scans", [

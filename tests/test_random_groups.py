@@ -25,10 +25,16 @@ must be those generators in declared order.  On every draw of the three
 strategies, the inverses and element orders must equal the product-table
 oracles.  On every draw of the first strategy, the conjugation columns must
 equal ``conjugation(s)`` for each declared generator ``s``; on every
-abelian draw, the simple flag must equal the per-class scan.  The draws
-are derandomized, so the groups are the same on every run.
+abelian draw, the simple flag must equal the per-class scan, and on every
+draw of the first and third, the nilpotent flag must equal the lower
+central series of the product table.  A fourth test takes each group A of
+the first strategy times Z_q, q the smallest prime not dividing |A|, and
+requires the product's counters to be the multiplicative convolution of
+the factors' and the orbit count's.  The draws are derandomized, so the
+groups are the same on every run.
 """
 
+from collections import Counter
 from math import gcd, prod
 
 from hypothesis import HealthCheck, given, reject, settings
@@ -56,6 +62,9 @@ WIDE_ORDER_CAP = 200
 # counts the twisted classes of each one and builds a quotient group for
 # each one that is not injective.
 BATTERY_END_CAP = 400
+# A x Z_q draws are kept up to this order: the oracle counts the twisted
+# classes of every representative of the product.
+PRODUCT_ORDER_CAP = 360
 
 
 @st.composite
@@ -144,6 +153,7 @@ def test_fold_and_sweep_against_the_oracles(group):
 
     table = oracles.product_table(group)
     oracles.assert_element_tables(group, table)
+    assert group.is_nilpotent() == oracles.is_nilpotent(table)
     oracles.assert_battery_matches(group)
     for automorphisms in (False, True):
         sweep = _assert_fold_matches_the_orbit_count(group, automorphisms)
@@ -192,8 +202,8 @@ def test_structure_and_cosets_against_the_table_oracles(group):
         assert ((list(cosets.class_of), list(cosets.representatives))
                 == oracles.left_cosets(group, sub.indices))
     for phi, _ in weighted_sweep(group):
-        assert (_coset_count(phi.group, phi.generator_images,
-                             phi.iterated_kernel())
+        cosets = group.normal_cosets(phi.iterated_kernel().indices)[1]
+        assert (_coset_count(twisted_classes(phi), cosets)
                 == oracles.reduction_orbits_on_g(phi))
     oracles.assert_battery_matches(group)
 
@@ -216,6 +226,47 @@ def test_battery_against_every_endomorphism(group):
         if tower.is_trivial():
             continue
         induced = oracles.induced_on_quotient(phi, tower)
-        assert (_coset_count(phi.group, phi.generator_images, tower)
+        cosets = group.normal_cosets(tower.indices)[1]
+        assert (_coset_count(twisted_classes(phi), cosets)
                 == reidemeister_number(induced)
                 == twisted_classes(induced).count)
+
+
+def _convolve(left, right):
+    """The counter of the products a * b, each with weight m * n, over the
+    items (a, m) of ``left`` and (b, n) of ``right``."""
+    out = Counter()
+    for a, m in left.items():
+        for b, n in right.items():
+            out[a * b] += m * n
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much,
+                                 HealthCheck.too_slow])
+@given(permutation_groups())
+def test_coprime_direct_product_multiplies_the_counters(factor):
+    """For q a prime not dividing |A|, Hom(A, Z_q) and Hom(Z_q, A) are
+    trivial, so End(A x Z_q) = End(A) x End(Z_q), an automorphism is a
+    pair of automorphisms, and R(phi x psi) = R(phi) R(psi).  The
+    product's counters are then the multiplicative convolution of the
+    factors', and also the orbit count's over the product's sweep."""
+    q = next(p for p in range(2, factor.order + 2)
+             if factor.order % p and all(p % d for d in range(2, p)))
+    if factor.order * q > PRODUCT_ORDER_CAP:
+        reject()
+    n = factor.degree
+    shift = [n + (i + 1) % q for i in range(q)]
+    product = closure(n + q, [
+        *(Permutation([*g, *range(n, n + q)]) for g in factor.generators),
+        Permutation([*range(n), *shift])])
+    assert product.order == factor.order * q
+    cyclic_q = closure(q, [Permutation([x - n for x in shift])])
+    for automorphisms in (False, True):
+        want = [_convolve(a, b) for a, b in zip(
+            _fold(factor, automorphisms, DEFAULT_PRODUCT_BUDGET),
+            _fold(cyclic_q, automorphisms, DEFAULT_PRODUCT_BUDGET))]
+        _assert_fold_matches_the_orbit_count(product, automorphisms)
+        assert list(_fold(product, automorphisms,
+                          DEFAULT_PRODUCT_BUDGET)) == want

@@ -149,15 +149,16 @@ def test_battery_over_representatives_matches_every_morphism(case):
 
 
 def test_reduction_check_counts_the_induced_classes(case):
-    """For each representative, the orbits reduction_check counts on the
-    cosets of its stable kernel N equal the orbits on G of the twisted maps
-    together with N's columns; for a nontrivial N they number the twisted
-    classes of the oracle's induced map on G/N, by either method."""
+    """For each representative, the count reduction_check reads off its
+    twisted classes and the cosets of its stable kernel N equals the orbits
+    on G of the twisted maps together with N's columns; for a nontrivial N
+    it numbers the twisted classes of the oracle's induced map on G/N, by
+    either method."""
     for phi, _ in case["end_sweep"]:
         tower = phi.iterated_kernel()
         count = reidemeister_number(phi)
-        cosets = twisted_mod._coset_count(phi.group, phi.generator_images,
-                                          tower)
+        cosets = twisted_mod._coset_count(
+            twisted_classes(phi), phi.group.normal_cosets(tower.indices)[1])
         assert cosets == oracles.reduction_orbits_on_g(phi)
         if tower.is_trivial():
             # G/1 is G and the induced map is phi itself.
