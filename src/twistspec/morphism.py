@@ -25,7 +25,8 @@ centraliser and an orbit pass.
 
 from __future__ import annotations
 
-from operator import eq
+from itertools import compress
+from operator import eq, not_
 from typing import Iterator, Sequence
 
 from .errors import NotAHomomorphism
@@ -197,19 +198,16 @@ def _stable_kernel(table: Sequence[int]) -> tuple[int, ...]:
 
     The kernels form an ascending chain, and ker phi^m = ker phi^(2m)
     means it has stabilized (ker phi^(m+1) lies between them), so the
-    table is squared until its count of zeros stops growing; a trivial
-    kernel is stable at once.
+    table is squared until its count of zeros stops growing.
     """
     zeros = table.count(0)
-    if zeros == 1:
-        return (0,)
     while True:
         squared = [table[t] for t in table]
         grown = squared.count(0)
         if grown == zeros:
             break
         table, zeros = squared, grown
-    return tuple(i for i, t in enumerate(table) if t == 0)
+    return tuple(compress(range(len(table)), map(not_, table)))
 
 
 def inner_automorphism(group: FiniteGroup, conjugator: int) -> Morphism:

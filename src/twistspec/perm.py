@@ -9,6 +9,7 @@ single convention.
 from __future__ import annotations
 
 from math import lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -74,7 +75,9 @@ class Permutation(tuple):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"degree mismatch: {len(self)} vs {len(other)}")
-        return Permutation._unchecked(tuple(self[x] for x in other))
+        if len(other) == 1:  # one point's itemgetter gives an int
+            return self
+        return Permutation._unchecked(itemgetter(*other)(self))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self)

@@ -16,7 +16,7 @@ from .errors import BudgetExceeded
 from .group import FiniteGroup
 from .morphism import (DEFAULT_PRODUCT_BUDGET, _Budget, _fixed_points,
                        _pools, _search)
-from .twisted import _fixed_count, _reduces, _twisted_partition
+from .twisted import _fixed_count, _quotient_cosets, _twisted_pass
 
 FLAG_NAMES = (
     "abelian", "nilpotent", "perfect", "simple", "quasisimple", "odd_order",
@@ -334,12 +334,12 @@ def theorem_battery(group: FiniteGroup, *,
     unless it is phi itself.  Counts are computed by both methods throughout.
     ``orbit-stabiliser-identity`` (|[1]| * |Fix phi| = |G|) is checked here
     and nowhere else in the package.  ``reduction-to-injective`` compares
-    the fixed-class count with R of the induced map on G/N, the number of
-    distinct images in G/N of phi's twisted classes
-    (``twisted.reduction_check``); no quotient group is built.  A failure
-    carries the first failing representative in sweep order as its
-    witness.  Failures are data, not errors.  ``classify(...,
-    battery=True)`` folds its spectra from this same sweep.
+    the fixed-class count with R of the induced map on G/N, read in the
+    same orbit pass as R (``twisted.reduction_check``); an automorphism is
+    its own reduction and builds no tower.  A failure carries the first
+    failing representative in sweep order as its witness.  Failures are
+    data, not errors.  ``classify(..., battery=True)`` folds its spectra
+    from this same sweep.
     """
     return _battery(group, structure_flags(group), budget)[0]
 
@@ -353,12 +353,12 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
 
     Like ``_fold`` it reads the live tables of ``_search`` and builds no
     Morphism; a witness is built from the table's generator images at the
-    first failure of each check.  The twisted maps are the group's
-    (``FiniteGroup._twisted_maps``), and each representative's twisted
-    classes serve its orbit count and its reduction check.  The inner
-    twists are the conjugation columns x -> s^-1 x s, that is tau_{s^-1};
-    tau_{s^-1} . phi is taken by its generator images, and is not counted
-    again when they are phi's own.
+    first failure of each check.  One pass over the group's twisted maps
+    (``twisted._twisted_pass``) gives each representative's count, its
+    identity class and, with its tower's cosets, its count on G/N.  The
+    inner twists are the conjugation columns x -> s^-1 x s, that is
+    tau_{s^-1}; tau_{s^-1} . phi is taken by its generator images, and is
+    not counted again when they are phi's own.
     """
     k = group.class_number()
     classes = group.conjugacy_classes()
@@ -375,8 +375,8 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
 
     for table, weight, automorphism in _search(group, False, budget):
         images = [table[s] for s in gens]
-        partition = _twisted_partition(group, images)
-        value = partition.count
+        cosets = None if automorphism else _quotient_cosets(group, table)
+        value, identity, reduced = _twisted_pass(group, images, cosets)
         fixed_count = _fixed_count(table, classes, automorphism)
         ext[fixed_count] += weight
         if automorphism:
@@ -390,17 +390,16 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
                     moved_images = [twist[c] for c in images]
                     if moved_images == images:
                         continue
-                    moved = _twisted_partition(group, moved_images).count
+                    moved = _twisted_pass(group, moved_images)[0]
                     if moved != fixed_count:
                         fail("orbit-vs-fixed-classes",
                              f"orbits {moved} of an inner twist != fixed "
                              f"classes {fixed_count}")
                         break
-        if (partition.identity_class_size() * _fixed_points(table)
-                != group.order):
+        if identity * _fixed_points(table) != group.order:
             fail("orbit-stabiliser-identity", "identity class size times "
                  "fixed subgroup order misses the order")
-        if not _reduces(group, table, partition, fixed_count):
+        if cosets is not None and reduced != fixed_count:
             fail("reduction-to-injective",
                  "count changed on the injective quotient")
         if group.order % 2 == 1 and value % 2 == 0:

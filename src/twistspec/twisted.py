@@ -9,30 +9,52 @@ count is the oracle; the fixed-class count is the cheap one, and the theorem
 battery compares the two on every endomorphism it sweeps.
 
 The public functions take a Morphism and wrap helpers that take the group,
-phi's table, its generator images or its twisted classes, as the theorem
-battery holds them when it reads the search's live tables.  The twisted
-maps are cached by the group (``FiniteGroup._twisted_maps``), so every
-caller shares them.  The reduction to the injective map on G/N is counted
-on phi's twisted classes on G (``_coset_count``), with no second orbit pass.
+phi's table or its generator images, as the theorem battery holds them when
+it reads the search's live tables.  The battery and ``reduction_check``
+count each phi in one pass over the group's cached twisted maps
+(``_twisted_pass``), which also reads R of the induced map on G/N.
 """
 
 from __future__ import annotations
 
-from operator import eq
+from itertools import compress
+from operator import eq, not_
 from typing import Sequence
 
 from .group import ClassPartition, FiniteGroup, orbits
 from .morphism import Morphism, _kernel_tower
 
 
-def _twisted_partition(group: FiniteGroup,
-                       images: Sequence[int]) -> ClassPartition:
-    """``twisted_classes`` of the endomorphism with these generator
-    images."""
-    partition = orbits(group.order, group._twisted_maps(images))
-    if sum(partition.sizes) != group.order:
+def _twisted_pass(group: FiniteGroup, images: Sequence[int],
+                  cosets: Sequence[int] | None = None
+                  ) -> tuple[int, int, int]:
+    """One orbit pass over the twisted maps of the endomorphism phi with
+    these generator images: R(phi), the size of the identity's class and,
+    given ``cosets``, the coset labels of a normal N with phi(N) in N, R of
+    the map phi induces on G/N (else R(phi): G/1 is G).  The projection onto
+    G/N carries the twisted action onto that of G/N and is onto, so each
+    class of G maps onto one whole class of G/N and two images are equal or
+    disjoint: the smallest coset each class meets tells them apart.
+    """
+    maps, n = group._twisted_maps(images), group.order
+    seen = [False] * n
+    sizes, least = [], set()
+    # The iterator reads ``seen`` live, skipping the points already reached.
+    for g in compress(range(n), map(not_, seen)):
+        seen[g] = True
+        orbit = [g]
+        for x in orbit:
+            for image in maps:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = True
+                    orbit.append(y)
+        sizes.append(len(orbit))
+        if cosets:
+            least.add(min(map(cosets.__getitem__, orbit)))
+    if sum(sizes) != n:
         raise AssertionError("twisted class sizes do not sum to the order")
-    return partition
+    return len(sizes), sizes[0], len(least) if cosets else len(sizes)
 
 
 def twisted_classes(phi: Morphism) -> ClassPartition:
@@ -43,7 +65,8 @@ def twisted_classes(phi: Morphism) -> ClassPartition:
     here: ``theorem_battery`` checks it and reports a failure with a
     witness.
     """
-    return _twisted_partition(phi.group, phi.generator_images)
+    group = phi.group
+    return orbits(group.order, group._twisted_maps(phi.generator_images))
 
 
 def _class_images(table: Sequence[int], classes: ClassPartition,
@@ -83,48 +106,25 @@ def reidemeister_number(phi: Morphism) -> int:
                         phi.is_automorphism())
 
 
-def _coset_count(partition: ClassPartition, cosets: ClassPartition) -> int:
-    """The Reidemeister number of the map that phi induces on G/N, read off
-    ``partition``, phi's twisted classes on G, and ``cosets``, the cosets
-    of N, for N normal with phi(N) in N.
-
-    The projection G -> G/N carries h . g = h g phi(h)^-1 onto the twisted
-    action of G/N and is onto, so each twisted class of G maps onto one
-    whole twisted class of G/N, and two images are equal or disjoint.  One
-    pass keeps the smallest coset each class meets, which tells the images
-    apart; their number is the count.  No quotient group is built.
-    """
-    least = [cosets.count] * partition.count
-    for c, coset in zip(partition.class_of, cosets.class_of):
-        if coset < least[c]:
-            least[c] = coset
-    return len(set(least))
-
-
-def _reduces(group: FiniteGroup, table: Sequence[int],
-             partition: ClassPartition, count: int) -> bool:
-    """``reduction_check`` of the endomorphism ``table`` with the twisted
-    classes ``partition``."""
+def _quotient_cosets(group: FiniteGroup, table: Sequence[int]
+                     ) -> tuple[int, ...]:
+    """N's coset labels for ``table`` (``_kernel_tower``), once phi^-1(N),
+    which contains N, is asserted to have no more members."""
     tower, cosets = _kernel_tower(group, table)
-    if tower.is_trivial():
-        # phi is already injective: the induced map is phi itself.
-        return True
-    flags = tower.member_flags
-    if any(flags[t] and not flags[x] for x, t in enumerate(table)):
+    if sum(map(tower.member_flags.__getitem__, table)) != tower.order:
         raise AssertionError("induced map on the quotient is not injective")
-    return _coset_count(partition, cosets) == count
+    return cosets.class_of
 
 
 def reduction_check(phi: Morphism, count: int) -> bool:
     """True when ``count``, phi's Reidemeister number, is also that of the
-    injective map phi induces on G/N, N the stabilized kernel union.
-
-    Asserts first that phi(x) in N implies x in N, so the induced map is
-    injective, hence bijective; this and the phi-invariance of N
-    (``morphism._kernel_tower``) are checked for every phi, while N's
-    closure, normality and cosets are verified once per distinct tower.
-    The count is read off phi's twisted classes on G and N's cosets
-    (``_coset_count``).  Expected true for every endomorphism; exposed as
-    a verification hook.
+    injective map phi induces on G/N, N the stabilized kernel union.  An
+    injective phi is its own reduction and builds no tower; for any other,
+    ``_quotient_cosets`` asserts that the induced map is injective, and the
+    count is read off phi's twisted classes on G (``_twisted_pass``).
+    Expected true for every endomorphism; exposed as a verification hook.
     """
-    return _reduces(phi.group, phi.table, twisted_classes(phi), count)
+    if phi.is_automorphism():
+        return True
+    cosets = _quotient_cosets(phi.group, phi.table)
+    return _twisted_pass(phi.group, phi.generator_images, cosets)[2] == count

@@ -12,7 +12,8 @@ by the fixed-class count, the orbit count or both (``METHODS``).
 ``quotient`` builds G/N as a permutation group on the left cosets of N,
 which ``twistspec`` itself never does, and
 ``induced_on_quotient`` the map an endomorphism induces there;
-``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
+``reduction_orbits_on_g`` counts that map's twisted classes on all of G;
+``assert_twisted_pass`` holds the battery's one orbit pass to both.
 ``morphism_battery`` is the theorem battery built on Morphisms, one per
 representative of the weighted sweep, with every inner twist composed as a
 full table; ``miscounted_fixed_classes`` injects a fault that both
@@ -294,6 +295,36 @@ def reduction_orbits_on_g(phi):
         column = group.column(phi.table[s])
         maps.append([column[x] for x in group.row(group.inverse(s))])
     return orbits(group.order, maps).count
+
+
+def assert_twisted_pass(phi):
+    """``twisted._twisted_pass`` on ``phi`` against ``twisted_classes``,
+    and, given the cosets of phi's kernel tower N, against
+    ``reduction_orbits_on_g`` and, for a nontrivial N, R of
+    ``induced_on_quotient``.  The reduction theorem makes every twisted
+    class a union of cosets of the tower, so the pass is also held to R of
+    the map induced on G/G', whose classes need not be: G' is normal and
+    phi(G') lies in G'.  Returns the pass's count on G/N."""
+    group, images = phi.group, phi.generator_images
+    tower = phi.iterated_kernel()
+    cosets = group.normal_cosets(tower.indices)[1].class_of
+    count, identity, reduced = twisted_mod._twisted_pass(group, images,
+                                                         cosets)
+    partition = twisted_partition(phi)
+    assert (count, identity) == (partition.count,
+                                 partition.identity_class_size())
+    assert twisted_mod._twisted_pass(group, images) == (count, identity,
+                                                        count)
+    assert reduced == reduction_orbits_on_g(phi)
+    if not tower.is_trivial():
+        assert reduced == reidemeister_number(
+            induced_on_quotient(phi, tower))
+    derived = group.derived_subgroup()
+    if 1 < derived.order < group.order:
+        cosets = group.normal_cosets(derived.indices)[1].class_of
+        assert twisted_mod._twisted_pass(group, images, cosets)[2] == (
+            reidemeister_number(induced_on_quotient(phi, derived)))
+    return reduced
 
 
 def inner_automorphism(table, c):

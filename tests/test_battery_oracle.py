@@ -39,13 +39,13 @@ def test_catalog_battery_orbit_passes(monkeypatch):
     representatives and of 498 inner twists, one per declared generator of
     each representative of weight > 1 that the generator moves."""
     images = []
-    partition = spectra_mod._twisted_partition
+    one_pass = spectra_mod._twisted_pass
 
-    def spied(group, generator_images):
+    def spied(group, generator_images, cosets=None):
         images.append(tuple(generator_images))
-        return partition(group, generator_images)
+        return one_pass(group, generator_images, cosets)
 
-    monkeypatch.setattr(spectra_mod, "_twisted_partition", spied)
+    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied)
     passes = Counter()
     for defn in shipped_catalog():
         group = build(defn)
@@ -58,20 +58,25 @@ def test_catalog_battery_orbit_passes(monkeypatch):
 
 
 def test_catalog_battery_orbit_calls(monkeypatch):
-    """The catalog battery runs one orbit pass in ``twisted`` per twisted
-    partition it counts, 3152 + 498: the reduction check reads R on G/N
-    off phi's own classes and runs no pass on the cosets."""
+    """The catalog battery runs one orbit pass per twisted class count,
+    3152 + 498, each in ``_twisted_pass``: the reduction check reads R on
+    G/N in the same pass, and no twisted partition is built."""
     calls = []
-    real = twisted_mod.orbits
+    one_pass = spectra_mod._twisted_pass
 
-    def spied(size, maps):
-        calls.append(size)
-        return real(size, maps)
+    def spied(group, generator_images, cosets=None):
+        calls.append(cosets is None)
+        return one_pass(group, generator_images, cosets)
 
-    monkeypatch.setattr(twisted_mod, "orbits", spied)
+    def partition(size, maps):
+        raise AssertionError("the battery built a twisted partition")
+
+    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied)
+    monkeypatch.setattr(twisted_mod, "orbits", partition)
     for defn in shipped_catalog():
         spectra_mod.theorem_battery(build(defn))
-    assert len(calls) == 3650
+    # The 1985 representatives that are not injective pass their cosets.
+    assert (len(calls), calls.count(False)) == (3650, 1985)
 
 
 def test_battery_leaves_the_public_checks_nothing_to_build():

@@ -41,6 +41,24 @@ def test_identity_is_neutral():
     assert p * e == p
 
 
+@given(st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(*[st.permutations(list(range(n))).map(Permutation)]
+                        * 2)))
+def test_product_matches_pointwise_composition(pair):
+    """``p * q`` is a Permutation with images p[q[x]], degree 1 included,
+    where one point's image is not wrapped in a tuple."""
+    p, q = pair
+    product = p * q
+    assert type(product) is Permutation
+    assert product == tuple(p[x] for x in q)
+
+
+def test_degree_one_product():
+    e = Permutation.identity(1)
+    assert type(e * e) is Permutation
+    assert e * e == (0,) == e
+
+
 def test_degree_mismatch_raises():
     with pytest.raises(ValueError):
         Permutation.identity(3) * Permutation.identity(4)

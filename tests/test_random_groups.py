@@ -15,40 +15,43 @@ or by random elements (mostly dependent, so they are swept), and compares
 the fold with the same oracle.  A third strategy draws 1-5 generators of
 degree 7, kept up to order 200; on those the structure predicates, centre,
 derived subgroup and the cosets of the last two are compared with the
-product-table oracles, every kernel tower's coset count with the orbits of
-the twisted maps on all of G, and, where |End| is small, the theorem
+product-table oracles, and, where |End| is small, the theorem
 battery over the representatives with the battery over every endomorphism
 and each nontrivial tower's coset count with R of the map induced on the
 permutation quotient, by both counts.  On every draw with at most three
 distinct non-identity declared generators, the search's generating set
 must be those generators in declared order.  On every draw of the three
 strategies, the inverses and element orders must equal the product-table
-oracles.  On every draw of the first strategy, the conjugation columns must
+oracles, and on every representative of every draw the battery's one orbit
+pass must agree with ``twisted_classes``, with the orbits on G of the
+twisted maps and N's columns, and with R of the map induced on G/N
+(``oracles.assert_twisted_pass``).  On every draw of the first strategy,
+the conjugation columns must
 equal ``conjugation(s)`` for each declared generator ``s``; on every
 abelian draw, the simple flag must equal the per-class scan, and on every
 draw of the first and third, the nilpotent flag must equal the lower
 central series of the product table.  A fourth test takes each group A of
 the first strategy times Z_q, q the smallest prime not dividing |A|, and
 requires the product's counters to be the multiplicative convolution of
-the factors' and the orbit count's.  The draws are derandomized, so the
+the factors' and the orbit count's; A5 and S5 on 5 points, times Z7, are
+explicit examples.  The draws are derandomized, so the
 groups are the same on every run.
 """
 
 from collections import Counter
 from math import gcd, prod
 
-from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from twistspec.catalog import abelian, build
+from twistspec.catalog import abelian, alternating, build, symmetric
 from twistspec.errors import OrderCapExceeded
 from twistspec.group import closure
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import _fold, theorem_battery
-from twistspec.twisted import (_coset_count, reidemeister_number,
-                               twisted_classes)
+from twistspec.twisted import reidemeister_number, twisted_classes
 
 ORDER_CAP = 120
 # Groups up to this order are also enumerated from the flat grid.
@@ -63,8 +66,9 @@ WIDE_ORDER_CAP = 200
 # each one that is not injective.
 BATTERY_END_CAP = 400
 # A x Z_q draws are kept up to this order: the oracle counts the twisted
-# classes of every representative of the product.
-PRODUCT_ORDER_CAP = 360
+# classes of every representative of the product.  A5 x Z7 and S5 x Z7, the
+# explicit examples, have orders 420 and 840.
+PRODUCT_ORDER_CAP = 840
 
 
 @st.composite
@@ -111,6 +115,12 @@ def _assert_few_declared_generators_are_kept(group):
             map(group.index_of, declared))
 
 
+def _assert_the_one_pass_matches(group):
+    """``oracles.assert_twisted_pass`` on every representative."""
+    for phi, _ in weighted_sweep(group):
+        oracles.assert_twisted_pass(phi)
+
+
 def _assert_fold_matches_the_orbit_count(group, automorphisms):
     """``_fold`` against ``oracles.tally`` over the weighted sweep, whose
     items it returns."""
@@ -155,6 +165,7 @@ def test_fold_and_sweep_against_the_oracles(group):
     oracles.assert_element_tables(group, table)
     assert group.is_nilpotent() == oracles.is_nilpotent(table)
     oracles.assert_battery_matches(group)
+    _assert_the_one_pass_matches(group)
     for automorphisms in (False, True):
         sweep = _assert_fold_matches_the_orbit_count(group, automorphisms)
         every = oracles.every_morphism(group, automorphisms)
@@ -175,6 +186,7 @@ def test_abelian_fold_against_the_oracle(group):
         group.trivial_subgroup())
     oracles.assert_element_tables(group, oracles.product_table(group))
     oracles.assert_battery_matches(group)
+    _assert_the_one_pass_matches(group)
     for automorphisms in (False, True):
         _assert_fold_matches_the_orbit_count(group, automorphisms)
 
@@ -201,10 +213,7 @@ def test_structure_and_cosets_against_the_table_oracles(group):
         cosets = group.normal_cosets(sub.indices)[1]
         assert ((list(cosets.class_of), list(cosets.representatives))
                 == oracles.left_cosets(group, sub.indices))
-    for phi, _ in weighted_sweep(group):
-        cosets = group.normal_cosets(phi.iterated_kernel().indices)[1]
-        assert (_coset_count(twisted_classes(phi), cosets)
-                == oracles.reduction_orbits_on_g(phi))
+    _assert_the_one_pass_matches(group)
     oracles.assert_battery_matches(group)
 
 
@@ -226,8 +235,7 @@ def test_battery_against_every_endomorphism(group):
         if tower.is_trivial():
             continue
         induced = oracles.induced_on_quotient(phi, tower)
-        cosets = group.normal_cosets(tower.indices)[1]
-        assert (_coset_count(twisted_classes(phi), cosets)
+        assert (oracles.assert_twisted_pass(phi)
                 == reidemeister_number(induced)
                 == twisted_classes(induced).count)
 
@@ -246,6 +254,8 @@ def _convolve(left, right):
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
 @given(permutation_groups())
+@example(build(alternating(5)))
+@example(build(symmetric(5)))
 def test_coprime_direct_product_multiplies_the_counters(factor):
     """For q a prime not dividing |A|, Hom(A, Z_q) and Hom(Z_q, A) are
     trivial, so End(A x Z_q) = End(A) x End(Z_q), an automorphism is a

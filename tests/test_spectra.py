@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -239,15 +238,15 @@ def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
     group = build(symmetric(3))
     sweep = list(weighted_sweep(group))
     representatives = {phi.generator_images for phi, _ in sweep}
-    honest = spectra_mod._twisted_partition
+    honest = spectra_mod._twisted_pass
 
-    def corrupted(group, images):
-        partition = honest(group, images)
+    def corrupted(group, images, cosets=None):
+        count, identity, reduced = honest(group, images, cosets)
         if tuple(images) in representatives:
-            return partition
-        return SimpleNamespace(count=partition.count + 1)
+            return count, identity, reduced
+        return count + 1, identity, reduced
 
-    monkeypatch.setattr(spectra_mod, "_twisted_partition", corrupted)
+    monkeypatch.setattr(spectra_mod, "_twisted_pass", corrupted)
     # The first representative of weight > 1 in sweep order; its orbit is
     # not a point, so some declared generator moves it.
     first = next(phi for phi, weight in sweep if weight > 1)

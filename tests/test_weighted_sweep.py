@@ -17,7 +17,6 @@ import pytest
 import oracles
 import twistspec.morphism as morphism_mod
 import twistspec.spectra as spectra_mod
-import twistspec.twisted as twisted_mod
 from twistspec.catalog import (GroupDefinition, alternating, build,
                                holomorph_cyclic, save, shipped_catalog,
                                symmetric)
@@ -149,17 +148,16 @@ def test_battery_over_representatives_matches_every_morphism(case):
 
 
 def test_reduction_check_counts_the_induced_classes(case):
-    """For each representative, the count reduction_check reads off its
-    twisted classes and the cosets of its stable kernel N equals the orbits
-    on G of the twisted maps together with N's columns; for a nontrivial N
-    it numbers the twisted classes of the oracle's induced map on G/N, by
+    """For each representative, the one orbit pass counts its twisted
+    classes and its identity's class as ``twisted_classes`` does, and its
+    count on the cosets of its stable kernel N equals the orbits on G of
+    the twisted maps together with N's columns; for a nontrivial N it
+    numbers the twisted classes of the oracle's induced map on G/N, by
     either method."""
     for phi, _ in case["end_sweep"]:
         tower = phi.iterated_kernel()
         count = reidemeister_number(phi)
-        cosets = twisted_mod._coset_count(
-            twisted_classes(phi), phi.group.normal_cosets(tower.indices)[1])
-        assert cosets == oracles.reduction_orbits_on_g(phi)
+        cosets = oracles.assert_twisted_pass(phi)
         if tower.is_trivial():
             # G/1 is G and the induced map is phi itself.
             assert cosets == count == twisted_classes(phi).count
