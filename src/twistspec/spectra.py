@@ -158,12 +158,24 @@ def _count_abelian(group: FiniteGroup, gens: Sequence[int],
     injective on every H_j = <g_1, ..., g_j>, that is, when
     L_j = phi(H_j) has |H_j| members; a state is the pair (K_j, L_j), with
     L_j = 0 once phi is not injective.  Subgroups are bitmasks over element
-    indices; each join <K, c> is built once per call.  The budget is
-    charged states times candidates per depth, each state as it is made,
-    and the size of each join.  The End multiplicities must sum to the
-    product of the pool sizes, which is |End(G)|.
+    indices; each join <K, c> is built once per call.
+
+    The last generator g_n makes no states.  |<K, d>| = |K| r_K(d), where
+    the relative order r_K(d) is the least i >= 1 with d^i in K, and
+    <L, g_n d> = G exactly when r_L(g_n d) = ord(g_n), since |L| = |H_{n-1}|.
+    So each K of the last states gets one bitmask over the last pool per
+    value |G| / (|K| r_K(d)), each L != 0 one bitmask of the candidates
+    that keep phi bijective, and a state adds its weight times the
+    popcounts of these masks and of their intersections.
+
+    The budget is charged states times candidates per depth, each state as
+    it is made, the size of each join and the column reads made for each
+    relative order.  The End multiplicities must sum to the product of the
+    pool sizes, which is |End(G)|, and only the identity has R = |G|.
     """
     tracker = _Budget(budget)
+    gens = gens or (0,)  # Z1, counted as generated by its identity
+    *inner, last = gens
     pools = _pools(group, gens, False)
     members = {1: (0,)}  # a subgroup's bitmask -> its members, identity first
     joins: dict[tuple[int, int], int] = {}
@@ -192,9 +204,9 @@ def _count_abelian(group: FiniteGroup, gens: Sequence[int],
     h_order = 1
     # Each state is charged the candidates it will try when it is made, so
     # a count that outgrows the budget stops before its states fill memory.
-    sizes = [len(pool) for pool in pools] + [0]
+    sizes = [len(pool) for pool in pools]
     tracker.charge(sizes[0])
-    for g, pool, after in zip(gens, pools, sizes[1:]):
+    for g, pool, after in zip(inner, pools, sizes[1:]):
         h_order *= orders[g]
         shift = group.column(g)
         images = [shift[d] for d in pool]  # phi(g) = g d
@@ -213,14 +225,49 @@ def _count_abelian(group: FiniteGroup, gens: Sequence[int],
             tracker.charge((len(grown) - made) * after)
         states = grown
 
+    pool = pools[-1]
+    shift = group.column(last)
+    columns = [(d, group.column(d)) for d in pool]
+    image_columns = [(c, group.column(c)) for c in (shift[d] for d in pool)]
+
+    def relative_orders(mask: int, elements: list[tuple[int, list[int]]]
+                        ) -> list[int]:
+        """r(c), the least i >= 1 with c^i in ``mask``, for each
+        ``(c, column(c))`` of ``elements``."""
+        found = []
+        for c, column in elements:
+            x, i = c, 1
+            while not mask >> x & 1:
+                x, i = column[x], i + 1
+            found.append(i)
+        tracker.charge(sum(found) - len(found))  # the column reads made
+        return found
+
+    value_masks: dict[int, dict[int, int]] = {}
+    bijective = {0: 0}
     spec, ext = Counter(), Counter()
     for (k, l), weight in states.items():
-        value = group.order // k.bit_count()
-        ext[value] += weight
-        if l:
-            spec[value] += weight
-    if sum(ext.values()) != prod(map(len, pools)):
+        masks = value_masks.get(k)
+        if masks is None:
+            masks = value_masks[k] = {}
+            k_order = k.bit_count()
+            for p, r in enumerate(relative_orders(k, columns)):
+                value = group.order // (k_order * r)
+                masks[value] = masks.get(value, 0) | 1 << p
+        keep = bijective.get(l)
+        if keep is None:
+            keep = bijective[l] = sum(
+                1 << p for p, r in enumerate(relative_orders(l, image_columns))
+                if r == orders[last])
+        for value, mask in masks.items():
+            ext[value] += weight * mask.bit_count()
+            both = (mask & keep).bit_count()
+            if both:  # a zero entry would read as a spectrum value
+                spec[value] += weight * both
+    if sum(ext.values()) != prod(sizes):
         raise AssertionError("endomorphism multiplicities miss |End(G)|")
+    if not ext[group.order] == spec[group.order] == 1:
+        raise AssertionError("a morphism other than the identity has R = |G|")
     return spec, ext
 
 

@@ -4,20 +4,23 @@
 independent over the subgroups <psi(g_1), ..., psi(g_j)> instead of
 sweeping End(G).  Its answers are checked against closed forms for the
 elementary abelian groups Z_p^n (|End| = p^(n^2), |Aut| = |GL(n,p)|, and
-R(phi) = 1 exactly when phi - 1 is an automorphism), its budget charge
-through the command line, and its fallback to the sweep when the declared
-generators are dependent.  The comparison with the sweep's orbit counts on
+R(phi) = p^(n - rank(phi - 1))) and for the cyclic groups, where the last
+generator is the only one, its budget charge, pinned and through the
+command line, and its fallback to the sweep when the declared generators
+are dependent.  The comparison with the sweep's orbit counts on
 every abelian catalog group is ``test_live_fold.py``'s, on random abelian
 groups ``test_random_groups.py``'s.
 """
 
 import json
 import tracemalloc
+from collections import Counter
+from math import gcd
 
 import pytest
 
 import twistspec.spectra as spectra_mod
-from twistspec.catalog import GroupDefinition, abelian, build, save
+from twistspec.catalog import GroupDefinition, abelian, build, cyclic, save
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
 from twistspec.spectra import classify
@@ -31,6 +34,16 @@ def gl_order(n, p):
     return out
 
 
+def rank_count(n, p, r):
+    """The number of n x n matrices of rank r over F_p: pairs of injective
+    maps F_p^r -> F_p^n, a column space and a row space, modulo GL(r, p)."""
+    pairs, bases = 1, 1
+    for i in range(r):
+        pairs *= (p ** n - p ** i) ** 2
+        bases *= p ** r - p ** i
+    return pairs // bases
+
+
 @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (2, 4), (2, 5),
                                   (3, 2), (3, 3), (5, 2)])
 def test_elementary_abelian_closed_forms(p, n):
@@ -38,10 +51,35 @@ def test_elementary_abelian_closed_forms(p, n):
     report = classify(group)
     assert report.end_count == p ** (n * n)
     assert report.aut_count == gl_order(n, p)
-    assert report.extended_spectrum[1] == gl_order(n, p)
-    # R(id) = |G| and every other value divides |G|.
+    # R(phi) = |ker(phi - 1)| = p^(n - r) for phi - 1 of rank r, and
+    # phi - 1 runs over all matrices as phi does: for Z2^4, {16: 1, 8: 225,
+    # 4: 7350, 2: 37800, 1: 20160}.
+    assert report.extended_spectrum == {
+        p ** (n - r): rank_count(n, p, r) for r in range(n, -1, -1)}
     assert report.spectrum[p ** n] == 1
-    assert all(p ** n % value == 0 for value in report.extended_spectrum)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_cyclic_closed_form(n):
+    """phi_a(x) = a x on Z_n fixes the gcd(a - 1, n) solutions of
+    (a - 1) x = 0, and is an automorphism exactly when a is a unit."""
+    spec, ext = spectra_mod._fold(build(cyclic(n)), False, None)
+    assert ext == Counter(gcd(a - 1, n) for a in range(n))
+    assert spec == Counter(gcd(a - 1, n) for a in range(n)
+                           if gcd(a, n) == 1)
+
+
+@pytest.mark.parametrize("orders, total", [
+    ((2, 2, 2, 2), 18987), ((2, 2, 4), 1591), ((5, 5), 1776)])
+def test_the_count_charges_a_pinned_total(orders, total):
+    """States times candidates, joins and the last depth's column reads:
+    the count answers at ``total`` and stops one unit below it."""
+    group = build(abelian(*orders))
+    group.small_generating_set()  # the scan charges a budget of its own
+    with pytest.raises(BudgetExceeded):
+        spectra_mod._fold(group, False, total - 1)
+    assert (spectra_mod._fold(group, False, total)
+            == spectra_mod._fold(group, False, None))
 
 
 def test_z2_5_answers_under_the_default_budget(tmp_path, capsys):
