@@ -17,8 +17,8 @@ reads instead of all-pairs products, and the twisted maps ``x -> s^-1 x c``
 are kept like the columns.  Inverses are read along the tree, element
 orders and the centre off the classes, nilpotency off the orders.  No
 quotient group is built: a question about G/N (is it simple?) is answered
-by orbits in G that take in N's generators, and the cosets of a normal
-subgroup are labelled once per subgroup (``normal_cosets``).
+by orbits in G that take in N's generators; N's cosets and the classes
+of G/N are labelled once per N (``normal_cosets``).
 See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
 ch. 4.
 """
@@ -123,8 +123,8 @@ class FiniteGroup:
         self._derived: Subgroup | None = None
         self._simple: bool | None = None
         self._small_gens: tuple[int, ...] | None = None
-        self._cosets: dict[tuple[int, ...],
-                           tuple[Subgroup, ClassPartition]] = {}
+        self._cosets: dict[tuple[int, ...], tuple[
+            Subgroup, ClassPartition, ClassPartition]] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -326,15 +326,16 @@ class FiniteGroup:
                    for y in sub.generators)
 
     def normal_cosets(self, members: tuple[int, ...]
-                      ) -> tuple[Subgroup, ClassPartition]:
-        """The normal subgroup N with these sorted member indices, with
-        its cosets as a partition of the element indices, numbered by
-        smallest member.
+                      ) -> tuple[Subgroup, ClassPartition, ClassPartition]:
+        """The normal subgroup N with these sorted member indices, its
+        cosets (numbered by smallest member) and the classes of G/N as a
+        partition of the coset labels.
 
         Built once per member tuple and cached: ``subgroup`` verifies
         closure, conjugation by each generator of G must keep N, and the
         cosets are the orbits of right multiplication by N's generators,
-        each of which must have |N| members.
+        each of which must have |N| members.  The classes are the orbits of
+        the maps that conjugation induces on the coset representatives.
         """
         entry = self._cosets.get(members)
         if entry is None:
@@ -345,12 +346,15 @@ class FiniteGroup:
                             [self.column(y) for y in sub.generators])
             if any(size != sub.order for size in cosets.sizes):
                 raise AssertionError("cosets do not all have |N| members")
-            entry = self._cosets[members] = (sub, cosets)
+            label, reps = cosets.class_of, cosets.representatives
+            classes = orbits(len(reps), [
+                [label[conj[r]] for r in reps]
+                for conj in self._conjugation_columns()])
+            entry = self._cosets[members] = (sub, cosets, classes)
         return entry
 
-    def _normal_closure(self, seeds: Iterable[int]) -> tuple[list[int], list[int]]:
-        """Members and generators of the smallest normal subgroup containing
-        ``seeds``.
+    def _normal_closure(self, seeds: Iterable[int]) -> list[int]:
+        """Members of the smallest normal subgroup containing ``seeds``.
 
         N starts as the subgroup generated by the seeds and takes in
         ``s^-1 y s`` for every generator ``s`` of G and generator ``y`` of N
@@ -363,17 +367,15 @@ class FiniteGroup:
         reached = [False] * self.order
         reached[0] = True
         members = [0]
-        gens: list[int] = []
         columns: list[list[int]] = []
         pending = list(seeds)
         while pending:
             y = pending.pop()
             if reached[y]:
                 continue
-            gens.append(y)
             self._adjoin(members, reached, columns, self.column(y))
             pending.extend(conj[y] for conj in conjugations)
-        return members, gens
+        return members
 
     def _generator_commutators(self, ys: Iterable[int]) -> list[int]:
         """``[y, s] = y^-1 s^-1 y s`` for each ``y`` and each generator ``s``."""
@@ -383,7 +385,7 @@ class FiniteGroup:
 
     def normal_closure(self, seeds: Iterable[int]) -> Subgroup:
         """Smallest normal subgroup containing ``seeds``."""
-        return self.subgroup(self._normal_closure(seeds)[0])
+        return self.subgroup(self._normal_closure(seeds))
 
     def center(self) -> Subgroup:
         """The classes of size 1, verified by ``subgroup``."""
@@ -419,7 +421,7 @@ class FiniteGroup:
         """
         flags = sub.member_flags
         return sub.order < self.order and all(
-            len(self._normal_closure([x, *sub.generators])[0]) == self.order
+            len(self._normal_closure([x, *sub.generators])) == self.order
             for x in self.conjugacy_classes().representatives if not flags[x])
 
     def is_simple(self) -> bool:

@@ -175,21 +175,19 @@ def _fixed_points(table: Sequence[int]) -> int:
 
 
 def _kernel_tower(group: FiniteGroup, table: Sequence[int]
-                  ) -> tuple[Subgroup, ClassPartition]:
-    """Union N of the kernels of all powers of the endomorphism ``table``.
-
-    The members come from ``_stable_kernel``.  N and its cosets are the
-    group's per-tower entry (``FiniteGroup.normal_cosets``), which verifies
-    closure and normality once per distinct tower; that N is phi-invariant
-    is checked here, for every phi.  The map phi induces on G/N is
-    injective (``twisted.reduction_check`` asserts it): phi(x) in N puts x
-    in the kernel of a power of phi.
+                  ) -> tuple[Subgroup, ClassPartition, ClassPartition]:
+    """Union N of the kernels of all powers of the endomorphism ``table``,
+    as the group's entry for it (``FiniteGroup.normal_cosets``, verified
+    once per tower); that N is phi-invariant is checked here, for every
+    phi.  The map phi induces on G/N is injective, since phi(x) in N puts
+    x in the kernel of a power of phi (``twisted._quotient_count``
+    asserts it).
     """
-    sub, cosets = group.normal_cosets(_stable_kernel(table))
+    sub, cosets, classes = group.normal_cosets(_stable_kernel(table))
     flags = sub.member_flags
     if not all(flags[table[x]] for x in sub.indices):
         raise AssertionError("stabilized kernel union is not invariant")
-    return sub, cosets
+    return sub, cosets, classes
 
 
 def _stable_kernel(table: Sequence[int]) -> tuple[int, ...]:

@@ -16,7 +16,7 @@ from .errors import BudgetExceeded
 from .group import FiniteGroup
 from .morphism import (DEFAULT_PRODUCT_BUDGET, _Budget, _fixed_points,
                        _pools, _search)
-from .twisted import _fixed_count, _quotient_cosets, _twisted_pass
+from .twisted import _fixed_count, _quotient_count, _twisted_pass
 
 FLAG_NAMES = (
     "abelian", "nilpotent", "perfect", "simple", "quasisimple", "odd_order",
@@ -128,8 +128,7 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     the battery, which compares both counts on every representative.
     """
     gens = group.small_generating_set(budget)
-    if (group.is_abelian()
-            and prod(map(group.element_order, gens)) == group.order):
+    if _counts_abelian(group, gens):
         spec, ext = _count_abelian(group, gens, budget)
         return (spec, spec) if automorphisms else (spec, ext)
     classes = group.conjugacy_classes()
@@ -140,6 +139,12 @@ def _fold(group: FiniteGroup, automorphisms: bool,
         if bijective:
             spec[value] += weight
     return spec, ext
+
+
+def _counts_abelian(group: FiniteGroup, gens: Sequence[int]) -> bool:
+    """G is abelian and its search generators ``gens`` independent."""
+    return (group.is_abelian()
+            and prod(map(group.element_order, gens)) == group.order)
 
 
 def _count_abelian(group: FiniteGroup, gens: Sequence[int],
@@ -300,12 +305,13 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     count) is attempted only when ``extended`` is set; if it blows the
     product budget the extended fields are reported as skipped rather than
     guessed, and the automorphism sweep, whose budget errors propagate,
-    gives the spectrum.  With ``battery`` the one sweep is the battery's
-    sweep of the endomorphisms (``_battery``, the same live tables, never
-    the abelian count), which folds the spectra from its fixed-class
-    counts; budget errors propagate.  An automorphism fixes
-    every class exactly when its count is k, so the class-preserving
-    automorphisms are the spectrum's multiplicity of k.
+    gives the spectrum (the abelian count, which gives both, is not rerun).
+    With ``battery`` the one sweep is the battery's sweep of the
+    endomorphisms (``_battery``, the same live tables, never the abelian
+    count), which folds the spectra from its fixed-class counts; budget
+    errors propagate.  An automorphism fixes every class exactly when its
+    count is k, so the class-preserving automorphisms are the spectrum's
+    multiplicity of k.
     """
     k = group.class_number()
     structure = structure_flags(group)
@@ -313,7 +319,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
 
     # Scanned once, outside the End fold's try: a scan that runs out of
     # budget fails the command now rather than being retried by the Aut fold.
-    group.small_generating_set(budget)
+    gens = group.small_generating_set(budget)
     battery_checks = tally = extended_map = None
     if battery:
         battery_checks, tally = _battery(group, structure, budget)
@@ -321,6 +327,8 @@ def classify(group: FiniteGroup, name: str | None = None, *,
         try:
             tally = _fold(group, False, budget)
         except BudgetExceeded:
+            if _counts_abelian(group, gens):  # the Aut fold would repeat it
+                raise
             annotations.append("extended spectrum skipped: budget exceeded")
     if tally is None:
         tally = _fold(group, True, budget)
@@ -381,9 +389,9 @@ def theorem_battery(group: FiniteGroup, *,
     unless it is phi itself.  Counts are computed by both methods throughout.
     ``orbit-stabiliser-identity`` (|[1]| * |Fix phi| = |G|) is checked here
     and nowhere else in the package.  ``reduction-to-injective`` compares
-    the fixed-class count with R of the induced map on G/N, read in the
-    same orbit pass as R (``twisted.reduction_check``); an automorphism is
-    its own reduction and builds no tower.  A failure carries the first
+    the fixed-class count with R of the induced map on G/N, counted on the
+    classes of G/N (``twisted.reduction_check``); an automorphism is its
+    own reduction and builds no tower.  A failure carries the first
     failing representative in sweep order as its witness.  Failures are
     data, not errors.  ``classify(..., battery=True)`` folds its spectra
     from this same sweep.
@@ -401,11 +409,11 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
     Like ``_fold`` it reads the live tables of ``_search`` and builds no
     Morphism; a witness is built from the table's generator images at the
     first failure of each check.  One pass over the group's twisted maps
-    (``twisted._twisted_pass``) gives each representative's count, its
-    identity class and, with its tower's cosets, its count on G/N.  The
-    inner twists are the conjugation columns x -> s^-1 x s, that is
-    tau_{s^-1}; tau_{s^-1} . phi is taken by its generator images, and is
-    not counted again when they are phi's own.
+    (``twisted._twisted_pass``) gives each representative's count and its
+    identity class; ``twisted._quotient_count`` reads its count on G/N off
+    its tower's entry.  The inner twists are the conjugation columns
+    x -> s^-1 x s, that is tau_{s^-1}; tau_{s^-1} . phi is taken by its
+    generator images, and is not counted again when they are phi's own.
     """
     k = group.class_number()
     classes = group.conjugacy_classes()
@@ -422,8 +430,7 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
 
     for table, weight, automorphism in _search(group, False, budget):
         images = [table[s] for s in gens]
-        cosets = None if automorphism else _quotient_cosets(group, table)
-        value, identity, reduced = _twisted_pass(group, images, cosets)
+        value, identity = _twisted_pass(group, images)
         fixed_count = _fixed_count(table, classes, automorphism)
         ext[fixed_count] += weight
         if automorphism:
@@ -446,7 +453,7 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
         if identity * _fixed_points(table) != group.order:
             fail("orbit-stabiliser-identity", "identity class size times "
                  "fixed subgroup order misses the order")
-        if cosets is not None and reduced != fixed_count:
+        if not automorphism and _quotient_count(group, table) != fixed_count:
             fail("reduction-to-injective",
                  "count changed on the injective quotient")
         if group.order % 2 == 1 and value % 2 == 0:

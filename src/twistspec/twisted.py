@@ -10,9 +10,9 @@ battery compares the two on every endomorphism it sweeps.
 
 The public functions take a Morphism and wrap helpers that take the group,
 phi's table or its generator images, as the theorem battery holds them when
-it reads the search's live tables.  The battery and ``reduction_check``
-count each phi in one pass over the group's cached twisted maps
-(``_twisted_pass``), which also reads R of the induced map on G/N.
+it reads the search's live tables: one orbit pass over the group's cached
+twisted maps (``_twisted_pass``), and R on G/N read off the classes of G/N
+that the kernel tower's entry holds (``_quotient_count``).
 """
 
 from __future__ import annotations
@@ -25,20 +25,13 @@ from .group import ClassPartition, FiniteGroup, orbits
 from .morphism import Morphism, _kernel_tower
 
 
-def _twisted_pass(group: FiniteGroup, images: Sequence[int],
-                  cosets: Sequence[int] | None = None
-                  ) -> tuple[int, int, int]:
+def _twisted_pass(group: FiniteGroup, images: Sequence[int]
+                  ) -> tuple[int, int]:
     """One orbit pass over the twisted maps of the endomorphism phi with
-    these generator images: R(phi), the size of the identity's class and,
-    given ``cosets``, the coset labels of a normal N with phi(N) in N, R of
-    the map phi induces on G/N (else R(phi): G/1 is G).  The projection onto
-    G/N carries the twisted action onto that of G/N and is onto, so each
-    class of G maps onto one whole class of G/N and two images are equal or
-    disjoint: the smallest coset each class meets tells them apart.
-    """
+    these generator images: R(phi) and the size of the identity's class."""
     maps, n = group._twisted_maps(images), group.order
     seen = [False] * n
-    sizes, least = [], set()
+    sizes = []
     # The iterator reads ``seen`` live, skipping the points already reached.
     for g in compress(range(n), map(not_, seen)):
         seen[g] = True
@@ -50,11 +43,9 @@ def _twisted_pass(group: FiniteGroup, images: Sequence[int],
                     seen[y] = True
                     orbit.append(y)
         sizes.append(len(orbit))
-        if cosets:
-            least.add(min(map(cosets.__getitem__, orbit)))
     if sum(sizes) != n:
         raise AssertionError("twisted class sizes do not sum to the order")
-    return len(sizes), sizes[0], len(least) if cosets else len(sizes)
+    return len(sizes), sizes[0]
 
 
 def twisted_classes(phi: Morphism) -> ClassPartition:
@@ -106,25 +97,21 @@ def reidemeister_number(phi: Morphism) -> int:
                         phi.is_automorphism())
 
 
-def _quotient_cosets(group: FiniteGroup, table: Sequence[int]
-                     ) -> tuple[int, ...]:
-    """N's coset labels for ``table`` (``_kernel_tower``), once phi^-1(N),
-    which contains N, is asserted to have no more members."""
-    tower, cosets = _kernel_tower(group, table)
+def _quotient_count(group: FiniteGroup, table: Sequence[int]) -> int:
+    """R of the map phi induces on G/N, N the kernel tower of ``table``,
+    once phi^-1(N), which contains N, is asserted to be no larger: that map
+    is an automorphism of G/N, fixing the classes C with phi(r_C) in C."""
+    tower, cosets, classes = _kernel_tower(group, table)
     if sum(map(tower.member_flags.__getitem__, table)) != tower.order:
         raise AssertionError("induced map on the quotient is not injective")
-    return cosets.class_of
+    label, reps = cosets.class_of, cosets.representatives
+    return sum(classes.class_of[label[table[reps[r]]]] == c
+               for c, r in enumerate(classes.representatives))
 
 
 def reduction_check(phi: Morphism, count: int) -> bool:
     """True when ``count``, phi's Reidemeister number, is also that of the
-    injective map phi induces on G/N, N the stabilized kernel union.  An
-    injective phi is its own reduction and builds no tower; for any other,
-    ``_quotient_cosets`` asserts that the induced map is injective, and the
-    count is read off phi's twisted classes on G (``_twisted_pass``).
-    Expected true for every endomorphism; exposed as a verification hook.
-    """
-    if phi.is_automorphism():
-        return True
-    cosets = _quotient_cosets(phi.group, phi.table)
-    return _twisted_pass(phi.group, phi.generator_images, cosets)[2] == count
+    injective map phi induces on G/N (``_quotient_count``); an injective
+    phi is its own reduction.  Expected true for every endomorphism."""
+    return phi.is_automorphism() or (
+        _quotient_count(phi.group, phi.table) == count)

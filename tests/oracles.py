@@ -12,8 +12,10 @@ by the fixed-class count, the orbit count or both (``METHODS``).
 ``quotient`` builds G/N as a permutation group on the left cosets of N,
 which ``twistspec`` itself never does, and
 ``induced_on_quotient`` the map an endomorphism induces there;
-``reduction_orbits_on_g`` counts that map's twisted classes on all of G;
-``assert_twisted_pass`` holds the battery's one orbit pass to both.
+``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
+``assert_twisted_pass`` holds the battery's one orbit pass to
+``twisted_classes``, and ``assert_quotient_count`` its count on G/N to
+both quotient oracles.
 ``morphism_battery`` is the theorem battery built on Morphisms, one per
 representative of the weighted sweep, with every inner twist composed as a
 full table; ``miscounted_fixed_classes`` injects a fault that both
@@ -298,32 +300,36 @@ def reduction_orbits_on_g(phi):
 
 
 def assert_twisted_pass(phi):
-    """``twisted._twisted_pass`` on ``phi`` against ``twisted_classes``,
-    and, given the cosets of phi's kernel tower N, against
-    ``reduction_orbits_on_g`` and, for a nontrivial N, R of
-    ``induced_on_quotient``.  The reduction theorem makes every twisted
-    class a union of cosets of the tower, so the pass is also held to R of
-    the map induced on G/G', whose classes need not be: G' is normal and
-    phi(G') lies in G'.  Returns the pass's count on G/N."""
-    group, images = phi.group, phi.generator_images
-    tower = phi.iterated_kernel()
-    cosets = group.normal_cosets(tower.indices)[1].class_of
-    count, identity, reduced = twisted_mod._twisted_pass(group, images,
-                                                         cosets)
+    """``twisted._twisted_pass`` on ``phi`` against ``twisted_classes``:
+    the same count and the same size of the identity's class."""
     partition = twisted_partition(phi)
-    assert (count, identity) == (partition.count,
-                                 partition.identity_class_size())
-    assert twisted_mod._twisted_pass(group, images) == (count, identity,
-                                                        count)
+    assert twisted_mod._twisted_pass(phi.group, phi.generator_images) == (
+        partition.count, partition.identity_class_size())
+
+
+def assert_quotient_count(phi):
+    """``twisted._quotient_count`` on ``phi`` against
+    ``reduction_orbits_on_g`` and, for a nontrivial kernel tower N, R of
+    ``induced_on_quotient``.  The classes of G/G' that ``normal_cosets``
+    keeps for G' are held to the twisted classes of the map induced on the
+    oracle's G/G': G' is normal, phi(G') lies in G', and G/G' is abelian,
+    so the classes phi fixes there number R, whether or not the induced
+    map is injective.  Returns the quotient count."""
+    group, table = phi.group, phi.table
+    reduced = twisted_mod._quotient_count(group, table)
     assert reduced == reduction_orbits_on_g(phi)
+    tower = phi.iterated_kernel()
     if not tower.is_trivial():
         assert reduced == reidemeister_number(
             induced_on_quotient(phi, tower))
     derived = group.derived_subgroup()
     if 1 < derived.order < group.order:
-        cosets = group.normal_cosets(derived.indices)[1].class_of
-        assert twisted_mod._twisted_pass(group, images, cosets)[2] == (
-            reidemeister_number(induced_on_quotient(phi, derived)))
+        _, cosets, classes = group.normal_cosets(derived.indices)
+        label, reps = cosets.class_of, cosets.representatives
+        fixed = sum(classes.class_of[label[table[reps[r]]]] == c
+                    for c, r in enumerate(classes.representatives))
+        assert fixed == twisted_partition(
+            induced_on_quotient(phi, derived)).count
     return reduced
 
 

@@ -6,8 +6,8 @@ sweeping End(G).  Its answers are checked against closed forms for the
 elementary abelian groups Z_p^n (|End| = p^(n^2), |Aut| = |GL(n,p)|, and
 R(phi) = p^(n - rank(phi - 1))) and for the cyclic groups, where the last
 generator is the only one, its budget charge, pinned and through the
-command line, and its fallback to the sweep when the declared generators
-are dependent.  The comparison with the sweep's orbit counts on
+command line, that it runs once when it runs out of budget, and its
+fallback to the sweep when the declared generators are dependent.  The comparison with the sweep's orbit counts on
 every abelian catalog group is ``test_live_fold.py``'s, on random abelian
 groups ``test_random_groups.py``'s.
 """
@@ -96,6 +96,29 @@ def test_the_count_honours_the_budget(tmp_path, capsys):
     save(abelian(2, 2, 2, 2), path)
     assert main(["spectrum", str(path), "--extended", "--budget", "100"]) == 2
     assert "budget 100 exceeded" in capsys.readouterr().err
+
+
+def test_a_count_out_of_budget_runs_once(tmp_path, capsys, monkeypatch):
+    """The count gives the End and Aut counters at once, so when
+    ``classify``'s End fold runs out of budget there, the error propagates
+    rather than the Aut fold running the same count again."""
+    calls = []
+    count = spectra_mod._count_abelian
+
+    def spied(group, gens, budget):
+        calls.append(budget)
+        return count(group, gens, budget)
+
+    monkeypatch.setattr(spectra_mod, "_count_abelian", spied)
+    with pytest.raises(BudgetExceeded, match="budget 5000 exceeded"):
+        classify(build(abelian(2, 2, 2, 2)), budget=5000)
+    assert calls == [5000]
+    path = tmp_path / "z2_4.json"
+    save(abelian(2, 2, 2, 2), path)
+    assert main(["spectrum", str(path), "--extended", "--budget",
+                 "5000"]) == 2
+    assert capsys.readouterr().err == "error: product budget 5000 exceeded\n"
+    assert calls == [5000, 5000]
 
 
 def test_states_are_charged_as_they_are_made():

@@ -41,9 +41,9 @@ def test_catalog_battery_orbit_passes(monkeypatch):
     images = []
     one_pass = spectra_mod._twisted_pass
 
-    def spied(group, generator_images, cosets=None):
+    def spied(group, generator_images):
         images.append(tuple(generator_images))
-        return one_pass(group, generator_images, cosets)
+        return one_pass(group, generator_images)
 
     monkeypatch.setattr(spectra_mod, "_twisted_pass", spied)
     passes = Counter()
@@ -59,24 +59,36 @@ def test_catalog_battery_orbit_passes(monkeypatch):
 
 def test_catalog_battery_orbit_calls(monkeypatch):
     """The catalog battery runs one orbit pass per twisted class count,
-    3152 + 498, each in ``_twisted_pass``: the reduction check reads R on
-    G/N in the same pass, and no twisted partition is built."""
-    calls = []
-    one_pass = spectra_mod._twisted_pass
+    3152 + 498, each in ``_twisted_pass``, and no twisted partition is
+    built.  R on G/N is read apart from those passes, off the classes of
+    G/N (``_quotient_count``), once per representative that is not
+    injective: 1985 of them, over 193 towers."""
+    passes, quotients = [], []
+    one_pass, quotient_count = (spectra_mod._twisted_pass,
+                                spectra_mod._quotient_count)
 
-    def spied(group, generator_images, cosets=None):
-        calls.append(cosets is None)
-        return one_pass(group, generator_images, cosets)
+    def spied_pass(group, generator_images):
+        passes.append(tuple(generator_images))
+        return one_pass(group, generator_images)
+
+    def spied_quotient(group, table):
+        quotients.append(table.count(0))
+        return quotient_count(group, table)
 
     def partition(size, maps):
         raise AssertionError("the battery built a twisted partition")
 
-    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied)
+    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied_pass)
+    monkeypatch.setattr(spectra_mod, "_quotient_count", spied_quotient)
     monkeypatch.setattr(twisted_mod, "orbits", partition)
+    towers = 0
     for defn in shipped_catalog():
-        spectra_mod.theorem_battery(build(defn))
-    # The 1985 representatives that are not injective pass their cosets.
-    assert (len(calls), calls.count(False)) == (3650, 1985)
+        group = build(defn)
+        spectra_mod.theorem_battery(group)
+        towers += len(group._cosets)
+    assert (len(passes), len(quotients), towers) == (3650, 1985, 193)
+    # Only a map with a nontrivial kernel reaches the quotient count.
+    assert min(quotients) > 1
 
 
 def test_battery_leaves_the_public_checks_nothing_to_build():

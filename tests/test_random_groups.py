@@ -23,9 +23,10 @@ distinct non-identity declared generators, the search's generating set
 must be those generators in declared order.  On every draw of the three
 strategies, the inverses and element orders must equal the product-table
 oracles, and on every representative of every draw the battery's one orbit
-pass must agree with ``twisted_classes``, with the orbits on G of the
-twisted maps and N's columns, and with R of the map induced on G/N
-(``oracles.assert_twisted_pass``).  On every draw of the first strategy,
+pass must agree with ``twisted_classes`` (``oracles.assert_twisted_pass``)
+and its count on the classes of G/N with the orbits on G of the twisted
+maps and N's columns and with R of the map induced on G/N
+(``oracles.assert_quotient_count``).  On every draw of the first strategy,
 the conjugation columns must
 equal ``conjugation(s)`` for each declared generator ``s``; on every
 abelian draw, the simple flag must equal the per-class scan, and on every
@@ -116,9 +117,11 @@ def _assert_few_declared_generators_are_kept(group):
 
 
 def _assert_the_one_pass_matches(group):
-    """``oracles.assert_twisted_pass`` on every representative."""
+    """``oracles.assert_twisted_pass`` and ``oracles.assert_quotient_count``
+    on every representative."""
     for phi, _ in weighted_sweep(group):
         oracles.assert_twisted_pass(phi)
+        oracles.assert_quotient_count(phi)
 
 
 def _assert_fold_matches_the_orbit_count(group, automorphisms):
@@ -235,7 +238,7 @@ def test_battery_against_every_endomorphism(group):
         if tower.is_trivial():
             continue
         induced = oracles.induced_on_quotient(phi, tower)
-        assert (oracles.assert_twisted_pass(phi)
+        assert (oracles.assert_quotient_count(phi)
                 == reidemeister_number(induced)
                 == twisted_classes(induced).count)
 

@@ -9,9 +9,11 @@ from twistspec.errors import BudgetExceeded
 from twistspec.morphism import weighted_sweep
 from twistspec.spectra import (_witness, classify, extended_spectrum,
                                spectrum, theorem_battery)
-from twistspec.twisted import reidemeister_number
+from twistspec.group import FiniteGroup
+from twistspec.twisted import reduction_check, reidemeister_number
 from twistspec.catalog import (abelian, alternating, build, cyclic,
-                               holomorph_cyclic, m9, save, sl2, symmetric)
+                               holomorph_cyclic, m9, save, shipped_catalog,
+                               sl2, symmetric)
 
 
 def test_spectrum_examples():
@@ -240,11 +242,9 @@ def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
     representatives = {phi.generator_images for phi, _ in sweep}
     honest = spectra_mod._twisted_pass
 
-    def corrupted(group, images, cosets=None):
-        count, identity, reduced = honest(group, images, cosets)
-        if tuple(images) in representatives:
-            return count, identity, reduced
-        return count + 1, identity, reduced
+    def corrupted(group, images):
+        count, identity = honest(group, images)
+        return count + (tuple(images) not in representatives), identity
 
     monkeypatch.setattr(spectra_mod, "_twisted_pass", corrupted)
     # The first representative of weight > 1 in sweep order; its orbit is
@@ -286,6 +286,46 @@ def test_battery_orbit_stabiliser_check_can_fail(tmp_path, monkeypatch,
     assert main(["verify", str(path)]) == 3
     out = capsys.readouterr().out
     assert "FAIL  S3  orbit-stabiliser-identity  witness=" in out
+
+
+def test_battery_reduction_check_can_fail(tmp_path, monkeypatch, capsys):
+    """Class labels of G/N shifted by one, modulo the class count, fail
+    ``reduction-to-injective`` and no other check, on the 36 catalog
+    groups with a non-injective map onto a nontrivial G/N, with the first
+    representative in sweep order whose count on G/N moved as witness:
+    the check reads the classes of G/N, not phi's own twisted classes."""
+    honest = FiniteGroup.normal_cosets
+
+    def shifted(self, members):
+        sub, cosets, classes = honest(self, members)
+        return sub, cosets, classes._replace(class_of=tuple(
+            (c + 1) % classes.count for c in classes.class_of))
+
+    monkeypatch.setattr(FiniteGroup, "normal_cosets", shifted)
+    failing = 0
+    for defn in shipped_catalog():
+        group = build(defn)
+        checks = battery_map(group)
+        failed = [name for name, chk in checks.items() if not chk.passed]
+        first = next((phi for phi, _ in weighted_sweep(group)
+                      if not reduction_check(phi, reidemeister_number(phi))),
+                     None)
+        if first is None:
+            assert failed == [], defn.name
+            continue
+        failing += 1
+        assert failed == ["reduction-to-injective"], defn.name
+        witness = checks["reduction-to-injective"].witness
+        expected = _witness(group, first.generator_images, "")
+        assert (witness["generator_images"], witness["generator_cycles"]) == (
+            expected["generator_images"], expected["generator_cycles"])
+    assert failing == 36
+    path = tmp_path / "s3.json"
+    save(symmetric(3), path)
+    assert main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  S3  reduction-to-injective  witness=" in out
+    assert out.count("FAIL") == 1
 
 
 def test_survey_battery_budget_error_is_recorded(tmp_path):
