@@ -9,19 +9,18 @@ temporary directory and runs ``pytest -x -q`` on each listed file, once
 against the unmutated copy (it must pass) and once with the edit made (it
 must fail).  A mutant is killed when every one of its files fails.
 
-    python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py tower-one-squaring fixed-count-plus-one
+    python3 scripts/mutants.py
 
-Prints one line per mutant and exits 0 when every mutant run was killed,
-1 when a file passed with the edit or failed without it.  A file takes
-1-8 s, so the whole list takes a few minutes; it is not part of the test
-suite, which only checks that each text still occurs exactly once
-(``tests/test_mutants.py``).
+runs every mutant, prints one line per mutant and exits 0 when every
+mutant was killed, 1 when a file passed with the edit or failed without
+it.  To re-aim one mutant, edit ``MUTANTS`` or run its test files by hand
+on an edited copy.  A file takes 1-8 s, so the whole list takes a few
+minutes; it is not part of the test suite, which only checks that each
+text still occurs exactly once (``tests/test_mutants.py``).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -130,21 +129,12 @@ def run(mutant: Mutant, workdir: Path, clean: dict[str, bool]) -> str:
     return "SURVIVED " + " ".join(survived) if survived else "killed"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Run each mutant against the tests that must kill it.")
-    parser.add_argument("names", nargs="*", help="mutants to run (all)")
-    args = parser.parse_args(argv)
-    known = {mutant.name: mutant for mutant in MUTANTS}
-    unknown = [name for name in args.names if name not in known]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [known[name] for name in args.names] or MUTANTS
+def main() -> int:
     ok = True
     clean: dict[str, bool] = {}
     with tempfile.TemporaryDirectory(prefix="mutants-") as workdir:
         _copy(Path(workdir) / "clean")
-        for mutant in chosen:
+        for mutant in MUTANTS:
             verdict = run(mutant, Path(workdir), clean)
             ok = ok and verdict == "killed"
             print(f"{mutant.name}: {verdict}", flush=True)

@@ -335,8 +335,7 @@ class FiniteGroup:
         closure, conjugation by each generator of G must keep N, and the
         cosets are the orbits of right multiplication by N's generators,
         each of which must have |N| members.  The classes are the orbits of
-        the maps that conjugation induces on the coset representatives.
-        """
+        the maps that conjugation induces on the coset representatives."""
         entry = self._cosets.get(members)
         if entry is None:
             sub = self.subgroup(members)

@@ -98,12 +98,18 @@ def reidemeister_number(phi: Morphism) -> int:
 
 
 def _quotient_count(group: FiniteGroup, table: Sequence[int]) -> int:
-    """R of the map phi induces on G/N, N the kernel tower of ``table``,
-    once phi^-1(N), which contains N, is asserted to be no larger: that map
-    is an automorphism of G/N, fixing the classes C with phi(r_C) in C."""
+    """R of the automorphism phi induces on G/N, N the kernel tower of
+    ``table``, once phi^-1(N), which contains N, is asserted no larger."""
     tower, cosets, classes = _kernel_tower(group, table)
     if sum(map(tower.member_flags.__getitem__, table)) != tower.order:
         raise AssertionError("induced map on the quotient is not injective")
+    return _fixed_quotient_classes(table, cosets, classes)
+
+
+def _fixed_quotient_classes(table: Sequence[int], cosets: ClassPartition,
+                            classes: ClassPartition) -> int:
+    """The classes C of G/N (``classes``, on the labels of N's ``cosets``)
+    with phi(r_C) in C, phi the endomorphism ``table`` with phi(N) in N."""
     label, reps = cosets.class_of, cosets.representatives
     return sum(classes.class_of[label[table[reps[r]]]] == c
                for c, r in enumerate(classes.representatives))

@@ -310,11 +310,12 @@ def assert_twisted_pass(phi):
 def assert_quotient_count(phi):
     """``twisted._quotient_count`` on ``phi`` against
     ``reduction_orbits_on_g`` and, for a nontrivial kernel tower N, R of
-    ``induced_on_quotient``.  The classes of G/G' that ``normal_cosets``
-    keeps for G' are held to the twisted classes of the map induced on the
-    oracle's G/G': G' is normal, phi(G') lies in G', and G/G' is abelian,
-    so the classes phi fixes there number R, whether or not the induced
-    map is injective.  Returns the quotient count."""
+    ``induced_on_quotient``.  The same count, ``_fixed_quotient_classes``,
+    run on the classes of G/G' that ``normal_cosets`` keeps for G', is held
+    to the twisted classes of the map induced on the oracle's G/G': G' is
+    normal, phi(G') lies in G', and G/G' is abelian, so the classes phi
+    fixes there number R, whether or not the induced map is injective.
+    Returns the quotient count."""
     group, table = phi.group, phi.table
     reduced = twisted_mod._quotient_count(group, table)
     assert reduced == reduction_orbits_on_g(phi)
@@ -325,9 +326,7 @@ def assert_quotient_count(phi):
     derived = group.derived_subgroup()
     if 1 < derived.order < group.order:
         _, cosets, classes = group.normal_cosets(derived.indices)
-        label, reps = cosets.class_of, cosets.representatives
-        fixed = sum(classes.class_of[label[table[reps[r]]]] == c
-                    for c, r in enumerate(classes.representatives))
+        fixed = twisted_mod._fixed_quotient_classes(table, cosets, classes)
         assert fixed == twisted_partition(
             induced_on_quotient(phi, derived)).count
     return reduced

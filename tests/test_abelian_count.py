@@ -7,9 +7,10 @@ elementary abelian groups Z_p^n (|End| = p^(n^2), |Aut| = |GL(n,p)|, and
 R(phi) = p^(n - rank(phi - 1))) and for the cyclic groups, where the last
 generator is the only one, its budget charge, pinned and through the
 command line, that it runs once when it runs out of budget, and its
-fallback to the sweep when the declared generators are dependent.  The comparison with the sweep's orbit counts on
-every abelian catalog group is ``test_live_fold.py``'s, on random abelian
-groups ``test_random_groups.py``'s.
+fallback to the sweep when the declared generators are dependent.  The
+comparison with the sweep's orbit counts on every abelian catalog group
+is ``test_live_fold.py``'s, on random abelian groups
+``test_random_groups.py``'s.
 """
 
 import json
