@@ -83,6 +83,36 @@ MUTANTS = [
         "value = group.order // (k_order * max(r - 1, 1))",
         ("tests/test_abelian_count.py",),
         "the abelian count's last depth reads |<K, d>| as |K| (r - 1)"),
+    Mutant(
+        "closure-one-point-getter", "src/twistspec/group.py",
+        "getters = [itemgetter(*g) if degree > 1 else tuple for g in "
+        "generators]",
+        "getters = [itemgetter(*g) for g in generators]",
+        ("tests/test_closure_oracle.py", "tests/test_group_oracles.py"),
+        "on one point an itemgetter returns the image, an int, so closure "
+        "cannot build a group of degree 1"),
+    Mutant(
+        "product-one-point-guard", "src/twistspec/perm.py",
+        "        if len(other) == 1:  # one point's itemgetter gives an int\n"
+        "            return self\n",
+        "",
+        ("tests/test_perm.py", "tests/test_closure_oracle.py"),
+        "p * q on one point wraps the int that itemgetter returns, so the "
+        "product is no permutation"),
+    Mutant(
+        "inverses-skip-parent-inverse", "src/twistspec/group.py",
+        "inv.append(rows[id(column)][inv[parent]])",
+        "inv.append(rows[id(column)][parent])",
+        ("tests/test_group_oracles.py", "tests/test_random_groups.py"),
+        "x = p * s gets s^-1 * p as its inverse instead of s^-1 * p^-1"),
+    Mutant(
+        "element-order-longest-cycle", "src/twistspec/group.py",
+        "orders = [self.elements[r].order() for r in reps]",
+        "orders = [max(map(len, self.elements[r].cycles()), default=1) "
+        "for r in reps]",
+        ("tests/test_group_oracles.py", "tests/test_random_groups.py"),
+        "an element's order is read as its longest cycle, not the lcm of "
+        "its cycle lengths"),
 ]
 
 

@@ -26,6 +26,7 @@ ch. 4.
 from __future__ import annotations
 
 from math import isqrt
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, OrderCapExceeded
@@ -93,9 +94,11 @@ class FiniteGroup:
     and inverses.  ``right[s][x]`` is the index of ``elements[x] *
     generators[s]``; ``tree[j - 1] = (p, right[s])`` records that element
     ``j > 0`` was first reached as ``elements[p] * generators[s]``, with
-    ``p < j``.  Heavy accessors (columns, inverses, element orders,
-    conjugacy classes) are written once, on first use, without locking:
-    a group belongs to one thread.
+    ``p < j``.  ``closure`` makes one ``Permutation`` per element: its
+    products are per-generator getters on image tuples, not
+    ``Permutation.__mul__`` calls.  Heavy accessors (columns, inverses,
+    element orders, conjugacy classes) are written once, on first use,
+    without locking: a group belongs to one thread.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -551,8 +554,11 @@ def closure(degree: int, generators: Sequence[Permutation], *,
     """Materialize the group generated by ``generators`` on ``degree`` points.
 
     Breadth-first from the identity, generators applied in list order; the
-    resulting element order is deterministic.  The search keeps each
-    generator's action on element indices and the Schreier tree.  Raises
+    resulting element order is deterministic.  Each generator's products are
+    read by one ``itemgetter`` built up front, as plain tuples looked up in
+    the index; only a new element becomes a ``Permutation``, so the search
+    makes |G| of them, not |G| * |gens|.  It keeps each generator's action
+    on element indices and the Schreier tree.  Raises
     OrderCapExceeded when the group would exceed ``order_cap`` or the
     degree does, since each element costs ``degree`` entries.
     """
@@ -566,19 +572,23 @@ def closure(degree: int, generators: Sequence[Permutation], *,
     identity = Permutation.identity(degree)
     elements = [identity]
     index = {identity: 0}
+    # p * g is itemgetter(*g)(p).  One point's itemgetter gives an int, and
+    # every product there is the identity, tuple(p).
+    getters = [itemgetter(*g) if degree > 1 else tuple for g in generators]
     right: list[list[int]] = [[] for _ in generators]
     tree: list[tuple[int, list[int]]] = []
     head = 0
     while head < len(elements):
         p = elements[head]
-        for g, column in zip(generators, right):
-            q = p * g
+        for get, column in zip(getters, right):
+            q = get(p)
             j = index.get(q)
             if j is None:
                 if len(elements) >= order_cap:
                     raise OrderCapExceeded(
                         f"group exceeds order cap {order_cap}"
                     )
+                q = Permutation._unchecked(q)
                 j = index[q] = len(elements)
                 elements.append(q)
                 tree.append((head, column))

@@ -21,7 +21,10 @@ representative of the weighted sweep, with every inner twist composed as a
 full table; ``miscounted_fixed_classes`` injects a fault that both
 batteries see, and ``assert_battery_matches`` compares them.
 ``small_generating_set`` is the search's greedy generating set with every
-round's candidate scan run to the end.
+round's candidate scan run to the end.  ``reference_closure`` is the
+breadth-first search that materializes a group, multiplying with ``p * g``
+one ``Permutation`` at a time, and ``assert_closure_matches`` holds
+``closure`` to it element by element.
 The suites compare the fast paths with these on small groups.
 """
 
@@ -33,10 +36,13 @@ from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
 
+import pytest
+
 import twistspec.morphism as morphism_mod
 import twistspec.spectra as spectra_mod
 import twistspec.twisted as twisted_mod
-from twistspec.group import closure as materialize, orbits
+from twistspec.errors import OrderCapExceeded
+from twistspec.group import DEFAULT_ORDER_CAP, closure as materialize, orbits
 from twistspec.morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,
                                 weighted_sweep)
 from twistspec.perm import Permutation
@@ -67,6 +73,58 @@ def product_table(group):
 
 def inverses(table):
     return [row.index(0) for row in table]
+
+
+def reference_closure(degree, generators, order_cap=DEFAULT_ORDER_CAP):
+    """The breadth-first search from the identity, generators in list order,
+    each product a ``Permutation`` made by ``p * g``, under the same order
+    cap.  Returns the elements, their index, the Schreier tree as (parent,
+    generator position) pairs and each generator's column
+    ``x -> index(x * g)``."""
+    if degree > order_cap:
+        raise OrderCapExceeded(
+            f"degree {degree} exceeds order cap {order_cap}")
+    identity = Permutation.identity(degree)
+    elements, index, tree = [identity], {identity: 0}, []
+    right = [[] for _ in generators]
+    for head, p in enumerate(elements):
+        for s, g in enumerate(generators):
+            q = p * g
+            if q not in index:
+                if len(elements) >= order_cap:
+                    raise OrderCapExceeded(
+                        f"group exceeds order cap {order_cap}")
+                index[q] = len(elements)
+                elements.append(q)
+                tree.append((head, s))
+            right[s].append(index[q])
+    return elements, index, tree, right
+
+
+def assert_closure_matches(degree, generators):
+    """``closure`` against ``reference_closure``: the same elements, all
+    of them Permutations, in the same order, the same index, the same
+    Schreier tree and the same declared generators' columns.  At
+    ``order_cap = |G| - 1`` both raise OrderCapExceeded with the same
+    message; at |G| neither does, unless the degree exceeds |G|.  Returns
+    the group."""
+    group = materialize(degree, generators)
+    elements, index, tree, right = reference_closure(degree, generators)
+    assert group.elements == elements
+    assert group._index == index
+    assert all(type(p) is Permutation for p in group._index)
+    assert all(type(p) is Permutation for p in group.elements)
+    assert [group.column(g) for g in group.generator_indices()] == right
+    assert group._tree == [(p, right[s]) for p, s in tree]
+    messages = []
+    for build in (materialize, reference_closure):
+        with pytest.raises(OrderCapExceeded) as caught:
+            build(degree, generators, order_cap=group.order - 1)
+        messages.append(str(caught.value))
+        if degree <= group.order:
+            build(degree, generators, order_cap=group.order)
+    assert messages[0] == messages[1]
+    return group
 
 
 def assert_element_tables(group, table):

@@ -21,7 +21,9 @@ and each nontrivial tower's coset count with R of the map induced on the
 permutation quotient, by both counts.  On every draw with at most three
 distinct non-identity declared generators, the search's generating set
 must be those generators in declared order.  On every draw of the three
-strategies, the inverses and element orders must equal the product-table
+strategies, ``closure`` must equal the reference search that multiplies
+one ``Permutation`` at a time (``oracles.assert_closure_matches``), the
+inverses and element orders must equal the product-table
 oracles, and on every representative of every draw the battery's one orbit
 pass must agree with ``twisted_classes`` (``oracles.assert_twisted_pass``)
 and its count on the classes of G/N with the orbits on G of the twisted
@@ -158,6 +160,7 @@ def abelian_groups(draw):
                                  HealthCheck.too_slow])
 @given(permutation_groups())
 def test_fold_and_sweep_against_the_oracles(group):
+    oracles.assert_closure_matches(group.degree, group.generators)
     _assert_few_declared_generators_are_kept(group)
     assert group._conjugation_columns() == [
         group.conjugation(s) for s in group.generator_indices()]
@@ -183,6 +186,7 @@ def test_fold_and_sweep_against_the_oracles(group):
                                  HealthCheck.too_slow])
 @given(abelian_groups())
 def test_abelian_fold_against_the_oracle(group):
+    oracles.assert_closure_matches(group.degree, group.generators)
     _assert_few_declared_generators_are_kept(group)
     # Simple iff |G| is prime, against the per-class scan.
     assert group.is_simple() == group._is_simple_modulo(
@@ -199,6 +203,7 @@ def test_abelian_fold_against_the_oracle(group):
                                  HealthCheck.too_slow])
 @given(degree_seven_groups())
 def test_structure_and_cosets_against_the_table_oracles(group):
+    oracles.assert_closure_matches(group.degree, group.generators)
     _assert_few_declared_generators_are_kept(group)
     table = oracles.product_table(group)
     oracles.assert_element_tables(group, table)
