@@ -4,10 +4,11 @@
 Each entry of ``MUTANTS`` names a file under ``src/twistspec``, an exact
 text that occurs once in it, the replacement, the test files that must
 each fail once the edit is made, and why the edit is wrong.  The script
-copies ``src/``, ``tests/``, ``scripts/`` and ``pyproject.toml`` to a
-temporary directory and runs ``pytest -x -q`` on each listed file, once
-against the unmutated copy (it must pass) and once with the edit made (it
-must fail).  A mutant is killed when every one of its files fails.
+copies ``src/``, ``tests/``, ``scripts/``, ``perfbench/`` (whose frozen
+inputs some tests read) and ``pyproject.toml`` to a temporary directory
+and runs ``pytest -x -q`` on each listed file, once against the unmutated
+copy (it must pass) and once with the edit made (it must fail).  A mutant
+is killed when every one of its files fails.
 
     python3 scripts/mutants.py
 
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "scripts", "pyproject.toml")
+COPIED = ("src", "tests", "scripts", "perfbench", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -113,6 +114,52 @@ MUTANTS = [
         ("tests/test_group_oracles.py", "tests/test_random_groups.py"),
         "an element's order is read as its longest cycle, not the lcm of "
         "its cycle lengths"),
+    Mutant(
+        "sign-any-even-cycle", "src/twistspec/group.py",
+        "return any(sum(len(c) % 2 == 0 for c in g.cycles()) % 2\n",
+        "return any(any(len(c) % 2 == 0 for c in g.cycles())\n",
+        ("tests/test_group.py", "tests/test_structure_oracle.py"),
+        "a generator with an even number of even-length cycles (SL(2,5)'s "
+        "rotation has six 4-cycles) is read as odd, so a perfect group is "
+        "not"),
+    Mutant(
+        "class-equation-base-without-n", "src/twistspec/group.py",
+        "base = sub.order + sum(sizes[c] for c in seeded)",
+        "base = sum(sizes[c] for c in seeded)",
+        ("tests/test_structure_oracle.py", "tests/test_group_oracles.py"),
+        "the class equation leaves N's classes out of |M|, so the orders "
+        "it reaches are |N| too small and it misses proper normal "
+        "subgroups: F21, F55 and M9 read as perfect"),
+    Mutant(
+        "class-equation-divisors-not-multiples", "src/twistspec/group.py",
+        "if d % sub.order == 0 and base <= d < n]",
+        "if d % sub.order and base <= d < n]",
+        ("tests/test_structure_oracle.py", "tests/test_group.py"),
+        "the proper divisors that |M| could be omit the multiples of |N|, "
+        "which are the only ones it can be, so every seed generates G"),
+    Mutant(
+        "center-certificate-any-class", "src/twistspec/group.py",
+        "any(size == 1 and sub.order * orders[x] < n",
+        "any(sub.order * orders[x] < n",
+        ("tests/test_structure_oracle.py", "tests/test_group.py"),
+        "N<x> is read as the normal closure of every x, not only of a "
+        "central one, so no group with an element of order below |G| is "
+        "simple"),
+    Mutant(
+        "nilpotent-order-divides-p", "src/twistspec/group.py",
+        "sum(part % o == 0 for o in orders) != part",
+        "sum(p % o == 0 for o in orders) != part",
+        ("tests/test_group_oracles.py", "tests/test_random_groups.py"),
+        "the Sylow count takes the elements of order dividing p, not "
+        "|G|_p, so a p-group with an element of order p^2 is not "
+        "nilpotent"),
+    Mutant(
+        "simple-prime-rule-squares", "src/twistspec/group.py",
+        "n % d for d in range(2, isqrt(n) + 1))",
+        "n % d for d in range(2, isqrt(n)))",
+        ("tests/test_group_oracles.py", "tests/test_random_groups.py"),
+        "the prime test stops below isqrt(n), so an abelian group of order "
+        "p^2 is simple"),
 ]
 
 

@@ -15,10 +15,13 @@ computations (conjugacy classes, normal closures, the derived subgroup)
 are orbits under the columns of a few generators: O(|G| * |gens|) list
 reads instead of all-pairs products, and the twisted maps ``x -> s^-1 x c``
 are kept like the columns.  Inverses are read along the tree, element
-orders and the centre off the classes, nilpotency off the orders.  No
-quotient group is built: a question about G/N (is it simple?) is answered
-by orbits in G that take in N's generators; N's cosets and the classes
-of G/N are labelled once per N (``normal_cosets``).
+orders and the centre off the classes, nilpotency off the orders.  The
+perfect, simple and quasisimple flags are read off certificates first (a
+generator's sign, nilpotency, the centre, the class equation), and a normal
+closure is built only where none decides.  No quotient group is built: a
+question about G/N (is it simple?) is answered by orbits in G that take in
+N's generators; N's cosets and the classes of G/N are labelled once per N
+(``normal_cosets``).
 See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
 ch. 4.
 """
@@ -124,6 +127,7 @@ class FiniteGroup:
         self._classes: ClassPartition | None = None
         self._center: Subgroup | None = None
         self._derived: Subgroup | None = None
+        self._perfect: bool | None = None
         self._simple: bool | None = None
         self._small_gens: tuple[int, ...] | None = None
         self._cosets: dict[tuple[int, ...], tuple[
@@ -379,11 +383,14 @@ class FiniteGroup:
             pending.extend(conj[y] for conj in conjugations)
         return members
 
-    def _generator_commutators(self, ys: Iterable[int]) -> list[int]:
-        """``[y, s] = y^-1 s^-1 y s`` for each ``y`` and each generator ``s``."""
+    def _generator_commutators(self) -> list[int]:
+        """``[y, s] = y^-1 s^-1 y s`` for each pair of declared generators,
+        as ``(z^-1 y)^-1`` with ``z = s^-1 y s``: read off the conjugation
+        columns and y's own column, with no new column."""
         inv = self.inverses()
         conjugations = self._conjugation_columns()
-        return [self.product(inv[y], conj[y]) for y in ys for conj in conjugations]
+        return [inv[self.column(y)[inv[conj[y]]]]
+                for y in self.generator_indices() for conj in conjugations]
 
     def normal_closure(self, seeds: Iterable[int]) -> Subgroup:
         """Smallest normal subgroup containing ``seeds``."""
@@ -400,8 +407,7 @@ class FiniteGroup:
     def derived_subgroup(self) -> Subgroup:
         """The normal closure of the commutators of the generators."""
         if self._derived is None:
-            self._derived = self.normal_closure(
-                self._generator_commutators(self.generator_indices()))
+            self._derived = self.normal_closure(self._generator_commutators())
         return self._derived
 
     # -- structural predicates ---------------------------------------------
@@ -411,35 +417,102 @@ class FiniteGroup:
         return all(self.column(s)[t] == self.column(t)[s]
                    for s in gens for t in gens)
 
+    def _has_odd_generator(self) -> bool:
+        """Some declared generator is an odd permutation: an odd number of
+        its cycles have even length."""
+        return any(sum(len(c) % 2 == 0 for c in g.cycles()) % 2
+                   for g in self.generators)
+
+    def _class_equation_generates(self, seeds: Iterable[int],
+                                  sub: Subgroup) -> bool:
+        """True when the class equation alone shows that N and ``seeds``
+        normally generate G, for a normal subgroup N; False when it shows
+        nothing.
+
+        A normal subgroup M containing N and the seeds is a union of
+        classes: N's, the seeds' classes outside N, and some others.  |M|
+        divides |G| and is a multiple of |N|.  The sums of other classes
+        are the set bits of a subset-sum mask (a Python int), cut at the
+        largest gap to a proper divisor; if no such divisor is reached,
+        M = G.  Takes no product.
+        """
+        n, flags = self.order, sub.member_flags
+        class_of, reps, sizes = self.conjugacy_classes()
+        seeded = {class_of[y] for y in seeds if not flags[y]}
+        base = sub.order + sum(sizes[c] for c in seeded)
+        gaps = [d - base for d in _divisors(n)
+                if d % sub.order == 0 and base <= d < n]
+        if not gaps:
+            return True
+        cap = (2 << max(gaps)) - 1
+        mask = 1
+        for c, (r, size) in enumerate(zip(reps, sizes)):
+            if c not in seeded and not flags[r]:
+                mask = (mask | mask << size) & cap
+        return not any(mask >> gap & 1 for gap in gaps)
+
     def is_perfect(self) -> bool:
-        return self.derived_subgroup().order == self.order
+        """G' = G, decided by the first certificate that settles it.
+
+        An abelian group is perfect iff it is trivial.  An odd declared
+        generator makes the even elements of G, the sign map's kernel, a
+        normal subgroup of index 2, and a nontrivial nilpotent group (``is_nilpotent``,
+        read off the element orders) has G' < G: neither is perfect.
+        Otherwise G' contains the declared generators' commutators, and G
+        is perfect when the class equation shows that they normally
+        generate it (``_class_equation_generates``).  Only when that shows
+        nothing is their normal closure built.  The answer is cached.
+        """
+        if self._perfect is None:
+            if (self.is_abelian() or self._has_odd_generator()
+                    or self.is_nilpotent()):
+                self._perfect = self.order == 1
+            else:
+                commutators = self._generator_commutators()
+                self._perfect = self._class_equation_generates(
+                    commutators, self.trivial_subgroup()) or len(
+                        self._normal_closure(commutators)) == self.order
+        return self._perfect
 
     def _is_simple_modulo(self, sub: Subgroup) -> bool:
         """G/N is simple, for a normal subgroup N, decided inside G.
 
         The normal subgroups of G/N are the images of the normal subgroups
         of G that contain N, so G/N is simple iff N != G and every class
-        representative x outside N has N and x normally generating G.
+        representative x outside N has N and x normally generating G.  For
+        a central x (a class of size 1) they generate N<x>, of order at
+        most |N| ord(x), so if that is below |G| the answer is no.  Any other x
+        is settled by the class equation when it can be
+        (``_class_equation_generates``) and by a normal closure only when
+        it cannot.
         """
-        flags = sub.member_flags
-        return sub.order < self.order and all(
-            len(self._normal_closure([x, *sub.generators])) == self.order
-            for x in self.conjugacy_classes().representatives if not flags[x])
+        n, flags = self.order, sub.member_flags
+        _, reps, sizes = self.conjugacy_classes()
+        orders = self.element_orders()
+        outside = [(x, size) for x, size in zip(reps, sizes) if not flags[x]]
+        if sub.order == n or any(size == 1 and sub.order * orders[x] < n
+                                 for x, size in outside):
+            return False
+        return all(self._class_equation_generates([x], sub)
+                   or len(self._normal_closure([x, *sub.generators])) == n
+                   for x, _ in outside)
 
     def is_simple(self) -> bool:
         """True iff |G| > 1 and every nontrivial element normally generates G.
 
-        When 1 < |G'| < |G|, G' is a proper nontrivial normal subgroup.  An
-        abelian group (|G'| = 1) is simple iff |G| is prime, so only perfect
-        groups run the per-class scan; its answer is cached.
+        An abelian group is simple iff |G| is prime.  A simple non-abelian
+        group is perfect, so only groups that ``is_perfect`` accepts run
+        the per-class scan (``_is_simple_modulo`` with N = 1), where a
+        nontrivial centre ends it at once and the class equation settles
+        most classes without a normal closure.  The answer is cached.
         """
         if self._simple is None:
-            n, derived = self.order, self.derived_subgroup().order
-            if derived == 1:
+            n = self.order
+            if self.is_abelian():
                 self._simple = n > 1 and all(
                     n % d for d in range(2, isqrt(n) + 1))
             else:
-                self._simple = derived == n and \
+                self._simple = self.is_perfect() and \
                     self._is_simple_modulo(self.trivial_subgroup())
         return self._simple
 
@@ -519,6 +592,12 @@ class FiniteGroup:
             chosen.append(best)
             self._adjoin(found, reached, columns, self.column(best))
         return tuple(chosen)
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of ``n`` in ascending order."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def orbits(size: int, maps: Sequence[Sequence[int]]) -> ClassPartition:

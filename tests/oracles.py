@@ -20,6 +20,9 @@ both quotient oracles.
 representative of the weighted sweep, with every inner twist composed as a
 full table; ``miscounted_fixed_classes`` injects a fault that both
 batteries see, and ``assert_battery_matches`` compares them.
+``structure_flags_by_closures`` decides the structure flags by normal
+closures alone, and ``assert_structure_flags`` holds ``structure_flags``,
+which reads certificates first, to it.
 ``small_generating_set`` is the search's greedy generating set with every
 round's candidate scan run to the end.  ``reference_closure`` is the
 breadth-first search that materializes a group, multiplying with ``p * g``
@@ -333,6 +336,51 @@ def quotient_is_simple(group, sub):
     """G/N is simple, read from the product table of ``quotient``."""
     table = product_table(quotient(group, sub)[0])
     return is_simple(table, conjugacy_classes(table))
+
+
+def structure_flags_by_closures(group):
+    """The structure flags decided by normal closures alone, without the
+    certificates that ``structure_flags`` reads first.
+
+    G' is the normal closure of the declared generators' commutators, here
+    composed as permutations.  An abelian group is simple iff |G| is prime;
+    otherwise G must be perfect and G/1 simple.  G/N is simple (N = 1, or
+    N = Z(G) for the quasisimple flag) when N != G and every class
+    representative outside N normally generates G together with N.  The
+    abelian and nilpotent flags are the group's own."""
+    n, gens = group.order, group.generators
+    commutators = [group.index_of(y.inverse() * s.inverse() * y * s)
+                   for y in gens for s in gens]
+    derived = len(group._normal_closure(commutators))
+
+    def simple_modulo(sub):
+        return sub.order < n and all(
+            len(group._normal_closure([x, *sub.generators])) == n
+            for x in group.conjugacy_classes().representatives
+            if x not in sub)
+
+    perfect = derived == n
+    if derived == 1:
+        simple = n > 1 and all(n % d for d in range(2, n))
+    else:
+        simple = perfect and simple_modulo(group.trivial_subgroup())
+    center = group.center()
+    return {
+        "abelian": group.is_abelian(),
+        "nilpotent": group.is_nilpotent(),
+        "perfect": perfect,
+        "simple": simple,
+        "quasisimple": perfect and (simple if center.is_trivial()
+                                    else simple_modulo(center)),
+    }
+
+
+def assert_structure_flags(group):
+    """``structure_flags``, decided by certificates where it can, against
+    ``structure_flags_by_closures``.  Returns the flags."""
+    flags = spectra_mod.structure_flags(group)
+    assert flags == structure_flags_by_closures(group)
+    return flags
 
 
 def reduced_count(phi, method="fixed-classes"):

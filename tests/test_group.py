@@ -176,28 +176,46 @@ def test_structural_predicates():
     assert build(abelian(2, 6)).is_abelian()
 
 
-def test_nilpotency_reads_the_element_orders(monkeypatch):
-    # is_nilpotent counts the elements of p-power order and builds no normal
-    # closure, so the catalog's structure flags take 65 of them, all for the
-    # derived subgroup and the simplicity scans.
+@pytest.fixture
+def normal_closures(monkeypatch):
+    """The seeds of every ``FiniteGroup._normal_closure`` call, in order."""
     calls = []
     normal_closure = FiniteGroup._normal_closure
     monkeypatch.setattr(FiniteGroup, "_normal_closure",
                         lambda self, seeds: calls.append(seeds)
                         or normal_closure(self, seeds))
+    return calls
+
+
+def test_nilpotency_reads_the_element_orders(normal_closures):
+    # is_nilpotent counts the elements of p-power order and builds no normal
+    # closure.  The catalog's structure flags take 8 of them, each the
+    # derived subgroup of a group that no certificate settles.
     for defn in shipped_catalog():
         structure_flags(build(defn))
-    assert len(calls) == 65
-    calls.clear()
+    assert len(normal_closures) == 8
+    normal_closures.clear()
     for defn in shipped_catalog():
         group = build(defn)
         group.conjugacy_classes()
         group.is_nilpotent()
-    assert calls == []
+    assert normal_closures == []
+
+
+@pytest.mark.parametrize("defn", [symmetric(6), alternating(6), sl2(23)],
+                         ids=["S6", "A6", "SL(2,23)"])
+def test_structure_flags_from_certificates(defn, normal_closures):
+    # No normal closure: S6 has an odd generator, so it is neither perfect
+    # nor simple; A6's commutators and each of its classes normally generate
+    # it by the class equation; SL(2,23) is perfect by the class equation,
+    # not simple by its centre, and each class outside the centre generates
+    # G modulo the centre by the class equation.
+    structure_flags(build(defn))
+    assert normal_closures == []
 
 
 @pytest.mark.parametrize("defn, simple, quasisimple, scans", [
-    # S6' = A6 is proper and nontrivial: no scan.
+    # S6 is not perfect (its transposition is odd, and S6' = A6): no scan.
     (symmetric(6), False, False, 0),
     # Perfect with a trivial centre: is_quasisimple reuses the scan.
     (alternating(6), True, True, 1),

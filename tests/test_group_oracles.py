@@ -158,6 +158,7 @@ def test_predicates(case):
         group.trivial_subgroup())
     # Quasisimple: perfect, with G/Z(G) simple.
     perfect = oracles.derived_subgroup(table) == list(range(group.order))
+    assert group.is_perfect() == perfect
     assert group.is_quasisimple() == (
         perfect and oracles.quotient_is_simple(group, group.center()))
     assert group.is_abelian() == (len(oracles.center(table)) == group.order)

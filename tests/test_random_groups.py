@@ -24,7 +24,9 @@ must be those generators in declared order.  On every draw of the three
 strategies, ``closure`` must equal the reference search that multiplies
 one ``Permutation`` at a time (``oracles.assert_closure_matches``), the
 inverses and element orders must equal the product-table
-oracles, and on every representative of every draw the battery's one orbit
+oracles, the structure flags must equal those decided by normal closures
+alone (``oracles.assert_structure_flags``), and on every representative of
+every draw the battery's one orbit
 pass must agree with ``twisted_classes`` (``oracles.assert_twisted_pass``)
 and its count on the classes of G/N with the orbits on G of the twisted
 maps and N's columns and with R of the map induced on G/N
@@ -170,6 +172,7 @@ def test_fold_and_sweep_against_the_oracles(group):
     table = oracles.product_table(group)
     oracles.assert_element_tables(group, table)
     assert group.is_nilpotent() == oracles.is_nilpotent(table)
+    oracles.assert_structure_flags(group)
     oracles.assert_battery_matches(group)
     _assert_the_one_pass_matches(group)
     for automorphisms in (False, True):
@@ -191,6 +194,7 @@ def test_abelian_fold_against_the_oracle(group):
     # Simple iff |G| is prime, against the per-class scan.
     assert group.is_simple() == group._is_simple_modulo(
         group.trivial_subgroup())
+    oracles.assert_structure_flags(group)
     oracles.assert_element_tables(group, oracles.product_table(group))
     oracles.assert_battery_matches(group)
     _assert_the_one_pass_matches(group)
@@ -217,6 +221,7 @@ def test_structure_and_cosets_against_the_table_oracles(group):
         table, oracles.conjugacy_classes(table))
     assert group.is_quasisimple() == (
         group.is_perfect() and oracles.quotient_is_simple(group, center))
+    oracles.assert_structure_flags(group)
     for sub in (center, derived):
         cosets = group.normal_cosets(sub.indices)[1]
         assert ((list(cosets.class_of), list(cosets.representatives))
