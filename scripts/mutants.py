@@ -160,6 +160,66 @@ MUTANTS = [
         ("tests/test_group_oracles.py", "tests/test_random_groups.py"),
         "the prime test stops below isqrt(n), so an abelian group of order "
         "p^2 is simple"),
+    Mutant(
+        "abelian-every-candidate-bijective", "src/twistspec/spectra.py",
+        "if r == orders[last])",
+        "if r >= 1)",
+        ("tests/test_abelian_count.py", "tests/test_random_groups.py"),
+        "the abelian count's bijectivity mask keeps every candidate of the "
+        "last pool, so endomorphisms that are not onto count in the "
+        "spectrum"),
+    Mutant(
+        "search-no-orbit-minimum", "src/twistspec/morphism.py",
+        "kept = [(x, sizes[class_of[x]]) for x in pools[depth]\n"
+        "                    if reps[class_of[x]] == x]",
+        "kept = [(x, sizes[class_of[x]]) for x in pools[depth]]",
+        ("tests/test_weighted_sweep.py", "tests/test_spectra.py"),
+        "the search keeps every image of an orbit, each with the orbit's "
+        "size as its weight, so each Inn(G)-orbit counts many times"),
+    Mutant(
+        "search-weight-without-last-orbit", "src/twistspec/morphism.py",
+        "yield table, weight * size, bijective",
+        "yield table, weight, bijective",
+        ("tests/test_weighted_sweep.py", "tests/test_spectra.py"),
+        "the last generator's orbit size is left out of the weight, so "
+        "the weights no longer sum to |End| or |Aut|"),
+    Mutant(
+        "tower-invariance-unchecked", "src/twistspec/morphism.py",
+        "    if not all(flags[table[x]] for x in sub.indices):\n",
+        "    if False:\n",
+        ("tests/test_tower_cache.py",),
+        "a tower that phi does not keep goes unnoticed, and phi induces "
+        "no map on G/N"),
+    Mutant(
+        "quotient-preimage-unchecked", "src/twistspec/twisted.py",
+        "    if sum(map(tower.member_flags.__getitem__, table)) != "
+        "tower.order:\n",
+        "    if False:\n",
+        ("tests/test_tower_cache.py", "tests/test_twisted.py"),
+        "a tower whose preimage under phi is larger than itself goes "
+        "unnoticed, so the count on G/N is that of a map that is not "
+        "injective"),
+    Mutant(
+        "quotient-class-of-unmapped-rep", "src/twistspec/twisted.py",
+        "label[table[reps[r]]]",
+        "label[reps[r]]",
+        ("tests/test_weighted_sweep.py", "tests/test_twisted.py"),
+        "the count on G/N reads each representative's own coset, not its "
+        "image's, so every class of G/N reads as fixed"),
+    Mutant(
+        "twisted-pass-identity-from-last-orbit", "src/twistspec/twisted.py",
+        "return len(sizes), sizes[0]",
+        "return len(sizes), sizes[-1]",
+        ("tests/test_battery_oracle.py", "tests/test_random_groups.py"),
+        "the identity's twisted class is read from the last orbit found, "
+        "not the first, which holds the identity"),
+    Mutant(
+        "once-recomputes", "src/twistspec/group.py",
+        "            setattr(self, key, value)\n",
+        "",
+        ("tests/test_group.py",),
+        "a cached accessor keeps nothing and recomputes on every call, so "
+        "the structure flags build their normal closures again"),
 ]
 
 

@@ -3,8 +3,8 @@ classes, and the subgroup machinery behind the classification pipeline.
 
 Elements are numbered by breadth-first discovery from the identity with
 generators applied in list order, so every downstream numbering (classes,
-reports) is reproducible across runs.  Lazily built tables are written once,
-on first use, without locking, so a group belongs to one thread.
+reports) is reproducible across runs.  Derived data is computed on first
+use and kept, without locking (``_once``), so a group belongs to one thread.
 
 The search that materializes a group also records the action of each
 generator on element indices (``x -> index(x * s)``) and the Schreier tree
@@ -28,6 +28,7 @@ ch. 4.
 
 from __future__ import annotations
 
+from functools import wraps
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -52,6 +53,24 @@ class _Budget:
         self.spent += amount
         if self.limit is not None and self.spent > self.limit:
             raise BudgetExceeded(f"product budget {self.limit} exceeded")
+
+
+def _once(method):
+    """A zero-argument ``FiniteGroup`` accessor computed on its first call
+    and kept as the instance attribute ``"name()"``, a name no code can
+    write.  No lock: a group belongs to one thread.  Not kept through
+    ``__dict__``: reading it makes CPython build the instance's dict,
+    which slows every later attribute read on the group."""
+    key = method.__name__ + "()"
+
+    @wraps(method)
+    def cached(self):
+        value = getattr(self, key, cached)  # itself: not computed yet
+        if value is cached:
+            value = method(self)
+            setattr(self, key, value)
+        return value
+    return cached
 
 
 class Subgroup(NamedTuple):
@@ -99,9 +118,7 @@ class FiniteGroup:
     ``j > 0`` was first reached as ``elements[p] * generators[s]``, with
     ``p < j``.  ``closure`` makes one ``Permutation`` per element: its
     products are per-generator getters on image tuples, not
-    ``Permutation.__mul__`` calls.  Heavy accessors (columns, inverses,
-    element orders, conjugacy classes) are written once, on first use,
-    without locking: a group belongs to one thread.
+    ``Permutation.__mul__`` calls.
     """
 
     def __init__(self, degree: int, generators: Sequence[Permutation],
@@ -120,15 +137,7 @@ class FiniteGroup:
         for g, column in zip(self._generator_indices, right):
             if self._columns[g] is None:
                 self._columns[g] = column
-        self._inverses: list[int] | None = None
-        self._inverse_rows: list[list[int]] | None = None
         self._twisted: dict[tuple[int, int], list[int]] = {}
-        self._orders: list[int] | None = None
-        self._classes: ClassPartition | None = None
-        self._center: Subgroup | None = None
-        self._derived: Subgroup | None = None
-        self._perfect: bool | None = None
-        self._simple: bool | None = None
         self._small_gens: tuple[int, ...] | None = None
         self._cosets: dict[tuple[int, ...], tuple[
             Subgroup, ClassPartition, ClassPartition]] = {}
@@ -207,28 +216,29 @@ class FiniteGroup:
             found.append(twisted)
         return found
 
+    @_once
     def _inverse_generator_rows(self) -> list[list[int]]:
         """``row(s^-1)`` for each declared ``s``; ``column(s)`` gives s^-1."""
-        if self._inverse_rows is None:
-            self._inverse_rows = [self.row(self.column(g).index(0))
-                                  for g in self.generator_indices()]
-        return self._inverse_rows
+        return [self.row(self.column(g).index(0))
+                for g in self.generator_indices()]
 
     def product(self, i: int, j: int) -> int:
+        """``index(elements[i] * elements[j])``.  No path in the package
+        calls it (they read whole columns); it stays as the public
+        one-product lookup, which ``perfbench/tracing.py`` counts by name."""
         return self.column(j)[i]
 
+    @_once
     def inverses(self) -> list[int]:
         """``index(x^-1)`` for every ``x``, in tree order: ``x = p * s``
         gives ``x^-1 = row(s^-1)[inv[p]]``, read off the generators'
         ``_inverse_generator_rows``."""
-        if self._inverses is None:
-            rows = {id(self.column(g)): row for g, row in zip(
-                self.generator_indices(), self._inverse_generator_rows())}
-            inv = [0]
-            for parent, column in self._tree:
-                inv.append(rows[id(column)][inv[parent]])
-            self._inverses = inv
-        return self._inverses
+        rows = {id(self.column(g)): row for g, row in zip(
+            self.generator_indices(), self._inverse_generator_rows())}
+        inv = [0]
+        for parent, column in self._tree:
+            inv.append(rows[id(column)][inv[parent]])
+        return inv
 
     def inverse(self, i: int) -> int:
         return self.inverses()[i]
@@ -236,24 +246,19 @@ class FiniteGroup:
     def element_order(self, i: int) -> int:
         return self.element_orders()[i]
 
+    @_once
     def element_orders(self) -> list[int]:
         """The order of every element: a class function, so computed once
         per conjugacy class representative and spread by ``class_of``."""
-        if self._orders is None:
-            class_of, reps, _ = self.conjugacy_classes()
-            orders = [self.elements[r].order() for r in reps]
-            self._orders = [orders[c] for c in class_of]
-        return self._orders
+        class_of, reps, _ = self.conjugacy_classes()
+        orders = [self.elements[r].order() for r in reps]
+        return [orders[c] for c in class_of]
 
     # -- conjugacy --------------------------------------------------------
 
+    @_once
     def conjugacy_classes(self) -> ClassPartition:
-        if self._classes is None:
-            self._classes = self._compute_classes()
-        return self._classes
-
-    def _compute_classes(self) -> ClassPartition:
-        # Classes are the orbits of conjugation by the generators.
+        """The orbits of conjugation by the generators."""
         n = self.order
         partition = orbits(n, self._conjugation_columns())
         if sum(partition.sizes) != n or any(n % s for s in partition.sizes):
@@ -396,22 +401,20 @@ class FiniteGroup:
         """Smallest normal subgroup containing ``seeds``."""
         return self.subgroup(self._normal_closure(seeds))
 
+    @_once
     def center(self) -> Subgroup:
         """The classes of size 1, verified by ``subgroup``."""
-        if self._center is None:
-            _, reps, sizes = self.conjugacy_classes()
-            self._center = self.subgroup(
-                r for r, size in zip(reps, sizes) if size == 1)
-        return self._center
+        _, reps, sizes = self.conjugacy_classes()
+        return self.subgroup(r for r, size in zip(reps, sizes) if size == 1)
 
+    @_once
     def derived_subgroup(self) -> Subgroup:
         """The normal closure of the commutators of the generators."""
-        if self._derived is None:
-            self._derived = self.normal_closure(self._generator_commutators())
-        return self._derived
+        return self.normal_closure(self._generator_commutators())
 
     # -- structural predicates ---------------------------------------------
 
+    @_once
     def is_abelian(self) -> bool:
         gens = self.generator_indices()
         return all(self.column(s)[t] == self.column(t)[s]
@@ -451,6 +454,7 @@ class FiniteGroup:
                 mask = (mask | mask << size) & cap
         return not any(mask >> gap & 1 for gap in gaps)
 
+    @_once
     def is_perfect(self) -> bool:
         """G' = G, decided by the first certificate that settles it.
 
@@ -461,18 +465,15 @@ class FiniteGroup:
         Otherwise G' contains the declared generators' commutators, and G
         is perfect when the class equation shows that they normally
         generate it (``_class_equation_generates``).  Only when that shows
-        nothing is their normal closure built.  The answer is cached.
+        nothing is their normal closure built.
         """
-        if self._perfect is None:
-            if (self.is_abelian() or self._has_odd_generator()
-                    or self.is_nilpotent()):
-                self._perfect = self.order == 1
-            else:
-                commutators = self._generator_commutators()
-                self._perfect = self._class_equation_generates(
-                    commutators, self.trivial_subgroup()) or len(
-                        self._normal_closure(commutators)) == self.order
-        return self._perfect
+        if (self.is_abelian() or self._has_odd_generator()
+                or self.is_nilpotent()):
+            return self.order == 1
+        commutators = self._generator_commutators()
+        return self._class_equation_generates(
+            commutators, self.trivial_subgroup()) or len(
+                self._normal_closure(commutators)) == self.order
 
     def _is_simple_modulo(self, sub: Subgroup) -> bool:
         """G/N is simple, for a normal subgroup N, decided inside G.
@@ -497,6 +498,7 @@ class FiniteGroup:
                    or len(self._normal_closure([x, *sub.generators])) == n
                    for x, _ in outside)
 
+    @_once
     def is_simple(self) -> bool:
         """True iff |G| > 1 and every nontrivial element normally generates G.
 
@@ -504,18 +506,15 @@ class FiniteGroup:
         group is perfect, so only groups that ``is_perfect`` accepts run
         the per-class scan (``_is_simple_modulo`` with N = 1), where a
         nontrivial centre ends it at once and the class equation settles
-        most classes without a normal closure.  The answer is cached.
+        most classes without a normal closure.
         """
-        if self._simple is None:
-            n = self.order
-            if self.is_abelian():
-                self._simple = n > 1 and all(
-                    n % d for d in range(2, isqrt(n) + 1))
-            else:
-                self._simple = self.is_perfect() and \
-                    self._is_simple_modulo(self.trivial_subgroup())
-        return self._simple
+        n = self.order
+        if self.is_abelian():
+            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+        return self.is_perfect() and \
+            self._is_simple_modulo(self.trivial_subgroup())
 
+    @_once
     def is_quasisimple(self) -> bool:
         """Perfect, with G/Z(G) simple."""
         if not self.is_perfect():
@@ -524,6 +523,7 @@ class FiniteGroup:
         return (self.is_simple() if center.is_trivial()
                 else self._is_simple_modulo(center))
 
+    @_once
     def is_nilpotent(self) -> bool:
         """Each Sylow subgroup is normal: for each prime p dividing |G|,
         exactly |G|_p elements have order dividing |G|_p (they then form

@@ -314,7 +314,6 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     multiplicity of k.
     """
     k = group.class_number()
-    structure = structure_flags(group)
     annotations: list[str] = []
 
     # Scanned once, outside the End fold's try: a scan that runs out of
@@ -322,7 +321,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     gens = group.small_generating_set(budget)
     battery_checks = tally = extended_map = None
     if battery:
-        battery_checks, tally = _battery(group, structure, budget)
+        battery_checks, tally = _battery(group, budget)
     elif extended:
         try:
             tally = _fold(group, False, budget)
@@ -344,7 +343,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     out_order = aut_count * center_order // group.order
 
     flags: dict[str, bool | None] = {
-        **structure,
+        **structure_flags(group),
         "odd_order": group.order % 2 == 1,
         "trivial_spectrum": set(spectrum_map) == {k},
         "trivial_extended_spectrum": (
@@ -396,15 +395,15 @@ def theorem_battery(group: FiniteGroup, *,
     data, not errors.  ``classify(..., battery=True)`` folds its spectra
     from this same sweep.
     """
-    return _battery(group, structure_flags(group), budget)[0]
+    return _battery(group, budget)[0]
 
 
-def _battery(group: FiniteGroup, structure: dict[str, bool],
-             budget: int | None
+def _battery(group: FiniteGroup, budget: int | None
              ) -> tuple[list[BatteryCheck], tuple[Counter, Counter]]:
     """``theorem_battery``'s checks, and ``_fold``'s counters of the
-    fixed-class counts, folded from the same sweep.  ``structure`` is
-    ``structure_flags(group)``.
+    fixed-class counts, folded from the same sweep.  Which checks apply is
+    decided before the sweep, from the order and the group's own nilpotent
+    and quasisimple flags.
 
     Like ``_fold`` it reads the live tables of ``_search`` and builds no
     Morphism; a witness is built from the table's generator images at the
@@ -415,6 +414,15 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
     x -> s^-1 x s, that is tau_{s^-1}; tau_{s^-1} . phi is taken by its
     generator images, and is not counted again when they are phi's own.
     """
+    names = ["orbit-vs-fixed-classes", "orbit-stabiliser-identity",
+             "reduction-to-injective"]
+    if group.order % 2 == 1:
+        names.append("odd-order-parity")
+    names.append("spectrum-excludes-k-minus-1")
+    if group.order > 2 and (group.is_nilpotent() or group.is_quasisimple()):
+        names.append("extended-excludes-k-minus-1")
+    if group.is_quasisimple():
+        names.append("quasisimple-dichotomy")
     k = group.class_number()
     classes = group.conjugacy_classes()
     gens = group.generator_indices()
@@ -469,16 +477,6 @@ def _battery(group: FiniteGroup, structure: dict[str, bool],
         if not automorphism and any(images):
             fail("quasisimple-dichotomy", "neither trivial nor bijective")
 
-    names = ["orbit-vs-fixed-classes", "orbit-stabiliser-identity",
-             "reduction-to-injective"]
-    if group.order % 2 == 1:
-        names.append("odd-order-parity")
-    names.append("spectrum-excludes-k-minus-1")
-    if group.order > 2 and (structure["nilpotent"]
-                            or structure["quasisimple"]):
-        names.append("extended-excludes-k-minus-1")
-    if structure["quasisimple"]:
-        names.append("quasisimple-dichotomy")
     checks = [BatteryCheck(name, name not in failures, failures.get(name))
               for name in names]
     return checks, (spec, ext)

@@ -695,8 +695,7 @@ def assert_battery_matches(group):
     from the middle of the sweep on, so that the orbit-vs-fixed-classes
     and reduction checks fail first at the same representative."""
     def live():
-        return spectra_mod._battery(group, spectra_mod.structure_flags(group),
-                                    DEFAULT_PRODUCT_BUDGET)
+        return spectra_mod._battery(group, DEFAULT_PRODUCT_BUDGET)
 
     assert live() == morphism_battery(group)
     sweep = list(weighted_sweep(group))

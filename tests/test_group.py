@@ -13,7 +13,7 @@ from twistspec.catalog import (abelian, alternating, build, cyclic,
                                direct_product, metacyclic,
                                quaternion_dicyclic, shipped_catalog, sl2,
                                symmetric)
-from twistspec.spectra import structure_flags
+from twistspec.spectra import structure_flags, theorem_battery
 
 
 def S3():
@@ -187,6 +187,17 @@ def normal_closures(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def simplicity_scans(monkeypatch):
+    """|N| for every ``FiniteGroup._is_simple_modulo`` call, in order."""
+    calls = []
+    scan = FiniteGroup._is_simple_modulo
+    monkeypatch.setattr(FiniteGroup, "_is_simple_modulo",
+                        lambda self, sub: calls.append(sub.order)
+                        or scan(self, sub))
+    return calls
+
+
 def test_nilpotency_reads_the_element_orders(normal_closures):
     # is_nilpotent counts the elements of p-power order and builds no normal
     # closure.  The catalog's structure flags take 8 of them, each the
@@ -227,14 +238,8 @@ def test_structure_flags_from_certificates(defn, normal_closures):
     (cyclic(1009), True, False, 0),
 ], ids=["S6", "A6", "SL(2,5)", "Z7", "Z1", "Z1009"])
 def test_simplicity_from_the_derived_subgroup(defn, simple, quasisimple,
-                                              scans, monkeypatch):
-    import twistspec.group as group_mod
-
-    calls = []
-    scan = group_mod.FiniteGroup._is_simple_modulo
-    monkeypatch.setattr(group_mod.FiniteGroup, "_is_simple_modulo",
-                        lambda self, sub: calls.append(sub.order)
-                        or scan(self, sub))
+                                              scans, simplicity_scans):
+    calls = simplicity_scans
     group = build(defn)
     assert (group.is_simple(), group.is_quasisimple(),
             group.is_simple()) == (simple, quasisimple, simple)
@@ -246,6 +251,28 @@ def test_simplicity_from_the_derived_subgroup(defn, simple, quasisimple,
     assert (group.is_quasisimple(), group.is_simple()) == (quasisimple,
                                                            simple)
     assert len(calls) == scans
+
+
+@pytest.mark.parametrize("defn, scans", [
+    # A6: one scan for N = 1, which is_quasisimple reads.
+    (alternating(6), [1]),
+    # SL(2,5): one scan for N = 1 and one for N = Z(G) of order 2.
+    (sl2(5), [1, 2]),
+], ids=["A6", "SL(2,5)"])
+def test_structure_data_is_computed_once(defn, scans, normal_closures,
+                                         simplicity_scans):
+    # The battery reads the flags that structure_flags left on the group,
+    # and a second structure_flags call reads them too: no scan reruns and
+    # no normal closure is built.
+    group = build(defn)
+    flags = structure_flags(group)
+    assert simplicity_scans == scans
+    normal_closures.clear()
+    assert structure_flags(group) == flags
+    assert simplicity_scans == scans
+    assert normal_closures == []
+    assert all(check.passed for check in theorem_battery(group))
+    assert simplicity_scans == scans
 
 
 def test_quasisimple_with_trivial_center_builds_no_quotient(monkeypatch):

@@ -37,9 +37,11 @@ abelian draw, the simple flag must equal the per-class scan, and on every
 draw of the first and third, the nilpotent flag must equal the lower
 central series of the product table.  A fourth test takes each group A of
 the first strategy times Z_q, q the smallest prime not dividing |A|, and
-requires the product's counters to be the multiplicative convolution of
-the factors' and the orbit count's; A5 and S5 on 5 points, times Z7, are
-explicit examples.  The draws are derandomized, so the
+times a second draw B cut to the parts of its generators of order prime
+to |A|, when that leaves |B| > 1 prime to |A|, and requires each
+product's counters to be the multiplicative convolution of the factors'
+and the orbit count's; A5 and S5 on 5 points, times Z7, and D8 times Z3^2
+and F21 are explicit examples.  The draws are derandomized, so the
 groups are the same on every run.
 """
 
@@ -50,7 +52,8 @@ from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from twistspec.catalog import abelian, alternating, build, symmetric
+from twistspec.catalog import (abelian, alternating, build, cyclic,
+                               dihedral, metacyclic, symmetric)
 from twistspec.errors import OrderCapExceeded
 from twistspec.group import closure
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
@@ -263,33 +266,60 @@ def _convolve(left, right):
     return out
 
 
+def _prime_to(g, n):
+    """The power of the permutation ``g`` whose order is the part of
+    ``g``'s order prime to ``n``."""
+    rest, e = g.order(), 1
+    while (d := gcd(rest, n)) > 1:
+        rest, e = rest // d, e * d
+    images = list(range(g.degree))
+    for _ in range(e):
+        images = [g[x] for x in images]
+    return Permutation(images)
+
+
+def _assert_coprime_product_multiplies(left, right):
+    """For A = ``left`` and B = ``right`` of coprime orders, Hom(A, B) and
+    Hom(B, A) are trivial, so End(A x B) = End(A) x End(B), an
+    automorphism is a pair of automorphisms, and R(phi x psi) =
+    R(phi) R(psi).  The product's counters, with A and B acting on disjoint
+    points, are then the multiplicative convolution of the factors', and
+    also the orbit count's over the product's sweep."""
+    n, m = left.degree, right.degree
+    product = closure(n + m, [
+        *(Permutation([*g, *range(n, n + m)]) for g in left.generators),
+        *(Permutation([*range(n), *(n + x for x in g)])
+          for g in right.generators)])
+    assert product.order == left.order * right.order
+    for automorphisms in (False, True):
+        want = [_convolve(a, b) for a, b in zip(
+            _fold(left, automorphisms, DEFAULT_PRODUCT_BUDGET),
+            _fold(right, automorphisms, DEFAULT_PRODUCT_BUDGET))]
+        _assert_fold_matches_the_orbit_count(product, automorphisms)
+        assert list(_fold(product, automorphisms,
+                          DEFAULT_PRODUCT_BUDGET)) == want
+
+
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.filter_too_much,
                                  HealthCheck.too_slow])
-@given(permutation_groups())
-@example(build(alternating(5)))
-@example(build(symmetric(5)))
-def test_coprime_direct_product_multiplies_the_counters(factor):
-    """For q a prime not dividing |A|, Hom(A, Z_q) and Hom(Z_q, A) are
-    trivial, so End(A x Z_q) = End(A) x End(Z_q), an automorphism is a
-    pair of automorphisms, and R(phi x psi) = R(phi) R(psi).  The
-    product's counters are then the multiplicative convolution of the
-    factors', and also the orbit count's over the product's sweep."""
+@given(permutation_groups(), permutation_groups())
+@example(build(alternating(5)), build(cyclic(1)))
+@example(build(symmetric(5)), build(cyclic(1)))
+@example(build(dihedral(4)), build(abelian(3, 3)))
+@example(build(dihedral(4)), build(metacyclic(7, 3, 2)))
+def test_coprime_direct_product_multiplies_the_counters(factor, other):
+    """A x Z_q, q the smallest prime not dividing |A|, and A x B, B
+    generated by the parts of the second draw's generators of order prime
+    to |A|, when |B| > 1 is prime to |A| and |A x B| is within the order
+    cap.  D8 x Z3^2 and D8 x F21 are explicit examples."""
     q = next(p for p in range(2, factor.order + 2)
              if factor.order % p and all(p % d for d in range(2, p)))
     if factor.order * q > PRODUCT_ORDER_CAP:
         reject()
-    n = factor.degree
-    shift = [n + (i + 1) % q for i in range(q)]
-    product = closure(n + q, [
-        *(Permutation([*g, *range(n, n + q)]) for g in factor.generators),
-        Permutation([*range(n), *shift])])
-    assert product.order == factor.order * q
-    cyclic_q = closure(q, [Permutation([x - n for x in shift])])
-    for automorphisms in (False, True):
-        want = [_convolve(a, b) for a, b in zip(
-            _fold(factor, automorphisms, DEFAULT_PRODUCT_BUDGET),
-            _fold(cyclic_q, automorphisms, DEFAULT_PRODUCT_BUDGET))]
-        _assert_fold_matches_the_orbit_count(product, automorphisms)
-        assert list(_fold(product, automorphisms,
-                          DEFAULT_PRODUCT_BUDGET)) == want
+    _assert_coprime_product_multiplies(factor, build(cyclic(q)))
+    other = closure(other.degree, [_prime_to(g, factor.order)
+                                   for g in other.generators])
+    if (other.order > 1 and gcd(factor.order, other.order) == 1
+            and factor.order * other.order <= PRODUCT_ORDER_CAP):
+        _assert_coprime_product_multiplies(factor, other)
