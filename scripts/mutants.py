@@ -17,7 +17,8 @@ mutant was killed, 1 when a file passed with the edit or failed without
 it.  To re-aim one mutant, edit ``MUTANTS`` or run its test files by hand
 on an edited copy.  A file takes 1-8 s, so the whole list takes a few
 minutes; it is not part of the test suite, which only checks that each
-text still occurs exactly once (``tests/test_mutants.py``).
+text still occurs exactly once and that each mutated file compiles
+(``tests/test_mutants.py``).
 """
 
 from __future__ import annotations
@@ -220,6 +221,37 @@ MUTANTS = [
         ("tests/test_group.py",),
         "a cached accessor keeps nothing and recomputes on every call, so "
         "the structure flags build their normal closures again"),
+    Mutant(
+        "morphism-checks-generator-images-only", "src/twistspec/morphism.py",
+        "_extension(group, images) != list(table)",
+        "_extension(group, images) is None",
+        ("tests/test_morphisms.py",),
+        "a table whose generator images extend is accepted whatever its "
+        "other entries, so a table that breaks the law passes as a "
+        "Morphism"),
+    Mutant(
+        "extend-no-injectivity-prune", "src/twistspec/morphism.py",
+        "            if injective and t == 0:\n"
+        "                return False\n",
+        "",
+        ("tests/test_weighted_sweep.py", "tests/test_spectra.py"),
+        "the automorphism search keeps candidates that map a non-identity "
+        "element to the identity, so it reaches non-bijective tables"),
+    Mutant(
+        "aut-pools-any-class-size", "src/twistspec/morphism.py",
+        "if orders[x] == orders[g] and size[x] == size[g]]",
+        "if orders[x] == orders[g]]",
+        ("tests/test_live_fold.py",),
+        "the automorphism pools keep elements of the wrong class size; "
+        "the answers stand, but the search tries and charges candidates "
+        "no automorphism can take"),
+    Mutant(
+        "subgroup-adjoin-unmasked", "src/twistspec/group.py",
+        "self._adjoin(found, reached, columns, self.column(y), flags)",
+        "self._adjoin(found, reached, columns, self.column(y))",
+        ("tests/test_group.py", "tests/test_group_oracles.py"),
+        "subgroup() closes the given set without checking that products "
+        "stay inside it, so a set that is no subgroup is accepted"),
 ]
 
 

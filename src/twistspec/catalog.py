@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from math import factorial, gcd, isqrt, prod
+from functools import reduce
+from math import factorial, gcd, isqrt
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -181,21 +182,10 @@ def cyclic(n: int) -> GroupDefinition:
 
 
 def abelian(*orders: int) -> GroupDefinition:
+    """The direct product of the cyclic groups of the given orders."""
     if not orders or any(k < 2 for k in orders):
         raise DefinitionError("abelian factors must all be at least 2")
-    degree = sum(orders)
-    rows = []
-    offset = 0
-    for k in orders:
-        row = list(range(1, degree + 1))
-        for i in range(k):
-            row[offset + i] = offset + (i + 1) % k + 1
-        rows.append(row)
-        offset += k
-    total = prod(orders)
-    name = "x".join(f"Z{k}" for k in orders)
-    return GroupDefinition(name, degree, rows,
-                           {"order": total, "class_number": total})
+    return reduce(direct_product, map(cyclic, orders))
 
 
 def dihedral(n: int) -> GroupDefinition:
@@ -321,16 +311,12 @@ def direct_product(a: GroupDefinition, b: GroupDefinition) -> GroupDefinition:
     head = list(range(1, a.degree + 1))
     for row in b.generators:
         rows.append(head + [x + a.degree for x in row])
-    expected = None
-    if a.expected and b.expected:
-        expected = {}
-        for key in _EXPECTED_KEYS:
-            # order and class number both multiply over direct products
-            if key in a.expected and key in b.expected:
-                expected[key] = a.expected[key] * b.expected[key]
-        expected = expected or None
+    # Order and class number both multiply over direct products.
+    expected = {key: a.expected[key] * b.expected[key]
+                for key in _EXPECTED_KEYS
+                if key in (a.expected or ()) and key in (b.expected or ())}
     return GroupDefinition(f"{a.name}x{b.name}", a.degree + b.degree,
-                           rows, expected)
+                           rows, expected or None)
 
 
 def _unit_generators(n: int) -> list[int]:

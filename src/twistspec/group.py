@@ -546,7 +546,8 @@ class FiniteGroup:
         """Generator indices used by the morphism search.
 
         The declared generators are kept (minus duplicates and the identity)
-        when there are at most three; otherwise a small set is re-derived
+        when there are at most three; the trivial group's search generator
+        is its identity, ``(0,)``.  Otherwise a small set is re-derived
         greedily, picking the first element that maximally grows the
         closure.  A round's scan stops at the first candidate that closes
         all of G, which no later candidate can beat.  Each candidate's
@@ -564,7 +565,7 @@ class FiniteGroup:
             if g != 0 and g not in declared:
                 declared.append(g)
         if len(declared) <= 3:
-            return tuple(declared)
+            return tuple(declared) or (0,)
         # The first pick is the first element of largest order, since
         # |<x>| = order(x).  Later rounds close each candidate together with
         # the chosen elements, through a column that is not cached.

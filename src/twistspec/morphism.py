@@ -1,9 +1,10 @@
 """Endomorphisms of a finite group and the one morphism search.
 
 A Morphism is an endomorphism of one group, stored as the full
-element-to-element index table.  Every public constructor verifies the
-homomorphism law on all (element, generator) pairs, which suffices because
-each element is a positive word in the generators.
+element-to-element index table.  Every public constructor checks the
+homomorphism law by the search's extension of the declared generators'
+images (``_extension``), which checks each (element, generator) pair once;
+that suffices because each element is a positive word in the generators.
 
 One search serves every sweep: ``_search`` hands its consumer the live
 table of one endomorphism (or automorphism) per Inn(G)-orbit, weighted by
@@ -94,14 +95,15 @@ def _extend(table: list[int], steps: Sequence[tuple[int, int, int, bool]],
     return True
 
 
-def _verify_table(group: FiniteGroup, table: Sequence[int]) -> bool:
-    if table[0] != 0:
-        return False
-    for g in group.generator_indices():
-        src, tgt = group.column(g), group.column(table[g])
-        if any(table[src[x]] != tgt[tx] for x, tx in enumerate(table)):
-            return False
-    return True
+def _extension(group: FiniteGroup, images: Sequence[int]) -> list[int] | None:
+    """The table of the endomorphism mapping the declared generators to
+    the elements ``images``, or None when that assignment does not extend."""
+    table = [0] * group.order
+    columns = [group.column(t) for t in images]
+    for steps in _levels(group, group.generator_indices()):
+        if not _extend(table, steps, columns, False):
+            return None
+    return table
 
 
 class Morphism:
@@ -116,12 +118,13 @@ class Morphism:
             raise ValueError("table length differs from the group order")
         if min(table) < 0 or max(table) >= group.order:
             raise ValueError("table entry outside the group")
-        if not _verified and not _verify_table(group, table):
+        # Images of the declared generators, extended and reported.
+        images = tuple(table[i] for i in group.generator_indices())
+        if not _verified and _extension(group, images) != list(table):
             raise NotAHomomorphism("table violates the homomorphism law")
         self.group = group
         self.table = table
-        # Images of the declared generators, for reporting.
-        self.generator_images = tuple(table[i] for i in group.generator_indices())
+        self.generator_images = images
 
     def __call__(self, index: int) -> int:
         return self.table[index]
@@ -233,11 +236,9 @@ def morphism_from_images(group: FiniteGroup,
             if not 0 <= img < group.order:
                 raise ValueError(f"image index {img} outside the group")
             idxs.append(img)
-    table = [0] * group.order
-    images = [group.column(t) for t in idxs]
-    for steps in _levels(group, group.generator_indices()):
-        if not _extend(table, steps, images, False):
-            raise NotAHomomorphism("generator images do not extend")
+    table = _extension(group, idxs)
+    if table is None:
+        raise NotAHomomorphism("generator images do not extend")
     return Morphism(group, table, _verified=True)
 
 
@@ -299,9 +300,6 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     invariant under conjugation.
     """
     gens = group.small_generating_set(budget)
-    if not gens:
-        yield [0], 1, True
-        return
     levels = _levels(group, gens)
     pools = _pools(group, gens, automorphisms)
     tracker = _Budget(budget)

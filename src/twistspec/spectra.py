@@ -179,7 +179,6 @@ def _count_abelian(group: FiniteGroup, gens: Sequence[int],
     pool sizes, which is |End(G)|, and only the identity has R = |G|.
     """
     tracker = _Budget(budget)
-    gens = gens or (0,)  # Z1, counted as generated by its identity
     *inner, last = gens
     pools = _pools(group, gens, False)
     members = {1: (0,)}  # a subgroup's bitmask -> its members, identity first
@@ -293,8 +292,8 @@ def extended_spectrum(group: FiniteGroup, *,
     return _sorted_map(_fold(group, False, budget)[1])
 
 
-def classify(group: FiniteGroup, name: str | None = None, *,
-             extended: bool = True, battery: bool = False,
+def classify(group: FiniteGroup, *, extended: bool = True,
+             battery: bool = False,
              budget: int | None = DEFAULT_PRODUCT_BUDGET) -> SpectrumReport:
     """Full classification of one group.
 
@@ -356,7 +355,7 @@ def classify(group: FiniteGroup, name: str | None = None, *,
     }
 
     return SpectrumReport(
-        name=name or group.name or f"order{group.order}",
+        name=group.name or f"order{group.order}",
         order=group.order,
         degree=group.degree,
         class_number=k,

@@ -3,12 +3,14 @@
 The group answers, all quadratic in |G|, are computed from a product table
 built by composing permutations (``idx[p * q]``), and the cosets from such
 products taken one at a time, so none of it shares code with the
-generator-action algorithms in ``twistspec``.  ``every_morphism``
-lists every endomorphism by expanding the weighted sweep's representatives
-into their Inn(G)-orbits, and ``battery_over`` runs the theorem battery over
-such a list one morphism at a time.  ``tally`` folds the weighted sweep's
-Morphisms through ``count``, the spectra's counters computed the slow way,
-by the fixed-class count, the orbit count or both (``METHODS``).
+generator-action algorithms in ``twistspec``; ``obeys_homomorphism_law``
+checks a table on every pair of elements off that product table.
+``every_morphism`` lists every endomorphism by expanding the weighted
+sweep's representatives into their Inn(G)-orbits, and ``battery_over`` runs
+the theorem battery over such a list one morphism at a time.  ``tally``
+folds the weighted sweep's Morphisms through ``count``, the spectra's
+counters computed the slow way, by the fixed-class count, the orbit count
+or both (``METHODS``).
 ``quotient`` builds G/N as a permutation group on the left cosets of N,
 which ``twistspec`` itself never does, and
 ``induced_on_quotient`` the map an endomorphism induces there;
@@ -72,6 +74,13 @@ def product_table(group):
     """``table[i][j]`` is the index of ``elements[i] * elements[j]``."""
     idx = group.index_of
     return [[idx(p * q) for q in group.elements] for p in group.elements]
+
+
+def obeys_homomorphism_law(table, phi):
+    """``phi(x y) = phi(x) phi(y)`` for every pair of elements, read off
+    the product ``table``."""
+    return all(phi[row[y]] == table[phi[x]][phi[y]]
+               for x, row in enumerate(table) for y in range(len(table)))
 
 
 def inverses(table):
@@ -165,12 +174,13 @@ def subgroup_closure(group, seeds):
 def small_generating_set(group):
     """``FiniteGroup.small_generating_set`` with every round's candidate
     scan run to the end: the declared generators without duplicates and
-    the identity when at most three remain, else the first element of
-    largest order, then each round the first element whose closure with
-    the chosen ones is strictly the largest."""
+    the identity when at most three remain (the identity alone for the
+    trivial group), else the first element of largest order, then each
+    round the first element whose closure with the chosen ones is strictly
+    the largest."""
     declared = list(dict.fromkeys(g for g in group.generator_indices() if g))
     if len(declared) <= 3:
-        return tuple(declared)
+        return tuple(declared) or (0,)
     orders = [p.order() for p in group.elements]
     chosen = [max(range(1, group.order), key=orders.__getitem__)]
     found = subgroup_closure(group, chosen)

@@ -30,7 +30,7 @@ def _report(criterion: str, ok: bool, detail: str, t0: float) -> None:
 def full_reports(catalog_groups):
     """classify() over the whole shipped catalog, extended sweeps included."""
     return {
-        name: classify(group, name=name, extended=True, battery=False)
+        name: classify(group, extended=True, battery=False)
         for name, group in catalog_groups.items()
     }
 

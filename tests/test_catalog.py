@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,22 @@ def test_shipped_catalog_builds_with_expectations():
     # building asserts each expected block
     for defn in shipped_catalog():
         build(defn)
+
+
+# The benchmark's frozen inputs, read only.
+BENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def test_shipped_catalog_matches_the_benchmark_inputs():
+    # Each definition serializes to the bytes the benchmark was frozen with.
+    frozen = json.loads((BENCH_DATA / "catalog.json").read_text("utf-8"))
+    assert [defn.to_json_dict() for defn in shipped_catalog()] == frozen
+
+
+def test_ladder_inputs_are_the_named_builders():
+    frozen = json.loads((BENCH_DATA / "ladder.json").read_text("utf-8"))
+    assert frozen == [defn.to_json_dict() for defn in (
+        symmetric(6), alternating(6), abelian(2, 2, 2, 2))]
 
 
 def test_write_catalog(tmp_path):

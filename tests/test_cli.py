@@ -178,6 +178,110 @@ def test_spectrum_extended(s3_file, capsys):
     assert doc["flags"]["full_extended_spectrum"] is True
 
 
+# The text tables of ``info`` and ``spectrum --extended``, byte for byte.
+_FLAGS = "abelian={} nilpotent={} perfect={} simple=no quasisimple=no"
+TEXT_TABLES = {
+    ("info", "Z1"): [
+        "group         Z1",
+        "order         1",
+        "degree        1",
+        "classes       1",
+        "class sizes   1",
+        "center order  1",
+        "flags         " + _FLAGS.format("yes", "yes", "yes"),
+    ],
+    ("spectrum", "Z1"): [
+        "group     Z1",
+        "order     1",
+        "classes   1",
+        "|Aut|     1",
+        "|Out|     1",
+        "spectrum  {1}  (multiplicity 1x1)",
+        "extended  {1}  (multiplicity 1x1)",
+        "|End|     1",
+        "flags     " + _FLAGS.format("yes", "yes", "yes")
+        + " odd_order=yes trivial_spectrum=yes trivial_extended_spectrum=yes"
+        " full_extended_spectrum=yes",
+    ],
+    ("info", "S3"): [
+        "group         S3",
+        "order         6",
+        "degree        3",
+        "classes       3",
+        "class sizes   1 2 3",
+        "center order  1",
+        "flags         " + _FLAGS.format("no", "no", "no"),
+    ],
+    ("spectrum", "S3"): [
+        "group     S3",
+        "order     6",
+        "classes   3",
+        "|Aut|     6",
+        "|Out|     1",
+        "spectrum  {3}  (multiplicity 3x6)",
+        "extended  {1, 2, 3}  (multiplicity 1x1 2x3 3x6)",
+        "|End|     10",
+        "flags     " + _FLAGS.format("no", "no", "no")
+        + " odd_order=no trivial_spectrum=yes trivial_extended_spectrum=no"
+        " full_extended_spectrum=yes",
+    ],
+    ("info", "Q8"): [
+        "group         Q8",
+        "order         8",
+        "degree        8",
+        "classes       5",
+        "class sizes   1 1 2 2 2",
+        "center order  2",
+        "flags         " + _FLAGS.format("no", "yes", "no"),
+    ],
+    ("spectrum", "Q8"): [
+        "group     Q8",
+        "order     8",
+        "classes   5",
+        "|Aut|     24",
+        "|Out|     6",
+        "spectrum  {2, 3, 5}  (multiplicity 2x8 3x12 5x4)",
+        "extended  {1, 2, 3, 5}  (multiplicity 1x4 2x8 3x12 5x4)",
+        "|End|     28",
+        "flags     " + _FLAGS.format("no", "yes", "no")
+        + " odd_order=no trivial_spectrum=no trivial_extended_spectrum=no"
+        " full_extended_spectrum=no",
+    ],
+}
+
+
+def _lines(rows):
+    return "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("command, name", TEXT_TABLES)
+def test_text_tables(command, name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    save(next(d for d in catalog.shipped_catalog() if d.name == name), path)
+    flags = ["--extended"] if command == "spectrum" else []
+    assert main([command, str(path), *flags]) == 0
+    assert capsys.readouterr().out == _lines(TEXT_TABLES[command, name])
+
+
+def test_text_table_notes_a_skipped_extended_spectrum(tmp_path, capsys):
+    # The Aut sweep of S4 fits a budget of 500; the End sweep does not.
+    path = tmp_path / "s4.json"
+    save(symmetric(4), path)
+    assert main(["spectrum", str(path), "--extended", "--budget", "500"]) == 0
+    assert capsys.readouterr().out == _lines([
+        "group     S4",
+        "order     24",
+        "classes   5",
+        "|Aut|     24",
+        "|Out|     1",
+        "spectrum  {5}  (multiplicity 5x24)",
+        "note      extended spectrum skipped: budget exceeded",
+        "flags     " + _FLAGS.format("no", "no", "no")
+        + " odd_order=no trivial_spectrum=yes trivial_extended_spectrum=?"
+        " full_extended_spectrum=?",
+    ])
+
+
 def test_budget_exit_code(tmp_path, capsys):
     path = tmp_path / "s4.json"
     save(symmetric(4), path)

@@ -82,7 +82,7 @@ def test_trivial_group_report():
 
 def test_spectrum_contains_class_number(catalog_groups):
     for name, group in catalog_groups.items():
-        report = classify(group, name=name)
+        report = classify(group)
         k = report.class_number
         assert k in report.spectrum
         assert 1 in report.extended_spectrum
@@ -93,7 +93,7 @@ def test_spectrum_contains_class_number(catalog_groups):
 
 def test_multiplicity_of_k_is_class_preserving_count(small_groups, endos_of):
     for name, group in small_groups.items():
-        report = classify(group, name=name)
+        report = classify(group)
         k = report.class_number
         assert (report.spectrum.get(k, 0)
                 == report.class_preserving_aut_count), name
@@ -101,7 +101,7 @@ def test_multiplicity_of_k_is_class_preserving_count(small_groups, endos_of):
 
 def test_multiplicity_of_one_counts_fixed_point_free(small_groups, endos_of):
     for name, group in small_groups.items():
-        report = classify(group, name=name)
+        report = classify(group)
         fpf = sum(1 for phi in endos_of(name)
                   if phi.fixed_point_count() == 1)
         assert report.extended_spectrum.get(1, 0) == fpf, name
@@ -114,7 +114,7 @@ def test_exclusion_for_odd_nilpotent_quasisimple(catalog_groups):
         if not (group.order % 2 == 1 or group.is_nilpotent()
                 or group.is_quasisimple()):
             continue
-        report = classify(group, name=name)
+        report = classify(group)
         assert report.flags["full_extended_spectrum"] is False, name
 
 
@@ -128,14 +128,15 @@ def test_class_preserving_equals_inner_for_simple_quotients(catalog_groups):
     sl25 = catalog_groups["SL(2,5)"]
     quotient_group, _ = oracles.quotient(sl25, sl25.center())
     assert quotient_group.order == 60
-    qreport = classify(quotient_group, name="SL(2,5)/Z")
+    quotient_group.name = "SL(2,5)/Z"
+    qreport = classify(quotient_group)
     assert qreport.class_preserving_aut_count == 60
     assert qreport.class_preserving_out_order == 1
 
 
 def test_class_preserving_count_is_multiple_of_inner(catalog_groups):
     for name, group in catalog_groups.items():
-        report = classify(group, name=name, extended=False)
+        report = classify(group, extended=False)
         inner = group.order // group.center().order
         assert report.class_preserving_aut_count % inner == 0, name
         assert report.aut_count // report.out_order == inner, name
