@@ -252,6 +252,13 @@ MUTANTS = [
         ("tests/test_group.py", "tests/test_group_oracles.py"),
         "subgroup() closes the given set without checking that products "
         "stay inside it, so a set that is no subgroup is accepted"),
+    Mutant(
+        "battery-pass-uncharged", "src/twistspec/spectra.py",
+        "pass_cost = group.order * len(gens)",
+        "pass_cost = 0",
+        ("tests/test_battery_oracle.py", "tests/test_cli.py"),
+        "the battery's orbit passes charge nothing, so the product budget "
+        "no longer bounds verify"),
 ]
 
 

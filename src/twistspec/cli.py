@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     def limits(p):
         p.add_argument("--budget", type=_positive,
                        default=DEFAULT_PRODUCT_BUDGET,
-                       help="product budget per enumeration "
+                       help="product budget per command "
                             f"(default {DEFAULT_PRODUCT_BUDGET})")
         order_cap(p)
 

@@ -40,19 +40,24 @@ DEFAULT_ORDER_CAP = 20000
 
 
 class _Budget:
-    """Approximate product counter; each charge is an upper bound on the
-    work of one search node, one orbit pass or one candidate closure."""
+    """One command's approximate product counter; each charge is an upper
+    bound on the work of one search node, one orbit pass or one candidate
+    closure.  A public entry point makes it and every phase of its work
+    charges it.  ``phase`` names the phase being charged for the error
+    message; each phase sets it once, as it starts."""
 
-    __slots__ = ("limit", "spent")
+    __slots__ = ("limit", "spent", "phase")
 
     def __init__(self, limit: int | None):
         self.limit = limit
         self.spent = 0
+        self.phase = None
 
     def charge(self, amount: int) -> None:
         self.spent += amount
         if self.limit is not None and self.spent > self.limit:
-            raise BudgetExceeded(f"product budget {self.limit} exceeded")
+            raise BudgetExceeded(
+                f"product budget {self.limit} exceeded in {self.phase}")
 
 
 def _once(method):
@@ -541,7 +546,7 @@ class FiniteGroup:
 
     # -- generating sets for morphism search ---------------------------------
 
-    def small_generating_set(self, budget: int | None = None
+    def small_generating_set(self, tracker: _Budget | None = None
                              ) -> tuple[int, ...]:
         """Generator indices used by the morphism search.
 
@@ -551,21 +556,25 @@ class FiniteGroup:
         greedily, picking the first element that maximally grows the
         closure.  A round's scan stops at the first candidate that closes
         all of G, which no later candidate can beat.  Each candidate's
-        closure is charged to a product budget of ``budget`` (None: no
-        limit) before it is built; a scan that exceeds it raises
-        BudgetExceeded and caches nothing.
+        closure is charged to the command's ``tracker`` (None: no limit)
+        before it is built, in the phase "the generating-set scan"; a scan
+        that exceeds it raises BudgetExceeded and caches nothing.  The
+        caller enters its own phase after the scan.
         """
         if self._small_gens is None:
-            self._small_gens = self._derive_small_gens(_Budget(budget))
+            self._small_gens = self._derive_small_gens(tracker)
         return self._small_gens
 
-    def _derive_small_gens(self, tracker: _Budget) -> tuple[int, ...]:
+    def _derive_small_gens(self, tracker: _Budget | None
+                           ) -> tuple[int, ...]:
         declared = []
         for g in self.generator_indices():
             if g != 0 and g not in declared:
                 declared.append(g)
         if len(declared) <= 3:
             return tuple(declared) or (0,)
+        if tracker is not None:
+            tracker.phase = "the generating-set scan"
         # The first pick is the first element of largest order, since
         # |<x>| = order(x).  Later rounds close each candidate together with
         # the chosen elements, through a column that is not cached.
@@ -582,7 +591,8 @@ class FiniteGroup:
                     continue
                 # The candidate's column, then at most |G| members taking
                 # each of the len(chosen) + 1 columns.
-                tracker.charge(self.order * (len(chosen) + 2))
+                if tracker is not None:
+                    tracker.charge(self.order * (len(chosen) + 2))
                 grown = list(found)
                 self._adjoin(grown, list(reached), list(columns),
                              self._new_column(cand))

@@ -35,6 +35,7 @@ from .group import ClassPartition, FiniteGroup, Subgroup, _Budget, orbits
 from .perm import Permutation
 
 DEFAULT_PRODUCT_BUDGET = 10 ** 8
+_END_SWEEP, _AUT_SWEEP = "the End sweep", "the Aut sweep"  # budget phases
 
 
 def _levels(group: FiniteGroup, gens: Sequence[int]
@@ -260,7 +261,7 @@ def _pools(group: FiniteGroup, gens: Sequence[int],
             for g in gens]
 
 
-def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
+def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget
             ) -> Iterator[tuple[list[int], int, bool]]:
     """The one morphism search behind every sweep.
 
@@ -277,9 +278,10 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     image c_j for gens[j] and extends the partial table from H_j to H_{j+1}
     (``_levels``), verifying the homomorphism law there; a conflict drops
     the candidate with its whole subtree.  Each node is charged its number
-    of steps.  c_j is kept only if it is the smallest index in its orbit
-    under S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation, and the
-    weight is multiplied by that orbit's size.  The kept tuples are the
+    of steps to the caller's ``tracker``, in the caller's phase.  c_j is
+    kept only if it is the smallest index in its orbit under
+    S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation, and the weight is
+    multiplied by that orbit's size.  The kept tuples are the
     lexicographically smallest of their Inn(G)-orbits, one per orbit, and
     each weight is |G| / |C_G(phi(G))|, the size of phi's Inn(G)-orbit.
 
@@ -299,10 +301,9 @@ def _search(group: FiniteGroup, automorphisms: bool, budget: int | None
     restricts to, so the prune is lossless.  The pools and every prune are
     invariant under conjugation.
     """
-    gens = group.small_generating_set(budget)
+    gens = group.small_generating_set(tracker)
     levels = _levels(group, gens)
     pools = _pools(group, gens, automorphisms)
-    tracker = _Budget(budget)
     table = [0] * group.order
     images: list = [None] * len(gens)  # columns of c_0, ..., c_depth
     last = len(gens) - 1
@@ -355,8 +356,11 @@ def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,
     equal counts over all of End(G) or Aut(G), and the weights sum to |End|
     or |Aut|.  Each item is a Morphism holding its own copy of ``_search``'s
     live table, so it may be kept; the search and its budget charges are
-    those of the spectra's fold.
+    those of the spectra's fold, the generating-set scan included.
     """
-    for table, weight, _ in _search(group, automorphisms, budget):
+    tracker = _Budget(budget)
+    group.small_generating_set(tracker)  # a phase of its own, run first
+    tracker.phase = _AUT_SWEEP if automorphisms else _END_SWEEP
+    for table, weight, _ in _search(group, automorphisms, tracker):
         yield Morphism(group, table, _verified=True), weight
 

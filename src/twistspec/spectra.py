@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup
-from .morphism import (DEFAULT_PRODUCT_BUDGET, _Budget, _fixed_points,
-                       _pools, _search)
+from .morphism import (_AUT_SWEEP, _END_SWEEP, DEFAULT_PRODUCT_BUDGET,
+                       _Budget, _fixed_points, _pools, _search)
 from .twisted import _fixed_count, _quotient_count, _twisted_pass
 
 FLAG_NAMES = (
@@ -114,9 +114,11 @@ def _witness(group: FiniteGroup, images: Sequence[int], detail: str) -> dict:
 
 
 def _fold(group: FiniteGroup, automorphisms: bool,
-          budget: int | None) -> tuple[Counter, Counter]:
+          tracker: _Budget) -> tuple[Counter, Counter]:
     """Weighted counters of the Reidemeister numbers of the automorphisms
-    and of all the morphisms of one End (or Aut) sweep.
+    and of all the morphisms of one End (or Aut) sweep; the Aut sweep's one
+    counter fills both slots.  The generating-set scan, then the sweep or
+    the count, charge the command's ``tracker``.
 
     An abelian group whose search generators are independent (the product
     of their orders is |G|) is counted over image subgroups instead
@@ -127,18 +129,21 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     automorphism permutes the classes.  The orbit count is cross-checked by
     the battery, which compares both counts on every representative.
     """
-    gens = group.small_generating_set(budget)
+    gens = group.small_generating_set(tracker)
     if _counts_abelian(group, gens):
-        spec, ext = _count_abelian(group, gens, budget)
-        return (spec, spec) if automorphisms else (spec, ext)
-    classes = group.conjugacy_classes()
-    spec, ext = Counter(), Counter()
-    for table, weight, bijective in _search(group, automorphisms, budget):
-        value = _fixed_count(table, classes, bijective)
-        ext[value] += weight
-        if bijective:
-            spec[value] += weight
-    return spec, ext
+        spec, ext = _count_abelian(group, gens, tracker)
+    else:
+        tracker.phase = _AUT_SWEEP if automorphisms else _END_SWEEP
+        classes = group.conjugacy_classes()
+        spec, ext = Counter(), Counter()
+        for table, weight, bijective in _search(group, automorphisms,
+                                                tracker):
+            value = _fixed_count(table, classes, bijective)
+            if bijective:
+                spec[value] += weight
+            if not automorphisms:
+                ext[value] += weight
+    return (spec, spec) if automorphisms else (spec, ext)
 
 
 def _counts_abelian(group: FiniteGroup, gens: Sequence[int]) -> bool:
@@ -148,7 +153,7 @@ def _counts_abelian(group: FiniteGroup, gens: Sequence[int]) -> bool:
 
 
 def _count_abelian(group: FiniteGroup, gens: Sequence[int],
-                   budget: int | None) -> tuple[Counter, Counter]:
+                   tracker: _Budget) -> tuple[Counter, Counter]:
     """``_fold``'s counters for an abelian group with independent search
     generators, counted over image subgroups instead of endomorphisms.
 
@@ -173,12 +178,13 @@ def _count_abelian(group: FiniteGroup, gens: Sequence[int],
     that keep phi bijective, and a state adds its weight times the
     popcounts of these masks and of their intersections.
 
-    The budget is charged states times candidates per depth, each state as
+    ``tracker`` is charged states times candidates per depth, each state as
     it is made, the size of each join and the column reads made for each
-    relative order.  The End multiplicities must sum to the product of the
-    pool sizes, which is |End(G)|, and only the identity has R = |G|.
+    relative order, in the phase "the abelian count".  The End
+    multiplicities must sum to the product of the pool sizes, which is
+    |End(G)|, and only the identity has R = |G|.
     """
-    tracker = _Budget(budget)
+    tracker.phase = "the abelian count"
     *inner, last = gens
     pools = _pools(group, gens, False)
     members = {1: (0,)}  # a subgroup's bitmask -> its members, identity first
@@ -282,14 +288,14 @@ def _sorted_map(counter: Counter) -> dict[int, int]:
 def spectrum(group: FiniteGroup, *,
              budget: int | None = DEFAULT_PRODUCT_BUDGET) -> dict[int, int]:
     """Reidemeister numbers over all automorphisms, with multiplicities."""
-    return _sorted_map(_fold(group, True, budget)[0])
+    return _sorted_map(_fold(group, True, _Budget(budget))[0])
 
 
 def extended_spectrum(group: FiniteGroup, *,
                       budget: int | None = DEFAULT_PRODUCT_BUDGET
                       ) -> dict[int, int]:
     """Reidemeister numbers over all endomorphisms, with multiplicities."""
-    return _sorted_map(_fold(group, False, budget)[1])
+    return _sorted_map(_fold(group, False, _Budget(budget))[1])
 
 
 def classify(group: FiniteGroup, *, extended: bool = True,
@@ -300,36 +306,39 @@ def classify(group: FiniteGroup, *, extended: bool = True,
     Spectra come from ``_fold``: one weighted sweep over Inn(G)-orbits,
     folded from the search's live tables as they are filled, with no
     Morphism built, or, for an abelian group with independent search
-    generators, a count over image subgroups.  The endomorphism sweep (or
-    count) is attempted only when ``extended`` is set; if it blows the
-    product budget the extended fields are reported as skipped rather than
+    generators, a count over image subgroups.  One product budget of
+    ``budget`` covers the command: the generating-set scan, then the
+    endomorphism sweep (or count), attempted only when ``extended`` is set,
+    or else the automorphism sweep.  If the endomorphism sweep blows the
+    budget the extended fields are reported as skipped rather than
     guessed, and the automorphism sweep, whose budget errors propagate,
-    gives the spectrum (the abelian count, which gives both, is not rerun).
-    With ``battery`` the one sweep is the battery's sweep of the
-    endomorphisms (``_battery``, the same live tables, never the abelian
-    count), which folds the spectra from its fixed-class counts; budget
-    errors propagate.  An automorphism fixes every class exactly when its
-    count is k, so the class-preserving automorphisms are the spectrum's
-    multiplicity of k.
+    gives the spectrum under a fresh budget of the same limit.  A scan or
+    an abelian count that runs out fails the command: the scan is the
+    Aut sweep's too, and the count gives both spectra at once.  With
+    ``battery`` the one sweep is the battery's sweep of the endomorphisms
+    (``_battery``, the same live tables, never the abelian count), which
+    folds the spectra from its fixed-class counts and charges its orbit
+    passes to the same budget; budget errors propagate.  An automorphism
+    fixes every class exactly when its count is k, so the class-preserving
+    automorphisms are the spectrum's multiplicity of k.
     """
     k = group.class_number()
     annotations: list[str] = []
 
-    # Scanned once, outside the End fold's try: a scan that runs out of
-    # budget fails the command now rather than being retried by the Aut fold.
-    gens = group.small_generating_set(budget)
+    tracker = _Budget(budget)
     battery_checks = tally = extended_map = None
     if battery:
-        battery_checks, tally = _battery(group, budget)
+        battery_checks, tally = _battery(group, tracker)
     elif extended:
         try:
-            tally = _fold(group, False, budget)
+            tally = _fold(group, False, tracker)
         except BudgetExceeded:
-            if _counts_abelian(group, gens):  # the Aut fold would repeat it
+            if tracker.phase != _END_SWEEP:  # the scan or the abelian count
                 raise
             annotations.append("extended spectrum skipped: budget exceeded")
+            tracker = _Budget(budget)  # the Aut fold's fresh allowance
     if tally is None:
-        tally = _fold(group, True, budget)
+        tally = _fold(group, True, tracker)
     elif extended:
         extended_map = _sorted_map(tally[1])
     spec_counter, ext_counter = tally
@@ -391,13 +400,14 @@ def theorem_battery(group: FiniteGroup, *,
     classes of G/N (``twisted.reduction_check``); an automorphism is its
     own reduction and builds no tower.  A failure carries the first
     failing representative in sweep order as its witness.  Failures are
-    data, not errors.  ``classify(..., battery=True)`` folds its spectra
-    from this same sweep.
+    data, not errors.  One product budget of ``budget`` covers the
+    generating-set scan, the sweep and every orbit pass.
+    ``classify(..., battery=True)`` folds its spectra from this same sweep.
     """
-    return _battery(group, budget)[0]
+    return _battery(group, _Budget(budget))[0]
 
 
-def _battery(group: FiniteGroup, budget: int | None
+def _battery(group: FiniteGroup, tracker: _Budget
              ) -> tuple[list[BatteryCheck], tuple[Counter, Counter]]:
     """``theorem_battery``'s checks, and ``_fold``'s counters of the
     fixed-class counts, folded from the same sweep.  Which checks apply is
@@ -412,6 +422,10 @@ def _battery(group: FiniteGroup, budget: int | None
     its tower's entry.  The inner twists are the conjugation columns
     x -> s^-1 x s, that is tau_{s^-1}; tau_{s^-1} . phi is taken by its
     generator images, and is not counted again when they are phi's own.
+
+    After the generating-set scan, the sweep's nodes and every orbit pass
+    charge ``tracker`` in the phase "the battery"; a pass is charged |G|
+    times the declared generators, one read of each twisted map per point.
     """
     names = ["orbit-vs-fixed-classes", "orbit-stabiliser-identity",
              "reduction-to-injective"]
@@ -434,9 +448,13 @@ def _battery(group: FiniteGroup, budget: int | None
             failures[name] = _witness(group, images, detail)
 
     spec, ext = Counter(), Counter()
+    pass_cost = group.order * len(gens)
+    group.small_generating_set(tracker)  # a phase of its own, run first
+    tracker.phase = "the battery"
 
-    for table, weight, automorphism in _search(group, False, budget):
+    for table, weight, automorphism in _search(group, False, tracker):
         images = [table[s] for s in gens]
+        tracker.charge(pass_cost)
         value, identity = _twisted_pass(group, images)
         fixed_count = _fixed_count(table, classes, automorphism)
         ext[fixed_count] += weight
@@ -451,6 +469,7 @@ def _battery(group: FiniteGroup, budget: int | None
                     moved_images = [twist[c] for c in images]
                     if moved_images == images:
                         continue
+                    tracker.charge(pass_cost)
                     moved = _twisted_pass(group, moved_images)[0]
                     if moved != fixed_count:
                         fail("orbit-vs-fixed-classes",

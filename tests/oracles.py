@@ -47,7 +47,8 @@ import twistspec.morphism as morphism_mod
 import twistspec.spectra as spectra_mod
 import twistspec.twisted as twisted_mod
 from twistspec.errors import OrderCapExceeded
-from twistspec.group import DEFAULT_ORDER_CAP, closure as materialize, orbits
+from twistspec.group import (DEFAULT_ORDER_CAP, _Budget,
+                             closure as materialize, orbits)
 from twistspec.morphism import (DEFAULT_PRODUCT_BUDGET, Morphism,
                                 weighted_sweep)
 from twistspec.perm import Permutation
@@ -705,7 +706,7 @@ def assert_battery_matches(group):
     from the middle of the sweep on, so that the orbit-vs-fixed-classes
     and reduction checks fail first at the same representative."""
     def live():
-        return spectra_mod._battery(group, DEFAULT_PRODUCT_BUDGET)
+        return spectra_mod._battery(group, _Budget(DEFAULT_PRODUCT_BUDGET))
 
     assert live() == morphism_battery(group)
     sweep = list(weighted_sweep(group))

@@ -24,6 +24,7 @@ import twistspec.spectra as spectra_mod
 from twistspec.catalog import GroupDefinition, abelian, build, cyclic, save
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
+from twistspec.group import _Budget
 from twistspec.spectra import classify
 
 
@@ -64,7 +65,7 @@ def test_elementary_abelian_closed_forms(p, n):
 def test_cyclic_closed_form(n):
     """phi_a(x) = a x on Z_n fixes the gcd(a - 1, n) solutions of
     (a - 1) x = 0, and is an automorphism exactly when a is a unit."""
-    spec, ext = spectra_mod._fold(build(cyclic(n)), False, None)
+    spec, ext = spectra_mod._fold(build(cyclic(n)), False, _Budget(None))
     assert ext == Counter(gcd(a - 1, n) for a in range(n))
     assert spec == Counter(gcd(a - 1, n) for a in range(n)
                            if gcd(a, n) == 1)
@@ -76,11 +77,11 @@ def test_the_count_charges_a_pinned_total(orders, total):
     """States times candidates, joins and the last depth's column reads:
     the count answers at ``total`` and stops one unit below it."""
     group = build(abelian(*orders))
-    group.small_generating_set()  # the scan charges a budget of its own
+    group.small_generating_set()  # scanned unbudgeted: only the count charges
     with pytest.raises(BudgetExceeded):
-        spectra_mod._fold(group, False, total - 1)
-    assert (spectra_mod._fold(group, False, total)
-            == spectra_mod._fold(group, False, None))
+        spectra_mod._fold(group, False, _Budget(total - 1))
+    assert (spectra_mod._fold(group, False, _Budget(total))
+            == spectra_mod._fold(group, False, _Budget(None)))
 
 
 def test_z2_5_answers_under_the_default_budget(tmp_path, capsys):
@@ -96,7 +97,8 @@ def test_the_count_honours_the_budget(tmp_path, capsys):
     path = tmp_path / "z2_4.json"
     save(abelian(2, 2, 2, 2), path)
     assert main(["spectrum", str(path), "--extended", "--budget", "100"]) == 2
-    assert "budget 100 exceeded" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: product budget 100 exceeded in the generating-set scan\n")
 
 
 def test_a_count_out_of_budget_runs_once(tmp_path, capsys, monkeypatch):
@@ -106,19 +108,21 @@ def test_a_count_out_of_budget_runs_once(tmp_path, capsys, monkeypatch):
     calls = []
     count = spectra_mod._count_abelian
 
-    def spied(group, gens, budget):
-        calls.append(budget)
-        return count(group, gens, budget)
+    def spied(group, gens, tracker):
+        calls.append(tracker.limit)
+        return count(group, gens, tracker)
 
     monkeypatch.setattr(spectra_mod, "_count_abelian", spied)
-    with pytest.raises(BudgetExceeded, match="budget 5000 exceeded"):
+    with pytest.raises(BudgetExceeded,
+                       match="budget 5000 exceeded in the abelian count$"):
         classify(build(abelian(2, 2, 2, 2)), budget=5000)
     assert calls == [5000]
     path = tmp_path / "z2_4.json"
     save(abelian(2, 2, 2, 2), path)
     assert main(["spectrum", str(path), "--extended", "--budget",
                  "5000"]) == 2
-    assert capsys.readouterr().err == "error: product budget 5000 exceeded\n"
+    assert capsys.readouterr().err == (
+        "error: product budget 5000 exceeded in the abelian count\n")
     assert calls == [5000, 5000]
 
 
@@ -133,7 +137,7 @@ def test_states_are_charged_as_they_are_made():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceeded):
-            spectra_mod._fold(group, False, 3 * 10 ** 6)
+            spectra_mod._fold(group, False, _Budget(3 * 10 ** 6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -146,9 +150,9 @@ def searches(monkeypatch):
     calls = []
     search = spectra_mod._search
 
-    def spied(group, automorphisms, budget):
+    def spied(group, automorphisms, tracker):
         calls.append(automorphisms)
-        return search(group, automorphisms, budget)
+        return search(group, automorphisms, tracker)
 
     monkeypatch.setattr(spectra_mod, "_search", spied)
     return calls
@@ -167,10 +171,10 @@ def test_dependent_generators_fall_back_to_the_sweep(searches):
     dependent = build(z4_z2(True))
     independent = build(z4_z2(False))
     assert dependent.small_generating_set() == dependent.generator_indices()
-    want = [spectra_mod._fold(independent, automorphisms, None)
+    want = [spectra_mod._fold(independent, automorphisms, _Budget(None))
             for automorphisms in (False, True)]
     assert searches == []
-    got = [spectra_mod._fold(dependent, automorphisms, None)
+    got = [spectra_mod._fold(dependent, automorphisms, _Budget(None))
            for automorphisms in (False, True)]
     assert searches == [False, True]
     assert got == want

@@ -112,18 +112,35 @@ def test_battery_leaves_the_public_checks_nothing_to_build():
                                   holomorph_cyclic(21)],
                          ids=lambda defn: defn.name)
 def test_battery_charges_the_budget_as_the_end_fold(defn, monkeypatch):
+    """The battery's sweep charges what the End fold charges, in the same
+    order (S4 1024, S6 148854, Hol(Z21) 913962), and each of its orbit
+    passes, a representative's own or an inner twist's, is charged |G|
+    times the declared generators just before it runs."""
     group = build(defn)
-    group.small_generating_set(DEFAULT_PRODUCT_BUDGET)
-    charged = []
-    charge = group_mod._Budget.charge
+    log = []
+    charge, one_pass = group_mod._Budget.charge, spectra_mod._twisted_pass
 
     def spied(self, amount):
-        charged.append(amount)
+        log.append(amount)
         charge(self, amount)
 
+    def spied_pass(group, generator_images):
+        log.append("pass")
+        return one_pass(group, generator_images)
+
     monkeypatch.setattr(group_mod._Budget, "charge", spied)
+    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied_pass)
     spectra_mod.theorem_battery(group)
-    battery = list(charged)
-    charged.clear()
-    _fold(group, False, DEFAULT_PRODUCT_BUDGET)
-    assert battery == charged and battery
+    battery = list(log)
+    log.clear()
+    _fold(group, False, group_mod._Budget(DEFAULT_PRODUCT_BUDGET))
+    cost = group.order * len(group.generators)
+    passes = [i for i, item in enumerate(battery) if item == "pass"]
+    assert all(battery[i - 1] == cost for i in passes)
+    charged = set(passes) | {i - 1 for i in passes}
+    assert [item for i, item in enumerate(battery) if i not in charged] == log
+    pinned = {"S4": (11, 1024 + 11 * 24 * 2),
+              "S6": (13, 148854 + 13 * 720 * 2),
+              "Hol(Z21)": (214, 913962 + 214 * 252 * 3)}
+    total = sum(item for item in battery if item != "pass")
+    assert (len(passes), total) == pinned[group.name]

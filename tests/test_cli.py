@@ -282,6 +282,37 @@ def test_text_table_notes_a_skipped_extended_spectrum(tmp_path, capsys):
     ])
 
 
+def test_the_scan_and_the_end_fold_share_one_budget(tmp_path, capsys):
+    """M9's generating-set scan charges 1512 and its End fold 11520, so a
+    budget of 11520 skips the extended spectrum and 1512 + 11520 gives it.
+    The Aut fold (7236) runs under a fresh budget of the same limit and
+    gives the spectrum that the default budget gives."""
+    path = tmp_path / "m9.json"
+    save(m9(), path)
+    assert main(["spectrum", str(path)]) == 0
+    spectrum = capsys.readouterr().out.splitlines()[5]
+    assert spectrum.startswith("spectrum")
+    assert main(["spectrum", str(path), "--extended", "--budget",
+                 "11520"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[5:7] == [
+        spectrum, "note      extended spectrum skipped: budget exceeded"]
+    assert main(["spectrum", str(path), "--extended", "--budget",
+                 str(1512 + 11520)]) == 0
+    assert capsys.readouterr().out.splitlines()[6].startswith("extended")
+
+
+def test_verify_charges_the_battery_orbit_passes(tmp_path, capsys):
+    """S4's End fold charges exactly 1024, and its battery runs 11 orbit
+    passes of 24 * 2 each on top."""
+    path = tmp_path / "s4.json"
+    save(symmetric(4), path)
+    assert main(["verify", str(path), "--budget", "1024"]) == 2
+    assert capsys.readouterr().err == (
+        "error: product budget 1024 exceeded in the battery\n")
+    assert main(["verify", str(path), "--budget", str(1024 + 11 * 48)]) == 0
+
+
 def test_budget_exit_code(tmp_path, capsys):
     path = tmp_path / "s4.json"
     save(symmetric(4), path)

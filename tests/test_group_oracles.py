@@ -293,16 +293,16 @@ def test_the_generating_set_scan_is_charged_to_the_budget(monkeypatch):
         charge(self, amount)
 
     monkeypatch.setattr(_Budget, "charge", spied)
-    gens = build(m9()).small_generating_set()
+    gens = build(m9()).small_generating_set(_Budget(None))
     spent = sum(charges)
     assert spent > 0
     group = build(m9())
     with pytest.raises(BudgetExceeded):
-        group.small_generating_set(spent - 1)
-    assert group.small_generating_set(spent) == gens
+        group.small_generating_set(_Budget(spent - 1))
+    assert group.small_generating_set(_Budget(spent)) == gens
     charges.clear()
     s5 = build(symmetric(5))
-    assert s5.small_generating_set(0) == s5.generator_indices()
+    assert s5.small_generating_set(_Budget(0)) == s5.generator_indices()
     assert charges == []
 
 

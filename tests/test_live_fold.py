@@ -21,7 +21,7 @@ from twistspec.catalog import (abelian, alternating, build, dihedral,
                                shipped_catalog, symmetric)
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
-from twistspec.group import orbits
+from twistspec.group import _Budget, orbits
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, Morphism, weighted_sweep
 from twistspec.spectra import classify, extended_spectrum, spectrum
 
@@ -41,9 +41,9 @@ def case(request):
 
 def _assert_fold_matches_oracle(group, end_sweep, aut_sweep, method):
     budget = DEFAULT_PRODUCT_BUDGET
-    assert (spectra_mod._fold(group, False, budget)
+    assert (spectra_mod._fold(group, False, _Budget(budget))
             == oracles.tally(end_sweep, method))
-    assert (spectra_mod._fold(group, True, budget)
+    assert (spectra_mod._fold(group, True, _Budget(budget))
             == oracles.tally(aut_sweep, method))
 
 
@@ -95,7 +95,7 @@ def test_depth_zero_reads_the_conjugacy_classes(case, monkeypatch):
                 if classes.representatives[classes.class_of[x]] == x] == slow
         tried.clear()
         indices.clear()
-        for _ in morphism_mod._search(group, automorphisms, None):
+        for _ in morphism_mod._search(group, automorphisms, _Budget(None)):
             pass
         if gens:
             assert tried == [x for x, _ in slow]
@@ -260,7 +260,7 @@ def test_fold_assertions_fire(bad, tmp_path, monkeypatch, capsys):
     group = build(defn)
     table, bijective = bad(group)
 
-    def search(group, automorphisms, budget):
+    def search(group, automorphisms, tracker):
         yield table, 1, bijective
 
     monkeypatch.setattr(spectra_mod, "_search", search)

@@ -55,7 +55,7 @@ import oracles
 from twistspec.catalog import (abelian, alternating, build, cyclic,
                                dihedral, metacyclic, symmetric)
 from twistspec.errors import OrderCapExceeded
-from twistspec.group import closure
+from twistspec.group import _Budget, closure
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import _fold, theorem_battery
@@ -136,7 +136,7 @@ def _assert_fold_matches_the_orbit_count(group, automorphisms):
     """``_fold`` against ``oracles.tally`` over the weighted sweep, whose
     items it returns."""
     sweep = list(weighted_sweep(group, automorphisms=automorphisms))
-    assert (_fold(group, automorphisms, DEFAULT_PRODUCT_BUDGET)
+    assert (_fold(group, automorphisms, _Budget(DEFAULT_PRODUCT_BUDGET))
             == oracles.tally(sweep, "orbits"))
     return sweep
 
@@ -294,11 +294,11 @@ def _assert_coprime_product_multiplies(left, right):
     assert product.order == left.order * right.order
     for automorphisms in (False, True):
         want = [_convolve(a, b) for a, b in zip(
-            _fold(left, automorphisms, DEFAULT_PRODUCT_BUDGET),
-            _fold(right, automorphisms, DEFAULT_PRODUCT_BUDGET))]
+            _fold(left, automorphisms, _Budget(DEFAULT_PRODUCT_BUDGET)),
+            _fold(right, automorphisms, _Budget(DEFAULT_PRODUCT_BUDGET)))]
         _assert_fold_matches_the_orbit_count(product, automorphisms)
         assert list(_fold(product, automorphisms,
-                          DEFAULT_PRODUCT_BUDGET)) == want
+                          _Budget(DEFAULT_PRODUCT_BUDGET))) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,

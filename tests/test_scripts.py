@@ -38,7 +38,8 @@ def test_reproduce_tables_budget_error_is_one_line():
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: Z2: product budget 1 exceeded\n"
+    assert proc.stderr == (
+        "error: Z2: product budget 1 exceeded in the abelian count\n")
 
 
 @pytest.mark.parametrize("error", [AssertionError, NotAHomomorphism])

@@ -7,7 +7,9 @@ underscore) must be referenced, as a name or an attribute, somewhere in the
 package.  A helper or import left behind by a refactor fails here.  And no
 zero-argument ``FiniteGroup`` method writes to ``self``: such an accessor
 keeps its value through ``_once`` in ``group.py``, so a hand-rolled cache
-(a memo field and its ``if ... is None`` block) fails here.
+(a memo field and its ``if ... is None`` block) fails here.  One product
+budget serves each command: only the public entry points make a
+``_Budget``, and no private function takes an int as ``budget``.
 """
 
 import ast
@@ -97,3 +99,36 @@ def test_zero_argument_group_methods_write_nothing_to_self():
         method.name for method in zero_argument}
     assert sorted((method.name, target) for method in zero_argument
                   for target in _self_targets(method)) == []
+
+
+def _budget_makers(node, owner="<module>"):
+    """The name of the innermost function around each ``_Budget(...)``
+    call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _budget_makers(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and "_Budget" in (
+                getattr(child.func, "id", None),
+                getattr(child.func, "attr", None)):
+            yield owner
+        yield from _budget_makers(child, owner)
+
+
+def test_one_budget_per_command():
+    """Each public entry point makes the one ``_Budget`` of its command and
+    hands it down; ``classify`` makes one more, the fresh allowance of the
+    Aut fold after a skipped End fold.  Private functions take the object,
+    never an int named ``budget``."""
+    makers = sorted(owner for tree in TREES.values()
+                    for owner in _budget_makers(tree))
+    assert makers == ["classify", "classify", "extended_spectrum",
+                      "spectrum", "theorem_battery", "weighted_sweep"]
+    takes_budget = sorted(
+        node.name for tree in TREES.values() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and "budget" in {arg.arg for arg in (*node.args.posonlyargs,
+                                             *node.args.args,
+                                             *node.args.kwonlyargs)})
+    assert takes_budget == []

@@ -343,7 +343,8 @@ def test_survey_battery_budget_error_is_recorded(tmp_path):
     assert [g["name"] for g in doc["groups"]] == ["S3"]
     assert doc["summary"]["errors"] == [
         {"file": "s4.json",
-         "error": "BudgetExceeded: product budget 500 exceeded"}]
+         "error": "BudgetExceeded: product budget 500 exceeded in the "
+                  "battery"}]
 
 
 def test_spectrum_multiset_stable_under_enumeration_order(catalog_groups):
