@@ -259,6 +259,21 @@ MUTANTS = [
         ("tests/test_battery_oracle.py", "tests/test_cli.py"),
         "the battery's orbit passes charge nothing, so the product budget "
         "no longer bounds verify"),
+    Mutant(
+        "abelian-scan-without-full-order-growth", "src/twistspec/group.py",
+        "full = len(grown) == len(found) * orders[cand]",
+        "full = True",
+        ("tests/test_group_oracles.py", "tests/test_abelian_count.py"),
+        "the scan accepts a candidate that meets the closure of the chosen "
+        "elements, so an abelian group's search generators can be "
+        "dependent and the abelian count's pools are wrong"),
+    Mutant(
+        "abelian-keeps-dependent-declared", "src/twistspec/group.py",
+        "prod(map(self.element_order, declared)) == self.order if abelian",
+        "True if abelian",
+        ("tests/test_group_oracles.py", "tests/test_abelian_count.py"),
+        "an abelian group keeps its declared generators even when they are "
+        "dependent, so the abelian count runs on a set that is no basis"),
 ]
 
 

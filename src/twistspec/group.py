@@ -29,7 +29,7 @@ ch. 4.
 from __future__ import annotations
 
 from functools import wraps
-from math import isqrt
+from math import isqrt, prod
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -548,18 +548,21 @@ class FiniteGroup:
 
     def small_generating_set(self, tracker: _Budget | None = None
                              ) -> tuple[int, ...]:
-        """Generator indices used by the morphism search.
+        """Generator indices of the morphism search and the abelian count.
 
-        The declared generators are kept (minus duplicates and the identity)
-        when there are at most three; the trivial group's search generator
-        is its identity, ``(0,)``.  Otherwise a small set is re-derived
-        greedily, picking the first element that maximally grows the
-        closure.  A round's scan stops at the first candidate that closes
-        all of G, which no later candidate can beat.  Each candidate's
-        closure is charged to the command's ``tracker`` (None: no limit)
-        before it is built, in the phase "the generating-set scan"; a scan
-        that exceeds it raises BudgetExceeded and caches nothing.  The
-        caller enters its own phase after the scan.
+        The declared generators (minus duplicates and the identity) are
+        kept when G is abelian and their orders multiply to |G|, a basis,
+        or when G is not abelian and there are at most three; the trivial
+        group's search generator is its identity, ``(0,)``.  Otherwise a
+        set is re-derived greedily, picking the first element that
+        maximally grows the closure; in an abelian group only a candidate
+        that grows it by its full order counts, so the set is a basis
+        (asserted).  A round's scan stops at the first candidate that
+        closes all of G, which no later candidate can beat.  Each
+        candidate's closure is charged to the command's ``tracker`` (None:
+        no limit) before it is built, in the phase "the generating-set
+        scan"; a scan that exceeds it raises BudgetExceeded and caches
+        nothing.  The caller enters its own phase after the scan.
         """
         if self._small_gens is None:
             self._small_gens = self._derive_small_gens(tracker)
@@ -567,12 +570,12 @@ class FiniteGroup:
 
     def _derive_small_gens(self, tracker: _Budget | None
                            ) -> tuple[int, ...]:
-        declared = []
-        for g in self.generator_indices():
-            if g != 0 and g not in declared:
-                declared.append(g)
-        if len(declared) <= 3:
-            return tuple(declared) or (0,)
+        declared = tuple(dict.fromkeys(g for g in self.generator_indices()
+                                       if g))
+        abelian = self.is_abelian()
+        if (prod(map(self.element_order, declared)) == self.order if abelian
+                else len(declared) <= 3):
+            return declared or (0,)
         if tracker is not None:
             tracker.phase = "the generating-set scan"
         # The first pick is the first element of largest order, since
@@ -596,12 +599,14 @@ class FiniteGroup:
                 grown = list(found)
                 self._adjoin(grown, list(reached), list(columns),
                              self._new_column(cand))
-                if len(grown) > best_size:
+                full = len(grown) == len(found) * orders[cand]
+                if len(grown) > best_size and (full or not abelian):
                     best, best_size = cand, len(grown)
                     if best_size == self.order:
                         break
             chosen.append(best)
             self._adjoin(found, reached, columns, self.column(best))
+        assert not abelian or prod(orders[g] for g in chosen) == self.order
         return tuple(chosen)
 
 

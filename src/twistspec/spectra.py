@@ -120,17 +120,17 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     counter fills both slots.  The generating-set scan, then the sweep or
     the count, charge the command's ``tracker``.
 
-    An abelian group whose search generators are independent (the product
-    of their orders is |G|) is counted over image subgroups instead
-    (``_count_abelian``); the counters are the same.  Otherwise R is read
-    off the search's live table by ``_fixed_count``, the number of classes
-    c whose representative phi maps back into c: k reads with no copy and
-    no Morphism, asserting that the identity class is fixed and that an
-    automorphism permutes the classes.  The orbit count is cross-checked by
-    the battery, which compares both counts on every representative.
+    An abelian group, whose search generators are a basis, is counted over
+    image subgroups instead (``_count_abelian``); the counters are the
+    same.  Otherwise R is read off the search's live table by
+    ``_fixed_count``, the number of classes c whose representative phi
+    maps back into c: k reads with no copy and no Morphism, asserting that
+    the identity class is fixed and that an automorphism permutes the
+    classes.  The orbit count is cross-checked by the battery, which
+    compares both counts on every representative.
     """
     gens = group.small_generating_set(tracker)
-    if _counts_abelian(group, gens):
+    if group.is_abelian():
         spec, ext = _count_abelian(group, gens, tracker)
     else:
         tracker.phase = _AUT_SWEEP if automorphisms else _END_SWEEP
@@ -146,16 +146,11 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     return (spec, spec) if automorphisms else (spec, ext)
 
 
-def _counts_abelian(group: FiniteGroup, gens: Sequence[int]) -> bool:
-    """G is abelian and its search generators ``gens`` independent."""
-    return (group.is_abelian()
-            and prod(map(group.element_order, gens)) == group.order)
-
-
 def _count_abelian(group: FiniteGroup, gens: Sequence[int],
                    tracker: _Budget) -> tuple[Counter, Counter]:
-    """``_fold``'s counters for an abelian group with independent search
-    generators, counted over image subgroups instead of endomorphisms.
+    """``_fold``'s counters for an abelian group, counted over image
+    subgroups instead of endomorphisms; its search generators ``gens`` are
+    a basis (``FiniteGroup.small_generating_set``).
 
     Every class is one element, so R(phi) = |Fix phi| = |G| / |im psi| for
     psi(x) = x^-1 phi(x), and psi runs over End(G) as phi does.  G is the

@@ -26,10 +26,12 @@ batteries see, and ``assert_battery_matches`` compares them.
 closures alone, and ``assert_structure_flags`` holds ``structure_flags``,
 which reads certificates first, to it.
 ``small_generating_set`` is the search's greedy generating set with every
-round's candidate scan run to the end.  ``reference_closure`` is the
-breadth-first search that materializes a group, multiplying with ``p * g``
-one ``Permutation`` at a time, and ``assert_closure_matches`` holds
-``closure`` to it element by element.
+round's candidate scan run to the end, and ``random_generating_sets``
+declares small abelian groups by seeded random elements, mostly
+dependent, for it.  ``reference_closure`` is the breadth-first search
+that materializes a group, multiplying with ``p * g`` one ``Permutation``
+at a time, and ``assert_closure_matches`` holds ``closure`` to it element
+by element.
 The suites compare the fast paths with these on small groups.
 """
 
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import random
 from collections import Counter
 from contextlib import contextmanager
 from unittest import mock
@@ -46,6 +50,7 @@ import pytest
 import twistspec.morphism as morphism_mod
 import twistspec.spectra as spectra_mod
 import twistspec.twisted as twisted_mod
+from twistspec import catalog
 from twistspec.errors import OrderCapExceeded
 from twistspec.group import (DEFAULT_ORDER_CAP, _Budget,
                              closure as materialize, orbits)
@@ -175,25 +180,50 @@ def subgroup_closure(group, seeds):
 def small_generating_set(group):
     """``FiniteGroup.small_generating_set`` with every round's candidate
     scan run to the end: the declared generators without duplicates and
-    the identity when at most three remain (the identity alone for the
-    trivial group), else the first element of largest order, then each
-    round the first element whose closure with the chosen ones is strictly
-    the largest."""
-    declared = list(dict.fromkeys(g for g in group.generator_indices() if g))
-    if len(declared) <= 3:
-        return tuple(declared) or (0,)
+    the identity (the identity alone for the trivial group) when the
+    generators commute and their orders multiply to |G|, or when they do
+    not commute and at most three remain; else the first element of
+    largest order, then each round the first element whose closure with
+    the chosen ones is strictly the largest, among those that multiply its
+    size by their order when the generators commute."""
+    gens = group.generators
+    abelian = all(g * h == h * g for g in gens for h in gens)
     orders = [p.order() for p in group.elements]
+    declared = list(dict.fromkeys(g for g in group.generator_indices() if g))
+    if (math.prod(orders[g] for g in declared) == group.order if abelian
+            else len(declared) <= 3):
+        return tuple(declared) or (0,)
     chosen = [max(range(1, group.order), key=orders.__getitem__)]
     found = subgroup_closure(group, chosen)
     while len(found) < group.order:
         best, best_found = None, found
         for cand in sorted(set(range(group.order)) - set(found)):
             grown = subgroup_closure(group, [*chosen, cand])
-            if len(grown) > len(best_found):
+            if len(grown) > len(best_found) and (
+                    not abelian or len(grown) == len(found) * orders[cand]):
                 best, best_found = cand, grown
         chosen.append(best)
         found = best_found
     return tuple(chosen)
+
+
+def random_generating_sets(count=4):
+    """``count`` definitions each of Z4 x Z2, Z2 x Z2 x Z4 and
+    Z2^3 x Z4, each declared by 2-4 of its elements drawn with a fixed
+    seed per group and kept when they generate it; most such sets are
+    dependent."""
+    found = []
+    for seed, orders in enumerate([(4, 2), (2, 2, 4), (2, 2, 2, 4)]):
+        group = catalog.build(catalog.abelian(*orders))
+        rng = random.Random(seed)
+        for k in range(count):
+            picks = []
+            while len(subgroup_closure(group, picks)) < group.order:
+                picks = rng.sample(range(1, group.order), rng.randint(2, 4))
+            found.append(catalog.GroupDefinition(
+                f"{'x'.join(f'Z{n}' for n in orders)}-{k}", group.degree,
+                [group.elements[i].to_one_based() for i in picks]))
+    return found
 
 
 def is_class_preserving(phi, classes=None):

@@ -1,13 +1,14 @@
 """The abelian count: spectra of abelian groups over image subgroups.
 
-``spectra._fold`` counts an abelian group whose search generators are
-independent over the subgroups <psi(g_1), ..., psi(g_j)> instead of
+``spectra._fold`` counts every abelian group, whose search generators are
+a basis, over the subgroups <psi(g_1), ..., psi(g_j)> instead of
 sweeping End(G).  Its answers are checked against closed forms for the
 elementary abelian groups Z_p^n (|End| = p^(n^2), |Aut| = |GL(n,p)|, and
 R(phi) = p^(n - rank(phi - 1))) and for the cyclic groups, where the last
 generator is the only one, its budget charge, pinned and through the
-command line, that it runs once when it runs out of budget, and its
-fallback to the sweep when the declared generators are dependent.  The
+command line, that it runs once when it runs out of budget, and that
+groups declared by dependent generators take the count too, with the
+sweep's counters.  The
 comparison with the sweep's orbit counts on every abelian catalog group
 is ``test_live_fold.py``'s, on random abelian groups
 ``test_random_groups.py``'s.
@@ -20,11 +21,13 @@ from math import gcd
 
 import pytest
 
+import oracles
 import twistspec.spectra as spectra_mod
 from twistspec.catalog import GroupDefinition, abelian, build, cyclic, save
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
 from twistspec.group import _Budget
+from twistspec.morphism import weighted_sweep
 from twistspec.spectra import classify
 
 
@@ -94,11 +97,13 @@ def test_z2_5_answers_under_the_default_budget(tmp_path, capsys):
 
 
 def test_the_count_honours_the_budget(tmp_path, capsys):
+    """Z2^4's four declared generators are a basis, so nothing is scanned
+    and the count is the first phase to charge."""
     path = tmp_path / "z2_4.json"
     save(abelian(2, 2, 2, 2), path)
     assert main(["spectrum", str(path), "--extended", "--budget", "100"]) == 2
     assert capsys.readouterr().err == (
-        "error: product budget 100 exceeded in the generating-set scan\n")
+        "error: product budget 100 exceeded in the abelian count\n")
 
 
 def test_a_count_out_of_budget_runs_once(tmp_path, capsys, monkeypatch):
@@ -167,18 +172,35 @@ def z4_z2(dependent):
                            {"order": 8})
 
 
-def test_dependent_generators_fall_back_to_the_sweep(searches):
+def _sweep_tally(group, automorphisms):
+    """The fold's counters the slow way: the orbit count of every
+    representative of the weighted sweep."""
+    sweep = weighted_sweep(group, automorphisms=automorphisms)
+    return oracles.tally(list(sweep), "orbits")
+
+
+def test_dependent_generators_take_the_count(searches):
     dependent = build(z4_z2(True))
     independent = build(z4_z2(False))
-    assert dependent.small_generating_set() == dependent.generator_indices()
+    assert dependent.small_generating_set() != dependent.generator_indices()
+    got = [spectra_mod._fold(dependent, automorphisms, _Budget(None))
+           for automorphisms in (False, True)]
     want = [spectra_mod._fold(independent, automorphisms, _Budget(None))
             for automorphisms in (False, True)]
     assert searches == []
-    got = [spectra_mod._fold(dependent, automorphisms, _Budget(None))
-           for automorphisms in (False, True)]
-    assert searches == [False, True]
-    assert got == want
+    assert got == want == [_sweep_tally(dependent, automorphisms)
+                           for automorphisms in (False, True)]
     # |End| is the product of gcd(n_i, n_j) over the factor orders;
     # |Aut(Z4 x Z2)| = 8.
     assert sum(want[0][1].values()) == 4 * 2 * 2 * 2
     assert sum(want[1][0].values()) == 8
+
+
+@pytest.mark.parametrize("defn", oracles.random_generating_sets(),
+                         ids=lambda defn: defn.name)
+def test_random_generating_sets_take_the_count(defn, searches):
+    group = build(defn)
+    for automorphisms in (False, True):
+        assert (spectra_mod._fold(group, automorphisms, _Budget(None))
+                == _sweep_tally(group, automorphisms))
+    assert searches == []

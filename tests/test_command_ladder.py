@@ -4,9 +4,9 @@ S7, A7, SL(2,13), D8 x Z2 x Z2 (order 64) and Z2^12 from its 12 generators
 run through ``info``, and through ``spectrum``, ``spectrum --extended`` and
 ``verify`` with ``--budget 100000``.  Each must answer (exit 0) or stop at
 the budget (exit 2) within a few seconds: the resource contract bounds the
-work of every command, the generating-set scan of Z2^12 included, and a
-scan that runs out of budget is not run again.  None of these groups is in
-``shipped_catalog()``.
+work of every command.  Z2^12 declared with one redundant generator must
+scan for a basis, and that scan, out of budget, fails the command and is
+not run again.  None of these groups is in ``shipped_catalog()``.
 """
 
 import time
@@ -50,8 +50,10 @@ def test_rungs_are_not_shipped():
 
 def test_an_exhausted_generating_set_scan_runs_once(tmp_path, monkeypatch,
                                                     capsys):
-    """The End fold's budget error is recorded as a skipped extended
-    spectrum; the Aut fold must not start the same scan again."""
+    """Z2^12 from its 12 generators and the product of the first two is
+    not declared by a basis, so the search generators come from the scan,
+    which runs out of budget.  The error fails the command; the Aut fold
+    must not start the same scan again."""
     scans = []
     derive = FiniteGroup._derive_small_gens
 
@@ -60,8 +62,14 @@ def test_an_exhausted_generating_set_scan_runs_once(tmp_path, monkeypatch,
         return derive(self, tracker)
 
     monkeypatch.setattr(FiniteGroup, "_derive_small_gens", spied)
+    defn = abelian(*[2] * 12)
+    first, second = defn.permutations()[:2]
+    defn = defn._replace(generators=[*defn.generators,
+                                     (first * second).to_one_based()])
     path = tmp_path / "group.json"
-    save(abelian(*[2] * 12), path)
+    save(defn, path)
     assert main(["spectrum", str(path), "--extended",
                  "--budget", "100000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: product budget 100000 exceeded in the generating-set scan\n")
     assert scans == [2 ** 12]

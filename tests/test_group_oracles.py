@@ -2,10 +2,12 @@
 definitions in ``oracles.py``, on every catalog group and on A5 and S5 built
 from a redundant generating set (also the morphism search's extension
 steps); the derived small generating sets against the greedy whose every
-round scans all candidates; twisted classes and kernel towers on every
+round scans all candidates, on abelian groups from seeded random, mostly
+dependent, generating sets too; twisted classes and kernel towers on every
 endomorphism of the catalog groups of order <= 24."""
 
 from collections import Counter
+from math import prod
 
 import pytest
 
@@ -262,13 +264,20 @@ def _coxeter(n):
     _coxeter(5), _coxeter(6), m9(), direct_product(symmetric(3),
                                                    symmetric(3)),
     abelian(2, 2, 2, 2), abelian(2, 2, 2, 2, 2),
+    *oracles.random_generating_sets(),
 ], ids=lambda defn: defn.name)
 def test_small_generating_set_matches_the_full_scan(defn):
+    """Non-abelian groups from more than three generators scan; abelian
+    ones keep a declared basis (Z2^4, Z2^5) and scan for a basis from a
+    dependent set."""
     group = build(defn)
-    assert len(group.generator_indices()) > 3
     gens = group.small_generating_set()
     assert gens == oracles.small_generating_set(build(defn))
     assert oracles.subgroup_closure(group, gens) == tuple(range(group.order))
+    if group.is_abelian():
+        assert prod(group.elements[g].order() for g in gens) == group.order
+    else:
+        assert len(group.generator_indices()) > 3
 
 
 def test_small_generating_set_of_s7_from_coxeter_generators():

@@ -47,11 +47,13 @@ groups are the same on every run.
 
 from collections import Counter
 from math import gcd, prod
+from unittest import mock
 
 from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
+import twistspec.spectra as spectra_mod
 from twistspec.catalog import (abelian, alternating, build, cyclic,
                                dihedral, metacyclic, symmetric)
 from twistspec.errors import OrderCapExceeded
@@ -113,15 +115,24 @@ def degree_seven_groups(draw):
         reject()
 
 
-def _assert_few_declared_generators_are_kept(group):
-    """At most three distinct non-identity declared generators are the
-    search's generating set, in declared order; the trivial group's is its
-    identity."""
+def _assert_the_search_generators_rule(group):
+    """The distinct non-identity declared generators, in declared order,
+    are the search's generating set (the trivial group's is its identity)
+    when they commute and their orders multiply to |G|, or when they do
+    not commute and at most three remain; a commutative group's set is
+    always a basis, whose orders multiply to |G|."""
     identity = Permutation.identity(group.degree)
-    declared = [g for g in dict.fromkeys(group.generators) if g != identity]
-    if len(declared) <= 3:
-        assert group.small_generating_set() == (
-            tuple(map(group.index_of, declared)) or (0,))
+    declared = tuple(group.index_of(g) for g in dict.fromkeys(group.generators)
+                     if g != identity)
+    gens = group.small_generating_set()
+    orders = [p.order() for p in group.elements]
+    if all(g * h == h * g for g in group.generators for h in group.generators):
+        assert prod(orders[g] for g in gens) == group.order
+        kept = prod(orders[g] for g in declared) == group.order
+    else:
+        kept = len(declared) <= 3
+    if kept:
+        assert gens == (declared or (0,))
 
 
 def _assert_the_one_pass_matches(group):
@@ -167,7 +178,7 @@ def abelian_groups(draw):
 @given(permutation_groups())
 def test_fold_and_sweep_against_the_oracles(group):
     oracles.assert_closure_matches(group.degree, group.generators)
-    _assert_few_declared_generators_are_kept(group)
+    _assert_the_search_generators_rule(group)
     assert group._conjugation_columns() == [
         group.conjugation(s) for s in group.generator_indices()]
     gens = group.small_generating_set()
@@ -194,7 +205,7 @@ def test_fold_and_sweep_against_the_oracles(group):
 @given(abelian_groups())
 def test_abelian_fold_against_the_oracle(group):
     oracles.assert_closure_matches(group.degree, group.generators)
-    _assert_few_declared_generators_are_kept(group)
+    _assert_the_search_generators_rule(group)
     # Simple iff |G| is prime, against the per-class scan.
     assert group.is_simple() == group._is_simple_modulo(
         group.trivial_subgroup())
@@ -202,8 +213,12 @@ def test_abelian_fold_against_the_oracle(group):
     oracles.assert_element_tables(group, oracles.product_table(group))
     oracles.assert_battery_matches(group)
     _assert_the_one_pass_matches(group)
-    for automorphisms in (False, True):
-        _assert_fold_matches_the_orbit_count(group, automorphisms)
+    # Every draw is counted, from independent and dependent generators.
+    with mock.patch.object(spectra_mod, "_search",
+                           wraps=spectra_mod._search) as search:
+        for automorphisms in (False, True):
+            _assert_fold_matches_the_orbit_count(group, automorphisms)
+    assert not search.called
 
 
 @settings(max_examples=100, deadline=None, derandomize=True,
@@ -212,7 +227,7 @@ def test_abelian_fold_against_the_oracle(group):
 @given(degree_seven_groups())
 def test_structure_and_cosets_against_the_table_oracles(group):
     oracles.assert_closure_matches(group.degree, group.generators)
-    _assert_few_declared_generators_are_kept(group)
+    _assert_the_search_generators_rule(group)
     table = oracles.product_table(group)
     oracles.assert_element_tables(group, table)
     center, derived = group.center(), group.derived_subgroup()
