@@ -274,6 +274,30 @@ MUTANTS = [
         ("tests/test_group_oracles.py", "tests/test_abelian_count.py"),
         "an abelian group keeps its declared generators even when they are "
         "dependent, so the abelian count runs on a set that is no basis"),
+    Mutant(
+        "search-phase-before-scan", "src/twistspec/morphism.py",
+        "    gens = group.small_generating_set(tracker)\n"
+        "    tracker.phase = phase\n",
+        "    tracker.phase = phase\n"
+        "    gens = group.small_generating_set(tracker)\n",
+        ("tests/test_live_fold.py", "tests/test_cli.py"),
+        "the search names its phase before the scan, which renames it, so "
+        "a sweep that runs out blames the generating-set scan"),
+    Mutant(
+        "battery-search-in-end-sweep-phase", "src/twistspec/spectra.py",
+        "                                               \"the battery\"):",
+        "                                               _END_SWEEP):",
+        ("tests/test_cli.py", "tests/test_spectra.py"),
+        "the battery's sweep runs in the End sweep's phase, so its budget "
+        "errors blame the End sweep"),
+    Mutant(
+        "battery-quotient-uncharged", "src/twistspec/spectra.py",
+        "            tracker.charge(group.order)\n"
+        "            if _quotient_count(group, table) != fixed_count:",
+        "            if _quotient_count(group, table) != fixed_count:",
+        ("tests/test_battery_oracle.py", "tests/test_cli.py"),
+        "the battery's quotient counts charge nothing, so their squarings "
+        "of phi's table run outside the product budget"),
 ]
 
 

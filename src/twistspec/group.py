@@ -562,7 +562,7 @@ class FiniteGroup:
         candidate's closure is charged to the command's ``tracker`` (None:
         no limit) before it is built, in the phase "the generating-set
         scan"; a scan that exceeds it raises BudgetExceeded and caches
-        nothing.  The caller enters its own phase after the scan.
+        nothing.  The search or the count then enters its own phase.
         """
         if self._small_gens is None:
             self._small_gens = self._derive_small_gens(tracker)

@@ -261,8 +261,8 @@ def _pools(group: FiniteGroup, gens: Sequence[int],
             for g in gens]
 
 
-def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget
-            ) -> Iterator[tuple[list[int], int, bool]]:
+def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget,
+            phase: str) -> Iterator[tuple[list[int], int, bool]]:
     """The one morphism search behind every sweep.
 
     Yields ``(table, weight, bijective)`` per Inn(G)-orbit.  ``table`` is
@@ -277,8 +277,8 @@ def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget
     H_j = <gens[:j]> for the small generating set.  Depth j chooses an
     image c_j for gens[j] and extends the partial table from H_j to H_{j+1}
     (``_levels``), verifying the homomorphism law there; a conflict drops
-    the candidate with its whole subtree.  Each node is charged its number
-    of steps to the caller's ``tracker``, in the caller's phase.  c_j is
+    the candidate with its whole subtree.  After the generating-set scan
+    it enters ``phase`` and charges ``tracker`` each node's steps.  c_j is
     kept only if it is the smallest index in its orbit under
     S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation, and the weight is
     multiplied by that orbit's size.  The kept tuples are the
@@ -302,6 +302,7 @@ def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget
     invariant under conjugation.
     """
     gens = group.small_generating_set(tracker)
+    tracker.phase = phase
     levels = _levels(group, gens)
     pools = _pools(group, gens, automorphisms)
     table = [0] * group.order
@@ -358,9 +359,8 @@ def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,
     live table, so it may be kept; the search and its budget charges are
     those of the spectra's fold, the generating-set scan included.
     """
-    tracker = _Budget(budget)
-    group.small_generating_set(tracker)  # a phase of its own, run first
-    tracker.phase = _AUT_SWEEP if automorphisms else _END_SWEEP
-    for table, weight, _ in _search(group, automorphisms, tracker):
+    phase = _AUT_SWEEP if automorphisms else _END_SWEEP
+    for table, weight, _ in _search(group, automorphisms, _Budget(budget),
+                                    phase):
         yield Morphism(group, table, _verified=True), weight
 

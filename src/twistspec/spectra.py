@@ -117,8 +117,8 @@ def _fold(group: FiniteGroup, automorphisms: bool,
           tracker: _Budget) -> tuple[Counter, Counter]:
     """Weighted counters of the Reidemeister numbers of the automorphisms
     and of all the morphisms of one End (or Aut) sweep; the Aut sweep's one
-    counter fills both slots.  The generating-set scan, then the sweep or
-    the count, charge the command's ``tracker``.
+    counter fills both slots.  The sweep or the count runs the scan, and
+    each charges the command's ``tracker`` in its own phase.
 
     An abelian group, whose search generators are a basis, is counted over
     image subgroups instead (``_count_abelian``); the counters are the
@@ -129,15 +129,14 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     classes.  The orbit count is cross-checked by the battery, which
     compares both counts on every representative.
     """
-    gens = group.small_generating_set(tracker)
     if group.is_abelian():
-        spec, ext = _count_abelian(group, gens, tracker)
+        spec, ext = _count_abelian(group, tracker)
     else:
-        tracker.phase = _AUT_SWEEP if automorphisms else _END_SWEEP
+        phase = _AUT_SWEEP if automorphisms else _END_SWEEP
         classes = group.conjugacy_classes()
         spec, ext = Counter(), Counter()
         for table, weight, bijective in _search(group, automorphisms,
-                                                tracker):
+                                                tracker, phase):
             value = _fixed_count(table, classes, bijective)
             if bijective:
                 spec[value] += weight
@@ -146,8 +145,8 @@ def _fold(group: FiniteGroup, automorphisms: bool,
     return (spec, spec) if automorphisms else (spec, ext)
 
 
-def _count_abelian(group: FiniteGroup, gens: Sequence[int],
-                   tracker: _Budget) -> tuple[Counter, Counter]:
+def _count_abelian(group: FiniteGroup, tracker: _Budget
+                   ) -> tuple[Counter, Counter]:
     """``_fold``'s counters for an abelian group, counted over image
     subgroups instead of endomorphisms; its search generators ``gens`` are
     a basis (``FiniteGroup.small_generating_set``).
@@ -173,12 +172,13 @@ def _count_abelian(group: FiniteGroup, gens: Sequence[int],
     that keep phi bijective, and a state adds its weight times the
     popcounts of these masks and of their intersections.
 
-    ``tracker`` is charged states times candidates per depth, each state as
-    it is made, the size of each join and the column reads made for each
-    relative order, in the phase "the abelian count".  The End
+    After the scan ``tracker`` is charged states times candidates per
+    depth, each state as it is made, the size of each join and the column
+    reads for each relative order, in the phase "the abelian count".  The End
     multiplicities must sum to the product of the pool sizes, which is
     |End(G)|, and only the identity has R = |G|.
     """
+    gens = group.small_generating_set(tracker)
     tracker.phase = "the abelian count"
     *inner, last = gens
     pools = _pools(group, gens, False)
@@ -396,7 +396,7 @@ def theorem_battery(group: FiniteGroup, *,
     own reduction and builds no tower.  A failure carries the first
     failing representative in sweep order as its witness.  Failures are
     data, not errors.  One product budget of ``budget`` covers the
-    generating-set scan, the sweep and every orbit pass.
+    generating-set scan, the sweep, every orbit pass and quotient count.
     ``classify(..., battery=True)`` folds its spectra from this same sweep.
     """
     return _battery(group, _Budget(budget))[0]
@@ -420,7 +420,9 @@ def _battery(group: FiniteGroup, tracker: _Budget
 
     After the generating-set scan, the sweep's nodes and every orbit pass
     charge ``tracker`` in the phase "the battery"; a pass is charged |G|
-    times the declared generators, one read of each twisted map per point.
+    times the declared generators, one read of each twisted map per point,
+    and a quotient count |G|, one squaring of phi's table; tower builds are
+    not charged.
     """
     names = ["orbit-vs-fixed-classes", "orbit-stabiliser-identity",
              "reduction-to-injective"]
@@ -444,10 +446,9 @@ def _battery(group: FiniteGroup, tracker: _Budget
 
     spec, ext = Counter(), Counter()
     pass_cost = group.order * len(gens)
-    group.small_generating_set(tracker)  # a phase of its own, run first
-    tracker.phase = "the battery"
 
-    for table, weight, automorphism in _search(group, False, tracker):
+    for table, weight, automorphism in _search(group, False, tracker,
+                                               "the battery"):
         images = [table[s] for s in gens]
         tracker.charge(pass_cost)
         value, identity = _twisted_pass(group, images)
@@ -474,9 +475,11 @@ def _battery(group: FiniteGroup, tracker: _Budget
         if identity * _fixed_points(table) != group.order:
             fail("orbit-stabiliser-identity", "identity class size times "
                  "fixed subgroup order misses the order")
-        if not automorphism and _quotient_count(group, table) != fixed_count:
-            fail("reduction-to-injective",
-                 "count changed on the injective quotient")
+        if not automorphism:
+            tracker.charge(group.order)
+            if _quotient_count(group, table) != fixed_count:
+                fail("reduction-to-injective",
+                     "count changed on the injective quotient")
         if group.order % 2 == 1 and value % 2 == 0:
             fail("odd-order-parity",
                  f"even count {value} in an odd-order group")

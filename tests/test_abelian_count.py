@@ -113,9 +113,9 @@ def test_a_count_out_of_budget_runs_once(tmp_path, capsys, monkeypatch):
     calls = []
     count = spectra_mod._count_abelian
 
-    def spied(group, gens, tracker):
+    def spied(group, tracker):
         calls.append(tracker.limit)
-        return count(group, gens, tracker)
+        return count(group, tracker)
 
     monkeypatch.setattr(spectra_mod, "_count_abelian", spied)
     with pytest.raises(BudgetExceeded,
@@ -155,9 +155,9 @@ def searches(monkeypatch):
     calls = []
     search = spectra_mod._search
 
-    def spied(group, automorphisms, tracker):
+    def spied(group, automorphisms, tracker, phase):
         calls.append(automorphisms)
-        return search(group, automorphisms, tracker)
+        return search(group, automorphisms, tracker, phase)
 
     monkeypatch.setattr(spectra_mod, "_search", spied)
     return calls

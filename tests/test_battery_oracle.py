@@ -113,12 +113,15 @@ def test_battery_leaves_the_public_checks_nothing_to_build():
                          ids=lambda defn: defn.name)
 def test_battery_charges_the_budget_as_the_end_fold(defn, monkeypatch):
     """The battery's sweep charges what the End fold charges, in the same
-    order (S4 1024, S6 148854, Hol(Z21) 913962), and each of its orbit
-    passes, a representative's own or an inner twist's, is charged |G|
-    times the declared generators just before it runs."""
+    order (S4 1024, S6 148854, Hol(Z21) 913962); each of its orbit passes,
+    a representative's own or an inner twist's, is charged |G| times the
+    declared generators just before it runs, and each quotient count |G|
+    just before it runs."""
     group = build(defn)
     log = []
-    charge, one_pass = group_mod._Budget.charge, spectra_mod._twisted_pass
+    charge = group_mod._Budget.charge
+    one_pass, quotient_count = (spectra_mod._twisted_pass,
+                                spectra_mod._quotient_count)
 
     def spied(self, amount):
         log.append(amount)
@@ -128,19 +131,26 @@ def test_battery_charges_the_budget_as_the_end_fold(defn, monkeypatch):
         log.append("pass")
         return one_pass(group, generator_images)
 
+    def spied_quotient(group, table):
+        log.append("quotient")
+        return quotient_count(group, table)
+
     monkeypatch.setattr(group_mod._Budget, "charge", spied)
     monkeypatch.setattr(spectra_mod, "_twisted_pass", spied_pass)
+    monkeypatch.setattr(spectra_mod, "_quotient_count", spied_quotient)
     spectra_mod.theorem_battery(group)
     battery = list(log)
     log.clear()
     _fold(group, False, group_mod._Budget(DEFAULT_PRODUCT_BUDGET))
     cost = group.order * len(group.generators)
     passes = [i for i, item in enumerate(battery) if item == "pass"]
+    quotients = [i for i, item in enumerate(battery) if item == "quotient"]
     assert all(battery[i - 1] == cost for i in passes)
-    charged = set(passes) | {i - 1 for i in passes}
+    assert all(battery[i - 1] == group.order for i in quotients)
+    charged = {j for i in passes + quotients for j in (i, i - 1)}
     assert [item for i, item in enumerate(battery) if i not in charged] == log
-    pinned = {"S4": (11, 1024 + 11 * 24 * 2),
-              "S6": (13, 148854 + 13 * 720 * 2),
-              "Hol(Z21)": (214, 913962 + 214 * 252 * 3)}
-    total = sum(item for item in battery if item != "pass")
-    assert (len(passes), total) == pinned[group.name]
+    pinned = {"S4": (11, 4, 1024 + 11 * 24 * 2 + 4 * 24),
+              "S6": (13, 4, 148854 + 13 * 720 * 2 + 4 * 720),
+              "Hol(Z21)": (214, 77, 913962 + 214 * 252 * 3 + 77 * 252)}
+    total = sum(item for item in battery if isinstance(item, int))
+    assert (len(passes), len(quotients), total) == pinned[group.name]

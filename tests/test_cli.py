@@ -302,15 +302,27 @@ def test_the_scan_and_the_end_fold_share_one_budget(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[6].startswith("extended")
 
 
+def test_the_aut_sweep_names_its_phase(tmp_path, capsys):
+    """M9's scan charges 1512 and its Aut sweep 7236, so a budget of 5000
+    runs out in the Aut sweep."""
+    path = tmp_path / "m9.json"
+    save(m9(), path)
+    assert main(["spectrum", str(path), "--budget", "5000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: product budget 5000 exceeded in the Aut sweep\n")
+
+
 def test_verify_charges_the_battery_orbit_passes(tmp_path, capsys):
     """S4's End fold charges exactly 1024, and its battery runs 11 orbit
-    passes of 24 * 2 each on top."""
+    passes of 24 * 2 each and 4 quotient counts of 24 each on top."""
     path = tmp_path / "s4.json"
     save(symmetric(4), path)
-    assert main(["verify", str(path), "--budget", "1024"]) == 2
-    assert capsys.readouterr().err == (
-        "error: product budget 1024 exceeded in the battery\n")
-    assert main(["verify", str(path), "--budget", str(1024 + 11 * 48)]) == 0
+    total = 1024 + 11 * 48 + 4 * 24
+    for budget in (1024, total - 1):
+        assert main(["verify", str(path), "--budget", str(budget)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: product budget {budget} exceeded in the battery\n")
+    assert main(["verify", str(path), "--budget", str(total)]) == 0
 
 
 def test_budget_exit_code(tmp_path, capsys):

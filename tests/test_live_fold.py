@@ -17,7 +17,7 @@ import oracles
 import twistspec.morphism as morphism_mod
 import twistspec.spectra as spectra_mod
 from twistspec.catalog import (abelian, alternating, build, dihedral,
-                               direct_product, holomorph_cyclic, save,
+                               direct_product, holomorph_cyclic, m9, save,
                                shipped_catalog, symmetric)
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
@@ -95,7 +95,8 @@ def test_depth_zero_reads_the_conjugacy_classes(case, monkeypatch):
                 if classes.representatives[classes.class_of[x]] == x] == slow
         tried.clear()
         indices.clear()
-        for _ in morphism_mod._search(group, automorphisms, _Budget(None)):
+        for _ in morphism_mod._search(group, automorphisms, _Budget(None),
+                                      "the sweep"):
             pass
         if gens:
             assert tried == [x for x, _ in slow]
@@ -233,6 +234,22 @@ def test_fold_charges_what_the_weighted_sweep_charges(defn, charges):
     assert (sum(end), sum(aut)) == totals[group.name]
 
 
+@pytest.mark.parametrize("automorphisms, budget, phase", [
+    (False, 12000, "the End sweep"), (True, 5000, "the Aut sweep")],
+    ids=["End", "Aut"])
+def test_the_sweep_names_its_own_phase(automorphisms, budget, phase):
+    """M9's scan charges 1512, its End sweep 11520 and its Aut sweep 7236,
+    so each budget outlasts the scan and runs out in the sweep, whose phase
+    the error names.  Each call builds M9 afresh, so each one scans."""
+    fold = spectrum if automorphisms else extended_spectrum
+    message = f"^product budget {budget} exceeded in {phase}$"
+    with pytest.raises(BudgetExceeded, match=message):
+        fold(build(m9()), budget=budget)
+    with pytest.raises(BudgetExceeded, match=message):
+        list(weighted_sweep(build(m9()), automorphisms=automorphisms,
+                            budget=budget))
+
+
 def _identity_moved(group):
     table = list(range(group.order))
     table[0] = 1
@@ -260,7 +277,7 @@ def test_fold_assertions_fire(bad, tmp_path, monkeypatch, capsys):
     group = build(defn)
     table, bijective = bad(group)
 
-    def search(group, automorphisms, tracker):
+    def search(group, automorphisms, tracker, phase):
         yield table, 1, bijective
 
     monkeypatch.setattr(spectra_mod, "_search", search)

@@ -9,7 +9,9 @@ zero-argument ``FiniteGroup`` method writes to ``self``: such an accessor
 keeps its value through ``_once`` in ``group.py``, so a hand-rolled cache
 (a memo field and its ``if ... is None`` block) fails here.  One product
 budget serves each command: only the public entry points make a
-``_Budget``, and no private function takes an int as ``budget``.
+``_Budget``, and no private function takes an int as ``budget``.  Only the
+engines that do the work open a budget phase: the generating-set scan, the
+morphism search and the abelian count.
 """
 
 import ast
@@ -101,18 +103,29 @@ def test_zero_argument_group_methods_write_nothing_to_self():
                   for target in _self_targets(method)) == []
 
 
-def _budget_makers(node, owner="<module>"):
-    """The name of the innermost function around each ``_Budget(...)``
-    call under ``node``."""
+def _owners(node, match, owner="<module>"):
+    """The name of the innermost function around each node under ``node``
+    that ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _budget_makers(child, child.name)
+            yield from _owners(child, match, child.name)
             continue
-        if isinstance(child, ast.Call) and "_Budget" in (
-                getattr(child.func, "id", None),
-                getattr(child.func, "attr", None)):
+        if match(child):
             yield owner
-        yield from _budget_makers(child, owner)
+        yield from _owners(child, match, owner)
+
+
+def _calls(name):
+    """A matcher of the calls of ``name``, as a name or an attribute."""
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _sets_phase(node):
+    """Whether ``node`` assigns to an attribute named ``phase``."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Attribute) and target.attr == "phase"
+        for target in node.targets)
 
 
 def test_one_budget_per_command():
@@ -121,7 +134,7 @@ def test_one_budget_per_command():
     Aut fold after a skipped End fold.  Private functions take the object,
     never an int named ``budget``."""
     makers = sorted(owner for tree in TREES.values()
-                    for owner in _budget_makers(tree))
+                    for owner in _owners(tree, _calls("_Budget")))
     assert makers == ["classify", "classify", "extended_spectrum",
                       "spectrum", "theorem_battery", "weighted_sweep"]
     takes_budget = sorted(
@@ -132,3 +145,16 @@ def test_one_budget_per_command():
                                              *node.args.args,
                                              *node.args.kwonlyargs)})
     assert takes_budget == []
+
+
+def test_each_engine_opens_its_own_phase():
+    """``_Budget.__init__`` starts with no phase; after it only the scan,
+    the search and the abelian count set one, and only the search and the
+    count run the scan, so no caller pre-scans or names a phase."""
+    phase_setters = sorted(owner for tree in TREES.values()
+                           for owner in _owners(tree, _sets_phase))
+    assert phase_setters == ["__init__", "_count_abelian",
+                             "_derive_small_gens", "_search"]
+    scanners = sorted(owner for tree in TREES.values() for owner in
+                      _owners(tree, _calls("small_generating_set")))
+    assert scanners == ["_count_abelian", "_search"]

@@ -124,9 +124,9 @@ def test_classify_and_spectra_are_views_of_the_sweep(case, monkeypatch):
     calls = []
     search = spectra_mod._search
 
-    def counted(group, automorphisms, budget):
+    def counted(group, automorphisms, tracker, phase):
         calls.append(automorphisms)
-        return search(group, automorphisms, budget)
+        return search(group, automorphisms, tracker, phase)
 
     monkeypatch.setattr(spectra_mod, "_search", counted)
     for extended, two_pass in ((True, report), (False, skipped)):
