@@ -47,18 +47,27 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "quotient-labels-shifted", "src/twistspec/group.py",
-        "entry = self._cosets[members] = (sub, cosets, classes)",
-        "entry = self._cosets[members] = (sub, cosets, classes._replace("
-        "class_of=tuple((c + 1) % classes.count for c in classes.class_of)))",
+        "entry = self._quotients[members] = (sub, classes)",
+        "entry = self._quotients[members] = (sub, classes._replace("
+        "class_of=tuple(c and (c + 1) % classes.count "
+        "for c in classes.class_of)))",
         ("tests/test_weighted_sweep.py", "tests/test_group_oracles.py"),
-        "the classes of G/N keep their members but lose their labels, so "
-        "the count on G/N reads the wrong class of each image"),
+        "the classes of G/N outside N keep their members but lose their "
+        "labels, so the count on G/N reads the wrong class of each image"),
     Mutant(
         "quotient-classes-unconjugated", "src/twistspec/group.py",
-        "[label[conj[r]] for r in reps]",
-        "[label[r] for r in reps]",
+        "                *self._conjugation_columns()])\n",
+        "                ])\n",
         ("tests/test_weighted_sweep.py", "tests/test_group_oracles.py"),
-        "every coset of N becomes a class of G/N of its own"),
+        "the classes of G/N are built without conjugation, so every coset "
+        "of N becomes a class of its own"),
+    Mutant(
+        "quotient-identity-class-unchecked", "src/twistspec/group.py",
+        "            if classes.sizes[0] != sub.order:\n",
+        "            if False:\n",
+        ("tests/test_tower_cache.py",),
+        "a tower whose generators reach less than N goes unnoticed, so the "
+        "classes of G/N come out finer than they are"),
     Mutant(
         "twisted-pass-drops-last-map", "src/twistspec/twisted.py",
         "            for image in maps:\n",
@@ -185,28 +194,36 @@ MUTANTS = [
         "the last generator's orbit size is left out of the weight, so "
         "the weights no longer sum to |End| or |Aut|"),
     Mutant(
-        "tower-invariance-unchecked", "src/twistspec/morphism.py",
-        "    if not all(flags[table[x]] for x in sub.indices):\n",
-        "    if False:\n",
-        ("tests/test_tower_cache.py",),
-        "a tower that phi does not keep goes unnoticed, and phi induces "
-        "no map on G/N"),
-    Mutant(
-        "quotient-preimage-unchecked", "src/twistspec/twisted.py",
-        "    if sum(map(tower.member_flags.__getitem__, table)) != "
-        "tower.order:\n",
+        "tower-preimage-unchecked", "src/twistspec/morphism.py",
+        "    if tuple(map(flags.__getitem__, table)) != flags:\n",
         "    if False:\n",
         ("tests/test_tower_cache.py", "tests/test_twisted.py"),
-        "a tower whose preimage under phi is larger than itself goes "
-        "unnoticed, so the count on G/N is that of a map that is not "
-        "injective"),
+        "a tower that phi does not keep, or whose preimage under phi is "
+        "larger than itself, goes unnoticed, so the count on G/N is that "
+        "of no map or of a map that is not injective"),
+    Mutant(
+        "tower-invariance-unchecked", "src/twistspec/morphism.py",
+        "    if tuple(map(flags.__getitem__, table)) != flags:\n",
+        "    if sum(map(flags.__getitem__, table)) != sum(flags):\n",
+        ("tests/test_tower_cache.py",),
+        "the preimage check only asks that |phi^-1(N)| = |N|, so a tower "
+        "that phi does not keep goes unnoticed, and phi induces no map on "
+        "G/N"),
+    Mutant(
+        "quotient-preimage-unchecked", "src/twistspec/morphism.py",
+        "    if tuple(map(flags.__getitem__, table)) != flags:\n",
+        "    if any(f > flags[t] for t, f in zip(table, flags)):\n",
+        ("tests/test_tower_cache.py", "tests/test_twisted.py"),
+        "the preimage check only asks that phi keep N, so a tower whose "
+        "preimage under phi is larger than itself goes unnoticed, and the "
+        "count on G/N is that of a map that is not injective"),
     Mutant(
         "quotient-class-of-unmapped-rep", "src/twistspec/twisted.py",
-        "label[table[reps[r]]]",
-        "label[reps[r]]",
+        "mapping = [class_of[table[r]] for r in classes.representatives]",
+        "mapping = [class_of[r] for r in classes.representatives]",
         ("tests/test_weighted_sweep.py", "tests/test_twisted.py"),
-        "the count on G/N reads each representative's own coset, not its "
-        "image's, so every class of G/N reads as fixed"),
+        "each class is read as the class of its own representative, not of "
+        "its image, so every class, of G or of G/N, reads as fixed"),
     Mutant(
         "twisted-pass-identity-from-last-orbit", "src/twistspec/twisted.py",
         "return len(sizes), sizes[0]",

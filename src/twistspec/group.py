@@ -20,8 +20,8 @@ perfect, simple and quasisimple flags are read off certificates first (a
 generator's sign, nilpotency, the centre, the class equation), and a normal
 closure is built only where none decides.  No quotient group is built: a
 question about G/N (is it simple?) is answered by orbits in G that take in
-N's generators; N's cosets and the classes of G/N are labelled once per N
-(``normal_cosets``).
+N's generators, and the classes of G/N are kept as a partition of G, their
+preimages, once per N (``quotient_classes``).
 See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
 ch. 4.
 """
@@ -99,8 +99,9 @@ class Subgroup(NamedTuple):
 
 class ClassPartition(NamedTuple):
     """A partition of ``range(n)`` into the orbits that ``orbits`` finds:
-    conjugacy classes, twisted classes or cosets.  ``class_of`` numbers
-    each point's orbit; each orbit is represented by its smallest member."""
+    conjugacy classes, twisted classes or the classes of G/N.  ``class_of``
+    numbers each point's orbit; each orbit is represented by its smallest
+    member."""
 
     class_of: tuple[int, ...]
     representatives: tuple[int, ...]
@@ -144,8 +145,8 @@ class FiniteGroup:
                 self._columns[g] = column
         self._twisted: dict[tuple[int, int], list[int]] = {}
         self._small_gens: tuple[int, ...] | None = None
-        self._cosets: dict[tuple[int, ...], tuple[
-            Subgroup, ClassPartition, ClassPartition]] = {}
+        self._quotients: dict[tuple[int, ...],
+                              tuple[Subgroup, ClassPartition]] = {}
 
     # -- basics ---------------------------------------------------------
 
@@ -342,31 +343,30 @@ class FiniteGroup:
         return all(flags[column[y]] for column in self._conjugation_columns()
                    for y in sub.generators)
 
-    def normal_cosets(self, members: tuple[int, ...]
-                      ) -> tuple[Subgroup, ClassPartition, ClassPartition]:
-        """The normal subgroup N with these sorted member indices, its
-        cosets (numbered by smallest member) and the classes of G/N as a
-        partition of the coset labels.
+    def quotient_classes(self, members: tuple[int, ...]
+                         ) -> tuple[Subgroup, ClassPartition]:
+        """The normal subgroup N with these sorted member indices and the
+        classes of G/N as a partition of G, each class the union of the
+        cosets it holds.
 
         Built once per member tuple and cached: ``subgroup`` verifies
         closure, conjugation by each generator of G must keep N, and the
-        cosets are the orbits of right multiplication by N's generators,
-        each of which must have |N| members.  The classes are the orbits of
-        the maps that conjugation induces on the coset representatives."""
-        entry = self._cosets.get(members)
+        classes are the orbits of right multiplication by N's generators
+        together with conjugation by G's.  The identity's class must be N:
+        it is the normal closure of N's generators, so it falls short of N
+        exactly when they do, the only way the orbits can come out finer
+        than the classes of G/N."""
+        entry = self._quotients.get(members)
         if entry is None:
             sub = self.subgroup(members)
             if not self.is_normal(sub):
                 raise AssertionError("subgroup is not normal")
-            cosets = orbits(self.order,
-                            [self.column(y) for y in sub.generators])
-            if any(size != sub.order for size in cosets.sizes):
-                raise AssertionError("cosets do not all have |N| members")
-            label, reps = cosets.class_of, cosets.representatives
-            classes = orbits(len(reps), [
-                [label[conj[r]] for r in reps]
-                for conj in self._conjugation_columns()])
-            entry = self._cosets[members] = (sub, cosets, classes)
+            classes = orbits(self.order, [
+                *map(self.column, sub.generators),
+                *self._conjugation_columns()])
+            if classes.sizes[0] != sub.order:
+                raise AssertionError("identity class of G/N is not N")
+            entry = self._quotients[members] = (sub, classes)
         return entry
 
     def _normal_closure(self, seeds: Iterable[int]) -> list[int]:

@@ -179,19 +179,20 @@ def _fixed_points(table: Sequence[int]) -> int:
 
 
 def _kernel_tower(group: FiniteGroup, table: Sequence[int]
-                  ) -> tuple[Subgroup, ClassPartition, ClassPartition]:
+                  ) -> tuple[Subgroup, ClassPartition]:
     """Union N of the kernels of all powers of the endomorphism ``table``,
-    as the group's entry for it (``FiniteGroup.normal_cosets``, verified
-    once per tower); that N is phi-invariant is checked here, for every
-    phi.  The map phi induces on G/N is injective, since phi(x) in N puts
-    x in the kernel of a power of phi (``twisted._quotient_count``
-    asserts it).
+    with the classes of G/N: the group's entry for N
+    (``FiniteGroup.quotient_classes``, verified once per tower).  Checked
+    here, for every phi, in one pass over the table: phi^-1(N) = N, that
+    is, phi keeps N and the map it induces on G/N is injective.  Both hold
+    for a true tower, since phi(x) in N puts x in the kernel of a power
+    of phi.
     """
-    sub, cosets, classes = group.normal_cosets(_stable_kernel(table))
+    sub, classes = group.quotient_classes(_stable_kernel(table))
     flags = sub.member_flags
-    if not all(flags[table[x]] for x in sub.indices):
-        raise AssertionError("stabilized kernel union is not invariant")
-    return sub, cosets, classes
+    if tuple(map(flags.__getitem__, table)) != flags:
+        raise AssertionError("kernel tower is not its own preimage")
+    return sub, classes
 
 
 def _stable_kernel(table: Sequence[int]) -> tuple[int, ...]:

@@ -11,8 +11,9 @@ battery compares the two on every endomorphism it sweeps.
 The public functions take a Morphism and wrap helpers that take the group,
 phi's table or its generator images, as the theorem battery holds them when
 it reads the search's live tables: one orbit pass over the group's cached
-twisted maps (``_twisted_pass``), and R on G/N read off the classes of G/N
-that the kernel tower's entry holds (``_quotient_count``).
+twisted maps (``_twisted_pass``), and R on G/N counted by ``_fixed_count``
+on the classes of G/N, a partition of G that the kernel tower's entry
+holds (``_quotient_count``).
 """
 
 from __future__ import annotations
@@ -98,21 +99,10 @@ def reidemeister_number(phi: Morphism) -> int:
 
 
 def _quotient_count(group: FiniteGroup, table: Sequence[int]) -> int:
-    """R of the automorphism phi induces on G/N, N the kernel tower of
-    ``table``, once phi^-1(N), which contains N, is asserted no larger."""
-    tower, cosets, classes = _kernel_tower(group, table)
-    if sum(map(tower.member_flags.__getitem__, table)) != tower.order:
-        raise AssertionError("induced map on the quotient is not injective")
-    return _fixed_quotient_classes(table, cosets, classes)
-
-
-def _fixed_quotient_classes(table: Sequence[int], cosets: ClassPartition,
-                            classes: ClassPartition) -> int:
-    """The classes C of G/N (``classes``, on the labels of N's ``cosets``)
-    with phi(r_C) in C, phi the endomorphism ``table`` with phi(N) in N."""
-    label, reps = cosets.class_of, cosets.representatives
-    return sum(classes.class_of[label[table[reps[r]]]] == c
-               for c, r in enumerate(classes.representatives))
+    """R of the injective map phi induces on G/N, N the kernel tower of
+    ``table``: the classes of G/N, as a partition of G, that phi maps to
+    themselves."""
+    return _fixed_count(table, _kernel_tower(group, table)[1], False)
 
 
 def reduction_check(phi: Morphism, count: int) -> bool:

@@ -15,7 +15,9 @@ or both (``METHODS``).
 which ``twistspec`` itself never does, and
 ``induced_on_quotient`` the map an endomorphism induces there;
 ``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
-``assert_twisted_pass`` holds the battery's one orbit pass to
+``assert_quotient_classes`` holds the classes of G/N that the group keeps
+for N, a partition of G, to the preimages of the quotient's conjugacy
+classes.  ``assert_twisted_pass`` holds the battery's one orbit pass to
 ``twisted_classes``, and ``assert_quotient_count`` its count on G/N to
 both quotient oracles.
 ``morphism_battery`` is the theorem battery built on Morphisms, one per
@@ -446,6 +448,29 @@ def reduction_orbits_on_g(phi):
     return orbits(group.order, maps).count
 
 
+def assert_quotient_classes(group, sub):
+    """``FiniteGroup.quotient_classes`` for a normal ``sub`` against
+    ``quotient``: the entry holds N, class 0 is N, and each class, whose
+    smallest member is its representative, is the preimage of the
+    conjugacy class of G/N that holds its representative's image, read off
+    the quotient's product table."""
+    cached, classes = group.quotient_classes(tuple(sub.indices))
+    assert cached.indices == tuple(sub.indices)
+    quotient_group, projection = quotient(group, sub)
+    class_of = conjugacy_classes(product_table(quotient_group))[0]
+    image_class = [class_of[t] for t in projection]
+    members = [[] for _ in classes.representatives]
+    for x, c in enumerate(classes.class_of):
+        members[c].append(x)
+    assert members[0] == list(sub.indices)
+    assert len(set(class_of)) == classes.count
+    for r, size, found in zip(classes.representatives, classes.sizes,
+                              members):
+        want = [x for x, c in enumerate(image_class)
+                if c == image_class[r]]
+        assert (found, r, size) == (want, want[0], len(want))
+
+
 def assert_twisted_pass(phi):
     """``twisted._twisted_pass`` on ``phi`` against ``twisted_classes``:
     the same count and the same size of the identity's class."""
@@ -457,12 +482,12 @@ def assert_twisted_pass(phi):
 def assert_quotient_count(phi):
     """``twisted._quotient_count`` on ``phi`` against
     ``reduction_orbits_on_g`` and, for a nontrivial kernel tower N, R of
-    ``induced_on_quotient``.  The same count, ``_fixed_quotient_classes``,
-    run on the classes of G/G' that ``normal_cosets`` keeps for G', is held
-    to the twisted classes of the map induced on the oracle's G/G': G' is
-    normal, phi(G') lies in G', and G/G' is abelian, so the classes phi
-    fixes there number R, whether or not the induced map is injective.
-    Returns the quotient count."""
+    ``induced_on_quotient``.  The same count, ``_fixed_count``, run on the
+    classes of G/G' that ``quotient_classes`` keeps for G', is held to the
+    twisted classes of the map induced on the oracle's G/G': G' is normal,
+    phi(G') lies in G', and G/G' is abelian, so the classes phi fixes there
+    number R, whether or not the induced map is injective.  Returns the
+    quotient count."""
     group, table = phi.group, phi.table
     reduced = twisted_mod._quotient_count(group, table)
     assert reduced == reduction_orbits_on_g(phi)
@@ -472,8 +497,8 @@ def assert_quotient_count(phi):
             induced_on_quotient(phi, tower))
     derived = group.derived_subgroup()
     if 1 < derived.order < group.order:
-        _, cosets, classes = group.normal_cosets(derived.indices)
-        fixed = twisted_mod._fixed_quotient_classes(table, cosets, classes)
+        classes = group.quotient_classes(derived.indices)[1]
+        fixed = twisted_mod._fixed_count(table, classes, False)
         assert fixed == twisted_partition(
             induced_on_quotient(phi, derived)).count
     return reduced

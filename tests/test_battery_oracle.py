@@ -85,7 +85,7 @@ def test_catalog_battery_orbit_calls(monkeypatch):
     for defn in shipped_catalog():
         group = build(defn)
         spectra_mod.theorem_battery(group)
-        towers += len(group._cosets)
+        towers += len(group._quotients)
     assert (len(passes), len(quotients), towers) == (3650, 1985, 193)
     # Only a map with a nontrivial kernel reaches the quotient count.
     assert min(quotients) > 1

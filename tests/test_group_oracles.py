@@ -187,13 +187,12 @@ def test_normal_closure_and_subgroup_check(case):
 def test_cosets_and_projection(case):
     # The left cosets of the center, of the derived subgroup and of the
     # first generator's cyclic subgroup (often not normal) are the orbits
-    # of right multiplication by the subgroup's generators, as
-    # normal_cosets labels them for the reduction check (normal ones
-    # only).  The oracle's projection onto the
-    # quotient by each normal one has that kernel and respects products,
-    # G/N is simple exactly when that quotient is, and the classes of G/N
-    # that normal_cosets keeps on the coset labels are the quotient's
-    # conjugacy classes, read off its product table.
+    # of right multiplication by the subgroup's generators.  For the normal
+    # ones, the classes of G/N that quotient_classes keeps as a partition
+    # of G are the preimages of the oracle quotient's conjugacy classes,
+    # read off its product table; the oracle's projection onto that
+    # quotient has kernel N and respects products, and G/N is simple
+    # exactly when the quotient is.
     group, table = case
     first = group.generator_indices()[:1]
     cyclic = group.subgroup(oracles.subgroup_closure(group, first))
@@ -203,19 +202,8 @@ def test_cosets_and_projection(case):
         assert ((list(cosets.class_of), list(cosets.representatives))
                 == oracles.left_cosets(group, sub.indices))
     for sub in (center, derived):
-        cached, cosets, classes = group.normal_cosets(sub.indices)
-        assert cached.indices == sub.indices
-        assert ((list(cosets.class_of), list(cosets.representatives))
-                == oracles.left_cosets(group, sub.indices))
+        oracles.assert_quotient_classes(group, sub)
         quotient_group, projection = oracles.quotient(group, sub)
-        quotient_classes = oracles.conjugacy_classes(
-            oracles.product_table(quotient_group))[0]
-        pairs = {(c, quotient_classes[projection[r]])
-                 for c, r in zip(classes.class_of, cosets.representatives)}
-        assert len(pairs) == classes.count == len(set(quotient_classes))
-        assert all(classes.class_of[r] == c
-                   for c, r in enumerate(classes.representatives))
-        assert sum(classes.sizes) == len(cosets.representatives)
         assert [x for x, t in enumerate(projection) if t == 0] == \
             list(sub.indices)
         assert all(projection[table[a][b]]

@@ -14,11 +14,12 @@ generators (independent, so the spectra are counted over image subgroups)
 or by random elements (mostly dependent, so they are swept), and compares
 the fold with the same oracle.  A third strategy draws 1-5 generators of
 degree 7, kept up to order 200; on those the structure predicates, centre,
-derived subgroup and the cosets of the last two are compared with the
-product-table oracles, and, where |End| is small, the theorem
-battery over the representatives with the battery over every endomorphism
-and each nontrivial tower's coset count with R of the map induced on the
-permutation quotient, by both counts.  On every draw with at most three
+derived subgroup, the cosets of the last two and the classes of G/N
+kept for them are compared with the product-table oracles, and, where
+|End| is small, the theorem battery over the representatives with the
+battery over every endomorphism and each nontrivial tower's count on the
+classes of G/N with R of the map induced on the permutation quotient, by
+both counts.  On every draw with at most three
 distinct non-identity declared generators, the search's generating set
 must be those generators in declared order.  On every draw of the three
 strategies, ``closure`` must equal the reference search that multiplies
@@ -57,7 +58,7 @@ import twistspec.spectra as spectra_mod
 from twistspec.catalog import (abelian, alternating, build, cyclic,
                                dihedral, metacyclic, symmetric)
 from twistspec.errors import OrderCapExceeded
-from twistspec.group import _Budget, closure
+from twistspec.group import _Budget, closure, orbits
 from twistspec.morphism import DEFAULT_PRODUCT_BUDGET, weighted_sweep
 from twistspec.perm import Permutation
 from twistspec.spectra import _fold, theorem_battery
@@ -242,9 +243,10 @@ def test_structure_and_cosets_against_the_table_oracles(group):
         group.is_perfect() and oracles.quotient_is_simple(group, center))
     oracles.assert_structure_flags(group)
     for sub in (center, derived):
-        cosets = group.normal_cosets(sub.indices)[1]
+        cosets = orbits(group.order, [group.column(h) for h in sub.generators])
         assert ((list(cosets.class_of), list(cosets.representatives))
                 == oracles.left_cosets(group, sub.indices))
+        oracles.assert_quotient_classes(group, sub)
     _assert_the_one_pass_matches(group)
     oracles.assert_battery_matches(group)
 

@@ -290,19 +290,21 @@ def test_battery_orbit_stabiliser_check_can_fail(tmp_path, monkeypatch,
 
 
 def test_battery_reduction_check_can_fail(tmp_path, monkeypatch, capsys):
-    """Class labels of G/N shifted by one, modulo the class count, fail
-    ``reduction-to-injective`` and no other check, on the 36 catalog
-    groups with a non-injective map onto a nontrivial G/N, with the first
-    representative in sweep order whose count on G/N moved as witness:
-    the check reads the classes of G/N, not phi's own twisted classes."""
-    honest = FiniteGroup.normal_cosets
+    """The labels of the classes of G/N outside N shifted by one, modulo
+    the class count, fail ``reduction-to-injective`` and no other check,
+    on the 36 catalog groups with a non-injective map onto a nontrivial
+    G/N, with the first representative in sweep order whose count on G/N
+    moved as witness: the check reads the classes of G/N, not phi's own
+    twisted classes.  N keeps label 0, since phi(1) = 1 must stay in the
+    identity's class (``twisted._class_images`` asserts it)."""
+    honest = FiniteGroup.quotient_classes
 
     def shifted(self, members):
-        sub, cosets, classes = honest(self, members)
-        return sub, cosets, classes._replace(class_of=tuple(
-            (c + 1) % classes.count for c in classes.class_of))
+        sub, classes = honest(self, members)
+        return sub, classes._replace(class_of=tuple(
+            c and (c + 1) % classes.count for c in classes.class_of))
 
-    monkeypatch.setattr(FiniteGroup, "normal_cosets", shifted)
+    monkeypatch.setattr(FiniteGroup, "quotient_classes", shifted)
     failing = 0
     for defn in shipped_catalog():
         group = build(defn)

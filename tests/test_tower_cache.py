@@ -1,11 +1,12 @@
 """The per-tower cache behind the reduction check.
 
-``FiniteGroup.normal_cosets`` verifies a kernel tower N (closure,
-normality, cosets of |N| members each) once per distinct member tuple;
-the phi-invariance of N (``Morphism.iterated_kernel``) and the injectivity
-of the induced map (``reduction_check``) are checked for every phi.  Spies
-count the once-per-tower checks, and patched towers show that every
-assertion still fires, also on a cache hit.
+``FiniteGroup.quotient_classes`` verifies a kernel tower N (closure,
+normality, and N as the identity's class of G/N) once per distinct member
+tuple; phi^-1(N) = N, that is, N is phi-invariant and the induced map is
+injective, is checked for every phi (``Morphism.iterated_kernel``).  Spies
+count the once-per-tower checks, patched towers show that every assertion
+still fires, also on a cache hit, and the classes of G/N kept for every
+tower the battery builds are held to the quotient oracle.
 """
 
 import sys
@@ -23,29 +24,29 @@ from twistspec.perm import Permutation
 from twistspec.spectra import theorem_battery
 from twistspec.twisted import reduction_check
 
-NORMAL_COSETS = FiniteGroup.normal_cosets.__code__
+QUOTIENT_CLASSES = FiniteGroup.quotient_classes.__code__
 
 CASES = [*shipped_catalog(), alternating(6), symmetric(6)]
 
 
 def _spy_on_cache_builds(monkeypatch, drop_last_generator=False):
-    """Record the member tuples that ``normal_cosets`` passes to
+    """Record the member tuples that ``quotient_classes`` passes to
     ``subgroup`` and ``is_normal``, that is, the towers it builds.  With
     ``drop_last_generator`` the subgroups it builds lose their last
-    generator, so their right-multiplication orbits shrink."""
+    generator, so the identity's class may fall short of N."""
     built = {"subgroup": [], "is_normal": []}
     real_subgroup, real_is_normal = FiniteGroup.subgroup, FiniteGroup.is_normal
 
     def subgroup(self, indices):
         sub = real_subgroup(self, indices)
-        if sys._getframe(1).f_code is NORMAL_COSETS:
+        if sys._getframe(1).f_code is QUOTIENT_CLASSES:
             built["subgroup"].append(sub.indices)
             if drop_last_generator:
                 sub = sub._replace(generators=sub.generators[:-1])
         return sub
 
     def is_normal(self, sub):
-        if sys._getframe(1).f_code is NORMAL_COSETS:
+        if sys._getframe(1).f_code is QUOTIENT_CLASSES:
             built["is_normal"].append(sub.indices)
         return real_is_normal(self, sub)
 
@@ -70,6 +71,17 @@ def test_each_tower_is_verified_once(defn, monkeypatch):
     assert len(built["subgroup"]) == len(built["is_normal"]) == len(towers)
 
 
+@pytest.mark.parametrize("defn", CASES, ids=lambda defn: defn.name)
+def test_each_tower_holds_the_classes_of_the_quotient(defn):
+    """Every tower the battery builds, 193 over the catalog, keeps N as
+    its identity's class and the preimages of the conjugacy classes of the
+    oracle's G/N as its classes."""
+    group = build(defn)
+    theorem_battery(group)
+    for members in group._quotients:
+        oracles.assert_quotient_classes(group, group.subgroup(members))
+
+
 def test_catalog_tower_counts(monkeypatch):
     """Work bound of the catalog battery: 3152 representatives, 1985 with a
     nontrivial tower, each of which finds its members once, and 193
@@ -90,7 +102,7 @@ def test_catalog_tower_counts(monkeypatch):
         sweep = list(weighted_sweep(group))
         representatives += len(sweep)
         nontrivial += sum(not phi.is_automorphism() for phi, _ in sweep)
-        towers += len(group._cosets)
+        towers += len(group._quotients)
     assert (representatives, nontrivial, towers) == (3152, 1985, 193)
     assert len(found) == 1985
 
@@ -108,7 +120,7 @@ def test_non_normal_tower_is_an_internal_error(monkeypatch, tmp_path, capsys):
     transposition = s3.index_of(Permutation.from_cycles(3, (1, 2)))
     members = (0, transposition)
     with pytest.raises(AssertionError, match="not normal"):
-        s3.normal_cosets(members)
+        s3.quotient_classes(members)
     _patch_tower(monkeypatch, members)
     path = tmp_path / "s3.json"
     save(symmetric(3), path)
@@ -118,23 +130,43 @@ def test_non_normal_tower_is_an_internal_error(monkeypatch, tmp_path, capsys):
 
 def test_unequal_cosets_are_an_internal_error(monkeypatch, tmp_path, capsys):
     # Z2 x Z2 needs two generators; without the second, right
-    # multiplication has orbits of size 2, not |N| = 4.
+    # multiplication and conjugation, trivial in an abelian group, reach
+    # from the identity a class of size 2, not N, of order 4.
     group = build(abelian(2, 2))
     _spy_on_cache_builds(monkeypatch, drop_last_generator=True)
-    with pytest.raises(AssertionError, match="cosets"):
-        group.normal_cosets(tuple(range(4)))
+    with pytest.raises(AssertionError, match="identity class"):
+        group.quotient_classes(tuple(range(4)))
     path = tmp_path / "z2xz2.json"
     save(abelian(2, 2), path)
     assert main(["verify", str(path)]) == 4
     err = capsys.readouterr().err
-    assert "internal error: cosets do not all have |N| members" in err
+    assert "internal error: identity class of G/N is not N" in err
+
+
+def test_a_tower_phi_does_not_keep_is_an_internal_error(monkeypatch,
+                                                        tmp_path, capsys):
+    # Each phi of rank 1 on Z2 x Z2 gets N = <x>, normal since the group is
+    # abelian, for the first x with phi(x) neither 1 nor x: phi(N) is not
+    # in N.  The trivial phi keeps its true tower.
+    real = morphism_mod._stable_kernel
+
+    def patched(table):
+        moved = [x for x, t in enumerate(table) if t not in (0, x)]
+        return (0, moved[0]) if moved else real(table)
+
+    monkeypatch.setattr(morphism_mod, "_stable_kernel", patched)
+    path = tmp_path / "z2xz2.json"
+    save(abelian(2, 2), path)
+    assert main(["verify", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: kernel tower is not its own preimage" in err
 
 
 def test_per_phi_checks_fire_on_a_cache_hit(monkeypatch):
     # N = <a> in Z2 x Z2 = <a, b>, imposed on every phi.  The identity
     # builds the cache entry; the swap of a and b, a cache hit, does not
     # keep N, and the projection onto <a>, another hit, keeps N but sends
-    # b into it.
+    # b into it: neither has N as the preimage of N.
     group = build(abelian(2, 2))
     a, b = group.generator_indices()
     members = (0, a)
@@ -146,8 +178,10 @@ def test_per_phi_checks_fire_on_a_cache_hit(monkeypatch):
     assert identity.iterated_kernel().indices == members
     # The identity induces the identity on G/N = Z2, with 2 classes.
     assert reduction_check(identity, 2)
-    with pytest.raises(AssertionError, match="not invariant"):
-        swap.iterated_kernel()
-    with pytest.raises(AssertionError, match="not injective"):
+    for phi in (swap, projection):
+        with pytest.raises(AssertionError, match="not its own preimage"):
+            phi.iterated_kernel()
+    # The swap, an automorphism, is its own reduction and builds no tower.
+    with pytest.raises(AssertionError, match="not its own preimage"):
         reduction_check(projection, 2)
     assert built["subgroup"] == built["is_normal"] == [members]
