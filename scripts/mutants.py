@@ -69,12 +69,19 @@ MUTANTS = [
         "a tower whose generators reach less than N goes unnoticed, so the "
         "classes of G/N come out finer than they are"),
     Mutant(
-        "twisted-pass-drops-last-map", "src/twistspec/twisted.py",
+        "orbits-drops-last-map", "src/twistspec/group.py",
         "            for image in maps:\n",
         "            for image in maps[:-1]:\n",
+        ("tests/test_orbits.py", "tests/test_twisted.py"),
+        "the orbit loop skips the last map, so every orbit count in the "
+        "package, conjugacy and twisted classes alike, comes out too fine"),
+    Mutant(
+        "battery-pass-drops-last-map", "src/twistspec/spectra.py",
+        "group._twisted_maps(images))",
+        "group._twisted_maps(images)[:-1])",
         ("tests/test_battery_oracle.py", "tests/test_weighted_sweep.py"),
-        "the orbit pass skips the last generator's twisted map, so its "
-        "orbits are too small and R too large"),
+        "the battery's orbit pass skips the last generator's twisted map, "
+        "so its orbits are too small and R too large"),
     Mutant(
         "fixed-count-plus-one", "src/twistspec/twisted.py",
         "                   range(classes.count)))",
@@ -225,9 +232,9 @@ MUTANTS = [
         "each class is read as the class of its own representative, not of "
         "its image, so every class, of G or of G/N, reads as fixed"),
     Mutant(
-        "twisted-pass-identity-from-last-orbit", "src/twistspec/twisted.py",
-        "return len(sizes), sizes[0]",
-        "return len(sizes), sizes[-1]",
+        "battery-identity-from-last-orbit", "src/twistspec/spectra.py",
+        "twisted.count, twisted.identity_class_size()",
+        "twisted.count, twisted.sizes[-1]",
         ("tests/test_battery_oracle.py", "tests/test_random_groups.py"),
         "the identity's twisted class is read from the last orbit found, "
         "not the first, which holds the identity"),

@@ -13,10 +13,10 @@ from math import prod
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded
-from .group import FiniteGroup
+from .group import FiniteGroup, orbits
 from .morphism import (_AUT_SWEEP, _END_SWEEP, DEFAULT_PRODUCT_BUDGET,
                        _Budget, _fixed_points, _pools, _search)
-from .twisted import _fixed_count, _quotient_count, _twisted_pass
+from .twisted import _fixed_count, _quotient_count
 
 FLAG_NAMES = (
     "abelian", "nilpotent", "perfect", "simple", "quasisimple", "odd_order",
@@ -411,12 +411,13 @@ def _battery(group: FiniteGroup, tracker: _Budget
 
     Like ``_fold`` it reads the live tables of ``_search`` and builds no
     Morphism; a witness is built from the table's generator images at the
-    first failure of each check.  One pass over the group's twisted maps
-    (``twisted._twisted_pass``) gives each representative's count and its
-    identity class; ``twisted._quotient_count`` reads its count on G/N off
-    its tower's entry.  The inner twists are the conjugation columns
-    x -> s^-1 x s, that is tau_{s^-1}; tau_{s^-1} . phi is taken by its
-    generator images, and is not counted again when they are phi's own.
+    first failure of each check.  ``orbits`` over the group's twisted maps,
+    as ``twisted.twisted_classes`` counts them, gives each representative's
+    count and the size of its identity's class; ``twisted._quotient_count``
+    reads its count on G/N off its tower's entry.  The inner twists are the
+    conjugation columns x -> s^-1 x s, that is tau_{s^-1}; tau_{s^-1} . phi
+    is taken by its generator images, and is not counted again when they
+    are phi's own.
 
     After the generating-set scan, the sweep's nodes and every orbit pass
     charge ``tracker`` in the phase "the battery"; a pass is charged |G|
@@ -451,7 +452,8 @@ def _battery(group: FiniteGroup, tracker: _Budget
                                                "the battery"):
         images = [table[s] for s in gens]
         tracker.charge(pass_cost)
-        value, identity = _twisted_pass(group, images)
+        twisted = orbits(group.order, group._twisted_maps(images))
+        value, identity = twisted.count, twisted.identity_class_size()
         fixed_count = _fixed_count(table, classes, automorphism)
         ext[fixed_count] += weight
         if automorphism:
@@ -466,7 +468,8 @@ def _battery(group: FiniteGroup, tracker: _Budget
                     if moved_images == images:
                         continue
                     tracker.charge(pass_cost)
-                    moved = _twisted_pass(group, moved_images)[0]
+                    moved = orbits(group.order,
+                                   group._twisted_maps(moved_images)).count
                     if moved != fixed_count:
                         fail("orbit-vs-fixed-classes",
                              f"orbits {moved} of an inner twist != fixed "

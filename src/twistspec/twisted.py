@@ -8,45 +8,22 @@ classes that phi maps to themselves (``reidemeister_number``).  The orbit
 count is the oracle; the fixed-class count is the cheap one, and the theorem
 battery compares the two on every endomorphism it sweeps.
 
-The public functions take a Morphism and wrap helpers that take the group,
-phi's table or its generator images, as the theorem battery holds them when
-it reads the search's live tables: one orbit pass over the group's cached
-twisted maps (``_twisted_pass``), and R on G/N counted by ``_fixed_count``
-on the classes of G/N, a partition of G that the kernel tower's entry
-holds (``_quotient_count``).
+The public functions take a Morphism and wrap helpers that take the group
+and phi's table, as the theorem battery holds them when it reads the
+search's live tables: R on G/N counted by ``_fixed_count`` on the classes
+of G/N, a partition of G that the kernel tower's entry holds
+(``_quotient_count``).  The battery counts the twisted classes itself, as
+``twisted_classes`` does: ``group.orbits`` over the group's cached twisted
+maps, the one orbit loop in the package.
 """
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import eq, not_
+from operator import eq
 from typing import Sequence
 
 from .group import ClassPartition, FiniteGroup, orbits
 from .morphism import Morphism, _kernel_tower
-
-
-def _twisted_pass(group: FiniteGroup, images: Sequence[int]
-                  ) -> tuple[int, int]:
-    """One orbit pass over the twisted maps of the endomorphism phi with
-    these generator images: R(phi) and the size of the identity's class."""
-    maps, n = group._twisted_maps(images), group.order
-    seen = [False] * n
-    sizes = []
-    # The iterator reads ``seen`` live, skipping the points already reached.
-    for g in compress(range(n), map(not_, seen)):
-        seen[g] = True
-        orbit = [g]
-        for x in orbit:
-            for image in maps:
-                y = image[x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-        sizes.append(len(orbit))
-    if sum(sizes) != n:
-        raise AssertionError("twisted class sizes do not sum to the order")
-    return len(sizes), sizes[0]
 
 
 def twisted_classes(phi: Morphism) -> ClassPartition:

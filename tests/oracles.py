@@ -17,9 +17,11 @@ which ``twistspec`` itself never does, and
 ``reduction_orbits_on_g`` counts that map's twisted classes on all of G.
 ``assert_quotient_classes`` holds the classes of G/N that the group keeps
 for N, a partition of G, to the preimages of the quotient's conjugacy
-classes.  ``assert_twisted_pass`` holds the battery's one orbit pass to
-``twisted_classes``, and ``assert_quotient_count`` its count on G/N to
-both quotient oracles.
+classes.  ``assert_twisted_classes`` holds the package's twisted classes,
+the orbit pass the battery runs, to ``twisted_classes`` on the product
+table, and ``assert_quotient_count`` the battery's count on G/N to both
+quotient oracles; ``twisted_map_images`` reads an endomorphism's
+generator images back off its twisted maps, for spies on ``orbits``.
 ``morphism_battery`` is the theorem battery built on Morphisms, one per
 representative of the weighted sweep, with every inner twist composed as a
 full table; ``miscounted_fixed_classes`` injects a fault that both
@@ -471,12 +473,20 @@ def assert_quotient_classes(group, sub):
         assert (found, r, size) == (want, want[0], len(want))
 
 
-def assert_twisted_pass(phi):
-    """``twisted._twisted_pass`` on ``phi`` against ``twisted_classes``:
-    the same count and the same size of the identity's class."""
+def assert_twisted_classes(phi, table):
+    """The package's ``twisted_classes(phi)``, ``orbits`` over the twisted
+    maps as the battery runs it, against ``twisted_classes`` swept on the
+    product ``table``: the same labels, representatives and sizes."""
     partition = twisted_partition(phi)
-    assert twisted_mod._twisted_pass(phi.group, phi.generator_images) == (
-        partition.count, partition.identity_class_size())
+    assert (list(partition.class_of), list(partition.representatives),
+            list(partition.sizes)) == twisted_classes(table, phi.table)
+
+
+def twisted_map_images(group, maps):
+    """The generator images of the endomorphism whose twisted maps are
+    ``maps``, as ``orbits`` receives them: x -> s^-1 x c sends s to its
+    image c."""
+    return tuple(image[s] for image, s in zip(maps, group.generator_indices()))
 
 
 def assert_quotient_count(phi):

@@ -7,7 +7,8 @@ counters (``oracles.assert_battery_matches``): on every catalog group, on
 A6, S6 and Hol(Z21), and, under a fixed-class count that is one too many
 on chosen representatives, with the first failures compared.  The
 Hypothesis strategies of ``test_random_groups`` run the same comparison.
-The battery's work is pinned too: its orbit passes and its budget charges.
+The battery's work is pinned too: its orbit passes, each a call of
+``orbits`` from ``spectra``, and its budget charges.
 """
 
 from collections import Counter
@@ -39,13 +40,13 @@ def test_catalog_battery_orbit_passes(monkeypatch):
     representatives and of 498 inner twists, one per declared generator of
     each representative of weight > 1 that the generator moves."""
     images = []
-    one_pass = spectra_mod._twisted_pass
+    one_pass = spectra_mod.orbits
 
-    def spied(group, generator_images):
-        images.append(tuple(generator_images))
-        return one_pass(group, generator_images)
+    def spied(size, maps):
+        images.append(oracles.twisted_map_images(group, maps))
+        return one_pass(size, maps)
 
-    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied)
+    monkeypatch.setattr(spectra_mod, "orbits", spied)
     passes = Counter()
     for defn in shipped_catalog():
         group = build(defn)
@@ -59,28 +60,28 @@ def test_catalog_battery_orbit_passes(monkeypatch):
 
 def test_catalog_battery_orbit_calls(monkeypatch):
     """The catalog battery runs one orbit pass per twisted class count,
-    3152 + 498, each in ``_twisted_pass``, and no twisted partition is
-    built.  R on G/N is read apart from those passes, off the classes of
-    G/N (``_quotient_count``), once per representative that is not
-    injective: 1985 of them, over 193 towers."""
+    3152 + 498, each a call of ``orbits`` from ``spectra`` and none through
+    ``twisted_classes``.  R on G/N is read apart from those passes, off the
+    classes of G/N (``_quotient_count``), once per representative that is
+    not injective: 1985 of them, over 193 towers."""
     passes, quotients = [], []
-    one_pass, quotient_count = (spectra_mod._twisted_pass,
+    one_pass, quotient_count = (spectra_mod.orbits,
                                 spectra_mod._quotient_count)
 
-    def spied_pass(group, generator_images):
-        passes.append(tuple(generator_images))
-        return one_pass(group, generator_images)
+    def spied_pass(size, maps):
+        passes.append(size)
+        return one_pass(size, maps)
 
     def spied_quotient(group, table):
         quotients.append(table.count(0))
         return quotient_count(group, table)
 
-    def partition(size, maps):
-        raise AssertionError("the battery built a twisted partition")
+    def public(size, maps):
+        raise AssertionError("the battery went through twisted_classes")
 
-    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied_pass)
+    monkeypatch.setattr(spectra_mod, "orbits", spied_pass)
     monkeypatch.setattr(spectra_mod, "_quotient_count", spied_quotient)
-    monkeypatch.setattr(twisted_mod, "orbits", partition)
+    monkeypatch.setattr(twisted_mod, "orbits", public)
     towers = 0
     for defn in shipped_catalog():
         group = build(defn)
@@ -120,23 +121,23 @@ def test_battery_charges_the_budget_as_the_end_fold(defn, monkeypatch):
     group = build(defn)
     log = []
     charge = group_mod._Budget.charge
-    one_pass, quotient_count = (spectra_mod._twisted_pass,
+    one_pass, quotient_count = (spectra_mod.orbits,
                                 spectra_mod._quotient_count)
 
     def spied(self, amount):
         log.append(amount)
         charge(self, amount)
 
-    def spied_pass(group, generator_images):
+    def spied_pass(size, maps):
         log.append("pass")
-        return one_pass(group, generator_images)
+        return one_pass(size, maps)
 
     def spied_quotient(group, table):
         log.append("quotient")
         return quotient_count(group, table)
 
     monkeypatch.setattr(group_mod._Budget, "charge", spied)
-    monkeypatch.setattr(spectra_mod, "_twisted_pass", spied_pass)
+    monkeypatch.setattr(spectra_mod, "orbits", spied_pass)
     monkeypatch.setattr(spectra_mod, "_quotient_count", spied_quotient)
     spectra_mod.theorem_battery(group)
     battery = list(log)

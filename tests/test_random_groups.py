@@ -27,10 +27,10 @@ one ``Permutation`` at a time (``oracles.assert_closure_matches``), the
 inverses and element orders must equal the product-table
 oracles, the structure flags must equal those decided by normal closures
 alone (``oracles.assert_structure_flags``), and on every representative of
-every draw the battery's one orbit
-pass must agree with ``twisted_classes`` (``oracles.assert_twisted_pass``)
-and its count on the classes of G/N with the orbits on G of the twisted
-maps and N's columns and with R of the map induced on G/N
+every draw the twisted classes, the battery's orbit pass, must equal
+those swept on the product table (``oracles.assert_twisted_classes``),
+and the battery's count on the classes of G/N must equal the orbits on G
+of the twisted maps and N's columns and R of the map induced on G/N
 (``oracles.assert_quotient_count``).  On every draw of the first strategy,
 the conjugation columns must
 equal ``conjugation(s)`` for each declared generator ``s``; on every
@@ -136,11 +136,11 @@ def _assert_the_search_generators_rule(group):
         assert gens == (declared or (0,))
 
 
-def _assert_the_one_pass_matches(group):
-    """``oracles.assert_twisted_pass`` and ``oracles.assert_quotient_count``
-    on every representative."""
+def _assert_the_one_pass_matches(group, table):
+    """``oracles.assert_twisted_classes`` on the product ``table`` and
+    ``oracles.assert_quotient_count`` on every representative."""
     for phi, _ in weighted_sweep(group):
-        oracles.assert_twisted_pass(phi)
+        oracles.assert_twisted_classes(phi, table)
         oracles.assert_quotient_count(phi)
 
 
@@ -190,7 +190,7 @@ def test_fold_and_sweep_against_the_oracles(group):
     assert group.is_nilpotent() == oracles.is_nilpotent(table)
     oracles.assert_structure_flags(group)
     oracles.assert_battery_matches(group)
-    _assert_the_one_pass_matches(group)
+    _assert_the_one_pass_matches(group, table)
     for automorphisms in (False, True):
         sweep = _assert_fold_matches_the_orbit_count(group, automorphisms)
         every = oracles.every_morphism(group, automorphisms)
@@ -211,9 +211,10 @@ def test_abelian_fold_against_the_oracle(group):
     assert group.is_simple() == group._is_simple_modulo(
         group.trivial_subgroup())
     oracles.assert_structure_flags(group)
-    oracles.assert_element_tables(group, oracles.product_table(group))
+    table = oracles.product_table(group)
+    oracles.assert_element_tables(group, table)
     oracles.assert_battery_matches(group)
-    _assert_the_one_pass_matches(group)
+    _assert_the_one_pass_matches(group, table)
     # Every draw is counted, from independent and dependent generators.
     with mock.patch.object(spectra_mod, "_search",
                            wraps=spectra_mod._search) as search:
@@ -247,7 +248,7 @@ def test_structure_and_cosets_against_the_table_oracles(group):
         assert ((list(cosets.class_of), list(cosets.representatives))
                 == oracles.left_cosets(group, sub.indices))
         oracles.assert_quotient_classes(group, sub)
-    _assert_the_one_pass_matches(group)
+    _assert_the_one_pass_matches(group, table)
     oracles.assert_battery_matches(group)
 
 

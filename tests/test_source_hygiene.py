@@ -11,7 +11,9 @@ keeps its value through ``_once`` in ``group.py``, so a hand-rolled cache
 budget serves each command: only the public entry points make a
 ``_Budget``, and no private function takes an int as ``budget``.  Only the
 engines that do the work open a budget phase: the generating-set scan, the
-morphism search and the abelian count.
+morphism search and the abelian count.  ``orbits`` is the one orbit loop:
+no other function but the search's step BFS iterates over a list that it
+appends to inside the loop.
 """
 
 import ast
@@ -158,3 +160,25 @@ def test_each_engine_opens_its_own_phase():
     scanners = sorted(owner for tree in TREES.values() for owner in
                       _owners(tree, _calls("small_generating_set")))
     assert scanners == ["_count_abelian", "_search"]
+
+
+def _grows_its_iterable(node):
+    """Whether ``node`` is a ``for`` loop over a name that its body appends
+    to or extends: a breadth-first search."""
+    if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)):
+        return False
+    return any(isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Attribute)
+               and call.func.attr in ("append", "extend")
+               and getattr(call.func.value, "id", None) == node.iter.id
+               for statement in node.body for call in ast.walk(statement))
+
+
+def test_orbits_is_the_one_orbit_loop():
+    """Every orbit count in the package, conjugacy classes, twisted
+    classes, the classes of G/N and the search's stabiliser orbits, calls
+    ``orbits``; the one other breadth-first search is ``_levels``, which
+    orders the search's steps."""
+    loops = sorted(owner for tree in TREES.values()
+                   for owner in _owners(tree, _grows_its_iterable))
+    assert loops == ["_levels", "orbits"]

@@ -241,13 +241,18 @@ def test_battery_inner_invariance_check_can_fail(tmp_path, monkeypatch,
     group = build(symmetric(3))
     sweep = list(weighted_sweep(group))
     representatives = {phi.generator_images for phi, _ in sweep}
-    honest = spectra_mod._twisted_pass
+    honest = spectra_mod.orbits
 
-    def corrupted(group, images):
-        count, identity = honest(group, images)
-        return count + (tuple(images) not in representatives), identity
+    def corrupted(size, maps):
+        # An extra representative adds one to the count and leaves the
+        # identity's class alone.
+        partition = honest(size, maps)
+        if oracles.twisted_map_images(group, maps) in representatives:
+            return partition
+        return partition._replace(
+            representatives=(*partition.representatives, 0))
 
-    monkeypatch.setattr(spectra_mod, "_twisted_pass", corrupted)
+    monkeypatch.setattr(spectra_mod, "orbits", corrupted)
     # The first representative of weight > 1 in sweep order; its orbit is
     # not a point, so some declared generator moves it.
     first = next(phi for phi, weight in sweep if weight > 1)

@@ -148,16 +148,17 @@ def test_battery_over_representatives_matches_every_morphism(case):
 
 
 def test_reduction_check_counts_the_induced_classes(case):
-    """For each representative, the one orbit pass counts its twisted
-    classes and its identity's class as ``twisted_classes`` does, and its
-    count on the classes of G/N, N its stable kernel, equals the orbits on
-    G of the twisted maps together with N's columns; for a nontrivial N it
-    numbers the twisted classes of the oracle's induced map on G/N, by
-    either method."""
+    """For each representative, its twisted classes, the battery's orbit
+    pass, are those swept on the product table, and its count on the
+    classes of G/N, N its stable kernel, equals the orbits on G of the
+    twisted maps together with N's columns; for a nontrivial N it numbers
+    the twisted classes of the oracle's induced map on G/N, by either
+    method."""
+    table = oracles.product_table(case["group"])
     for phi, _ in case["end_sweep"]:
         tower = phi.iterated_kernel()
         count = reidemeister_number(phi)
-        oracles.assert_twisted_pass(phi)
+        oracles.assert_twisted_classes(phi, table)
         reduced = oracles.assert_quotient_count(phi)
         if tower.is_trivial():
             # G/1 is G and the induced map is phi itself.
