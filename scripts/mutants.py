@@ -301,19 +301,37 @@ MUTANTS = [
     Mutant(
         "search-phase-before-scan", "src/twistspec/morphism.py",
         "    gens = group.small_generating_set(tracker)\n"
-        "    tracker.phase = phase\n",
-        "    tracker.phase = phase\n"
+        "    tracker.phase = phase or (_AUT_SWEEP if automorphisms else "
+        "_END_SWEEP)\n",
+        "    tracker.phase = phase or (_AUT_SWEEP if automorphisms else "
+        "_END_SWEEP)\n"
         "    gens = group.small_generating_set(tracker)\n",
         ("tests/test_live_fold.py", "tests/test_cli.py"),
         "the search names its phase before the scan, which renames it, so "
         "a sweep that runs out blames the generating-set scan"),
     Mutant(
+        "search-names-every-sweep-the-end-sweep", "src/twistspec/morphism.py",
+        "phase or (_AUT_SWEEP if automorphisms else _END_SWEEP)",
+        "phase or _END_SWEEP",
+        ("tests/test_live_fold.py", "tests/test_cli.py"),
+        "the search derives its phase without reading automorphisms, so an "
+        "Aut sweep that runs out blames the End sweep"),
+    Mutant(
         "battery-search-in-end-sweep-phase", "src/twistspec/spectra.py",
-        "                                               \"the battery\"):",
-        "                                               _END_SWEEP):",
+        "_search(group, False, tracker,\n"
+        "                                               \"the battery\")",
+        "_search(group, False, tracker)",
         ("tests/test_cli.py", "tests/test_spectra.py"),
-        "the battery's sweep runs in the End sweep's phase, so its budget "
-        "errors blame the End sweep"),
+        "the battery passes no phase, so its sweep runs in the End sweep's "
+        "phase and its budget errors blame the End sweep"),
+    Mutant(
+        "spectrum-reads-the-extended-counter", "src/twistspec/spectra.py",
+        "_fold(group, True, _Budget(budget))[0]",
+        "_fold(group, True, _Budget(budget))[1]",
+        ("tests/test_spectra.py",),
+        "spectrum() reads the fold's second counter, which an abelian "
+        "group's count fills with End(G)'s, so Z2xZ2's spectrum counts "
+        "all 16 endomorphisms"),
     Mutant(
         "battery-quotient-uncharged", "src/twistspec/spectra.py",
         "            tracker.charge(group.order)\n"

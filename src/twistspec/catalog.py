@@ -11,7 +11,8 @@ A definition file is one JSON document per group::
 
 Generator rows are 1-based image sequences.  The optional ``expected`` block
 is asserted at build time: a mismatch fails loudly instead of propagating a
-wrong group through a survey.
+wrong group through a survey.  Any other key is rejected, so a misspelled
+block cannot load unasserted.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DefinitionError
-from .group import DEFAULT_ORDER_CAP, FiniteGroup, closure
+from .group import DEFAULT_ORDER_CAP, FiniteGroup, closure, orbits
 from .perm import Permutation
 
+_KEYS = ("name", "degree", "generators", "expected")
 _EXPECTED_KEYS = ("order", "class_number")
 
 
@@ -47,18 +49,17 @@ class GroupDefinition(NamedTuple):
                     f"{self.name}: generator {position + 1}: images must be "
                     "integers"
                 )
+            if len(row) != self.degree:
+                raise DefinitionError(
+                    f"{self.name}: generator {position + 1} has degree "
+                    f"{len(row)}, expected {self.degree}"
+                )
             try:
-                perm = Permutation.one_based(row)
+                perms.append(Permutation.one_based(row))
             except (ValueError, TypeError) as exc:
                 raise DefinitionError(
                     f"{self.name}: generator {position + 1}: {exc}"
                 ) from exc
-            if perm.degree != self.degree:
-                raise DefinitionError(
-                    f"{self.name}: generator {position + 1} has degree "
-                    f"{perm.degree}, expected {self.degree}"
-                )
-            perms.append(perm)
         return perms
 
     def to_json_dict(self) -> dict:
@@ -128,6 +129,9 @@ def from_json_dict(doc: object, *, source: str = "<memory>") -> GroupDefinition:
     for key in ("name", "degree", "generators"):
         if key not in doc:
             raise DefinitionError(f"{source}: missing field {key!r}")
+    unknown = set(doc).difference(_KEYS)
+    if unknown:
+        raise DefinitionError(f"{source}: unknown keys {sorted(unknown)}")
     name = doc["name"]
     degree = doc["degree"]
     generators = doc["generators"]
@@ -320,25 +324,17 @@ def direct_product(a: GroupDefinition, b: GroupDefinition) -> GroupDefinition:
 
 
 def _unit_generators(n: int) -> list[int]:
-    """Lexicographically first smallest generating set of the units mod n."""
+    """Lexicographically first smallest generating set of the units mod n:
+    the first combo under whose maps x -> x u mod n the orbit of 1, which
+    is <combo>, holds every unit."""
     units = [a for a in range(1, n) if gcd(a, n) == 1]
     if len(units) == 1:
         return []
-    full = set(units)
     for size in range(1, len(units)):
         for combo in itertools.combinations(units[1:], size):
-            generated = {1}
-            frontier = [1]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for u in combo:
-                        y = x * u % n
-                        if y not in generated:
-                            generated.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            if generated == full:
+            generated = orbits(n, [[x * u % n for x in range(n)]
+                                   for u in combo])
+            if generated.sizes[generated.class_of[1]] == len(units):
                 return list(combo)
     raise AssertionError("unit group failed to generate itself")
 

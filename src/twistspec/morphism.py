@@ -263,7 +263,8 @@ def _pools(group: FiniteGroup, gens: Sequence[int],
 
 
 def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget,
-            phase: str) -> Iterator[tuple[list[int], int, bool]]:
+            phase: str | None = None
+            ) -> Iterator[tuple[list[int], int, bool]]:
     """The one morphism search behind every sweep.
 
     Yields ``(table, weight, bijective)`` per Inn(G)-orbit.  ``table`` is
@@ -279,10 +280,11 @@ def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget,
     image c_j for gens[j] and extends the partial table from H_j to H_{j+1}
     (``_levels``), verifying the homomorphism law there; a conflict drops
     the candidate with its whole subtree.  After the generating-set scan
-    it enters ``phase`` and charges ``tracker`` each node's steps.  c_j is
-    kept only if it is the smallest index in its orbit under
-    S_j = C_G(c_0, ..., c_{j-1}) acting by conjugation, and the weight is
-    multiplied by that orbit's size.  The kept tuples are the
+    it enters ``phase``, by default the End or the Aut sweep as
+    ``automorphisms`` says (only the battery names its own), and charges
+    ``tracker`` each node's steps.  c_j is kept only if it is the smallest
+    index in its orbit under S_j = C_G(c_0, ..., c_{j-1}) acting by
+    conjugation, and the weight is multiplied by that orbit's size.  The kept tuples are the
     lexicographically smallest of their Inn(G)-orbits, one per orbit, and
     each weight is |G| / |C_G(phi(G))|, the size of phi's Inn(G)-orbit.
 
@@ -303,7 +305,7 @@ def _search(group: FiniteGroup, automorphisms: bool, tracker: _Budget,
     invariant under conjugation.
     """
     gens = group.small_generating_set(tracker)
-    tracker.phase = phase
+    tracker.phase = phase or (_AUT_SWEEP if automorphisms else _END_SWEEP)
     levels = _levels(group, gens)
     pools = _pools(group, gens, automorphisms)
     table = [0] * group.order
@@ -357,11 +359,9 @@ def weighted_sweep(group: FiniteGroup, *, automorphisms: bool = False,
     and bijectivity are invariant too.  So weighted counts over this sweep
     equal counts over all of End(G) or Aut(G), and the weights sum to |End|
     or |Aut|.  Each item is a Morphism holding its own copy of ``_search``'s
-    live table, so it may be kept; the search and its budget charges are
-    those of the spectra's fold, the generating-set scan included.
+    live table, so it may be kept; the search, its budget charges and its
+    phase are those of the spectra's fold, the generating-set scan included.
     """
-    phase = _AUT_SWEEP if automorphisms else _END_SWEEP
-    for table, weight, _ in _search(group, automorphisms, _Budget(budget),
-                                    phase):
+    for table, weight, _ in _search(group, automorphisms, _Budget(budget)):
         yield Morphism(group, table, _verified=True), weight
 

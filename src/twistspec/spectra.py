@@ -14,8 +14,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded
 from .group import FiniteGroup, orbits
-from .morphism import (_AUT_SWEEP, _END_SWEEP, DEFAULT_PRODUCT_BUDGET,
-                       _Budget, _fixed_points, _pools, _search)
+from .morphism import (_END_SWEEP, DEFAULT_PRODUCT_BUDGET, _Budget,
+                       _fixed_points, _pools, _search)
 from .twisted import _fixed_count, _quotient_count
 
 FLAG_NAMES = (
@@ -116,33 +116,31 @@ def _witness(group: FiniteGroup, images: Sequence[int], detail: str) -> dict:
 def _fold(group: FiniteGroup, automorphisms: bool,
           tracker: _Budget) -> tuple[Counter, Counter]:
     """Weighted counters of the Reidemeister numbers of the automorphisms
-    and of all the morphisms of one End (or Aut) sweep; the Aut sweep's one
-    counter fills both slots.  The sweep or the count runs the scan, and
-    each charges the command's ``tracker`` in its own phase.
+    and of all the morphisms of one End (or Aut) sweep, as its engine fills
+    them.  Every morphism of an Aut sweep is bijective, so its two counters
+    are equal and its callers read the first; an abelian group's count
+    fills End(G)'s into the second whichever sweep is asked for.  The sweep
+    or the count runs the scan, and each charges the command's ``tracker``
+    in its own phase.
 
     An abelian group, whose search generators are a basis, is counted over
-    image subgroups instead (``_count_abelian``); the counters are the
-    same.  Otherwise R is read off the search's live table by
-    ``_fixed_count``, the number of classes c whose representative phi
-    maps back into c: k reads with no copy and no Morphism, asserting that
-    the identity class is fixed and that an automorphism permutes the
-    classes.  The orbit count is cross-checked by the battery, which
-    compares both counts on every representative.
+    image subgroups instead (``_count_abelian``).  Otherwise R is read off
+    the search's live table by ``_fixed_count``, the number of classes c
+    whose representative phi maps back into c: k reads with no copy and no
+    Morphism, asserting that the identity class is fixed and that an
+    automorphism permutes the classes.  The orbit count is cross-checked by
+    the battery, which compares both counts on every representative.
     """
     if group.is_abelian():
-        spec, ext = _count_abelian(group, tracker)
-    else:
-        phase = _AUT_SWEEP if automorphisms else _END_SWEEP
-        classes = group.conjugacy_classes()
-        spec, ext = Counter(), Counter()
-        for table, weight, bijective in _search(group, automorphisms,
-                                                tracker, phase):
-            value = _fixed_count(table, classes, bijective)
-            if bijective:
-                spec[value] += weight
-            if not automorphisms:
-                ext[value] += weight
-    return (spec, spec) if automorphisms else (spec, ext)
+        return _count_abelian(group, tracker)
+    classes = group.conjugacy_classes()
+    spec, ext = Counter(), Counter()
+    for table, weight, bijective in _search(group, automorphisms, tracker):
+        value = _fixed_count(table, classes, bijective)
+        ext[value] += weight
+        if bijective:
+            spec[value] += weight
+    return spec, ext
 
 
 def _count_abelian(group: FiniteGroup, tracker: _Budget

@@ -174,18 +174,25 @@ def z4_z2(dependent):
 
 def _sweep_tally(group, automorphisms):
     """The fold's counters the slow way: the orbit count of every
-    representative of the weighted sweep."""
+    representative of the weighted sweep.  Only the first counter of an
+    Aut fold is read, here and in ``_read_fold``."""
     sweep = weighted_sweep(group, automorphisms=automorphisms)
-    return oracles.tally(list(sweep), "orbits")
+    return oracles.tally(list(sweep), "orbits")[:1 if automorphisms else 2]
+
+
+def _read_fold(group, automorphisms):
+    """The counters of ``_fold`` that its callers read."""
+    tally = spectra_mod._fold(group, automorphisms, _Budget(None))
+    return tally[:1 if automorphisms else 2]
 
 
 def test_dependent_generators_take_the_count(searches):
     dependent = build(z4_z2(True))
     independent = build(z4_z2(False))
     assert dependent.small_generating_set() != dependent.generator_indices()
-    got = [spectra_mod._fold(dependent, automorphisms, _Budget(None))
+    got = [_read_fold(dependent, automorphisms)
            for automorphisms in (False, True)]
-    want = [spectra_mod._fold(independent, automorphisms, _Budget(None))
+    want = [_read_fold(independent, automorphisms)
             for automorphisms in (False, True)]
     assert searches == []
     assert got == want == [_sweep_tally(dependent, automorphisms)
@@ -201,6 +208,6 @@ def test_dependent_generators_take_the_count(searches):
 def test_random_generating_sets_take_the_count(defn, searches):
     group = build(defn)
     for automorphisms in (False, True):
-        assert (spectra_mod._fold(group, automorphisms, _Budget(None))
+        assert (_read_fold(group, automorphisms)
                 == _sweep_tally(group, automorphisms))
     assert searches == []

@@ -118,6 +118,10 @@ def test_file_contents_are_stable(tmp_path):
      "'generators' must be a list"),
     ({"name": "X", "degree": 2, "generators": [[2, 1]], "expected": [2]},
      "'expected' must be an object"),
+    ({"name": "X", "degree": 3, "generators": [[1, 3]]},
+     "generator 1 has degree 2, expected 3"),
+    ({"name": "X", "degree": 2, "generators": [[2, 1]],
+      "expect": {"order": 4}}, "unknown keys ['expect']"),
 ])
 def test_validation_diagnostics(doc, fragment):
     with pytest.raises(DefinitionError) as err:

@@ -106,6 +106,16 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert main(["info", str(path)]) == 1
 
 
+def test_misspelled_expected_block_is_an_input_error(tmp_path, capsys):
+    # Loaded, the block would never be asserted, and the build would pass.
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"name": "Z2", "degree": 2,
+                                "generators": [[2, 1]],
+                                "expect": {"order": 4}}))
+    assert main(["info", str(path)]) == 1
+    assert "unknown keys ['expect']" in capsys.readouterr().err
+
+
 def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe")

@@ -12,8 +12,8 @@ budget serves each command: only the public entry points make a
 ``_Budget``, and no private function takes an int as ``budget``.  Only the
 engines that do the work open a budget phase: the generating-set scan, the
 morphism search and the abelian count.  ``orbits`` is the one orbit loop:
-no other function but the search's step BFS iterates over a list that it
-appends to inside the loop.
+the only other loops that grow the list they walk are four named
+breadth-first searches that build more than a partition.
 """
 
 import ast
@@ -162,23 +162,48 @@ def test_each_engine_opens_its_own_phase():
     assert scanners == ["_count_abelian", "_search"]
 
 
+def _walked_names(node):
+    """The names a loop walks: a ``for`` loop's iterable, bare or under
+    ``enumerate``, or every name a ``while`` loop's test reads."""
+    if isinstance(node, ast.While):
+        return {name.id for name in ast.walk(node.test)
+                if isinstance(name, ast.Name)}
+    if not isinstance(node, ast.For):
+        return set()
+    walked = node.iter
+    if (isinstance(walked, ast.Call) and walked.args
+            and getattr(walked.func, "id", None) == "enumerate"):
+        walked = walked.args[0]
+    return {walked.id} if isinstance(walked, ast.Name) else set()
+
+
 def _grows_its_iterable(node):
-    """Whether ``node`` is a ``for`` loop over a name that its body appends
-    to or extends: a breadth-first search."""
-    if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Name)):
-        return False
-    return any(isinstance(call, ast.Call)
-               and isinstance(call.func, ast.Attribute)
-               and call.func.attr in ("append", "extend")
-               and getattr(call.func.value, "id", None) == node.iter.id
-               for statement in node.body for call in ast.walk(statement))
+    """Whether ``node`` is a loop whose body appends to or extends a name
+    that the loop walks: a breadth-first search."""
+    walked = _walked_names(node)  # empty unless node is a loop
+    return bool(walked) and any(
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in ("append", "extend")
+        and getattr(call.func.value, "id", None) in walked
+        for statement in node.body for call in ast.walk(statement))
 
 
 def test_orbits_is_the_one_orbit_loop():
     """Every orbit count in the package, conjugacy classes, twisted
-    classes, the classes of G/N and the search's stabiliser orbits, calls
-    ``orbits``; the one other breadth-first search is ``_levels``, which
-    orders the search's steps."""
+    classes, the classes of G/N, the search's stabiliser orbits and the
+    catalog's unit groups, calls ``orbits``.  The other breadth-first
+    searches each build something an orbit partition does not give:
+
+    - ``_adjoin`` grows one subgroup by a generator, visiting only new
+      members with every column, and can check that it stays in a mask;
+    - ``_levels`` records the search's extension steps in BFS order;
+    - ``_normal_closure`` adjoins conjugates of N's generators until none
+      is new, so its seeds grow as it runs;
+    - ``closure`` materialises G, making the elements it walks;
+    - ``orbits`` is the orbit loop itself.
+    """
     loops = sorted(owner for tree in TREES.values()
                    for owner in _owners(tree, _grows_its_iterable))
-    assert loops == ["_levels", "orbits"]
+    assert loops == ["_adjoin", "_levels", "_normal_closure", "closure",
+                     "orbits"]
