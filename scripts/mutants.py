@@ -56,11 +56,18 @@ MUTANTS = [
         "labels, so the count on G/N reads the wrong class of each image"),
     Mutant(
         "quotient-classes-unconjugated", "src/twistspec/group.py",
-        "                *self._conjugation_columns()])\n",
-        "                ])\n",
+        "classes = self._normal_classes(sub.generators)",
+        "classes = orbits(self.order, [*map(self.column, sub.generators)])",
         ("tests/test_weighted_sweep.py", "tests/test_group_oracles.py"),
         "the classes of G/N are built without conjugation, so every coset "
         "of N becomes a class of its own"),
+    Mutant(
+        "normal-closure-unconjugated", "src/twistspec/group.py",
+        "[*seeded, *self._conjugation_columns()]",
+        "seeded or self._conjugation_columns()",
+        ("tests/test_group_oracles.py", "tests/test_structure_oracle.py"),
+        "the partition builder conjugates only when it has no seeds, so a "
+        "normal closure reads the subgroup its seeds generate"),
     Mutant(
         "quotient-identity-class-unchecked", "src/twistspec/group.py",
         "            if classes.sizes[0] != sub.order:\n",

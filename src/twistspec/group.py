@@ -18,10 +18,12 @@ are kept like the columns.  Inverses are read along the tree, element
 orders and the centre off the classes, nilpotency off the orders.  The
 perfect, simple and quasisimple flags are read off certificates first (a
 generator's sign, nilpotency, the centre, the class equation), and a normal
-closure is built only where none decides.  No quotient group is built: a
-question about G/N (is it simple?) is answered by orbits in G that take in
-N's generators, and the classes of G/N are kept as a partition of G, their
-preimages, once per N (``quotient_classes``).
+closure is read only where none decides.  The conjugacy classes, the
+classes of G/N and every normal closure come from one partition builder
+(``_normal_classes``).  No quotient group is built: a question about G/N
+(is it simple?) is answered by orbits in G that take in N's generators,
+and the classes of G/N are kept as a partition of G, their preimages,
+once per N (``quotient_classes``).
 See Holt, Eick and O'Brien, *Handbook of Computational Group Theory* (2005),
 ch. 4.
 """
@@ -264,9 +266,10 @@ class FiniteGroup:
 
     @_once
     def conjugacy_classes(self) -> ClassPartition:
-        """The orbits of conjugation by the generators."""
+        """The orbits of conjugation by the generators: ``_normal_classes``
+        with no seeds."""
         n = self.order
-        partition = orbits(n, self._conjugation_columns())
+        partition = self._normal_classes(())
         if sum(partition.sizes) != n or any(n % s for s in partition.sizes):
             raise AssertionError("conjugacy class sizes violate orbit-stabiliser")
         if partition.class_of[0] != 0 or partition.sizes[0] != 1:
@@ -351,47 +354,34 @@ class FiniteGroup:
 
         Built once per member tuple and cached: ``subgroup`` verifies
         closure, conjugation by each generator of G must keep N, and the
-        classes are the orbits of right multiplication by N's generators
-        together with conjugation by G's.  The identity's class must be N:
-        it is the normal closure of N's generators, so it falls short of N
-        exactly when they do, the only way the orbits can come out finer
-        than the classes of G/N."""
+        classes are ``_normal_classes`` of N's generators.  The identity's
+        class must be N: it is the normal closure of N's generators, so it
+        falls short of N exactly when they do, the only way the orbits can
+        come out finer than the classes of G/N."""
         entry = self._quotients.get(members)
         if entry is None:
             sub = self.subgroup(members)
             if not self.is_normal(sub):
                 raise AssertionError("subgroup is not normal")
-            classes = orbits(self.order, [
-                *map(self.column, sub.generators),
-                *self._conjugation_columns()])
+            classes = self._normal_classes(sub.generators)
             if classes.sizes[0] != sub.order:
                 raise AssertionError("identity class of G/N is not N")
             entry = self._quotients[members] = (sub, classes)
         return entry
 
-    def _normal_closure(self, seeds: Iterable[int]) -> list[int]:
-        """Members of the smallest normal subgroup containing ``seeds``.
+    def _normal_classes(self, seeds: Iterable[int]) -> ClassPartition:
+        """The classes of G modulo the normal closure M of ``seeds``, as a
+        partition of G: the orbits of right multiplication by each distinct
+        seed together with conjugation by G's generators.
 
-        N starts as the subgroup generated by the seeds and takes in
-        ``s^-1 y s`` for every generator ``s`` of G and generator ``y`` of N
-        until nothing new appears: a finite subgroup that conjugation by
-        each generator of G maps into itself is normal.  Every accepted
-        generator at least doubles N, so there are O(log |G|) of them, each
-        costing O(|G|) list reads.
+        The identity's class, class 0, is M.  What 1 reaches by x -> x s
+        and x -> g^-1 x g is closed under conjugation, and under right
+        multiplication by every conjugate of a seed, since x s^h =
+        ((x^(h^-1)) s)^h: it is the subgroup those conjugates generate.
+        With no seeds the classes are the conjugacy classes.
         """
-        conjugations = self._conjugation_columns()
-        reached = [False] * self.order
-        reached[0] = True
-        members = [0]
-        columns: list[list[int]] = []
-        pending = list(seeds)
-        while pending:
-            y = pending.pop()
-            if reached[y]:
-                continue
-            self._adjoin(members, reached, columns, self.column(y))
-            pending.extend(conj[y] for conj in conjugations)
-        return members
+        seeded = [self.column(y) for y in dict.fromkeys(seeds)]
+        return orbits(self.order, [*seeded, *self._conjugation_columns()])
 
     def _generator_commutators(self) -> list[int]:
         """``[y, s] = y^-1 s^-1 y s`` for each pair of declared generators,
@@ -403,8 +393,10 @@ class FiniteGroup:
                 for y in self.generator_indices() for conj in conjugations]
 
     def normal_closure(self, seeds: Iterable[int]) -> Subgroup:
-        """Smallest normal subgroup containing ``seeds``."""
-        return self.subgroup(self._normal_closure(seeds))
+        """Smallest normal subgroup containing ``seeds``: the identity's
+        class of ``_normal_classes``, verified by ``subgroup``."""
+        class_of = self._normal_classes(seeds).class_of
+        return self.subgroup(x for x, c in enumerate(class_of) if c == 0)
 
     @_once
     def center(self) -> Subgroup:
@@ -470,15 +462,16 @@ class FiniteGroup:
         Otherwise G' contains the declared generators' commutators, and G
         is perfect when the class equation shows that they normally
         generate it (``_class_equation_generates``).  Only when that shows
-        nothing is their normal closure built.
+        nothing is their normal closure read, as the identity's class of
+        ``_normal_classes``.
         """
         if (self.is_abelian() or self._has_odd_generator()
                 or self.is_nilpotent()):
             return self.order == 1
         commutators = self._generator_commutators()
         return self._class_equation_generates(
-            commutators, self.trivial_subgroup()) or len(
-                self._normal_closure(commutators)) == self.order
+            commutators, self.trivial_subgroup()) or self._normal_classes(
+                commutators).sizes[0] == self.order
 
     def _is_simple_modulo(self, sub: Subgroup) -> bool:
         """G/N is simple, for a normal subgroup N, decided inside G.
@@ -489,8 +482,8 @@ class FiniteGroup:
         a central x (a class of size 1) they generate N<x>, of order at
         most |N| ord(x), so if that is below |G| the answer is no.  Any other x
         is settled by the class equation when it can be
-        (``_class_equation_generates``) and by a normal closure only when
-        it cannot.
+        (``_class_equation_generates``) and, only when it cannot, by the
+        identity's class of ``_normal_classes`` of x and N's generators.
         """
         n, flags = self.order, sub.member_flags
         _, reps, sizes = self.conjugacy_classes()
@@ -500,7 +493,7 @@ class FiniteGroup:
                                  for x, size in outside):
             return False
         return all(self._class_equation_generates([x], sub)
-                   or len(self._normal_closure([x, *sub.generators])) == n
+                   or self._normal_classes([x, *sub.generators]).sizes[0] == n
                    for x, _ in outside)
 
     @_once

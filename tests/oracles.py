@@ -396,11 +396,11 @@ def structure_flags_by_closures(group):
     n, gens = group.order, group.generators
     commutators = [group.index_of(y.inverse() * s.inverse() * y * s)
                    for y in gens for s in gens]
-    derived = len(group._normal_closure(commutators))
+    derived = group.normal_closure(commutators).order
 
     def simple_modulo(sub):
         return sub.order < n and all(
-            len(group._normal_closure([x, *sub.generators])) == n
+            group.normal_closure([x, *sub.generators]).order == n
             for x in group.conjugacy_classes().representatives
             if x not in sub)
 

@@ -178,12 +178,17 @@ def test_structural_predicates():
 
 @pytest.fixture
 def normal_closures(monkeypatch):
-    """The seeds of every ``FiniteGroup._normal_closure`` call, in order."""
+    """The seeds of every ``FiniteGroup._normal_classes`` call that has
+    seeds, in order: the normal closures, not the conjugacy classes."""
     calls = []
-    normal_closure = FiniteGroup._normal_closure
-    monkeypatch.setattr(FiniteGroup, "_normal_closure",
-                        lambda self, seeds: calls.append(seeds)
-                        or normal_closure(self, seeds))
+    normal_classes = FiniteGroup._normal_classes
+
+    def spy(self, seeds):
+        seeds = list(seeds)
+        if seeds:
+            calls.append(seeds)
+        return normal_classes(self, seeds)
+    monkeypatch.setattr(FiniteGroup, "_normal_classes", spy)
     return calls
 
 

@@ -6,6 +6,7 @@ round scans all candidates, on abelian groups from seeded random, mostly
 dependent, generating sets too; twisted classes and kernel towers on every
 endomorphism of the catalog groups of order <= 24."""
 
+import random
 from collections import Counter
 from math import prod
 
@@ -169,7 +170,10 @@ def test_predicates(case):
 def test_normal_closure_and_subgroup_check(case):
     # For each class C: the normal closure of C is the subgroup generated by
     # its conjugates, and subgroup() accepts exactly the candidate sets
-    # that pass the all-pairs check.
+    # that pass the all-pairs check.  Seeded random sets of 0-3 seeds,
+    # repeats and the identity among them, as is_perfect and
+    # _is_simple_modulo pass: their normal closure is the subgroup
+    # generated by every conjugate of every seed.
     group, table = case
     class_of, reps, _ = oracles.conjugacy_classes(table)
     for c in range(len(reps)):
@@ -182,6 +186,16 @@ def test_normal_closure_and_subgroup_check(case):
             else:
                 with pytest.raises(ValueError):
                     group.subgroup(candidate)
+    inv = oracles.inverses(table)
+    rng = random.Random(group.order)
+    last = group.order - 1
+    for seeds in [[0, 0], [last, 0, last], *(
+            rng.choices(range(group.order), k=rng.randint(0, 3))
+            for _ in range(6))]:
+        conjugates = {table[table[inv[h]][s]][h]
+                      for s in seeds for h in range(group.order)}
+        assert list(group.normal_closure(seeds).indices) == oracles.closure(
+            table, conjugates)
 
 
 def test_cosets_and_projection(case):

@@ -191,19 +191,16 @@ def _grows_its_iterable(node):
 
 def test_orbits_is_the_one_orbit_loop():
     """Every orbit count in the package, conjugacy classes, twisted
-    classes, the classes of G/N, the search's stabiliser orbits and the
-    catalog's unit groups, calls ``orbits``.  The other breadth-first
+    classes, the classes of G/N, normal closures, the search's stabiliser
+    orbits and the catalog's unit groups, calls ``orbits``.  The other breadth-first
     searches each build something an orbit partition does not give:
 
     - ``_adjoin`` grows one subgroup by a generator, visiting only new
       members with every column, and can check that it stays in a mask;
     - ``_levels`` records the search's extension steps in BFS order;
-    - ``_normal_closure`` adjoins conjugates of N's generators until none
-      is new, so its seeds grow as it runs;
     - ``closure`` materialises G, making the elements it walks;
     - ``orbits`` is the orbit loop itself.
     """
     loops = sorted(owner for tree in TREES.values()
                    for owner in _owners(tree, _grows_its_iterable))
-    assert loops == ["_adjoin", "_levels", "_normal_closure", "closure",
-                     "orbits"]
+    assert loops == ["_adjoin", "_levels", "closure", "orbits"]
