@@ -347,6 +347,19 @@ MUTANTS = [
         ("tests/test_battery_oracle.py", "tests/test_cli.py"),
         "the battery's quotient counts charge nothing, so their squarings "
         "of phi's table run outside the product budget"),
+    Mutant(
+        "action-rows-zero-based", "src/twistspec/catalog.py",
+        "index[fn(p)] + 1", "index[fn(p)]",
+        ("tests/test_catalog.py",),
+        "the point actions write 0-based rows, so every builder's generators "
+        "name the wrong points and fail to load"),
+    Mutant(
+        "metacyclic-order-skips-one", "src/twistspec/catalog.py",
+        "if all(pow(r, d, m) != 1 for d in range(1, n)):",
+        "if all(pow(r, d, m) != 1 for d in range(2, n)):",
+        ("tests/test_catalog.py",),
+        "the faithful-action test skips r^1, so r = 1 with n = 2 takes the "
+        "action on m points, which is not faithful"),
 ]
 
 

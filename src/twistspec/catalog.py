@@ -13,6 +13,9 @@ Generator rows are 1-based image sequences.  The optional ``expected`` block
 is asserted at build time: a mismatch fails loudly instead of propagating a
 wrong group through a survey.  Any other key is rejected, so a misspelled
 block cannot load unasserted.
+
+Builders that act on a list of points (a group's own elements, the affine
+plane of M9, the nonzero vectors of SL(2,p)) write rows through ``_action``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from functools import reduce
+from functools import partial, reduce
 from math import factorial, gcd, isqrt
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -241,11 +244,11 @@ def alternating(n: int) -> GroupDefinition:
     return GroupDefinition(f"A{n}", n, rows, expected)
 
 
-def _regular_rows(elements: list, mul: Callable) -> tuple[int, list[list[int]]]:
-    index = {e: i for i, e in enumerate(elements)}
-    def row(g):  # left regular action keeps products aligned with composition
-        return [index[mul(g, e)] + 1 for e in elements]
-    return len(elements), row
+def _action(points: list, *maps: Callable) -> list[list[int]]:
+    """The 1-based image row of each map on ``points``: entry i of a map's
+    row is one more than the position of the map's image of ``points[i]``."""
+    index = {p: i for i, p in enumerate(points)}
+    return [[index[fn(p)] + 1 for p in points] for fn in maps]
 
 
 def quaternion_dicyclic(n: int) -> GroupDefinition:
@@ -264,17 +267,10 @@ def quaternion_dicyclic(n: int) -> GroupDefinition:
             return ((i1 - i2) % m, 1)
         return ((i1 - i2 + n) % m, 0)
 
-    degree, row = _regular_rows(elements, mul)
-    return GroupDefinition(f"Dic{n}", degree, [row((1, 0)), row((0, 1))],
+    # left regular action keeps products aligned with composition
+    rows = _action(elements, partial(mul, (1, 0)), partial(mul, (0, 1)))
+    return GroupDefinition(f"Dic{n}", len(elements), rows,
                            {"order": 4 * n, "class_number": n + 3})
-
-
-def _multiplicative_order(r: int, m: int) -> int:
-    order, acc = 1, r % m
-    while acc != 1:
-        acc = acc * r % m
-        order += 1
-    return order
 
 
 def metacyclic(m: int, n: int, r: int) -> GroupDefinition:
@@ -292,7 +288,7 @@ def metacyclic(m: int, n: int, r: int) -> GroupDefinition:
         raise DefinitionError(f"r^n = {pow(r, n, m)} != 1 mod {m}")
     name = f"Meta({m},{n},{r})"
     expected = {"order": m * n}
-    if _multiplicative_order(r, m) == n:
+    if all(pow(r, d, m) != 1 for d in range(1, n)):
         translation = _rotation_row(m)
         scaling = [(r * i) % m + 1 for i in range(m)]
         return GroupDefinition(name, m, [translation, scaling], expected)
@@ -303,8 +299,9 @@ def metacyclic(m: int, n: int, r: int) -> GroupDefinition:
         i2, j2 = y
         return ((i1 + i2 * pow(r, j1, m)) % m, (j1 + j2) % n)
 
-    degree, row = _regular_rows(elements, mul)
-    return GroupDefinition(name, degree, [row((1, 0)), row((0, 1))], expected)
+    # left regular action keeps products aligned with composition
+    rows = _action(elements, partial(mul, (1, 0)), partial(mul, (0, 1)))
+    return GroupDefinition(name, len(elements), rows, expected)
 
 
 def direct_product(a: GroupDefinition, b: GroupDefinition) -> GroupDefinition:
@@ -355,17 +352,13 @@ def m9() -> GroupDefinition:
     affine plane over the 3-element field: translations extended by the
     quaternion subgroup of unimodular 2x2 matrices."""
     points = [(x, y) for x in range(3) for y in range(3)]
-    index = {p: i for i, p in enumerate(points)}
-
-    def row(fn):
-        return [index[fn(p)] + 1 for p in points]
-
-    t1 = row(lambda p: ((p[0] + 1) % 3, p[1]))
-    t2 = row(lambda p: (p[0], (p[1] + 1) % 3))
-    mat_a = row(lambda p: ((-p[1]) % 3, p[0]))                      # [[0,-1],[1,0]]
-    mat_b = row(lambda p: ((p[0] + p[1]) % 3, (p[0] - p[1]) % 3))   # [[1,1],[1,-1]]
-    return GroupDefinition("M9", 9, [t1, t2, mat_a, mat_b],
-                           {"order": 72, "class_number": 6})
+    rows = _action(
+        points,
+        lambda p: ((p[0] + 1) % 3, p[1]),
+        lambda p: (p[0], (p[1] + 1) % 3),
+        lambda p: ((-p[1]) % 3, p[0]),                      # [[0,-1],[1,0]]
+        lambda p: ((p[0] + p[1]) % 3, (p[0] - p[1]) % 3))   # [[1,1],[1,-1]]
+    return GroupDefinition("M9", 9, rows, {"order": 72, "class_number": 6})
 
 
 def sl2(p: int) -> GroupDefinition:
@@ -375,15 +368,11 @@ def sl2(p: int) -> GroupDefinition:
     if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, isqrt(p) + 1)):
         raise DefinitionError(f"sl2 needs an odd prime, got {p}")
     points = [(x, y) for x in range(p) for y in range(p) if (x, y) != (0, 0)]
-    index = {v: i for i, v in enumerate(points)}
-
-    def row(a, b, c, d):
-        return [index[((a * x + b * y) % p, (c * x + d * y) % p)] + 1
-                for (x, y) in points]
-
-    rotation = row(0, -1, 1, 0)     # [[0,-1],[1,0]]
-    shear = row(1, 1, 0, 1)         # [[1,1],[0,1]]
-    return GroupDefinition(f"SL(2,{p})", p * p - 1, [rotation, shear],
+    rows = _action(
+        points,
+        lambda v: ((-v[1]) % p, v[0]),          # [[0,-1],[1,0]]
+        lambda v: ((v[0] + v[1]) % p, v[1]))    # [[1,1],[0,1]]
+    return GroupDefinition(f"SL(2,{p})", p * p - 1, rows,
                            {"order": p * (p * p - 1),
                             "class_number": p + 4})
 

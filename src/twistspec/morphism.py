@@ -222,7 +222,10 @@ def morphism_from_images(group: FiniteGroup,
                          images: Sequence[Permutation | int]) -> Morphism:
     """Extend an assignment of the declared generators to a verified Morphism.
 
-    Raises NotAHomomorphism when the assignment does not extend.
+    Each image is an element or an integer index into the group.  Raises
+    ValueError for a wrong count, an element outside the group or an index
+    that is not an integer in range; NotAHomomorphism when the assignment
+    does not extend.
     """
     if len(images) != len(group.generators):
         raise ValueError(
@@ -235,6 +238,8 @@ def morphism_from_images(group: FiniteGroup,
                 raise ValueError(f"{img!r} is not an element of the group")
             idxs.append(group.index_of(img))
         else:
+            if isinstance(img, bool) or not isinstance(img, int):
+                raise ValueError(f"image index {img!r} is not an integer")
             if not 0 <= img < group.order:
                 raise ValueError(f"image index {img} outside the group")
             idxs.append(img)

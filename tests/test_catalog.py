@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -45,6 +46,11 @@ def test_metacyclic_uses_small_degree_when_faithful():
     # 2 has order 2 mod 3, so Z3 x| Z6 needs the regular action
     assert metacyclic(3, 6, 2).degree == 18
     assert build(metacyclic(3, 6, 2)).order == 18
+    assert metacyclic(5, 1, 1).degree == 5     # n = 1: the trivial action
+    assert metacyclic(5, 2, 1).degree == 10    # r = 1 has order 1, not 2
+    assert metacyclic(9, 6, 2).degree == 9     # 2 has order exactly 6 mod 9
+    # 2 has order 3 mod 7, a proper divisor of 6
+    assert metacyclic(7, 6, 2).degree == 42
 
 
 def test_invalid_builder_parameters():
@@ -191,6 +197,32 @@ def test_shipped_catalog_matches_the_benchmark_inputs():
     # Each definition serializes to the bytes the benchmark was frozen with.
     frozen = json.loads((BENCH_DATA / "catalog.json").read_text("utf-8"))
     assert [defn.to_json_dict() for defn in shipped_catalog()] == frozen
+
+
+# sha256 of each definition's JSON, pinned beyond the catalog's parameters.
+PINNED = [
+    (quaternion_dicyclic(5),
+     "16c594447273ddfade7bb246f721e527b5c5c5dda3161887a77c2821b367c519"),
+    (metacyclic(7, 6, 2),  # regular action, 42 points
+     "21960fe3063408641075f3e20cd50dbef7d468939bfaa600b52421baa7fd47cd"),
+    (metacyclic(9, 6, 2),  # faithful action, 9 points
+     "34ecee6ead5cbd44fd14d403399d31136c12bbb6172bb2c9d99123d4606a2a68"),
+    (metacyclic(5, 2, 1),
+     "f08858c6a2917d45279ff1e275e2c36a573d3093118f6d2f0c183103e527be8e"),
+    (sl2(7),
+     "0d71a3cc2cce62bd07d8f8b403efe197b333f30173df561eb4428e67b4881fb3"),
+    (sl2(11),
+     "d4252fb6f94a366782b18bbe2450c331820ec1bf162cd8097212eab9b106e7a5"),
+    (holomorph_cyclic(21),
+     "dcdd5a4b8fcfb5a8a29c1e22fae92915206d6a069219619307405b30c60b6f71"),
+]
+
+
+@pytest.mark.parametrize("defn,digest", PINNED,
+                         ids=[defn.name for defn, _ in PINNED])
+def test_builders_serialize_to_pinned_bytes(defn, digest):
+    raw = json.dumps(defn.to_json_dict()).encode()
+    assert hashlib.sha256(raw).hexdigest() == digest
 
 
 def test_ladder_inputs_are_the_named_builders():
