@@ -73,8 +73,9 @@ MUTANTS = [
         "            if classes.sizes[0] != sub.order:\n",
         "            if False:\n",
         ("tests/test_tower_cache.py",),
-        "a tower whose generators reach less than N goes unnoticed, so the "
-        "classes of G/N come out finer than they are"),
+        "a tower whose generators reach less than N, or an N that is not "
+        "normal, goes unnoticed, so the classes of G/N come out finer or "
+        "coarser than they are"),
     Mutant(
         "orbits-drops-last-map", "src/twistspec/group.py",
         "            for image in maps:\n",
@@ -331,6 +332,37 @@ MUTANTS = [
         ("tests/test_cli.py", "tests/test_spectra.py"),
         "the battery passes no phase, so its sweep runs in the End sweep's "
         "phase and its budget errors blame the End sweep"),
+    Mutant(
+        "battery-parity-unchecked", "src/twistspec/spectra.py",
+        "        if value % 2 == 0:\n",
+        "        if False:\n",
+        ("tests/test_spectra.py",),
+        "an even count in an odd-order group is never reported, so "
+        "odd-order-parity passes whatever R reads"),
+    Mutant(
+        "battery-spectrum-k-minus-1-unchecked", "src/twistspec/spectra.py",
+        "            if automorphism:\n"
+        "                fail(\"spectrum-excludes-k-minus-1\",",
+        "            if False:\n"
+        "                fail(\"spectrum-excludes-k-minus-1\",",
+        ("tests/test_spectra.py",),
+        "an automorphism with R = k - 1 is never reported, so "
+        "spectrum-excludes-k-minus-1 passes whatever the spectrum holds"),
+    Mutant(
+        "battery-extended-k-minus-1-unchecked", "src/twistspec/spectra.py",
+        "            fail(\"extended-excludes-k-minus-1\",",
+        "            None and fail(\"extended-excludes-k-minus-1\",",
+        ("tests/test_spectra.py",),
+        "an endomorphism with R = k - 1 is never reported, so "
+        "extended-excludes-k-minus-1 passes whatever the extended spectrum "
+        "holds"),
+    Mutant(
+        "battery-dichotomy-unchecked", "src/twistspec/spectra.py",
+        "        if not automorphism and any(images):\n",
+        "        if False:\n",
+        ("tests/test_spectra.py",),
+        "a map of a quasisimple group that is neither trivial nor bijective "
+        "is never reported, so quasisimple-dichotomy always passes"),
     Mutant(
         "spectrum-reads-the-extended-counter", "src/twistspec/spectra.py",
         "_fold(group, True, _Budget(budget))[0]",

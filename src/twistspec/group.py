@@ -353,16 +353,14 @@ class FiniteGroup:
         cosets it holds.
 
         Built once per member tuple and cached: ``subgroup`` verifies
-        closure, conjugation by each generator of G must keep N, and the
-        classes are ``_normal_classes`` of N's generators.  The identity's
-        class must be N: it is the normal closure of N's generators, so it
-        falls short of N exactly when they do, the only way the orbits can
-        come out finer than the classes of G/N."""
+        closure, and the classes are ``_normal_classes`` of N's generators.
+        The identity's class, their normal closure, must be N: it falls
+        short of N when they reach less than N, the only way the orbits can
+        come out finer than the classes of G/N, and exceeds N when N is not
+        normal."""
         entry = self._quotients.get(members)
         if entry is None:
             sub = self.subgroup(members)
-            if not self.is_normal(sub):
-                raise AssertionError("subgroup is not normal")
             classes = self._normal_classes(sub.generators)
             if classes.sizes[0] != sub.order:
                 raise AssertionError("identity class of G/N is not N")

@@ -405,7 +405,7 @@ def _battery(group: FiniteGroup, tracker: _Budget
     """``theorem_battery``'s checks, and ``_fold``'s counters of the
     fixed-class counts, folded from the same sweep.  Which checks apply is
     decided before the sweep, from the order and the group's own nilpotent
-    and quasisimple flags.
+    and quasisimple flags; ``fail`` builds no witness for any other check.
 
     Like ``_fold`` it reads the live tables of ``_search`` and builds no
     Morphism; a witness is built from the table's generator images at the
@@ -432,15 +432,15 @@ def _battery(group: FiniteGroup, tracker: _Budget
         names.append("extended-excludes-k-minus-1")
     if group.is_quasisimple():
         names.append("quasisimple-dichotomy")
-    k = group.class_number()
     classes = group.conjugacy_classes()
+    k = classes.count
     gens = group.generator_indices()
     twists = group._conjugation_columns()
-    # The witness of each check's first failure, by check name.
+    # The witness of each reported check's first failure, by check name.
     failures: dict[str, dict] = {}
 
     def fail(name: str, detail: str) -> None:
-        if name not in failures:
+        if name in names and name not in failures:
             failures[name] = _witness(group, images, detail)
 
     spec, ext = Counter(), Counter()
@@ -481,7 +481,7 @@ def _battery(group: FiniteGroup, tracker: _Budget
             if _quotient_count(group, table) != fixed_count:
                 fail("reduction-to-injective",
                      "count changed on the injective quotient")
-        if group.order % 2 == 1 and value % 2 == 0:
+        if value % 2 == 0:
             fail("odd-order-parity",
                  f"even count {value} in an odd-order group")
         if value == k - 1:

@@ -34,8 +34,13 @@ from twistspec.catalog import (GroupDefinition, abelian, alternating, build,
     (sl2(3), 24, 7),
     (sl2(5), 120, 9),
     (direct_product(symmetric(3), cyclic(2)), 12, 6),
+    (symmetric(1), 1, 1),
+    (alternating(1), 1, 1),
+    (alternating(2), 1, 1),
+    (alternating(3), 3, 3),
 ])
 def test_builder_orders_and_class_numbers(defn, order, k):
+    # ``build`` also holds the group to the definition's expected block.
     group = build(defn)
     assert group.order == order
     assert group.class_number() == k
@@ -68,6 +73,14 @@ def test_invalid_builder_parameters():
         holomorph_cyclic(1)
     with pytest.raises(DefinitionError):
         abelian(1, 2)
+    with pytest.raises(DefinitionError):
+        cyclic(0)
+    with pytest.raises(DefinitionError):
+        symmetric(0)
+    with pytest.raises(DefinitionError):
+        alternating(0)
+    with pytest.raises(DefinitionError):
+        metacyclic(1, 2, 1)  # m < 2
 
 
 def test_holomorph_generator_counts():

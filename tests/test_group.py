@@ -44,6 +44,13 @@ def test_closure_cyclic_four():
     assert group.order == 4
 
 
+def test_closure_rejects_bad_degrees():
+    with pytest.raises(ValueError, match="degree must be positive"):
+        closure(0, [])
+    with pytest.raises(ValueError, match="generator degree 4 != 3"):
+        closure(3, [Permutation.from_cycles(4, (1, 2))])
+
+
 def test_order_cap_raises():
     with pytest.raises(OrderCapExceeded):
         closure(5, [Permutation.from_cycles(5, (1, 2)),

@@ -47,6 +47,14 @@ def test_valid_automorphism_from_images(s3):
     assert phi.is_automorphism()
 
 
+def test_morphism_call_and_repr(s3):
+    t = Permutation.from_cycles(3, (1, 2))
+    phi = morphism_from_images(s3, [t, Permutation.identity(3)])
+    assert [phi(x) for x in range(s3.order)] == list(phi.table)
+    assert phi(s3.index_of(t)) == s3.index_of(t)
+    assert repr(phi) == "Morphism(gens -> [(1 2), ()])"
+
+
 def test_order_obstruction_raises(s3):
     # A transposition (order 2) cannot map to a 3-cycle (order 3).
     three_cycle = Permutation.from_cycles(3, (1, 2, 3))

@@ -23,6 +23,8 @@ def test_validation_rejects_non_bijections():
         Permutation((0, 3))
     with pytest.raises(ValueError):
         Permutation.one_based([1, 1, 2])
+    with pytest.raises(ValueError, match="degree must be positive"):
+        Permutation.identity(0)
 
 
 def test_compose_applies_right_factor_first():

@@ -4,9 +4,10 @@ import pytest
 
 import oracles
 import twistspec.spectra as spectra_mod
+import twistspec.twisted as twisted_mod
 from twistspec.cli import main
 from twistspec.errors import BudgetExceeded
-from twistspec.morphism import weighted_sweep
+from twistspec.morphism import inner_automorphism, weighted_sweep
 from twistspec.spectra import (_witness, classify, extended_spectrum,
                                spectrum, theorem_battery)
 from twistspec.group import FiniteGroup
@@ -334,6 +335,142 @@ def test_battery_reduction_check_can_fail(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  S3  reduction-to-injective  witness=" in out
     assert out.count("FAIL") == 1
+
+
+def _shift_counts(monkeypatch, group, chosen, delta):
+    """Move R by ``delta`` for the endomorphisms whose generator images
+    ``chosen`` picks, in both of its counts, ``orbits`` and
+    ``_fixed_count``, and on G/N as on G, so that the two counts and the
+    reduction still agree and only the checks that read R's value fail."""
+    gens = group.generator_indices()
+    honest_orbits, honest_fixed = spectra_mod.orbits, twisted_mod._fixed_count
+
+    def orbits(size, maps):
+        # Representatives added or dropped at the end move the count and
+        # leave the identity's class alone.
+        partition = honest_orbits(size, maps)
+        if not chosen(oracles.twisted_map_images(group, maps)):
+            return partition
+        reps = partition.representatives
+        return partition._replace(representatives=(
+            (*reps, *[0] * delta) if delta > 0 else reps[:delta]))
+
+    def fixed_count(table, classes, bijective):
+        count = honest_fixed(table, classes, bijective)
+        return count + delta if chosen(tuple(table[s] for s in gens)) else count
+
+    monkeypatch.setattr(spectra_mod, "orbits", orbits)
+    monkeypatch.setattr(spectra_mod, "_fixed_count", fixed_count)
+    monkeypatch.setattr(twisted_mod, "_fixed_count", fixed_count)
+
+
+def _assert_fails_alone(defn, name, chosen, tmp_path, capsys):
+    """``name`` is the one failing check of ``defn``'s battery, its witness
+    is the first representative in sweep order that ``chosen`` picks, and
+    ``verify`` exits 3 with its FAIL line."""
+    group = build(defn)
+    first = next(phi for phi, _ in weighted_sweep(group)
+                 if chosen(phi.generator_images))
+    checks = battery_map(group)
+    failed = [check for check, result in checks.items() if not result.passed]
+    assert failed == [name]
+    witness = checks[name].witness
+    expected = _witness(group, first.generator_images, "")
+    assert (witness["generator_images"], witness["generator_cycles"]) == (
+        expected["generator_images"], expected["generator_cycles"])
+    path = tmp_path / "group.json"
+    save(defn, path)
+    assert main(["verify", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert f"FAIL  {defn.name}  {name}  witness=" in out
+    assert out.count("FAIL") == 1
+
+
+def _catalog_definition(name):
+    return next(defn for defn in shipped_catalog() if defn.name == name)
+
+
+def _inner_images(group):
+    """The generator images of the inner automorphisms, one Inn(G)-orbit
+    of the sweep."""
+    return {inner_automorphism(group, h).generator_images
+            for h in range(group.order)}
+
+
+def test_battery_odd_order_parity_check_can_fail(tmp_path, monkeypatch,
+                                                 capsys):
+    """The inner automorphisms of F21 (k = 5) counted 6 by both methods
+    fail ``odd-order-parity`` alone: 6 is not k - 1, R stays constant on
+    their Inn(G)-orbit, and an automorphism builds no tower."""
+    defn = _catalog_definition("F21")
+    group = build(defn)
+    inner = _inner_images(group)
+    _shift_counts(monkeypatch, group, inner.__contains__, 1)
+    _assert_fails_alone(defn, "odd-order-parity", inner.__contains__,
+                        tmp_path, capsys)
+
+
+def test_battery_spectrum_excludes_k_minus_1_check_can_fail(
+        tmp_path, monkeypatch, capsys):
+    """The inner automorphisms of S3 counted k - 1 = 2 by both methods fail
+    ``spectrum-excludes-k-minus-1`` alone; S3 reports neither the extended
+    check nor parity."""
+    defn = symmetric(3)
+    group = build(defn)
+    inner = _inner_images(group)
+    _shift_counts(monkeypatch, group, inner.__contains__, -1)
+    _assert_fails_alone(defn, "spectrum-excludes-k-minus-1",
+                        inner.__contains__, tmp_path, capsys)
+
+
+def test_battery_extended_excludes_k_minus_1_check_can_fail(
+        tmp_path, monkeypatch, capsys):
+    """The trivial map of Q8 (k = 5) counted k - 1 = 4 by both methods,
+    on G/G too, fails ``extended-excludes-k-minus-1`` alone: it is not an
+    automorphism, so the spectrum's check does not see it."""
+    defn = _catalog_definition("Q8")
+    group = build(defn)
+
+    def trivial(images):
+        return not any(images)
+
+    _shift_counts(monkeypatch, group, trivial, 3)
+    _assert_fails_alone(defn, "extended-excludes-k-minus-1", trivial,
+                        tmp_path, capsys)
+
+
+def test_battery_quasisimple_dichotomy_check_can_fail(tmp_path, monkeypatch,
+                                                      capsys):
+    """A search that flags no map of A5 as bijective fails
+    ``quasisimple-dichotomy`` alone, with the first nontrivial
+    representative as witness: each such map still counts R on G/1 as on
+    G, and none of its counts is k - 1 = 4."""
+    honest = spectra_mod._search
+
+    def search(*args):
+        for table, weight, _ in honest(*args):
+            yield table, weight, False
+
+    monkeypatch.setattr(spectra_mod, "_search", search)
+    _assert_fails_alone(alternating(5), "quasisimple-dichotomy", any,
+                        tmp_path, capsys)
+
+
+def test_all_pass_catalog_battery_builds_no_witness(catalog_groups,
+                                                    monkeypatch):
+    """A check that passes, or is not reported for the group, builds no
+    witness over the whole catalog."""
+    calls = []
+    honest = spectra_mod._witness
+
+    def witness(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(spectra_mod, "_witness", witness)
+    for name, group in catalog_groups.items():
+        assert all(chk.passed for chk in theorem_battery(group)), name
+    assert calls == []
 
 
 def test_survey_battery_budget_error_is_recorded(tmp_path):

@@ -1,9 +1,10 @@
 """The per-tower cache behind the reduction check.
 
-``FiniteGroup.quotient_classes`` verifies a kernel tower N (closure,
-normality, and N as the identity's class of G/N) once per distinct member
-tuple; phi^-1(N) = N, that is, N is phi-invariant and the induced map is
-injective, is checked for every phi (``Morphism.iterated_kernel``).  Spies
+``FiniteGroup.quotient_classes`` verifies a kernel tower N (closure, and
+N as the identity's class of G/N, which also proves N normal) once per
+distinct member tuple; phi^-1(N) = N, that is, N is phi-invariant and the
+induced map is injective, is checked for every phi
+(``Morphism.iterated_kernel``).  Spies
 count the once-per-tower checks, patched towers show that every assertion
 still fires, also on a cache hit, and the classes of G/N kept for every
 tower the battery builds are held to the quotient oracle.
@@ -31,27 +32,21 @@ CASES = [*shipped_catalog(), alternating(6), symmetric(6)]
 
 def _spy_on_cache_builds(monkeypatch, drop_last_generator=False):
     """Record the member tuples that ``quotient_classes`` passes to
-    ``subgroup`` and ``is_normal``, that is, the towers it builds.  With
-    ``drop_last_generator`` the subgroups it builds lose their last
-    generator, so the identity's class may fall short of N."""
-    built = {"subgroup": [], "is_normal": []}
-    real_subgroup, real_is_normal = FiniteGroup.subgroup, FiniteGroup.is_normal
+    ``subgroup``, that is, the towers it builds.  With ``drop_last_generator``
+    the subgroups it builds lose their last generator, so the identity's
+    class may fall short of N."""
+    built = []
+    real_subgroup = FiniteGroup.subgroup
 
     def subgroup(self, indices):
         sub = real_subgroup(self, indices)
         if sys._getframe(1).f_code is QUOTIENT_CLASSES:
-            built["subgroup"].append(sub.indices)
+            built.append(sub.indices)
             if drop_last_generator:
                 sub = sub._replace(generators=sub.generators[:-1])
         return sub
 
-    def is_normal(self, sub):
-        if sys._getframe(1).f_code is QUOTIENT_CLASSES:
-            built["is_normal"].append(sub.indices)
-        return real_is_normal(self, sub)
-
     monkeypatch.setattr(FiniteGroup, "subgroup", subgroup)
-    monkeypatch.setattr(FiniteGroup, "is_normal", is_normal)
     return built
 
 
@@ -64,11 +59,10 @@ def test_each_tower_is_verified_once(defn, monkeypatch):
     assert all(check.passed for check in theorem_battery(group))
     towers = {tuple(oracles.iterated_kernel(phi.table))
               for phi, _ in weighted_sweep(group)} - {(0,)}
-    assert sorted(built["subgroup"]) == sorted(towers)
-    assert sorted(built["is_normal"]) == sorted(towers)
+    assert sorted(built) == sorted(towers)
     # A second battery run finds every tower cached.
     theorem_battery(group)
-    assert len(built["subgroup"]) == len(built["is_normal"]) == len(towers)
+    assert len(built) == len(towers)
 
 
 @pytest.mark.parametrize("defn", CASES, ids=lambda defn: defn.name)
@@ -85,7 +79,8 @@ def test_each_tower_holds_the_classes_of_the_quotient(defn):
 def test_catalog_tower_counts(monkeypatch):
     """Work bound of the catalog battery: 3152 representatives, 1985 with a
     nontrivial tower, each of which finds its members once, and 193
-    distinct nontrivial towers to verify; the 1167 automorphisms build no
+    distinct nontrivial towers to verify, each by its identity's class
+    alone, with no ``is_normal`` pass; the 1167 automorphisms build no
     tower."""
     found = []
     real = morphism_mod._stable_kernel
@@ -94,7 +89,11 @@ def test_catalog_tower_counts(monkeypatch):
         found.append(len(table))
         return real(table)
 
+    def is_normal(self, sub):
+        raise AssertionError("a tower was proved normal twice")
+
     monkeypatch.setattr(morphism_mod, "_stable_kernel", spied)
+    monkeypatch.setattr(FiniteGroup, "is_normal", is_normal)
     representatives = nontrivial = towers = 0
     for defn in shipped_catalog():
         group = build(defn)
@@ -119,13 +118,17 @@ def test_non_normal_tower_is_an_internal_error(monkeypatch, tmp_path, capsys):
     s3 = build(symmetric(3))
     transposition = s3.index_of(Permutation.from_cycles(3, (1, 2)))
     members = (0, transposition)
-    with pytest.raises(AssertionError, match="not normal"):
+    assert not s3.is_normal(s3.subgroup(members))
+    # The normal closure of (12) is all of S3, so the identity's class of
+    # "G/N" has 6 elements against |N| = 2.
+    with pytest.raises(AssertionError, match="identity class of G/N is not N"):
         s3.quotient_classes(members)
     _patch_tower(monkeypatch, members)
     path = tmp_path / "s3.json"
     save(symmetric(3), path)
     assert main(["verify", str(path)]) == 4
-    assert "internal error: subgroup is not normal" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal error: identity class of G/N is not N" in err
 
 
 def test_unequal_cosets_are_an_internal_error(monkeypatch, tmp_path, capsys):
@@ -184,4 +187,4 @@ def test_per_phi_checks_fire_on_a_cache_hit(monkeypatch):
     # The swap, an automorphism, is its own reduction and builds no tower.
     with pytest.raises(AssertionError, match="not its own preimage"):
         reduction_check(projection, 2)
-    assert built["subgroup"] == built["is_normal"] == [members]
+    assert built == [members]
